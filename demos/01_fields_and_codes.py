@@ -10,7 +10,7 @@ shortening to a coordinate set, and passing to the dual.
 from posetcode import LinearCode, gf
 
 # arithmetic in the eight-element field: addition is XOR of polynomial
-# encodings, multiplication runs through discrete-log tables
+# encodings, and both operations are lookups in full 8 x 8 tables
 F8 = gf(8)
 print(f"GF(8): modulus encoding {F8.modulus}, generator {F8.generator}")
 print(f"  3 + 5 = {F8.add(3, 5)}")

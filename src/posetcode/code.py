@@ -125,15 +125,9 @@ class LinearCode:
         F = self.field
         q = F.q
         rows = self.generator.rows
-        # delta[i][c]: add this to the running word when digit i steps c -> c+1
+        # when digit i steps c -> c+1 the running word gains step[c] * row i
         # (c == q-1 means the rollover step back to 0)
-        deltas = []
-        for row in rows:
-            per_digit = []
-            for c in range(q):
-                step = F.sub((c + 1) % q, c)
-                per_digit.append(tuple(F.mul(step, a) for a in row))
-            deltas.append(per_digit)
+        step = [F.sub((c + 1) % q, c) for c in range(q)]
         word = [0] * self.n
         digits = [0] * self.k
         yield tuple(word)
@@ -141,10 +135,7 @@ class LinearCode:
             i = 0
             while True:
                 c = digits[i]
-                delta = deltas[i][c]
-                for pos in range(self.n):
-                    if delta[pos]:
-                        word[pos] = F.add(word[pos], delta[pos])
+                word = F._add_scaled(word, step[c], rows[i])
                 if c + 1 < q:
                     digits[i] = c + 1
                     break
@@ -169,18 +160,6 @@ class LinearCode:
         messages = outside.transpose().null_space_basis()
         basis = tuple(row_times_matrix(msg, self.generator) for msg in messages.rows)
         return messages.nrows, basis
-
-    def puncture(self, mask: int) -> Matrix:
-        """Generator of the code restricted to the subset's coordinates.
-
-        Rows of the generator are truncated to the chosen columns and
-        reduced; the result has full row rank over the shorter length.
-        """
-        if mask == 0:
-            raise ValueError("cannot puncture to the empty coordinate set")
-        restricted = self.generator.column_submatrix(mask)
-        reduced, pivots = restricted.echelon()
-        return Matrix(self.field, reduced.rows[: len(pivots)], restricted.ncols)
 
     def dualize(self) -> LinearCode:
         """The dual code, generated by the parity-check rows."""

@@ -45,7 +45,7 @@ from math import comb
 
 from .bitset import bits_of, mask_from_positions, to_elements
 from .code import MAX_ENUMERATION, LinearCode, support_mask
-from .hierarchy import min_weight_ideal_scan
+from .hierarchy import _require_compatible, min_weight_ideal_scan
 from .poset import Poset
 
 MDS_LABEL = "MDS"
@@ -380,8 +380,3 @@ def distribution_report(code: LinearCode, poset: Poset, method: str = "enumerate
     else:
         raise ValueError(f"unknown method {method!r}")
     return DistributionReport(counts=counts, method=method, classification=cls_)
-
-
-def _require_compatible(code: LinearCode, poset: Poset) -> None:
-    if code.n != poset.n:
-        raise ValueError(f"poset size {poset.n} != code length {code.n}")

@@ -7,11 +7,19 @@ fields reduce modulo a fixed monic irreducible polynomial chosen by a
 deterministic search (smallest encoding first), which keeps the meaning of
 every int stable across runs and machines.
 
-Construction builds exp/log tables over a primitive element, so multiply,
-divide, and invert are table lookups.  Addition uses XOR in characteristic 2
-and a precomputed table otherwise.  Fields are interned by make_field, and
-two GF instances compare equal exactly when they have the same order and
-modulus.
+Every field has one representation: full q x q addition and multiplication
+tables plus negation and inverse vectors, built once at construction
+(addition digit-wise mod p, multiplication through the powers of a
+primitive element).  Fields are interned by make_field, and two GF
+instances compare equal exactly when they have the same order and modulus.
+
+Element checks happen where data enters the program.  The public scalar
+operations (add, sub, mul, inv, neg, div, pow) check their arguments.  The
+row operations _scale, _add_scaled, _sub_scaled and _dot do not: they are
+the inner loops of row reduction and codeword streaming, and their callers
+pass rows that the Matrix constructor (which the code parser goes through)
+or the vector products have already checked.  No other module reads the
+tables directly.
 """
 
 from __future__ import annotations
@@ -86,7 +94,7 @@ class GF:
     GF directly redoes the modulus search and table build each time.
     """
 
-    __slots__ = ("p", "m", "q", "modulus", "generator", "_exp", "_log", "_add", "_neg")
+    __slots__ = ("p", "m", "q", "modulus", "generator", "_add", "_mul", "_neg", "_inv")
 
     def __init__(self, p: int, m: int) -> None:
         if not _is_prime(p):
@@ -100,30 +108,43 @@ class GF:
         self.m = m
         self.q = q
         self.modulus = _find_modulus(p, m)
-        self._build_add()
-        self._build_mul()
+        self._add = [[self._add_raw(a, b) for b in range(q)] for a in range(q)]
+        self._neg = [row.index(0) for row in self._add]
+        # the multiplicative group is cyclic: the powers exp[i] of a
+        # primitive element reach every nonzero element, and log inverts them
+        for gen in range(1, q):
+            exp = [1]
+            y = gen
+            while y != 1:
+                exp.append(y)
+                y = self._mul_raw(y, gen)
+            if len(exp) == q - 1:
+                break
+        self.generator = gen
+        log = {y: i for i, y in enumerate(exp)}
+        self._mul = [[0] * q] + [
+            [0] + [exp[(log[a] + log[b]) % (q - 1)] for b in range(1, q)] for a in range(1, q)
+        ]
+        # _inv[0] is a placeholder; inv() rejects 0 before reading it
+        self._inv = [0] + [exp[-log[a] % (q - 1)] for a in range(1, q)]
 
     # -- construction ------------------------------------------------------
 
     def _add_raw(self, a: int, b: int) -> int:
-        p, m = self.p, self.m
-        if p == 2:
-            return a ^ b
-        if m == 1:
-            return (a + b) % p
+        """Digit-wise sum mod p of two encodings."""
+        p = self.p
         out = 0
         scale = 1
-        for _ in range(m):
-            out += (a % p + b % p) % p * scale
+        while a or b:
+            out += (a + b) % p * scale
             a //= p
             b //= p
             scale *= p
         return out
 
     def _mul_raw(self, a: int, b: int) -> int:
+        """Polynomial product of two encodings, reduced by the modulus."""
         p, m = self.p, self.m
-        if m == 1:
-            return a * b % p
         fa = _digits(a, p, m)
         fb = _digits(b, p, m)
         prod = [0] * (2 * m - 1)
@@ -143,56 +164,6 @@ class GF:
             out = out * p + prod[i]
         return out
 
-    def _build_add(self) -> None:
-        p, q = self.p, self.q
-        self._neg = tuple(self._sub_raw_neg(a) for a in range(q))
-        if p == 2 or self.m == 1:
-            self._add = None
-        else:
-            self._add = [
-                [self._add_raw(a, b) for b in range(q)] for a in range(q)
-            ]
-
-    def _sub_raw_neg(self, a: int) -> int:
-        p, m = self.p, self.m
-        if p == 2:
-            return a
-        if m == 1:
-            return (p - a) % p
-        out = 0
-        scale = 1
-        for _ in range(m):
-            out += (p - a % p) % p * scale
-            a //= p
-            scale *= p
-        return out
-
-    def _build_mul(self) -> None:
-        q = self.q
-        gen = None
-        for g in range(1, q):
-            y = g
-            order = 1
-            while y != 1:
-                y = self._mul_raw(y, g)
-                order += 1
-            if order == q - 1:
-                gen = g
-                break
-        # the multiplicative group of a finite field is cyclic
-        assert gen is not None
-        self.generator = gen
-        exp = [1] * (2 * (q - 1))
-        log = [0] * q
-        y = 1
-        for i in range(q - 1):
-            exp[i] = y
-            exp[i + q - 1] = y
-            log[y] = i
-            y = self._mul_raw(y, gen)
-        self._exp = exp
-        self._log = log
-
     # -- element ops -------------------------------------------------------
 
     def check(self, a: int) -> int:
@@ -205,39 +176,21 @@ class GF:
         return range(self.q)
 
     def add(self, a: int, b: int) -> int:
-        self.check(a)
-        self.check(b)
-        if self.p == 2:
-            return a ^ b
-        if self.m == 1:
-            return (a + b) % self.p
-        return self._add[a][b]
+        return self._add[self.check(a)][self.check(b)]
 
     def neg(self, a: int) -> int:
-        self.check(a)
-        return self._neg[a]
+        return self._neg[self.check(a)]
 
     def sub(self, a: int, b: int) -> int:
-        self.check(a)
-        self.check(b)
-        if self.p == 2:
-            return a ^ b
-        if self.m == 1:
-            return (a - b) % self.p
-        return self._add[a][self._neg[b]]
+        return self._add[self.check(a)][self._neg[self.check(b)]]
 
     def mul(self, a: int, b: int) -> int:
-        self.check(a)
-        self.check(b)
-        if a == 0 or b == 0:
-            return 0
-        return self._exp[self._log[a] + self._log[b]]
+        return self._mul[self.check(a)][self.check(b)]
 
     def inv(self, a: int) -> int:
-        self.check(a)
-        if a == 0:
+        if self.check(a) == 0:
             raise ZeroDivisionError(f"0 has no inverse in {self!r}")
-        return self._exp[self.q - 1 - self._log[a]]
+        return self._inv[a]
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -248,7 +201,35 @@ class GF:
             if e < 0:
                 raise ZeroDivisionError(f"0 has no inverse in {self!r}")
             return 1 if e == 0 else 0
-        return self._exp[self._log[a] * e % (self.q - 1)]
+        out = 1
+        for _ in range(e % (self.q - 1)):
+            out = self._mul[out][a]
+        return out
+
+    # -- unchecked row ops -------------------------------------------------
+
+    def _scale(self, c: int, row) -> list[int]:
+        """c * row."""
+        times_c = self._mul[c]
+        return [times_c[a] for a in row]
+
+    def _add_scaled(self, x, c: int, y) -> list[int]:
+        """x + c * y."""
+        add = self._add
+        times_c = self._mul[c]
+        return [add[a][times_c[b]] for a, b in zip(x, y)]
+
+    def _sub_scaled(self, x, c: int, y) -> list[int]:
+        """x - c * y."""
+        return self._add_scaled(x, self._neg[c], y)
+
+    def _dot(self, x, y) -> int:
+        """sum of x_i * y_i."""
+        add, mul = self._add, self._mul
+        acc = 0
+        for a, b in zip(x, y):
+            acc = add[acc][mul[a][b]]
+        return acc
 
     # -- identity ----------------------------------------------------------
 

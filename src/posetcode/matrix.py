@@ -5,6 +5,10 @@ reduced row echelon form is computed once and cached.  Zero-row and
 zero-column matrices are legal (they arise as parity checks of the full
 space and as column restrictions to the empty set), which is why the
 constructor takes an explicit column count when no rows are given.
+
+The constructor checks every entry, and the vector products check their
+vector once on entry; row reduction and the products themselves then run
+on the field's unchecked row operations.
 """
 
 from __future__ import annotations
@@ -39,10 +43,6 @@ class Matrix:
     def identity(cls, field: GF, n: int) -> Matrix:
         return cls(field, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), n)
 
-    @classmethod
-    def zero(cls, field: GF, nrows: int, ncols: int) -> Matrix:
-        return cls(field, ((0,) * ncols for _ in range(nrows)), ncols)
-
     def echelon(self) -> tuple[Matrix, tuple[int, ...]]:
         """Reduced row echelon form and its pivot columns.
 
@@ -64,13 +64,12 @@ class Matrix:
                 work[pr], work[sel] = work[sel], work[pr]
                 lead = work[pr][col]
                 if lead != 1:
-                    inv = F.inv(lead)
-                    work[pr] = [F.mul(inv, a) for a in work[pr]]
+                    work[pr] = F._scale(F.inv(lead), work[pr])
                 row_p = work[pr]
                 for i in range(self.nrows):
                     c = work[i][col]
                     if i != pr and c:
-                        work[i] = [F.sub(a, F.mul(c, b)) for a, b in zip(work[i], row_p)]
+                        work[i] = F._sub_scaled(work[i], c, row_p)
                 pivots.append(col)
                 pr += 1
             mat = Matrix(self.field, work, self.ncols)
@@ -87,9 +86,6 @@ class Matrix:
             raise ValueError(f"column mask {mask:#x} out of range for {self.ncols} columns")
         cols = list(bits_of(mask))
         return Matrix(self.field, (tuple(row[c] for c in cols) for row in self.rows), len(cols))
-
-    def column_submatrix_rank(self, mask: int) -> int:
-        return self.column_submatrix(mask).rank()
 
     def null_space_basis(self) -> Matrix:
         """Basis of {v : self v = 0}, one row per free column, ascending.
@@ -117,24 +113,6 @@ class Matrix:
             return Matrix(self.field, ((),) * self.ncols, 0)
         return Matrix(self.field, zip(*self.rows), self.nrows)
 
-    def mul(self, other: Matrix) -> Matrix:
-        if other.field != self.field:
-            raise ValueError("matrices over different fields")
-        if self.ncols != other.nrows:
-            raise ValueError(f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}")
-        F = self.field
-        out = []
-        for row in self.rows:
-            acc = [0] * other.ncols
-            for a, orow in zip(row, other.rows):
-                if a:
-                    acc = [F.add(x, F.mul(a, y)) for x, y in zip(acc, orow)]
-            out.append(acc)
-        return Matrix(self.field, out, other.ncols)
-
-    def is_zero(self) -> bool:
-        return all(not any(r) for r in self.rows)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -147,31 +125,26 @@ class Matrix:
         return f"Matrix({self.field!r}, {self.nrows}x{self.ncols})"
 
 
+def _check_vector(field: GF, v: Sequence[int], length: int, against: str) -> None:
+    if len(v) != length:
+        raise ValueError(f"vector of length {len(v)} against {length} {against}")
+    for a in v:
+        field.check(a)
+
+
 def row_times_matrix(v: Sequence[int], M: Matrix) -> tuple[int, ...]:
     """v M for a row vector v of length M.nrows."""
-    if len(v) != M.nrows:
-        raise ValueError(f"vector of length {len(v)} against {M.nrows} rows")
     F = M.field
+    _check_vector(F, v, M.nrows, "rows")
     acc = [0] * M.ncols
     for a, row in zip(v, M.rows):
-        F.check(a)
         if a:
-            acc = [F.add(x, F.mul(a, y)) for x, y in zip(acc, row)]
+            acc = F._add_scaled(acc, a, row)
     return tuple(acc)
 
 
 def matrix_times_col(M: Matrix, v: Sequence[int]) -> tuple[int, ...]:
     """M v for a column vector v of length M.ncols."""
-    if len(v) != M.ncols:
-        raise ValueError(f"vector of length {len(v)} against {M.ncols} columns")
     F = M.field
-    out = []
-    for row in M.rows:
-        acc = 0
-        for a, b in zip(row, v):
-            if a and b:
-                acc = F.add(acc, F.mul(a, b))
-            else:
-                F.check(b)
-        out.append(acc)
-    return tuple(out)
+    _check_vector(F, v, M.ncols, "columns")
+    return tuple(F._dot(row, v) for row in M.rows)

@@ -71,17 +71,16 @@ class RankProfile:
     def _reduce(self, vec: tuple[int, ...], basis: tuple) -> tuple[int, ...] | None:
         """Reduce vec against an echelon basis; None when it lies in the span."""
         F = self.code.field
-        v = list(vec)
+        v = vec
         for lead, b in basis:
             c = v[lead]
             if c:
-                v = [F.sub(x, F.mul(c, y)) for x, y in zip(v, b)]
+                v = F._sub_scaled(v, c, b)
         lead = next((i for i, x in enumerate(v) if x), None)
         if lead is None:
             return None
-        inv = F.inv(v[lead])
-        if inv != 1:
-            v = [F.mul(inv, x) for x in v]
+        if v[lead] != 1:
+            v = F._scale(F.inv(v[lead]), v)
         return tuple(v)
 
     def _value(self, mask: int, memo: dict[int, int], bases: dict[int, tuple], cols) -> int:

@@ -15,7 +15,7 @@ from posetcode.code import (
     support_mask,
 )
 from posetcode.field import gf
-from posetcode.matrix import Matrix, row_times_matrix
+from posetcode.matrix import Matrix, matrix_times_col, row_times_matrix
 from posetcode.poset import Poset
 
 
@@ -100,6 +100,16 @@ def test_contains_matches_enumeration():
             assert code.contains(word) == (word in members)
 
 
+def test_contains_rejects_non_elements_in_full_space():
+    # the full space has a parity matrix with no rows, so the word's entries
+    # are never multiplied; they must still be checked
+    code = LinearCode.from_generator(gf(2), Matrix.identity(gf(2), 3).rows)
+    assert code.parity.nrows == 0
+    assert code.contains((1, 0, 1))
+    with pytest.raises(ValueError, match="not an element"):
+        code.contains((7, 9, -3))
+
+
 def test_codeword_encodes_single_message():
     code = LinearCode.from_generator(gf(3), [(1, 0, 2), (0, 1, 1)])
     # last coordinate: 1*2 + 2*1 = 4 = 1 mod 3
@@ -145,16 +155,6 @@ def test_shorten_matches_enumeration():
             assert Matrix(gf(q), basis, n).rank() == dim if basis else dim == 0
 
 
-def test_puncture():
-    code = LinearCode.from_generator(gf(2), [(1, 1, 0, 0), (0, 0, 1, 1)])
-    P = code.puncture(0b0011)
-    assert (P.nrows, P.ncols) == (1, 2) and P.rows == ((1, 1),)
-    full = code.puncture(0b1111)
-    assert full.nrows == 2 and full.rank() == 2
-    with pytest.raises(ValueError, match="empty coordinate set"):
-        code.puncture(0)
-
-
 def test_dualize():
     rng = random.Random(23)
     for _ in range(15):
@@ -167,7 +167,8 @@ def test_dualize():
         code = LinearCode.from_generator(gf(q), rows)
         dual = code.dualize()
         assert dual.k == n - k and dual.n == n
-        assert code.generator.mul(dual.generator.transpose()).is_zero()
+        # G H^T = 0: every dual generator row is orthogonal to every row of G
+        assert all(not any(matrix_times_col(code.generator, h)) for h in dual.generator.rows)
         # dual of dual is the original row space
         back = dual.dualize()
         assert back.generator.echelon()[0].rows[: back.k] == code.generator.echelon()[0].rows[: code.k]

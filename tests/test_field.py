@@ -163,3 +163,44 @@ def test_gf27_frobenius(a, b):
     # (a + b)^p = a^p + b^p in characteristic p
     F = gf(27)
     assert F.pow(F.add(a, b), 3) == F.add(F.pow(a, 3), F.pow(b, 3))
+
+
+def _digitwise_sum(a, b, p, m):
+    out = 0
+    for i in range(m):
+        out += (a // p**i % p + b // p**i % p) % p * p**i
+    return out
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27])
+def test_tables_match_polynomial_arithmetic(q):
+    F = gf(q)
+    for a in range(q):
+        for b in range(q):
+            assert F._add[a][b] == _digitwise_sum(a, b, F.p, F.m)
+            assert F._mul[a][b] == F._mul_raw(a, b)
+        assert F._add[a][F._neg[a]] == 0
+        if a:
+            assert F._mul_raw(a, F._inv[a]) == 1
+
+
+@st.composite
+def scalar_and_rows(draw):
+    F = gf(draw(st.sampled_from([2, 3, 4, 5, 9])))
+    n = draw(st.integers(0, 6))
+    element = st.integers(0, F.q - 1)
+    x = draw(st.lists(element, min_size=n, max_size=n))
+    y = draw(st.lists(element, min_size=n, max_size=n))
+    return F, draw(element), x, y
+
+
+@given(scalar_and_rows())
+def test_row_ops_match_scalar_ops(args):
+    F, c, x, y = args
+    assert F._scale(c, y) == [F.mul(c, b) for b in y]
+    assert F._add_scaled(x, c, y) == [F.add(a, F.mul(c, b)) for a, b in zip(x, y)]
+    assert F._sub_scaled(x, c, y) == [F.sub(a, F.mul(c, b)) for a, b in zip(x, y)]
+    dot = 0
+    for a, b in zip(x, y):
+        dot = F.add(dot, F.mul(a, b))
+    assert F._dot(x, y) == dot
