@@ -21,10 +21,10 @@ for ideal in v.ideals():
 closure = v.ideal_closure(0b100)
 print(f"closure of {{3}}: {closure:03b}")
 
-# the interval of an ideal: everything between the ideal minus its
-# maximal elements and the ideal itself; inclusion-exclusion runs here
-print(f"maximal elements of 111: {v.maximal_elements(0b111):03b}")
-print(f"interval of 111: {[f'{j:03b}' for j in v.interval(0b111)]}")
+# the maximal elements of an ideal are the ones that can be dropped
+# while keeping it an ideal
+for ideal in (0b011, 0b111):
+    print(f"maximal elements of {ideal:03b}: {v.maximal_elements(ideal):03b}")
 
 # the same word weighs differently under different orders
 word = (0, 1, 1, 0)

@@ -3,11 +3,11 @@ Weight distributions, extremal codes, and the self-test
 =======================================================
 
 The distribution (A_0, ..., A_n) counts codewords by poset weight.
-Three routes must land on the same vector: direct enumeration,
-inclusion-exclusion over ideal intervals, and, for extremal codes, a
-closed form that never looks at individual codewords.  A code is MDS
-for the poset when d_1 = n - k + 1 and near-MDS when d_1 = n - k with
-d_2 = n - k + 2.
+Three routes must land on the same vector: direct enumeration, a
+Moebius transform of shortened dimensions over the ideal lattice, and,
+for extremal codes, a closed form that never looks at individual
+codewords.  A code is MDS for the poset when d_1 = n - k + 1 and
+near-MDS when d_1 = n - k with d_2 = n - k + 2.
 """
 
 from posetcode import (

@@ -8,7 +8,7 @@ Quick start:
     >>> weight_hierarchy(code, Poset.antichain(4)).weights
     (2, 4)
 
-Every fast path (ideal scan, inclusion-exclusion, closed forms) has a
+Every fast path (ideal scan, Moebius census, closed forms) has a
 brute-force counterpart in the same API, and run_selftest cross-validates
 them on randomized instances.
 """
@@ -26,15 +26,13 @@ from .code import (
 from .distribution import (
     Classification,
     DistributionReport,
-    alternating_binomial_sum,
     classify,
     distribution,
     distribution_report,
-    exact_support_count,
     hamming_nmds_distribution,
-    interval_sign_sum,
     mds_distribution,
     nmds_distribution,
+    support_census,
 )
 from .errors import SelfCheckError
 from .field import GF, gf, make_field
@@ -95,12 +93,10 @@ __all__ = [
     "classify",
     "distribution",
     "distribution_report",
-    "exact_support_count",
+    "support_census",
     "mds_distribution",
     "nmds_distribution",
     "hamming_nmds_distribution",
-    "alternating_binomial_sum",
-    "interval_sign_sum",
     "SelfTestReport",
     "run_selftest",
     "random_instance",

@@ -47,12 +47,3 @@ def from_elements(elements: Iterable[int], n: int) -> int:
         out |= bit
     return out
 
-
-def submasks(mask: int) -> Iterator[int]:
-    """Yield every submask of mask in ascending numeric order."""
-    s = 0
-    while True:
-        yield s
-        if s == mask:
-            return
-        s = (s - mask) & mask

@@ -97,7 +97,7 @@ class LinearCode:
                 f"generator rows are dependent; dimension reduced to k={rank}",
                 stacklevel=2,
             )
-            mat = Matrix(field, reduced.rows[:rank], mat.ncols)
+            mat = Matrix._unchecked(field, reduced.rows[:rank], mat.ncols)
         return cls(field, mat, mat.null_space_basis())
 
     # -- basic queries -----------------------------------------------------

@@ -1,34 +1,45 @@
 """Poset weight distributions and MDS / near-MDS classification.
 
 For an ideal I of the poset P, let S_I be the set of words whose support
-has ideal closure exactly I.  Two ways to count the codewords in S_I:
+has ideal closure exactly I.  The support census maps each ideal I to
+|C & S_I|, and every count in this module is read off it.  Two ways to
+take the census:
 
 enumerate
     Stream the q**k codewords and bucket them by the closure of their
-    support (guarded by the enumeration cap).
+    support (guarded by the enumeration cap).  It never lists the ideals
+    of P, so it is the independent oracle for the other method.
 
 moebius
-    Inclusion-exclusion over the interval of I, the ideals J sandwiched
-    between I minus its maximal elements and I:
+    The words of C supported inside an ideal I form the shortened subcode
+    on I, of dimension k - rank(comp I).  So
 
-        |C & S_I| = sum over J of (-1)^(|I| - |J|) q^(k - rank(comp J))
+        sum over ideals J <= I of |C & S_J| = q^(k - rank(comp I)),
 
-    where k - rank(comp J) is the dimension of the shortened subcode on J.
+    and the census is the Moebius inversion of q^(k - rank(comp I)) over
+    the ideal lattice J(P).  The fast transform of Bjorklund, Husfeldt,
+    Kaski, Koivisto, Nederlof and Parviainen ("Fast zeta transforms for
+    lattices with few irreducibles", SODA 2012) does it in n * |J(P)|
+    subtractions: for e along the reverse of a linear extension, subtract
+    the entry of I - {e} from the entry of I wherever I - {e} is an ideal.
 
 The weight distribution (A_0, ..., A_n) with A_r = |{u in C : wt_P(u) = r}|
-follows by summing S_I counts over the ideals of each size.
+sums the census over the ideals of each size.
 
 A code is MDS for P when d_1 = n - k + 1, and near-MDS (NMDS) when
 d_1 = n - k and d_2 = n - k + 2 (k >= 2).  Both admit closed-form
 distributions driven only by the ideal census of P, the count of maximal
-elements per ideal, and (for NMDS) the S_J counts at the bottom size d:
+elements per ideal, and (for NMDS) the census at the bottom size d:
 
     MDS   A_r = sum_{|I| = r} sum_{s=0}^{r-d} (-1)^s C(m_I, s) (q^(r-d+1-s) - 1)
     NMDS  A_r = sum_{|I| = r} sum_{s=0}^{r-d-1} (-1)^s C(m_I, s) (q^(r-d-s) - 1)
-              + (-1)^(r-d) sum_{|I| = r} sum_{J in interval(I), |J| = d} |C & S_J|
+              + (-1)^(r-d) sum_{|J| = d} C(a_J, r-d) |C & S_J|
 
-with m_I the number of maximal elements of I.  When P is the antichain the
-NMDS form collapses to binomials:
+with m_I the number of maximal elements of I and a_J the number of
+minimal elements of P - J: an ideal J of size d lies between I minus its
+maximal elements and I for exactly C(a_J, r-d) ideals I of size r, the
+unions of J with r-d minimal elements of P - J.  When P is the antichain
+a_J = n - d and the NMDS form collapses to binomials:
 
     A_r = C(n, r) sum_{s=0}^{r-d-1} (-1)^s C(r, s) (q^(r-d-s) - 1)
         + (-1)^(r-d) C(n-d, r-d) A_d.
@@ -43,7 +54,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .bitset import bits_of, mask_from_positions, to_elements
+from .bitset import mask_from_positions, to_elements
 from .code import MAX_ENUMERATION, LinearCode, support_mask
 from .hierarchy import _require_compatible, min_weight_ideal_scan
 from .poset import Poset
@@ -55,65 +66,36 @@ OTHER_LABEL = "other"
 _COLUMN_CONDITION_CAP = 1 << 16
 
 
-def alternating_binomial_sum(m: int) -> int:
-    """sum_{s=0}^{m} (-1)^s C(m, s): equals 1 for m = 0 and 0 for m >= 1."""
-    return sum((-1) ** s * comb(m, s) for s in range(m + 1))
-
-
-def interval_sign_sum(poset: Poset, ideal: int) -> int:
-    """sum over J in interval(ideal) of (-1)^(|ideal| - |J|).
-
-    Collapses to alternating_binomial_sum over the maximal-element count,
-    so it vanishes for every nonempty ideal.
-    """
-    size = ideal.bit_count()
-    return sum((-1) ** (size - j.bit_count()) for j in poset.interval(ideal))
-
-
-def _moebius_count(code: LinearCode, poset: Poset, ideal: int, cache: dict[int, int] | None = None) -> int:
-    if cache is not None and ideal in cache:
-        return cache[ideal]
+def support_census(code: LinearCode, poset: Poset, method: str = "moebius") -> dict[int, int]:
+    """Map each ideal I with C & S_I nonempty to |C & S_I|; see the module docstring."""
+    _require_compatible(code, poset)
+    census: dict[int, int] = {}
+    if method == "enumerate":
+        for w in code.codewords():
+            closure = poset.ideal_closure(support_mask(w))
+            census[closure] = census.get(closure, 0) + 1
+        return census
+    if method != "moebius":
+        raise ValueError(f"unknown method {method!r}")
     profile = code.matroid
     full = (1 << code.n) - 1
-    q = code.field.q
-    size = ideal.bit_count()
-    total = 0
-    for j in poset.interval(ideal):
-        dim = code.k - profile.rank(full ^ j)
-        term = q**dim
-        total += term if (size - j.bit_count()) % 2 == 0 else -term
-    if cache is not None:
-        cache[ideal] = total
-    return total
-
-
-def exact_support_count(code: LinearCode, poset: Poset, ideal: int, method: str = "moebius") -> int:
-    """Number of codewords whose support closure is exactly the given ideal."""
-    _require_compatible(code, poset)
-    if not poset.is_ideal(ideal):
-        raise ValueError(f"subset {ideal:#x} is not an ideal")
-    if method == "moebius":
-        return _moebius_count(code, poset, ideal)
-    if method == "enumerate":
-        return sum(
-            1 for w in code.codewords() if poset.ideal_closure(support_mask(w)) == ideal
-        )
-    raise ValueError(f"unknown method {method!r}")
+    q, k = code.field.q, code.k
+    for ideal in poset.ideals():
+        census[ideal] = q ** (k - profile.rank(full ^ ideal))
+    # undo the zeta transform one element at a time, last element first
+    for e in reversed(poset.linear_extension()):
+        bit = 1 << e
+        for ideal in census:
+            if ideal & bit and ideal ^ bit in census:
+                census[ideal] -= census[ideal ^ bit]
+    return {ideal: count for ideal, count in census.items() if count}
 
 
 def distribution(code: LinearCode, poset: Poset, method: str = "enumerate") -> tuple[int, ...]:
-    """Weight distribution (A_0, ..., A_n) by enumeration or inclusion-exclusion."""
-    _require_compatible(code, poset)
+    """Weight distribution (A_0, ..., A_n): the support census summed by ideal size."""
     counts = [0] * (poset.n + 1)
-    if method == "enumerate":
-        for w in code.codewords():
-            counts[poset.ideal_closure(support_mask(w)).bit_count()] += 1
-    elif method == "moebius":
-        cache: dict[int, int] = {}
-        for ideal in poset.ideals():
-            counts[ideal.bit_count()] += _moebius_count(code, poset, ideal, cache)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    for ideal, count in support_census(code, poset, method).items():
+        counts[ideal.bit_count()] += count
     return tuple(counts)
 
 
@@ -270,22 +252,12 @@ def mds_distribution(code: LinearCode, poset: Poset, classification: Classificat
     return tuple(counts)
 
 
-def _interval_members_of_size(poset: Poset, ideal: int, size: int) -> tuple[int, ...]:
-    m = poset.maximal_elements(ideal)
-    base = ideal ^ m
-    need = size - base.bit_count()
-    if need < 0 or need > m.bit_count():
-        return ()
-    mbits = list(bits_of(m))
-    return tuple(base | mask_from_positions(c) for c in combinations(mbits, need))
-
-
 def nmds_distribution(code: LinearCode, poset: Poset, classification: Classification | None = None) -> tuple[int, ...]:
     """Closed-form distribution for near-MDS poset codes.
 
-    The correction term needs the exact S_J counts at the bottom size
-    d = n - k; those come from the moebius counter, which the test suite
-    validates against enumeration independently of this formula.
+    The correction term needs the census at the bottom size d = n - k;
+    it comes from the moebius census, which the test suite validates
+    against enumeration independently of this formula.
     """
     cls_ = classification or classify(code, poset)
     if cls_.label != NMDS_LABEL:
@@ -295,19 +267,24 @@ def nmds_distribution(code: LinearCode, poset: Poset, classification: Classifica
             f"({code.n - code.k}, {code.n - code.k + 2})"
         )
     n, q, d = code.n, code.field.q, cls_.d1
-    cache: dict[int, int] = {}
+    full = (1 << n) - 1
+    dual = poset.dual()
+    # (a_J, |C & S_J|) for the ideals J of size d; a_J counts the minimal elements of P - J
+    bottom = [
+        (dual.maximal_elements(full ^ j).bit_count(), count)
+        for j, count in support_census(code, poset).items()
+        if j.bit_count() == d
+    ]
     counts = [0] * (n + 1)
     counts[0] = 1
     for r in range(d, n + 1):
         total = 0
-        correction = 0
         for ideal in poset.ideals(size=r):
             m = poset.maximal_elements(ideal).bit_count()
             for s in range(r - d):
                 term = comb(m, s) * (q ** (r - d - s) - 1)
                 total += term if s % 2 == 0 else -term
-            for j in _interval_members_of_size(poset, ideal, d):
-                correction += _moebius_count(code, poset, j, cache)
+        correction = sum(comb(a, r - d) * count for a, count in bottom)
         counts[r] = total + ((-1) ** (r - d)) * correction
     return tuple(counts)
 
@@ -327,14 +304,7 @@ def hamming_nmds_distribution(code: LinearCode) -> tuple[int, ...]:
             f"needed ({code.n - code.k}, {code.n - code.k + 2})"
         )
     n, q, d = code.n, code.field.q, cls_.d1
-    if code.codeword_count <= MAX_ENUMERATION:
-        a_d = sum(1 for w in code.codewords() if support_mask(w).bit_count() == d)
-    else:
-        cache: dict[int, int] = {}
-        a_d = sum(
-            _moebius_count(code, poset, mask_from_positions(c), cache)
-            for c in combinations(range(n), d)
-        )
+    a_d = distribution(code, poset, "enumerate" if code.codeword_count <= MAX_ENUMERATION else "moebius")[d]
     counts = [0] * (n + 1)
     counts[0] = 1
     for r in range(d, n + 1):

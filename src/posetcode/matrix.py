@@ -8,7 +8,9 @@ constructor takes an explicit column count when no rows are given.
 
 The constructor checks every entry, and the vector products check their
 vector once on entry; row reduction and the products themselves then run
-on the field's unchecked row operations.
+on the field's unchecked row operations.  Matrices derived from a checked
+one (echelon form, column restriction, transpose, null-space basis) are
+built without the entry checks.
 """
 
 from __future__ import annotations
@@ -38,6 +40,18 @@ class Matrix:
         self.ncols = ncols
         self.rows = rows
         self._echelon: tuple[Matrix, tuple[int, ...]] | None = None
+
+    @classmethod
+    def _unchecked(cls, field: GF, rows: Iterable[Iterable[int]], ncols: int) -> Matrix:
+        """Matrix from rows of a checked matrix or of the field's own row
+        operations, so the per-entry checks of the constructor are skipped."""
+        mat = cls.__new__(cls)
+        mat.field = field
+        mat.rows = tuple(tuple(r) for r in rows)
+        mat.nrows = len(mat.rows)
+        mat.ncols = ncols
+        mat._echelon = None
+        return mat
 
     @classmethod
     def identity(cls, field: GF, n: int) -> Matrix:
@@ -72,7 +86,7 @@ class Matrix:
                         work[i] = F._sub_scaled(work[i], c, row_p)
                 pivots.append(col)
                 pr += 1
-            mat = Matrix(self.field, work, self.ncols)
+            mat = Matrix._unchecked(self.field, work, self.ncols)
             mat._echelon = (mat, tuple(pivots))
             self._echelon = mat._echelon
         return self._echelon
@@ -85,7 +99,7 @@ class Matrix:
         if not 0 <= mask < (1 << self.ncols):
             raise ValueError(f"column mask {mask:#x} out of range for {self.ncols} columns")
         cols = list(bits_of(mask))
-        return Matrix(self.field, (tuple(row[c] for c in cols) for row in self.rows), len(cols))
+        return Matrix._unchecked(self.field, (tuple(row[c] for c in cols) for row in self.rows), len(cols))
 
     def null_space_basis(self) -> Matrix:
         """Basis of {v : self v = 0}, one row per free column, ascending.
@@ -106,12 +120,12 @@ class Matrix:
             for i, pc in enumerate(pivots):
                 v[pc] = F.neg(R.rows[i][f])
             out.append(v)
-        return Matrix(self.field, out, self.ncols)
+        return Matrix._unchecked(self.field, out, self.ncols)
 
     def transpose(self) -> Matrix:
         if self.nrows == 0:
-            return Matrix(self.field, ((),) * self.ncols, 0)
-        return Matrix(self.field, zip(*self.rows), self.nrows)
+            return Matrix._unchecked(self.field, ((),) * self.ncols, 0)
+        return Matrix._unchecked(self.field, zip(*self.rows), self.nrows)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Matrix):

@@ -29,7 +29,7 @@ import hashlib
 from collections.abc import Iterable
 from pathlib import Path
 
-from .bitset import MAX_GROUND, bits_of, submasks
+from .bitset import MAX_GROUND, bits_of
 
 
 class Poset:
@@ -134,17 +134,26 @@ class Poset:
     def is_ideal(self, mask: int) -> bool:
         return self.ideal_closure(mask) == mask
 
+    def linear_extension(self) -> list[int]:
+        """Elements (0-based) ordered so that i < j in P puts i before j.
+
+        Sorting by downset size does it, since i < j makes below[i] a
+        proper subset of below[j]; ties go by element.
+        """
+        below = self.below
+        return sorted(range(self.n), key=lambda e: (below[e].bit_count(), e))
+
     def ideals(self, size: int | None = None) -> tuple[int, ...]:
         """All order ideals as masks in ascending numeric order.
 
-        The walk decides elements along a linear extension, descending only
+        The walk decides elements along linear_extension, descending only
         into extensions that stay downward closed, so the work is
         O(n * count) rather than a filter over all 2**n subsets.  The full
         family is cached on first use; size filters the cached tuple.
         """
         if self._ideals is None:
             below = self.below
-            order = sorted(range(self.n), key=lambda e: (below[e].bit_count(), e))
+            order = self.linear_extension()
             need = [below[e] ^ (1 << e) for e in order]
             found: list[int] = []
             stack = [(0, 0)]
@@ -176,19 +185,6 @@ class Poset:
             if not covered:
                 out |= 1 << e
         return out
-
-    def interval(self, ideal: int) -> tuple[int, ...]:
-        """Ideals J with (ideal minus its maximal elements) <= J <= ideal.
-
-        These are exactly the sets (ideal \\ M) | T for T a subset of the
-        maximal elements M, so there are 2**|M| of them.  Sorted by size,
-        then by mask.
-        """
-        m = self.maximal_elements(ideal)
-        base = ideal ^ m
-        out = [base | t for t in submasks(m)]
-        out.sort(key=lambda j: (j.bit_count(), j))
-        return tuple(out)
 
     # -- serialization ----------------------------------------------------
 

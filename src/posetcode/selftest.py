@@ -2,8 +2,8 @@
 
 run_selftest draws seeded random (code, poset) instances and checks, on
 each one, that independent implementations of the same quantity agree:
-the ideal scan against the definitional brute force, inclusion-exclusion
-counts against enumeration, closed-form distributions against both, the
+the ideal scan against the definitional brute force, the Moebius support
+census against enumeration, closed-form distributions against both, the
 rank identities on all subsets, and the duality partition.  Any failure
 is recorded together with a reproducer (the code and poset in their text
 formats) so it can be replayed from files.
@@ -31,10 +31,10 @@ from .distribution import (
     NMDS_LABEL,
     classify,
     distribution,
-    exact_support_count,
     hamming_nmds_distribution,
     mds_distribution,
     nmds_distribution,
+    support_census,
 )
 from .errors import SelfCheckError
 from .field import gf
@@ -183,15 +183,12 @@ def _check_rank_structure(s: _Session, code: LinearCode) -> None:
 
 
 def _check_counts(s: _Session, code: LinearCode, poset: Poset) -> None:
-    buckets: dict[int, int] = {}
-    for w in code.codewords():
-        closure = poset.ideal_closure(support_mask(w))
-        buckets[closure] = buckets.get(closure, 0) + 1
-    mismatch = None
-    for ideal in poset.ideals():
-        if exact_support_count(code, poset, ideal) != buckets.get(ideal, 0):
-            mismatch = ideal
-            break
+    moebius = support_census(code, poset, "moebius")
+    enumerated = support_census(code, poset, "enumerate")
+    mismatch = next(
+        (ideal for ideal in poset.ideals() if moebius.get(ideal, 0) != enumerated.get(ideal, 0)),
+        None,
+    )
     s.expect(
         "support-count-moebius",
         mismatch is None,

@@ -9,15 +9,13 @@ from posetcode.distribution import (
     MDS_LABEL,
     NMDS_LABEL,
     OTHER_LABEL,
-    alternating_binomial_sum,
     classify,
     distribution,
     distribution_report,
-    exact_support_count,
     hamming_nmds_distribution,
-    interval_sign_sum,
     mds_distribution,
     nmds_distribution,
+    support_census,
 )
 from posetcode.field import gf
 from posetcode.matrix import Matrix
@@ -30,10 +28,10 @@ FULL2 = LinearCode.from_generator(gf(2), [(1, 0), (0, 1)])  # MDS under chain
 REP3 = LinearCode.from_generator(gf(2), [(1, 1, 1)])  # MDS under chain
 
 
-def random_code(rng, n_max=6, k_max=4):
+def random_code(rng, n_max=6, k_max=4, length=None):
     while True:
         q = rng.choice([2, 3, 4, 5])
-        n = rng.randint(2, n_max)
+        n = rng.randint(2, n_max) if length is None else length
         k = rng.randint(1, min(k_max, n))
         rows = [[rng.randrange(q) for _ in range(n)] for _ in range(k)]
         if Matrix(gf(q), rows).rank() == k:
@@ -49,33 +47,33 @@ def random_poset(rng, n):
     return Poset.from_cover_relations(n, relations)
 
 
-def test_alternating_binomial_sum():
-    assert alternating_binomial_sum(0) == 1
-    assert all(alternating_binomial_sum(m) == 0 for m in range(1, 10))
-
-
-def test_interval_sign_sum_vanishes_on_nonempty_ideals():
-    rng = random.Random(50)
-    for _ in range(10):
-        p = random_poset(rng, 6)
-        for ideal in p.ideals():
-            expect = 1 if ideal == 0 else 0
-            assert interval_sign_sum(p, ideal) == expect
-
-
-def test_exact_support_count_methods_agree():
+def test_support_census_methods_agree():
     rng = random.Random(51)
-    for _ in range(15):
-        code = random_code(rng)
-        for poset in (random_poset(rng, code.n), Poset.antichain(code.n)):
-            for ideal in poset.ideals():
-                a = exact_support_count(code, poset, ideal, "moebius")
-                b = exact_support_count(code, poset, ideal, "enumerate")
-                assert a == b
-    with pytest.raises(ValueError, match="not an ideal"):
-        exact_support_count(PAIR, Poset.chain(4), 0b0010)
+    nrt = Poset.from_cover_relations(6, [(1, 2), (2, 3), (4, 5), (5, 6)])  # two chains of three
+    for trial in range(20):
+        code = random_code(rng, length=6 if trial % 4 == 0 else None)
+        p = random_poset(rng, code.n)
+        posets = [p, p.dual(), Poset.chain(code.n), Poset.antichain(code.n)]
+        if code.n == 6:
+            posets.append(nrt)
+        for poset in posets:
+            census = support_census(code, poset, "moebius")
+            assert census == support_census(code, poset, "enumerate")
+            assert all(poset.is_ideal(ideal) and count > 0 for ideal, count in census.items())
     with pytest.raises(ValueError, match="unknown method"):
-        exact_support_count(PAIR, Poset.chain(4), 0b0011, "guess")
+        support_census(PAIR, Poset.chain(4), "guess")
+
+
+def test_enumerate_census_never_lists_ideals(monkeypatch):
+    # 2**24 ideals would not fit; the enumerate path must stay within q**k
+    def refuse(self, size=None):
+        raise AssertionError("enumerate census listed the ideals")
+
+    monkeypatch.setattr(Poset, "ideals", refuse)
+    code = LinearCode.from_generator(gf(2), [(1,) * 12 + (0,) * 12, (0,) * 12 + (1,) * 12])
+    anti = Poset.antichain(24)
+    assert support_census(code, anti, "enumerate") == {0: 1, 0xFFF: 1, 0xFFF000: 1, 0xFFFFFF: 1}
+    assert distribution(code, anti)[12] == 2
 
 
 def test_distribution_fixtures():

@@ -42,7 +42,6 @@ def test_v_shape_fixture():
     assert p.ideal_closure(0b100) == 0b111
     assert p.maximal_elements(0b111) == 0b100
     assert p.maximal_elements(0b011) == 0b011
-    assert p.interval(0b111) == (0b011, 0b111)
     assert p.cover_relations() == ((1, 3), (2, 3))
 
 
@@ -77,20 +76,6 @@ def test_closure_properties():
             for j in p.ideals():
                 if j & mask == mask:
                     assert j & c == c
-
-
-def test_interval_matches_direct_filter():
-    rng = random.Random(9)
-    for _ in range(20):
-        p = random_poset(rng, 6)
-        for ideal in p.ideals():
-            m = p.maximal_elements(ideal)
-            base = ideal ^ m
-            expect = sorted(
-                (j for j in p.ideals() if j & ~ideal == 0 and base & ~j == 0),
-                key=lambda j: (bin(j).count("1"), j),
-            )
-            assert list(p.interval(ideal)) == expect
 
 
 def test_maximal_elements_requires_ideal():
