@@ -20,7 +20,6 @@ from .code import (
     load_code,
     parse_code,
     poset_weight,
-    poset_weight_of_set,
     support_mask,
 )
 from .distribution import (
@@ -75,7 +74,6 @@ __all__ = [
     "load_code",
     "support_mask",
     "poset_weight",
-    "poset_weight_of_set",
     "RankProfile",
     "AxiomReport",
     "IdentityReport",

@@ -120,16 +120,19 @@ def cmd_rank(args: argparse.Namespace) -> int:
     except ValueError:
         raise ValueError(f"--set must be comma-separated integers, got {args.set!r}") from None
     mask = from_elements(elements, code.n)
-    profile = code.matroid
-    triple = profile.shortened_dim_three_ways(mask)
+    # one subset at any n: direct eliminations, not the all-subsets tables
+    rank = code.generator.column_submatrix(mask).rank()
+    dual_rank = code.parity.column_submatrix(mask).rank()
+    complement_rank = code.generator.column_submatrix(((1 << code.n) - 1) ^ mask).rank()
+    triple = [mask.bit_count() - dual_rank, code.k - complement_rank, code.shorten(mask)[0]]
     _print_json(
         {
             "n": code.n,
             "k": code.k,
             "set": sorted(elements),
-            "rank": profile.rank(mask),
-            "dual_rank": profile.dual_rank(mask),
-            "shortened_dim_three_ways": list(triple),
+            "rank": rank,
+            "dual_rank": dual_rank,
+            "shortened_dim_three_ways": triple,
         }
     )
     return 0

@@ -50,21 +50,6 @@ def poset_weight(poset: Poset, word: Sequence[int]) -> int:
     return poset.ideal_closure(support_mask(word)).bit_count()
 
 
-def poset_weight_of_set(poset: Poset, words: Iterable[Sequence[int]]) -> int:
-    """Size of the ideal closure of the union of supports.
-
-    For a subspace, apply this to any basis: the union of basis supports
-    equals the support of the whole subspace, since a coordinate vanishing
-    on every basis vector vanishes on all combinations, and conversely.
-    """
-    union = 0
-    for w in words:
-        if len(w) != poset.n:
-            raise ValueError(f"word length {len(w)} != poset size {poset.n}")
-        union |= support_mask(w)
-    return poset.ideal_closure(union).bit_count()
-
-
 class LinearCode:
     __slots__ = ("field", "n", "k", "generator", "parity", "_matroid")
 
@@ -169,7 +154,7 @@ class LinearCode:
 
     @property
     def matroid(self):
-        """Memoized column-rank data shared by all callers; see matroid module."""
+        """Rank tables shared by all callers, built on first use; see the matroid module."""
         if self._matroid is None:
             from .matroid import RankProfile
 

@@ -12,12 +12,12 @@ enumerate
 
 moebius
     The words of C supported inside an ideal I form the shortened subcode
-    on I, of dimension k - rank(comp I).  So
+    C^I, whose dimension RankProfile.shortened_dims tabulates.  So
 
-        sum over ideals J <= I of |C & S_J| = q^(k - rank(comp I)),
+        sum over ideals J <= I of |C & S_J| = q^(dim C^I),
 
-    and the census is the Moebius inversion of q^(k - rank(comp I)) over
-    the ideal lattice J(P).  The fast transform of Bjorklund, Husfeldt,
+    and the census is the Moebius inversion of q^(dim C^I) over the ideal
+    lattice J(P).  The fast transform of Bjorklund, Husfeldt,
     Kaski, Koivisto, Nederlof and Parviainen ("Fast zeta transforms for
     lattices with few irreducibles", SODA 2012) does it in n * |J(P)|
     subtractions: for e along the reverse of a linear extension, subtract
@@ -50,13 +50,14 @@ none of them is ever used as its own oracle.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
 from .bitset import mask_from_positions, to_elements
 from .code import MAX_ENUMERATION, LinearCode, support_mask
-from .hierarchy import _require_compatible, min_weight_ideal_scan
+from .hierarchy import _require_compatible, _scan_minima
 from .poset import Poset
 
 MDS_LABEL = "MDS"
@@ -69,19 +70,16 @@ _COLUMN_CONDITION_CAP = 1 << 16
 def support_census(code: LinearCode, poset: Poset, method: str = "moebius") -> dict[int, int]:
     """Map each ideal I with C & S_I nonempty to |C & S_I|; see the module docstring."""
     _require_compatible(code, poset)
-    census: dict[int, int] = {}
     if method == "enumerate":
+        census: dict[int, int] = {}
         for w in code.codewords():
             closure = poset.ideal_closure(support_mask(w))
             census[closure] = census.get(closure, 0) + 1
         return census
     if method != "moebius":
         raise ValueError(f"unknown method {method!r}")
-    profile = code.matroid
-    full = (1 << code.n) - 1
-    q, k = code.field.q, code.k
-    for ideal in poset.ideals():
-        census[ideal] = q ** (k - profile.rank(full ^ ideal))
+    q = code.field.q
+    census = {ideal: q**dim for ideal, dim in code.matroid.shortened_dims(poset).items()}
     # undo the zeta transform one element at a time, last element first
     for e in reversed(poset.linear_extension()):
         bit = 1 << e
@@ -107,7 +105,7 @@ class Classification:
     record whether the structural facts implied by the label hold on this
     instance; they are reported, not enforced:
 
-      * dimension_profile_ok: shortened dimension k - rank(comp J) matches
+      * dimension_profile_ok: shortened dimension dim C^J matches
         the closed-form step profile on every ideal J (skipping the one
         unconstrained size).
       * dual_rank_profile_ok (NMDS): dual_rank(J) = |J| below size n - k
@@ -146,26 +144,19 @@ class Classification:
 
 
 def _dimension_profile_ok(code: LinearCode, poset: Poset, want) -> bool:
-    profile = code.matroid
-    full = (1 << code.n) - 1
-    for ideal in poset.ideals():
+    for ideal, dim in code.matroid.shortened_dims(poset).items():
         expected = want(ideal.bit_count())
-        if expected is None:
-            continue
-        if code.k - profile.rank(full ^ ideal) != expected:
+        if expected is not None and dim != expected:
             return False
     return True
 
 
 def _dual_rank_profile_ok(code: LinearCode, poset: Poset) -> bool:
-    profile = code.matroid
     boundary = code.n - code.k
-    for ideal in poset.ideals():
+    for ideal, dim in code.matroid.shortened_dims(poset).items():
         size = ideal.bit_count()
-        if size == boundary:
-            continue
-        want = size if size < boundary else boundary
-        if profile.dual_rank(ideal) != want:
+        # dual_rank(J) = |J| - dim C^J
+        if size != boundary and size - dim != min(size, boundary):
             return False
     return True
 
@@ -177,28 +168,26 @@ def _column_conditions(code: LinearCode) -> bool | None:
         return None
     if sum(comb(n, s) for s in sizes) > _COLUMN_CONDITION_CAP:
         return None
-    profile = code.matroid
 
-    def ranks(size: int) -> list[int]:
-        return [
-            profile.dual_rank(mask_from_positions(c))
-            for c in combinations(range(n), size)
-        ]
+    def ranks(size: int) -> Iterator[int]:
+        # one elimination per subset, at any n; the caller stops at the first decisive one
+        for c in combinations(range(n), size):
+            yield code.parity.column_submatrix(mask_from_positions(c)).rank()
 
-    small_independent = all(r == n - k - 1 for r in ranks(n - k - 1))
-    some_dependent = any(r < n - k for r in ranks(n - k))
-    large_full = all(r == n - k for r in ranks(n - k + 1))
-    return small_independent and some_dependent and large_full
+    return (
+        all(r == n - k - 1 for r in ranks(n - k - 1))
+        and any(r < n - k for r in ranks(n - k))
+        and all(r == n - k for r in ranks(n - k + 1))
+    )
 
 
 def classify(code: LinearCode, poset: Poset) -> Classification:
     """Decide MDS / NMDS / other from d_1 (and d_2 when it exists)."""
     _require_compatible(code, poset)
     n, k, q = code.n, code.k, code.field.q
-    d1, w1 = min_weight_ideal_scan(code, poset, 1)
-    d2 = w2 = None
-    if k >= 2:
-        d2, w2 = min_weight_ideal_scan(code, poset, 2)
+    minima = _scan_minima(code, poset)
+    d1, w1 = minima[0]
+    d2, w2 = minima[1] if k >= 2 else (None, None)
     label = OTHER_LABEL
     if d1 == n - k + 1:
         label = MDS_LABEL

@@ -15,9 +15,11 @@ bruteforce
     the fast path and to serve as the definitional oracle.
 
 ideal-scan
-    Walks the order ideals of P by ascending size and returns the first
-    ideal J whose shortened subcode has dimension at least r, using
-    dim C^J = |J| - dual_rank(J).  Restricting the scan to ideals is
+    Reads the table of shortened dimensions dim C^J = |J| - dual_rank(J)
+    over the ideals J of P (RankProfile.shortened_dims) once: it keeps the
+    smallest (|J|, J) for each dimension value, and a suffix minimum over
+    the values gives, for every r, the smallest ideal whose shortened
+    subcode has dimension at least r.  Restricting the scan to ideals is
     exact: replacing any subset by its ideal closure keeps the objective
     value while the shortened dimension can only grow.  The same scan with
     the requirement pinned to exactly r (require_exact=True) returns the
@@ -27,7 +29,11 @@ The full hierarchy must be strictly increasing and confined to the
 Singleton-type window r <= d_r <= n - k + r; weight_hierarchy raises
 SelfCheckError otherwise.  duality_partition pairs the hierarchy of C
 under P with the hierarchy of the dual code under the opposite poset:
-the sets {d_r} and {n + 1 - d'_s} must partition {1..n}.
+the sets {d_r} and {n + 1 - d'_s} must partition {1..n}.  Both come from
+the same table (Wei duality through the matroid relation
+dim C^I = |I| - rank_H(I) = k - rank_G(P - I)), so the dual code is never
+built; the test suite and the acceptance gate compare d'_s with the
+hierarchy of the dualized code under the dual poset.
 """
 
 from __future__ import annotations
@@ -45,6 +51,8 @@ ORACLE_SUBSPACE_CAP = 1 << 20
 
 METHOD_IDEAL_SCAN = "ideal-scan"
 METHOD_BRUTEFORCE = "bruteforce"
+
+_UNREACHED = (float("inf"), 0)
 
 
 def gaussian_binomial(k: int, r: int, q: int) -> int:
@@ -145,6 +153,29 @@ def min_weight_bruteforce(
     return best_weight, witness
 
 
+def _minima(entries, k: int, require_exact: bool = False) -> list[tuple[int, int]]:
+    """For r = 1..k the smallest key (|J|, J) of the (key, dim) entries with
+    dim >= r (dim == r with require_exact): the smallest ideal, ties by mask."""
+    best = [_UNREACHED] * (k + 1)
+    for key, dim in entries:
+        if key < best[dim]:
+            best[dim] = key
+    if not require_exact:
+        for r in range(k - 1, 0, -1):
+            best[r] = min(best[r], best[r + 1])
+    if _UNREACHED in best[1:]:
+        r = best.index(_UNREACHED, 1)
+        raise SelfCheckError(f"no ideal reaches shortened dimension {r} although k={k}")
+    return best[1:]
+
+
+def _scan_minima(code: LinearCode, poset: Poset, require_exact: bool = False) -> list[tuple[int, int]]:
+    """(d_r, witness ideal) for r = 1..k in one pass over the shortened dimensions."""
+    _require_compatible(code, poset)
+    dims = code.matroid.shortened_dims(poset)
+    return _minima((((J.bit_count(), J), dim) for J, dim in dims.items()), code.k, require_exact)
+
+
 def min_weight_ideal_scan(
     code: LinearCode,
     poset: Poset,
@@ -153,24 +184,14 @@ def min_weight_ideal_scan(
 ) -> tuple[int, int]:
     """Smallest ideal carrying an r-dimensional shortened subcode.
 
-    Returns (weight, witness ideal mask).  Ideals are scanned by ascending
-    size with ties broken by ascending mask, so the witness is the
-    numerically smallest minimizing ideal.  With require_exact the
-    shortened dimension must equal r instead of reaching it; both variants
-    attain the same minimum.
+    Returns (weight, witness ideal mask): the numerically smallest ideal
+    of minimum size.  With require_exact the shortened dimension must
+    equal r instead of reaching it; both variants attain the same minimum.
     """
     _require_compatible(code, poset)
     if not 1 <= r <= code.k:
         raise ValueError(f"subcode dimension {r} outside 1..{code.k}")
-    profile = code.matroid
-    ideals = sorted(poset.ideals(), key=lambda m: (m.bit_count(), m))
-    for mask in ideals:
-        dim = mask.bit_count() - profile.dual_rank(mask)
-        if dim == r or (not require_exact and dim >= r):
-            return mask.bit_count(), mask
-    raise SelfCheckError(
-        f"no ideal reaches shortened dimension {r} although k={code.k}"
-    )
+    return _scan_minima(code, poset, require_exact)[r - 1]
 
 
 @dataclass(frozen=True)
@@ -208,38 +229,22 @@ def weight_hierarchy(
 ) -> WeightHierarchy:
     """All k minimum weights, verified against the structural invariants."""
     _require_compatible(code, poset)
-    weights: list[int] = []
-    witnesses: list[object] = []
     if method == METHOD_IDEAL_SCAN:
-        for r in range(1, code.k + 1):
-            w, mask = min_weight_ideal_scan(code, poset, r)
-            weights.append(w)
-            witnesses.append(to_elements(mask))
+        minima = _scan_minima(code, poset)
+        weights = [w for w, _ in minima]
+        witnesses = [to_elements(mask) for _, mask in minima]
     elif method == METHOD_BRUTEFORCE:
         supports = _message_supports(code)
+        weights, witnesses = [], []
         for r in range(1, code.k + 1):
             w, basis = min_weight_bruteforce(code, poset, r, _supports=supports)
             weights.append(w)
             witnesses.append(basis)
     else:
         raise ValueError(f"unknown method {method!r}")
-    for r, w in enumerate(weights, start=1):
-        if not r <= w <= code.n - code.k + r:
-            raise SelfCheckError(
-                f"d_{r} = {w} outside the window [{r}, {code.n - code.k + r}]"
-            )
-        if r >= 2 and weights[r - 2] >= w:
-            raise SelfCheckError(
-                f"hierarchy not strictly increasing: d_{r - 1} = {weights[r - 2]}, d_{r} = {w}"
-            )
+    _check_window(weights, code.n, code.k)
     return WeightHierarchy(
-        n=code.n,
-        k=code.k,
-        q=code.field.q,
-        poset_digest=poset.digest(),
-        method=method,
-        weights=tuple(weights),
-        witnesses=tuple(witnesses),
+        code.n, code.k, code.field.q, poset.digest(), method, tuple(weights), tuple(witnesses)
     )
 
 
@@ -269,27 +274,42 @@ class DualityPartition:
         }
 
 
-def duality_partition(code: LinearCode, poset: Poset, method: str = METHOD_IDEAL_SCAN) -> DualityPartition:
-    """Compute both hierarchies and verify the partition statement."""
+def duality_partition(code: LinearCode, poset: Poset) -> DualityPartition:
+    """Both hierarchies from one table of shortened dimensions, with the
+    partition statement verified.
+
+    The ideals of the opposite poset are the complements P - I of the
+    ideals I of P, and the dual code shortened on P - I has dimension
+    (n - |I|) - rank_G(P - I) = n - |I| - k + dim C^I.
+    """
     if code.k == code.n:
         raise ValueError("duality needs a proper subspace: 1 <= k <= n - 1")
-    primal = weight_hierarchy(code, poset, method)
-    dual = weight_hierarchy(code.dualize(), poset.dual(), method)
-    n = code.n
-    first = tuple(sorted(primal.weights))
-    second = tuple(sorted(n + 1 - d for d in dual.weights))
-    if sorted(first + second) != list(range(1, n + 1)):
-        raise SelfCheckError(
-            f"duality partition fails: first={first}, second={second}, n={n}"
-        )
-    return DualityPartition(
-        n=n,
-        k=code.k,
-        weights=primal.weights,
-        dual_weights=dual.weights,
-        first=first,
-        second=second,
+    primal = weight_hierarchy(code, poset)
+    n, k = code.n, code.k
+    full = (1 << n) - 1
+    dims = code.matroid.shortened_dims(poset)
+    dual_minima = _minima(
+        (((n - I.bit_count(), full ^ I), n - I.bit_count() - k + dim) for I, dim in dims.items()),
+        n - k,
     )
+    dual_weights = tuple(w for w, _ in dual_minima)
+    _check_window(dual_weights, n, n - k)
+    first = tuple(sorted(primal.weights))
+    second = tuple(sorted(n + 1 - d for d in dual_weights))
+    if sorted(first + second) != list(range(1, n + 1)):
+        raise SelfCheckError(f"duality partition fails: first={first}, second={second}, n={n}")
+    return DualityPartition(n, k, primal.weights, dual_weights, first, second)
+
+
+def _check_window(weights, n: int, k: int) -> None:
+    """A hierarchy strictly increases inside the window r <= d_r <= n - k + r."""
+    for r, w in enumerate(weights, start=1):
+        if not r <= w <= n - k + r:
+            raise SelfCheckError(f"d_{r} = {w} outside the window [{r}, {n - k + r}]")
+        if r >= 2 and weights[r - 2] >= w:
+            raise SelfCheckError(
+                f"hierarchy not strictly increasing: d_{r - 1} = {weights[r - 2]}, d_{r} = {w}"
+            )
 
 
 def _require_compatible(code: LinearCode, poset: Poset) -> None:

@@ -1,12 +1,19 @@
 """Column-rank data of a linear code, viewed as a matroid on {1..n}.
 
-RankProfile memoizes two set functions over coordinate subsets:
+All ranks come from ideal_ranks, a depth-first walk over the ideal
+lattice J(P) (Poset.walk_ideals) that carries an echelon basis, so each
+ideal costs one reduction of the column it adds.  RankProfile keeps:
 
-  * rank(A): rank of the generator columns indexed by A, and
-  * dual_rank(A): rank of the parity-check columns indexed by A, which is
-    the rank function of the dual matroid.
+  * per poset P, the shortened dimensions dim C^I = |I| - rank_H(I) on
+    every ideal I (G generator, H parity-check matrix).  This one table
+    gives the hierarchies of C under P and of the dual code under the
+    opposite poset, the support census and the classification;
+  * for n <= TABLE_LIMIT and every subset A, from the same walk over the
+    antichain and by two separate eliminations, rank(A) on the columns of
+    G and dual_rank(A) on those of H (the dual matroid).  They serve the
+    checks below.
 
-Both satisfy the matroid rank axioms
+Both rank functions satisfy the matroid rank axioms
 
   R1  0 <= f(A) <= |A|
   R2  A <= B implies f(A) <= f(B)
@@ -23,24 +30,23 @@ as well as by the three-way description of the shortened subcode dimension
 check_rank_axioms and check_complement_rank_identity verify these
 statements exhaustively (all subsets, or all pairs of subsets) up to
 n <= 12, switching to seeded random sampling beyond that.  The exhaustive
-sweeps read every value through the public accessors, so a corrupted memo
-is caught and reported with a witness.
-
-Ranks are computed incrementally: the rank of A is derived from the rank
-of A minus its lowest element by reducing one more column against a kept
-echelon basis, so filling all 2**n subsets costs O(2**n k^2) field ops
-rather than 2**n independent eliminations.
+sweeps read every value through the public accessors, so a corrupted
+table is caught and reported with a witness.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from random import Random
 
 import numpy as np
 
 from .errors import SelfCheckError
+from .field import GF
 from .matrix import Matrix
+from .poset import Poset
 
 EXHAUSTIVE_LIMIT = 12
 TABLE_LIMIT = 16
@@ -51,95 +57,77 @@ def _columns(mat: Matrix) -> list[tuple[int, ...]]:
     return [tuple(row[c] for row in mat.rows) for c in range(mat.ncols)]
 
 
+def ideal_ranks(poset: Poset, field: GF, columns: Sequence[Sequence[int]]) -> Iterator[tuple[int, int]]:
+    """(ideal, rank of the columns it indexes) for every ideal of the poset.
+
+    The walk carries an echelon basis of (lead, row) pairs, each row 1 at
+    its lead and 0 at earlier rows' leads, so one in-order pass reduces a column.
+    """
+
+    def extend(basis: tuple, e: int) -> tuple:
+        v = columns[e]
+        for lead, b in basis:
+            if v[lead]:
+                v = field._sub_scaled(v, v[lead], b)
+        lead = next((i for i, x in enumerate(v) if x), None)
+        if lead is None:
+            return basis
+        v = tuple(field._scale(field._inv[v[lead]], v))
+        return basis + ((lead, v),)
+
+    for ideal, basis in poset.walk_ideals(extend, ()):
+        yield ideal, len(basis)
+
+
 class RankProfile:
-    """Memoized rank and dual-rank of one code's coordinate subsets."""
+    """Rank tables of one code's columns; see the module docstring."""
 
     def __init__(self, code) -> None:
         self.code = code
         self.n = code.n
         self.k = code.k
         self.full = (1 << code.n) - 1
-        self._rank_memo: dict[int, int] = {0: 0}
-        self._dual_memo: dict[int, int] = {0: 0}
-        self._rank_bases: dict[int, tuple] = {0: ()}
-        self._dual_bases: dict[int, tuple] = {0: ()}
         self._gen_cols = _columns(code.generator)
         self._par_cols = _columns(code.parity)
+        self._dims: dict[Poset, dict[int, int]] = {}
 
-    # -- incremental elimination -----------------------------------------
+    def shortened_dims(self, poset: Poset) -> dict[int, int]:
+        """dim C^I = |I| - rank_H(I) for every ideal I of the poset, keyed by mask."""
+        dims = self._dims.get(poset)
+        if dims is None:
+            ranks = ideal_ranks(poset, self.code.field, self._par_cols)
+            dims = self._dims[poset] = {ideal: ideal.bit_count() - r for ideal, r in ranks}
+        return dims
 
-    def _reduce(self, vec: tuple[int, ...], basis: tuple) -> tuple[int, ...] | None:
-        """Reduce vec against an echelon basis; None when it lies in the span."""
-        F = self.code.field
-        v = vec
-        for lead, b in basis:
-            c = v[lead]
-            if c:
-                v = F._sub_scaled(v, c, b)
-        lead = next((i for i, x in enumerate(v) if x), None)
-        if lead is None:
-            return None
-        if v[lead] != 1:
-            v = F._scale(F.inv(v[lead]), v)
-        return tuple(v)
+    @cached_property
+    def _rank_table(self) -> dict[int, int]:
+        return dict(ideal_ranks(Poset.antichain(self.n), self.code.field, self._gen_cols))
 
-    def _value(self, mask: int, memo: dict[int, int], bases: dict[int, tuple], cols) -> int:
-        got = memo.get(mask)
-        if got is not None:
-            return got
-        chain = []
-        m = mask
-        while m and m not in bases:
-            chain.append(m)
-            m ^= m & -m
-        basis = bases[m] if m in bases else ()
-        rank = len(basis)
-        for mm in reversed(chain):
-            low = mm & -mm
-            col = cols[low.bit_length() - 1]
-            reduced = self._reduce(col, basis)
-            if reduced is not None:
-                lead = next(i for i, x in enumerate(reduced) if x)
-                basis = tuple(sorted(basis + ((lead, reduced),)))
-                rank += 1
-            bases[mm] = basis
-            memo.setdefault(mm, rank)
-        return memo[mask]
+    @cached_property
+    def _dual_table(self) -> dict[int, int]:
+        # the antichain's table of shortened dimensions is the same walk on H
+        dims = self.shortened_dims(Poset.antichain(self.n))
+        return {mask: mask.bit_count() - dim for mask, dim in dims.items()}
 
     def _check_mask(self, mask: int) -> int:
+        if self.n > TABLE_LIMIT:
+            raise ValueError(f"all-subsets rank tables need n <= {TABLE_LIMIT}, got n={self.n}")
         if not 0 <= mask <= self.full:
             raise ValueError(f"subset mask {mask:#x} out of range for n={self.n}")
         return mask
 
     def rank(self, mask: int) -> int:
         """Rank of the generator columns indexed by mask."""
-        self._check_mask(mask)
-        return self._value(mask, self._rank_memo, self._rank_bases, self._gen_cols)
+        return self._rank_table[self._check_mask(mask)]
 
     def dual_rank(self, mask: int) -> int:
         """Rank of the parity-check columns indexed by mask."""
-        self._check_mask(mask)
-        return self._value(mask, self._dual_memo, self._dual_bases, self._par_cols)
-
-    def fill(self) -> None:
-        """Memoize both functions on all 2**n subsets, then drop the bases.
-
-        Kept bases would dominate memory at scale; after a full fill every
-        query is a dict hit, so they are no longer needed.
-        """
-        if self.n > TABLE_LIMIT:
-            raise ValueError(f"full tables need n <= {TABLE_LIMIT}, got n={self.n}")
-        for mask in range(self.full + 1):
-            self.rank(mask)
-            self.dual_rank(mask)
-        self._rank_bases = {0: ()}
-        self._dual_bases = {0: ()}
+        return self._dual_table[self._check_mask(mask)]
 
     def shortened_dim_three_ways(self, mask: int) -> tuple[int, int, int]:
         """dim of the shortened subcode computed three independent ways:
         |J| - dual_rank(J), k - rank(complement J), and by the null-space
         solver in LinearCode.shorten."""
-        self._check_mask(mask)
         via_dual = mask.bit_count() - self.dual_rank(mask)
         via_complement = self.k - self.rank(self.full ^ mask)
         via_solver = self.code.shorten(mask)[0]

@@ -26,10 +26,13 @@ transitively redundant pairs; format_poset writes only cover relations.
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable, Iterator
 from pathlib import Path
+from typing import TypeVar
 
 from .bitset import MAX_GROUND, bits_of
+
+T = TypeVar("T")
 
 
 class Poset:
@@ -143,30 +146,35 @@ class Poset:
         below = self.below
         return sorted(range(self.n), key=lambda e: (below[e].bit_count(), e))
 
+    def walk_ideals(self, extend: Callable[[T, int], T], root: T) -> Iterator[tuple[int, T]]:
+        """Yield (ideal, state) once for every order ideal, depth first.
+
+        The walk decides elements along linear_extension and descends only
+        into extensions that stay downward closed: O(n * count) work, not a
+        filter over all 2**n subsets.  The empty ideal carries root; any
+        other is its parent plus one element e, with extend(parent state, e).
+        """
+        below = self.below
+        order = self.linear_extension()
+        need = [below[e] ^ (1 << e) for e in order]
+        stack = [(0, 0, root)]
+        while stack:
+            idx, mask, state = stack.pop()
+            for j in range(idx, self.n):
+                if need[j] & ~mask == 0:
+                    e = order[j]
+                    stack.append((j + 1, mask | (1 << e), extend(state, e)))
+            yield mask, state
+
     def ideals(self, size: int | None = None) -> tuple[int, ...]:
         """All order ideals as masks in ascending numeric order.
 
-        The walk decides elements along linear_extension, descending only
-        into extensions that stay downward closed, so the work is
-        O(n * count) rather than a filter over all 2**n subsets.  The full
-        family is cached on first use; size filters the cached tuple.
+        The family comes from walk_ideals and is cached on first use; size
+        filters the cached tuple.
         """
         if self._ideals is None:
-            below = self.below
-            order = self.linear_extension()
-            need = [below[e] ^ (1 << e) for e in order]
-            found: list[int] = []
-            stack = [(0, 0)]
-            while stack:
-                idx, mask = stack.pop()
-                while idx < self.n:
-                    e = order[idx]
-                    idx += 1
-                    if need[idx - 1] & ~mask == 0:
-                        stack.append((idx, mask | (1 << e)))
-                found.append(mask)
-            found.sort()
-            self._ideals = tuple(found)
+            walk = self.walk_ideals(lambda state, e: None, None)
+            self._ideals = tuple(sorted(mask for mask, _ in walk))
         if size is None:
             return self._ideals
         return tuple(m for m in self._ideals if m.bit_count() == size)

@@ -4,7 +4,9 @@ run_selftest draws seeded random (code, poset) instances and checks, on
 each one, that independent implementations of the same quantity agree:
 the ideal scan against the definitional brute force, the Moebius support
 census against enumeration, closed-form distributions against both, the
-rank identities on all subsets, and the duality partition.  Any failure
+rank identities on all subsets, and the duality partition, whose dual
+weights (read off the primal table) must also equal the hierarchy of the
+dualized code under the dual poset.  Any failure
 is recorded together with a reproducer (the code and poset in their text
 formats) so it can be replayed from files.
 
@@ -14,9 +16,10 @@ random linear order with each compatible pair related with probability
 1/3.  Every instance is also examined under the antichain, where poset
 weight must collapse to Hamming weight.
 
-corrupt_rank poisons the memoized rank of the first instance after a
-full fill; the run must then fail with an R1 witness, which exercises
-the negative path of the verification machinery.
+corrupt_rank poisons the all-subsets rank table of the first instance;
+the run must then fail with an R1 witness, which exercises the negative
+path of the verification machinery.  Only the checks that read rank fail:
+the other paths read the shortened-dimension table.
 """
 
 from __future__ import annotations
@@ -151,10 +154,16 @@ def _check_hierarchy(s: _Session, code: LinearCode, poset: Poset) -> None:
         f"exact-slack scan {exact} != scan {scan.weights}",
     )
     try:
-        duality_partition(code, poset)
-        s.ok("duality-partition")
+        part = duality_partition(code, poset)
+        oracle = weight_hierarchy(code.dualize(), poset.dual()).weights
     except SelfCheckError as exc:
         s.fail("duality-partition", str(exc))
+        return
+    s.expect(
+        "duality-partition",
+        part.dual_weights == oracle,
+        f"dual weights {part.dual_weights} != hierarchy of the dual code {oracle}",
+    )
 
 
 def _check_rank_structure(s: _Session, code: LinearCode) -> None:
@@ -262,8 +271,7 @@ def run_selftest(seed: int, trials: int, corrupt_rank: bool = False) -> SelfTest
         code, poset = random_instance(rng)
         s.set_instance(code, poset)
         if corrupt_rank and index == 0:
-            code.matroid.fill()
-            code.matroid._rank_memo[1] = 2
+            code.matroid._rank_table[1] = 2
         _check_hierarchy(s, code, poset)
         _check_rank_structure(s, code)
         _check_counts(s, code, poset)

@@ -2,12 +2,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 import subprocess
 import sys
 
 import pytest
 
+from posetcode.bitset import from_elements
 from posetcode.cli import main
+from posetcode.code import LinearCode, format_code
+from posetcode.field import gf
 
 PAIR_TEXT = "q 2 n 4 k 2\n1 1 0 0\n0 0 1 1\n"
 PARITY3_TEXT = "q 2 n 3 k 2\n1 0 1\n0 1 1\n"
@@ -176,6 +180,30 @@ def test_rank_json(capsys, pair_file):
     status, out, _ = run_cli(capsys, "rank", "--code", pair_file, "--set", "")
     assert status == 0
     assert json.loads(out)["set"] == []
+
+
+def test_rank_json_above_table_limit(capsys, tmp_path):
+    # n = 20 is past the all-subsets tables (n <= 16); one subset still works
+    rng = random.Random(70)
+    code = LinearCode.from_generator(gf(3), [[rng.randrange(3) for _ in range(20)] for _ in range(8)])
+    f = tmp_path / "n20.code"
+    f.write_text(format_code(code))
+    elements = [e for e in range(1, 21) if e % 5]
+    status, out, err = run_cli(capsys, "rank", "--code", str(f), "--set", ",".join(map(str, elements)))
+    assert status == 0 and err == ""
+    mask = from_elements(elements, 20)
+    dual_rank = code.parity.column_submatrix(mask).rank()
+    complement_rank = code.generator.column_submatrix(((1 << 20) - 1) ^ mask).rank()
+    dim = code.shorten(mask)[0]
+    assert len(elements) - dual_rank == code.k - complement_rank == dim
+    assert json.loads(out) == {
+        "n": 20,
+        "k": code.k,
+        "set": elements,
+        "rank": code.generator.column_submatrix(mask).rank(),
+        "dual_rank": dual_rank,
+        "shortened_dim_three_ways": [dim, dim, dim],
+    }
 
 
 def test_rank_set_errors(capsys, pair_file):

@@ -11,7 +11,6 @@ from posetcode.code import (
     load_code,
     parse_code,
     poset_weight,
-    poset_weight_of_set,
     support_mask,
 )
 from posetcode.field import gf
@@ -42,11 +41,8 @@ def test_support_and_weights():
     assert poset_weight(chain, (0, 1, 1, 0)) == 3
     assert poset_weight(chain, (0, 0, 0, 0)) == 0
     assert poset_weight(Poset.antichain(4), (0, 1, 1, 0)) == 2
-    assert poset_weight_of_set(chain, [(0, 1, 0, 0), (1, 0, 0, 0)]) == 2
     with pytest.raises(ValueError, match="word length"):
         poset_weight(chain, (1, 0))
-    with pytest.raises(ValueError, match="word length"):
-        poset_weight_of_set(chain, [(1, 0)])
 
 
 def test_codeword_stream_fixture():

@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from posetcode.code import LinearCode, poset_weight_of_set, support_mask
+from posetcode.code import LinearCode, support_mask
 from posetcode.errors import SelfCheckError
 from posetcode.field import gf
 from posetcode.hierarchy import (
@@ -102,7 +102,8 @@ def test_bruteforce_matches_fixture_witnesses():
     w, basis = min_weight_bruteforce(PAIR_CODE, Poset.antichain(4), 1)
     assert w == 2
     assert all(PAIR_CODE.contains(b) for b in basis)
-    assert poset_weight_of_set(Poset.antichain(4), basis) == 2
+    union = support_mask(basis[0])
+    assert Poset.antichain(4).ideal_closure(union).bit_count() == 2
     h = weight_hierarchy(PAIR_CODE, Poset.antichain(4), METHOD_BRUTEFORCE)
     assert h.weights == (2, 4)
     assert h.method == METHOD_BRUTEFORCE
@@ -149,7 +150,10 @@ def test_bruteforce_witness_is_valid_basis():
             assert len(basis) == r
             assert Matrix(code.field, basis, code.n).rank() == r
             assert all(code.contains(b) for b in basis)
-            assert poset_weight_of_set(poset, basis) == w
+            union = 0
+            for b in basis:
+                union |= support_mask(b)
+            assert poset.ideal_closure(union).bit_count() == w
 
 
 def test_hierarchy_struct_and_dict():
@@ -195,6 +199,7 @@ def test_duality_on_random_instances():
             continue
         poset = random_poset(rng, code.n)
         d = duality_partition(code, poset)
+        assert d.dual_weights == weight_hierarchy(code.dualize(), poset.dual()).weights
         assert len(d.first) == code.k
         assert len(d.second) == code.n - code.k
         assert sorted(d.first + d.second) == list(range(1, code.n + 1))

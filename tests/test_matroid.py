@@ -8,6 +8,7 @@ from posetcode.code import LinearCode
 from posetcode.errors import SelfCheckError
 from posetcode.field import gf
 from posetcode.matrix import Matrix
+from posetcode.poset import Poset
 from posetcode.matroid import (
     RankProfile,
     check_complement_rank_identity,
@@ -16,10 +17,10 @@ from posetcode.matroid import (
 )
 
 
-def random_code(rng, n_max=6):
+def random_code(rng, n_max=6, length=None):
     while True:
         q = rng.choice([2, 3, 4, 5])
-        n = rng.randint(1, n_max)
+        n = rng.randint(1, n_max) if length is None else length
         k = rng.randint(1, n)
         rows = [[rng.randrange(q) for _ in range(n)] for _ in range(k)]
         if Matrix(gf(q), rows).rank() == k:
@@ -28,12 +29,32 @@ def random_code(rng, n_max=6):
 
 def test_rank_matches_direct_elimination():
     rng = random.Random(30)
-    for _ in range(20):
-        code = random_code(rng)
+    nrt = Poset.from_cover_relations(6, [(1, 2), (2, 3), (4, 5), (5, 6)])  # two chains of three
+    for trial in range(20):
+        code = random_code(rng, length=6 if trial % 2 == 0 else None)
         profile = RankProfile(code)
         for mask in range(1 << code.n):
             assert profile.rank(mask) == code.generator.column_submatrix(mask).rank()
             assert profile.dual_rank(mask) == code.parity.column_submatrix(mask).rank()
+        # the per-poset table: dim C^I = |I| - rank of the parity columns on every ideal
+        relations = [
+            (i, j)
+            for i in range(1, code.n + 1)
+            for j in range(i + 1, code.n + 1)
+            if rng.random() < 1 / 3
+        ]
+        posets = [
+            Poset.from_cover_relations(code.n, relations),
+            Poset.chain(code.n),
+            Poset.antichain(code.n),
+        ]
+        if code.n == 6:
+            posets.append(nrt)
+        for poset in posets:
+            dims = profile.shortened_dims(poset)
+            assert sorted(dims) == list(poset.ideals())
+            for ideal, dim in dims.items():
+                assert dim == ideal.bit_count() - code.parity.column_submatrix(ideal).rank()
 
 
 def test_memoization_survives_query_order():
@@ -43,7 +64,8 @@ def test_memoization_survives_query_order():
     masks = list(range(1 << 4))
     random.Random(31).shuffle(masks)
     got_a = [a.rank(m) for m in masks]
-    b.fill()
+    for m in range(1 << 4):  # another first query
+        b.dual_rank(m)
     got_b = [b.rank(m) for m in masks]
     assert got_a == got_b
 
@@ -51,7 +73,11 @@ def test_memoization_survives_query_order():
 def test_fill_respects_table_limit():
     code = LinearCode.from_generator(gf(2), [tuple(1 for _ in range(17))])
     with pytest.raises(ValueError, match="n <= 16"):
-        code.matroid.fill()
+        code.matroid.rank(1)
+    with pytest.raises(ValueError, match="n <= 16"):
+        code.matroid.dual_rank(0)
+    # the per-poset table has no such cap
+    assert code.matroid.shortened_dims(Poset.chain(17))[(1 << 17) - 1] == 1
 
 
 def test_shortened_dim_three_ways_agree():
@@ -101,8 +127,7 @@ def test_exhaustive_rejected_above_limit():
 def test_corrupted_memo_is_caught_with_witness():
     code = LinearCode.from_generator(gf(2), [(1, 1, 0, 0), (0, 0, 1, 1)])
     profile = code.matroid
-    profile.fill()
-    profile._rank_memo[0b0001] = 2  # rank of one column can never be 2
+    profile._rank_table[0b0001] = 2  # rank of one column can never be 2
     report = check_rank_axioms(profile)
     assert not report.passed
     v = report.violation
@@ -119,8 +144,7 @@ def test_corrupted_memo_is_caught_with_witness():
 def test_corrupted_monotonicity_is_caught():
     code = LinearCode.from_generator(gf(2), [(1, 1, 0), (0, 1, 1)])
     profile = code.matroid
-    profile.fill()
-    profile._rank_memo[0b111] = 1  # below rank({1,2}) = 2
+    profile._rank_table[0b111] = 1  # below rank({1,2}) = 2
     report = check_rank_axioms(profile)
     assert not report.passed and report.violation.axiom in ("R2", "R3")
     # sampled mode finds it too, given enough draws

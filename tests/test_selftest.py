@@ -75,13 +75,16 @@ def test_corrupt_rank_produces_r1_failure_with_reproducer():
     report = run_selftest(seed=1, trials=2, corrupt_rank=True)
     assert not report.passed
     rank_failures = [f for f in report.failures if f.check == "rank-axioms"]
-    assert rank_failures and "rank violates R1 at A=0x1" in rank_failures[0].detail
-    # poisoned memo also breaks the identity, the triple, and the counts
+    assert report.failures[0] is rank_failures[0]
+    assert "rank violates R1 at A=0x1" in rank_failures[0].detail
+    # the poisoned table also breaks the identity and the triple; the
+    # hierarchy, census and classification read the shortened-dimension
+    # table and stay clean
     failed_checks = {f.check for f in report.failures}
-    assert {"complement-identity", "shortened-dim-triple", "support-count-moebius"} <= failed_checks
+    assert failed_checks == {"rank-axioms", "complement-identity", "shortened-dim-triple"}
 
     # the reproducer replays from the text formats and is itself healthy:
-    # the corruption lives in the poisoned memo, not in the instance
+    # the corruption lives in the poisoned table, not in the instance
     text = rank_failures[0].reproducer
     split = text.index("n ", text.index("\n"))
     code = parse_code(text[:split])
