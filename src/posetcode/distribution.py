@@ -219,6 +219,11 @@ def classify(code: LinearCode, poset: Poset) -> Classification:
     )
 
 
+def _alternating_sum(m: int, t: int, q: int) -> int:
+    """sum_{s=0}^{t-1} (-1)^s C(m, s) (q^(t-s) - 1): the ideal term of the closed forms."""
+    return sum((-1) ** s * comb(m, s) * (q ** (t - s) - 1) for s in range(t))
+
+
 def mds_distribution(code: LinearCode, poset: Poset, classification: Classification | None = None) -> tuple[int, ...]:
     """Closed-form distribution for MDS poset codes."""
     cls_ = classification or classify(code, poset)
@@ -230,14 +235,10 @@ def mds_distribution(code: LinearCode, poset: Poset, classification: Classificat
     n, q, d = code.n, code.field.q, cls_.d1
     counts = [0] * (n + 1)
     counts[0] = 1
-    for r in range(d, n + 1):
-        total = 0
-        for ideal in poset.ideals(size=r):
-            m = poset.maximal_elements(ideal).bit_count()
-            for s in range(r - d + 1):
-                term = comb(m, s) * (q ** (r - d + 1 - s) - 1)
-                total += term if s % 2 == 0 else -term
-        counts[r] = total
+    for ideal in poset.ideals():
+        r = ideal.bit_count()
+        if r >= d:
+            counts[r] += _alternating_sum(poset.maximal_elements(ideal).bit_count(), r - d + 1, q)
     return tuple(counts)
 
 
@@ -267,14 +268,11 @@ def nmds_distribution(code: LinearCode, poset: Poset, classification: Classifica
     counts = [0] * (n + 1)
     counts[0] = 1
     for r in range(d, n + 1):
-        total = 0
-        for ideal in poset.ideals(size=r):
-            m = poset.maximal_elements(ideal).bit_count()
-            for s in range(r - d):
-                term = comb(m, s) * (q ** (r - d - s) - 1)
-                total += term if s % 2 == 0 else -term
-        correction = sum(comb(a, r - d) * count for a, count in bottom)
-        counts[r] = total + ((-1) ** (r - d)) * correction
+        counts[r] = (-1) ** (r - d) * sum(comb(a, r - d) * count for a, count in bottom)
+    for ideal in poset.ideals():
+        r = ideal.bit_count()
+        if r >= d:
+            counts[r] += _alternating_sum(poset.maximal_elements(ideal).bit_count(), r - d, q)
     return tuple(counts)
 
 
@@ -297,11 +295,7 @@ def hamming_nmds_distribution(code: LinearCode) -> tuple[int, ...]:
     counts = [0] * (n + 1)
     counts[0] = 1
     for r in range(d, n + 1):
-        head = 0
-        for s in range(r - d):
-            term = comb(r, s) * (q ** (r - d - s) - 1)
-            head += term if s % 2 == 0 else -term
-        counts[r] = comb(n, r) * head + ((-1) ** (r - d)) * comb(n - d, r - d) * a_d
+        counts[r] = comb(n, r) * _alternating_sum(r, r - d, q) + (-1) ** (r - d) * comb(n - d, r - d) * a_d
     return tuple(counts)
 
 

@@ -170,8 +170,8 @@ def _minima(entries, k: int, require_exact: bool = False) -> list[tuple[int, int
 
 
 def _scan_minima(code: LinearCode, poset: Poset, require_exact: bool = False) -> list[tuple[int, int]]:
-    """(d_r, witness ideal) for r = 1..k in one pass over the shortened dimensions."""
-    _require_compatible(code, poset)
+    """(d_r, witness ideal) for r = 1..k in one pass over the shortened dimensions;
+    the caller has checked that code and poset have the same length."""
     dims = code.matroid.shortened_dims(poset)
     return _minima((((J.bit_count(), J), dim) for J, dim in dims.items()), code.k, require_exact)
 

@@ -166,33 +166,24 @@ class Poset:
                     stack.append((j + 1, mask | (1 << e), extend(state, e)))
             yield mask, state
 
-    def ideals(self, size: int | None = None) -> tuple[int, ...]:
+    def ideals(self) -> tuple[int, ...]:
         """All order ideals as masks in ascending numeric order.
 
-        The family comes from walk_ideals and is cached on first use; size
-        filters the cached tuple.
+        The family comes from walk_ideals and is cached on first use.
         """
         if self._ideals is None:
             walk = self.walk_ideals(lambda state, e: None, None)
             self._ideals = tuple(sorted(mask for mask, _ in walk))
-        if size is None:
-            return self._ideals
-        return tuple(m for m in self._ideals if m.bit_count() == size)
+        return self._ideals
 
     def maximal_elements(self, ideal: int) -> int:
         """Mask of elements of the ideal with nothing of the ideal above them."""
         if not self.is_ideal(ideal):
             raise ValueError(f"subset {ideal:#x} is not an ideal")
-        out = 0
-        for e in bits_of(ideal):
-            covered = False
-            for f in bits_of(ideal):
-                if f != e and self.below[f] >> e & 1:
-                    covered = True
-                    break
-            if not covered:
-                out |= 1 << e
-        return out
+        strictly_below = 0
+        for f in bits_of(ideal):
+            strictly_below |= self.below[f] ^ (1 << f)
+        return ideal & ~strictly_below
 
     # -- serialization ----------------------------------------------------
 

@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -293,3 +295,18 @@ def test_console_entry_point(pair_file):
     )
     assert proc.returncode == 0
     assert proc.stdout == "NMDS d1=2 d2=4\n"
+
+
+def test_selftest_runs_without_numpy():
+    script = (
+        "import sys\n"
+        "import posetcode.cli\n"
+        "status = posetcode.cli.main(['selftest', '--seed', '0', '--trials', '1', '--json'])\n"
+        "assert status == 0, status\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from posetcode.code import LinearCode
-from posetcode.errors import SelfCheckError
 from posetcode.field import gf
 from posetcode.matrix import Matrix
 from posetcode.poset import Poset
@@ -13,7 +12,6 @@ from posetcode.matroid import (
     RankProfile,
     check_complement_rank_identity,
     check_rank_axioms,
-    require_passed,
 )
 
 
@@ -25,6 +23,30 @@ def random_code(rng, n_max=6, length=None):
         rows = [[rng.randrange(q) for _ in range(n)] for _ in range(k)]
         if Matrix(gf(q), rows).rank() == k:
             return LinearCode.from_generator(gf(q), rows)
+
+
+def violates(t, v) -> bool:
+    """Whether the table t really breaks axiom v.axiom at the witnesses of v."""
+    a, b = v.set_a, v.set_b
+    if v.axiom == "R1":
+        return not 0 <= t[a] <= a.bit_count()
+    if v.axiom == "R2":
+        return a & ~b == 0 and t[a] > t[b]
+    return t[a | b] + t[a & b] > t[a] + t[b]
+
+
+def definitional_violation(t) -> bool:
+    """R1 on every A, R2 on every A <= B, R3 on every pair (A, B)."""
+    size = len(t)
+    if any(not 0 <= t[a] <= a.bit_count() for a in range(size)):
+        return True
+    for a in range(size):
+        for b in range(size):
+            if a & ~b == 0 and t[a] > t[b]:
+                return True
+            if t[a | b] + t[a & b] > t[a] + t[b]:
+                return True
+    return False
 
 
 def test_rank_matches_direct_elimination():
@@ -103,25 +125,21 @@ def test_axioms_pass_on_random_codes():
     for _ in range(15):
         code = random_code(rng)
         report = check_rank_axioms(code.matroid)
-        assert report.passed and report.exhaustive and report.violation is None
+        assert report.passed and report.violation is None
         ident = check_complement_rank_identity(code.matroid)
         assert ident.passed and ident.witness is None
-        require_passed(report, "axioms")
-        require_passed(ident, "identity")
-
-
-def test_sampled_mode_passes():
-    code = random_code(random.Random(34))
-    report = check_rank_axioms(code.matroid, exhaustive=False, rng=random.Random(0), samples=500)
-    assert report.passed and not report.exhaustive
-    ident = check_complement_rank_identity(code.matroid, exhaustive=False, rng=random.Random(0), samples=500)
-    assert ident.passed and not ident.exhaustive
 
 
 def test_exhaustive_rejected_above_limit():
-    code = LinearCode.from_generator(gf(2), [tuple(1 for _ in range(13))])
-    with pytest.raises(ValueError, match="n <= 12"):
-        check_rank_axioms(code.matroid, exhaustive=True)
+    code = LinearCode.from_generator(gf(2), [tuple(1 for _ in range(17))])
+    with pytest.raises(ValueError, match="n <= 16"):
+        check_rank_axioms(code.matroid)
+    with pytest.raises(ValueError, match="n <= 16"):
+        check_complement_rank_identity(code.matroid)
+    # above the old exhaustive limit of n = 12 the check is still exhaustive
+    code = random_code(random.Random(34), length=13)
+    assert check_rank_axioms(code.matroid).passed
+    assert check_complement_rank_identity(code.matroid).passed
 
 
 def test_corrupted_memo_is_caught_with_witness():
@@ -133,12 +151,11 @@ def test_corrupted_memo_is_caught_with_witness():
     v = report.violation
     assert v is not None and v.function == "rank" and v.axiom == "R1" and v.set_a == 0b0001
     assert "rank violates R1 at A=0x1" in v.describe()
-    with pytest.raises(SelfCheckError, match="R1 at A=0x1"):
-        require_passed(report, "axioms")
     ident = check_complement_rank_identity(profile)
-    assert not ident.passed and ident.witness is not None
-    with pytest.raises(SelfCheckError, match="identity fails"):
-        require_passed(ident, "identity")
+    assert not ident.passed and ident.witness == 0b1110  # the complement of the poisoned mask
+    fresh = RankProfile(code)
+    fresh._dual_table[0b1111] -= 1  # the last mask is swept too
+    assert check_complement_rank_identity(fresh).witness == 0b1111
 
 
 def test_corrupted_monotonicity_is_caught():
@@ -147,9 +164,7 @@ def test_corrupted_monotonicity_is_caught():
     profile._rank_table[0b111] = 1  # below rank({1,2}) = 2
     report = check_rank_axioms(profile)
     assert not report.passed and report.violation.axiom in ("R2", "R3")
-    # sampled mode finds it too, given enough draws
-    sampled = check_rank_axioms(profile, exhaustive=False, rng=random.Random(1), samples=2000)
-    assert not sampled.passed
+    assert violates(profile._rank_table, report.violation)
 
 
 def test_dual_rank_is_dual_matroid_rank():
@@ -162,3 +177,31 @@ def test_dual_rank_is_dual_matroid_rank():
         dual = code.dualize()
         for mask in range(1 << code.n):
             assert code.matroid.dual_rank(mask) == dual.matroid.rank(mask)
+
+
+def test_local_sweep_matches_definition_on_corrupted_tables():
+    rng = random.Random(36)
+    verdicts = set()
+    for trial in range(300):
+        code = random_code(rng)
+        profile = RankProfile(code)
+        table = profile._rank_table
+        for _ in range(rng.randint(0, 2 if trial % 2 else 6)):
+            mask = rng.randrange(len(table))
+            if trial % 2:
+                table[mask] = max(-1, min(code.n + 1, table[mask] + rng.choice([-2, -1, 1, 2])))
+            else:
+                # keep R1 and R2, so that only submodularity can break
+                neighbours = [mask ^ (1 << e) for e in range(code.n)]
+                low = max([0] + [table[m] for m in neighbours if m < mask])
+                high = min([mask.bit_count()] + [table[m] for m in neighbours if m > mask])
+                table[mask] = rng.randint(low, high)
+        report = check_rank_axioms(profile)
+        broken = definitional_violation(table)
+        assert report.passed == (not broken)
+        if broken:
+            v = report.violation
+            assert v.function == "rank" and violates(table, v)
+        verdicts.add((broken, None if report.passed else report.violation.axiom))
+    # every kind of verdict occurs, so the comparison above is not vacuous
+    assert verdicts == {(False, None), (True, "R1"), (True, "R2"), (True, "R3")}

@@ -38,7 +38,6 @@ def test_v_shape_fixture():
     # 1 < 3 and 2 < 3
     p = Poset.from_cover_relations(3, [(1, 3), (2, 3)])
     assert p.ideals() == (0b000, 0b001, 0b010, 0b011, 0b111)
-    assert p.ideals(2) == (0b011,)
     assert p.ideal_closure(0b100) == 0b111
     assert p.maximal_elements(0b111) == 0b100
     assert p.maximal_elements(0b011) == 0b011
