@@ -6,11 +6,20 @@ at construction, so membership tests and the dual code are always
 available.  The poset weight of a word u under a poset P on {1..n} is
 the size of the ideal closure of its support.
 
-Codeword enumeration streams the q**k words in ascending base-q order of
-the message encoding: message integer m encodes the coefficient vector
-(m // q**i) % q applied to generator row i.  The stream keeps one running
+Codeword enumeration runs in ascending base-q order of the message
+encoding: message integer m encodes the coefficient vector
+(m // q**i) % q applied to generator row i.  Two streams follow that
+order.  codewords() yields the words as tuples; it keeps one running
 word and applies per-digit increment deltas, so each step costs O(n)
-field additions regardless of k.
+field additions regardless of k.  support_batches() yields only the
+supports, as n-bit masks, and is what the enumerate census and the
+brute-force hierarchy read.  It packs each word into one int (see
+_PackedWords), spans the low ceil(k/2) generator rows and the high
+floor(k/2) rows separately, and meets in the middle: for each word b of
+the high span, one list comprehension over the low span gives the
+supports of the q**ceil(k/2) codewords a + b, a few int operations
+each.  It holds the two spans and one batch, a few times q**ceil(k/2)
+ints, never q**k.
 
 Text format for code files (parse_code / format_code):
 
@@ -41,6 +50,98 @@ def support_mask(word: Sequence[int]) -> int:
         if a:
             out |= 1 << i
     return out
+
+
+class _PackedWords:
+    """Words of length n over GF(p**m) packed into one int each.
+
+    Digit j (base p) of coordinate i sits in bit field j*n + i.  Fields
+    are w bits wide: w = 1 for p = 2, where addition is XOR, and
+    w = p.bit_length() + 1 for odd p, where addition is SWAR mod p on
+    all fields at once: s = a + b, then subtract p from every field whose
+    sum reaches p, found by adding K = 2**(w-1) - p and reading the top
+    bit H of the field.  Digits are below p < 2**(w-1), so a sum is at
+    most 2p - 2 < 2**w and a sum plus K at most p - 2 + 2**(w-1) < 2**w:
+    no field ever carries into the next, for every odd p <= 251.
+
+    A field W is nonzero exactly when W + NZ, NZ = 2**(w-1) - 1, sets its
+    top bit, again without a carry.  A coordinate of a + b is zero exactly
+    when a and -b agree on all m of its fields, so supports() tests the
+    fields of a XOR (-b), ORs the m digit planes onto plane 0, and
+    compacts the flags of plane 0 to an n-bit mask: for p = 2 the folded
+    word already is that mask; for odd p three dicts map the flags of
+    coordinates 8c..8c+7 to their bits.
+    """
+
+    __slots__ = ("field", "width", "top", "nonzero", "carry", "fold", "full", "spread", "chunks")
+
+    def __init__(self, field: GF, n: int) -> None:
+        p, m = field.p, field.m
+        w = 1 if p == 2 else p.bit_length() + 1
+        ones = sum(1 << (f * w) for f in range(m * n))
+        self.field = field
+        self.width = w
+        self.top = ones << (w - 1)
+        self.nonzero = ones * ((1 << (w - 1)) - 1)
+        self.carry = ones * ((1 << (w - 1)) - p)
+        # shifts that OR the upper half of the digit planes onto the lower
+        # half, until plane 0 holds the OR of all m
+        self.fold = []
+        planes = m
+        while planes > 1:
+            planes = (planes + 1) // 2
+            self.fold.append(planes * n * w)
+        self.full = (1 << n) - 1
+        # an element's digit fields as they sit for coordinate 0
+        self.spread = [0] * field.q
+        for a in range(field.q):
+            for j in range(m):
+                self.spread[a] |= a // p**j % p << (j * n * w)
+        self.chunks = []
+        if p != 2:
+            for base in (0, 8, 16):
+                mask, table = 0, {0: 0}
+                for i in range(base, min(base + 8, n)):
+                    flag = 1 << (i * w + w - 1)
+                    mask |= flag
+                    table.update({key | flag: bits | 1 << i for key, bits in table.items()})
+                self.chunks.append((mask, table))
+
+    def pack(self, word: Sequence[int]) -> int:
+        spread, w = self.spread, self.width
+        return sum(spread[a] << (i * w) for i, a in enumerate(word))
+
+    def span(self, rows: Sequence[Sequence[int]]) -> list[int]:
+        """Packed words of every combination of the rows, in message-encoding order."""
+        F, p = self.field, self.field.p
+        shift, top, carry = self.width - 1, self.top, self.carry
+        words = [0]
+        for row in rows:
+            multiples = [self.pack(F._scale(c, row)) for c in range(1, F.q)]
+            if p == 2:
+                words += [a ^ t for t in multiples for a in words]
+            else:
+                words += [
+                    (s := a + t) - (((s + carry) & top) >> shift) * p for t in multiples for a in words
+                ]
+        return words
+
+    def supports(self, low: list[int], negated: int) -> list[int]:
+        """Support masks of a + b for every packed a in low, given negated = -b packed."""
+        if self.field.p == 2:
+            xs = [a ^ negated for a in low]
+        else:
+            nonzero, top = self.nonzero, self.top
+            xs = [((a ^ negated) + nonzero) & top for a in low]
+        for s in self.fold:
+            xs = [x | x >> s for x in xs]
+        if self.chunks:
+            (k0, d0), (k1, d1), (k2, d2) = self.chunks
+            return [d0[x & k0] | d1[x & k1] | d2[x & k2] for x in xs]
+        if self.fold:
+            full = self.full
+            return [x & full for x in xs]
+        return xs
 
 
 def poset_weight(poset: Poset, word: Sequence[int]) -> int:
@@ -100,13 +201,18 @@ class LinearCode:
         """Encode one message vector of length k."""
         return row_times_matrix(message, self.generator)
 
-    def codewords(self) -> Iterator[tuple[int, ...]]:
-        """Stream all q**k codewords in ascending message-encoding order."""
+    def require_enumerable(self) -> None:
+        """Raise ValueError when the q**k codewords exceed the enumeration cap."""
         total = self.codeword_count
         if total > MAX_ENUMERATION:
             raise ValueError(
                 f"q^k = {total} codewords exceeds the enumeration cap {MAX_ENUMERATION}"
             )
+
+    def codewords(self) -> Iterator[tuple[int, ...]]:
+        """Stream all q**k codewords in ascending message-encoding order."""
+        self.require_enumerable()
+        total = self.codeword_count
         F = self.field
         q = F.q
         rows = self.generator.rows
@@ -127,6 +233,26 @@ class LinearCode:
                 digits[i] = 0
                 i += 1
             yield tuple(word)
+
+    def support_batches(self) -> Iterator[list[int]]:
+        """Support masks of all q**k codewords in message-encoding order.
+
+        Batch b holds the supports of the messages b * q**h .. (b+1) * q**h - 1
+        with h = ceil(k/2); see the module docstring.  The cap is checked
+        here, before anything is packed.
+        """
+        self.require_enumerable()
+        return self._support_batches()
+
+    def _support_batches(self) -> Iterator[list[int]]:
+        F = self.field
+        packed = _PackedWords(F, self.n)
+        rows = self.generator.rows
+        half = (self.k + 1) // 2
+        low = packed.span(rows[:half])
+        minus_one = F.neg(1)
+        for negated in packed.span([F._scale(minus_one, row) for row in rows[half:]]):
+            yield packed.supports(low, negated)
 
     # -- derived codes -------------------------------------------------------
 

@@ -6,9 +6,11 @@ has ideal closure exactly I.  The support census maps each ideal I to
 take the census:
 
 enumerate
-    Stream the q**k codewords and bucket them by the closure of their
-    support (guarded by the enumeration cap).  It never lists the ideals
-    of P, so it is the independent oracle for the other method.
+    Stream the supports of the q**k codewords (LinearCode.support_batches,
+    guarded by the enumeration cap), close each one through the poset's
+    per-byte closure tables, and count the closures.  It never lists the
+    ideals of P and never reads the rank table, so it is the independent
+    oracle for the other method.
 
 moebius
     The words of C supported inside an ideal I form the shortened subcode
@@ -50,13 +52,14 @@ none of them is ever used as its own oracle.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
 from .bitset import mask_from_positions, to_elements
-from .code import MAX_ENUMERATION, LinearCode, support_mask
+from .code import MAX_ENUMERATION, LinearCode
 from .hierarchy import _require_compatible, _scan_minima
 from .poset import Poset
 
@@ -71,11 +74,10 @@ def support_census(code: LinearCode, poset: Poset, method: str = "moebius") -> d
     """Map each ideal I with C & S_I nonempty to |C & S_I|; see the module docstring."""
     _require_compatible(code, poset)
     if method == "enumerate":
-        census: dict[int, int] = {}
-        for w in code.codewords():
-            closure = poset.ideal_closure(support_mask(w))
-            census[closure] = census.get(closure, 0) + 1
-        return census
+        counts: Counter[int] = Counter()
+        for batch in code.support_batches():
+            counts.update(poset._ideal_closures(batch))
+        return dict(counts)
     if method != "moebius":
         raise ValueError(f"unknown method {method!r}")
     q = code.field.q
@@ -316,7 +318,13 @@ class DistributionReport:
 
 
 def distribution_report(code: LinearCode, poset: Poset, method: str = "enumerate") -> DistributionReport:
-    """Distribution plus classification; closed-form dispatches on the label."""
+    """Distribution plus classification; closed-form dispatches on the label.
+
+    An enumeration over the cap is refused before classify walks the ideals.
+    """
+    _require_compatible(code, poset)
+    if method == "enumerate":
+        code.require_enumerable()
     cls_ = classify(code, poset)
     if method in ("enumerate", "moebius"):
         counts = distribution(code, poset, method)

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from .bitset import to_elements
-from .code import LinearCode, support_mask
+from .code import LinearCode
 from .errors import SelfCheckError
 from .poset import Poset
 
@@ -99,8 +99,24 @@ def reduced_echelon_rows(k: int, r: int, q: int):
 
 
 def _message_supports(code: LinearCode) -> list[int]:
-    """Support mask of the codeword of every message, indexed by encoding."""
-    return [support_mask(w) for w in code.codewords()]
+    """Support mask of the codeword of every message, indexed by encoding:
+    the batches of the support stream come in message order."""
+    return [s for batch in code.support_batches() for s in batch]
+
+
+def _require_bruteforce_caps(code: LinearCode, dims) -> None:
+    """Refuse a brute force over more than ORACLE_WORD_CAP messages or, for
+    any r in dims, more than ORACLE_SUBSPACE_CAP r-dimensional subspaces."""
+    if code.codeword_count > ORACLE_WORD_CAP:
+        raise ValueError(
+            f"bruteforce needs q^k <= {ORACLE_WORD_CAP}, got {code.codeword_count}"
+        )
+    for r in dims:
+        count = gaussian_binomial(code.k, r, code.field.q)
+        if count > ORACLE_SUBSPACE_CAP:
+            raise ValueError(
+                f"bruteforce needs at most {ORACLE_SUBSPACE_CAP} subspaces, got {count}"
+            )
 
 
 def min_weight_bruteforce(
@@ -119,15 +135,7 @@ def min_weight_bruteforce(
     if not 1 <= r <= code.k:
         raise ValueError(f"subcode dimension {r} outside 1..{code.k}")
     q = code.field.q
-    if code.codeword_count > ORACLE_WORD_CAP:
-        raise ValueError(
-            f"bruteforce needs q^k <= {ORACLE_WORD_CAP}, got {code.codeword_count}"
-        )
-    count = gaussian_binomial(code.k, r, q)
-    if count > ORACLE_SUBSPACE_CAP:
-        raise ValueError(
-            f"bruteforce needs at most {ORACLE_SUBSPACE_CAP} subspaces, got {count}"
-        )
+    _require_bruteforce_caps(code, (r,))
     supports = _supports if _supports is not None else _message_supports(code)
     closure_size: dict[int, int] = {}
     powers = [q**i for i in range(code.k)]
@@ -234,6 +242,7 @@ def weight_hierarchy(
         weights = [w for w, _ in minima]
         witnesses = [to_elements(mask) for _, mask in minima]
     elif method == METHOD_BRUTEFORCE:
+        _require_bruteforce_caps(code, range(1, code.k + 1))
         supports = _message_supports(code)
         weights, witnesses = [], []
         for r in range(1, code.k + 1):

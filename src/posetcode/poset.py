@@ -3,8 +3,11 @@
 A subset J is an (order) ideal when it is downward closed: i <= j and
 j in J force i in J.  The ideal closure <A> of an arbitrary subset A is
 the smallest ideal containing A.  Poset stores, for each element, the
-bitmask of everything below it (itself included), which makes closures
-a handful of OR operations.
+bitmask of everything below it (itself included).  Closure distributes
+over union, so on first use each Poset fills one table per byte of the
+mask (at most three for n <= 24) with the closures of all subsets of
+that byte's elements, and the closure of any subset is the OR of at
+most three table entries.
 
 Conventions used throughout:
 
@@ -39,7 +42,7 @@ class Poset:
     """Immutable poset; construct via from_cover_relations, chain, antichain,
     or directly from per-element downset masks."""
 
-    __slots__ = ("n", "below", "_ideals")
+    __slots__ = ("n", "below", "_ideals", "_closures")
 
     def __init__(self, n: int, below: Iterable[int]) -> None:
         if not 1 <= n <= MAX_GROUND:
@@ -62,6 +65,7 @@ class Poset:
         self.n = n
         self.below = below
         self._ideals: tuple[int, ...] | None = None
+        self._closures: tuple[list[int], list[int], list[int]] | None = None
 
     # -- constructors --------------------------------------------------
 
@@ -128,11 +132,31 @@ class Poset:
         """Smallest ideal containing the subset: union of member downsets."""
         if not 0 <= mask < (1 << self.n):
             raise ValueError(f"subset mask {mask:#x} out of range for n={self.n}")
-        out = 0
-        below = self.below
-        for i in bits_of(mask):
-            out |= below[i]
-        return out
+        return self._ideal_closures((mask,))[0]
+
+    def _ideal_closures(self, masks: Iterable[int]) -> list[int]:
+        """Closures of many subsets, unchecked: every mask must lie in range(2**n)."""
+        t0, t1, t2 = self._closure_tables()
+        return [t0[s & 255] | t1[s >> 8 & 255] | t2[s >> 16] for s in masks]
+
+    def _closure_tables(self) -> tuple[list[int], list[int], list[int]]:
+        """Closures of the subsets of elements 8b..8b+7, one list per byte b.
+
+        Entry s of table b is the closure of the subset s << 8b, filled
+        from the entry without its lowest bit.  A byte past n gets the
+        one-entry table [0], so any mask in range(2**n) indexes all three.
+        """
+        if self._closures is None:
+            below = self.below
+            tables = []
+            for base in (0, 8, 16):
+                tab = [0] * (1 << min(8, max(0, self.n - base)))
+                for s in range(1, len(tab)):
+                    low = s & -s
+                    tab[s] = tab[s ^ low] | below[base + low.bit_length() - 1]
+                tables.append(tab)
+            self._closures = tuple(tables)
+        return self._closures
 
     def is_ideal(self, mask: int) -> bool:
         return self.ideal_closure(mask) == mask

@@ -119,6 +119,57 @@ def test_enumeration_cap():
         next(code.codewords())
 
 
+PACKING_FIELDS = (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 243, 251, 256)
+
+
+def random_full_rank(rng, q, n, k):
+    while True:
+        rows = [[rng.randrange(q) for _ in range(n)] for _ in range(k)]
+        if Matrix(gf(q), rows).rank() == k:
+            return LinearCode.from_generator(gf(q), rows)
+
+
+def test_support_batches_match_codeword_supports():
+    # k = 1 leaves the high half empty; odd k splits unevenly; n = 24 needs
+    # all three closure bytes; the other lengths are not multiples of 8
+    rng = random.Random(25)
+    for q in PACKING_FIELDS:
+        k_max = max(k for k in range(1, 9) if q**k <= 5000)
+        shapes = [(24, 1), (rng.randint(2, 7), min(2, k_max)), (rng.choice([9, 13, 17]), k_max)]
+        for n, k in shapes:
+            code = random_full_rank(rng, q, n, k)
+            batches = list(code.support_batches())
+            assert len(batches) == q ** (k // 2)
+            assert all(len(batch) == q ** ((k + 1) // 2) for batch in batches)
+            flat = [s for batch in batches for s in batch]
+            assert flat == [support_mask(w) for w in code.codewords()], (q, n, k)
+
+
+def test_packed_span_adds_in_every_field():
+    # a span of two rows makes the packed sum of two nonzero words, which
+    # the stream only needs for k >= 3, out of reach of the cap for q > 101
+    from posetcode.code import _PackedWords
+
+    rng = random.Random(26)
+    for q in PACKING_FIELDS:
+        field = gf(q)
+        n = rng.randint(1, 9)
+        rows = Matrix(field, [[rng.randrange(q) for _ in range(n)] for _ in range(2)])
+        packed = _PackedWords(field, n)
+        combos = [row_times_matrix((c0, c1), rows) for c1 in range(q) for c0 in range(q)]
+        assert packed.span(rows.rows) == [packed.pack(w) for w in combos], q
+
+
+def test_support_batches_refuse_before_packing(monkeypatch):
+    def refuse(field, n):
+        raise AssertionError("packed words before checking the cap")
+
+    monkeypatch.setattr("posetcode.code._PackedWords", refuse)
+    code = LinearCode.from_generator(gf(2), Matrix.identity(gf(2), 21).rows)
+    with pytest.raises(ValueError, match="enumeration cap"):
+        code.support_batches()
+
+
 def test_shorten_fixtures():
     code = LinearCode.from_generator(gf(2), [(1, 1, 0, 0), (0, 0, 1, 1)])
     assert code.shorten(0) == (0, ())

@@ -76,6 +76,18 @@ def test_enumerate_census_never_lists_ideals(monkeypatch):
     assert distribution(code, anti)[12] == 2
 
 
+def test_enumerate_report_refuses_over_cap_before_classifying(monkeypatch):
+    from posetcode.matroid import RankProfile
+
+    def refuse(self, poset):
+        raise AssertionError("classified before checking the enumeration cap")
+
+    monkeypatch.setattr(RankProfile, "shortened_dims", refuse)
+    code = LinearCode.from_generator(gf(2), Matrix.identity(gf(2), 21).rows)
+    with pytest.raises(ValueError, match="enumeration cap"):
+        distribution_report(code, Poset.antichain(21), "enumerate")
+
+
 def test_distribution_fixtures():
     anti4 = Poset.antichain(4)
     assert distribution(PAIR, anti4) == (1, 0, 2, 0, 1)

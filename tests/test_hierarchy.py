@@ -231,6 +231,21 @@ def test_bruteforce_caps():
         min_weight_bruteforce(mid, Poset.antichain(16), 8)
 
 
+def test_bruteforce_hierarchy_refuses_before_streaming(monkeypatch):
+    def refuse(self):
+        raise AssertionError("streamed the supports before checking the caps")
+
+    monkeypatch.setattr(LinearCode, "support_batches", refuse)
+    rows = [(1,) + (0,) * i + (1,) + (0,) * (20 - i) for i in range(20)]
+    wide = LinearCode.from_generator(gf(2), rows)  # [22, 20]
+    with pytest.raises(ValueError, match="q\\^k"):
+        weight_hierarchy(wide, Poset.antichain(22), "bruteforce")
+    # 2^16 words pass, but the 8-dimensional subspaces are too many
+    mid = LinearCode.from_generator(gf(2), Matrix.identity(gf(2), 16).rows)
+    with pytest.raises(ValueError, match="subspaces"):
+        weight_hierarchy(mid, Poset.antichain(16), "bruteforce")
+
+
 def test_chain_weights_are_support_maxima():
     # under a chain, the weight of a word is its highest nonzero position
     rng = random.Random(45)

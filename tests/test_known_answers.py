@@ -1,13 +1,27 @@
 """Known answers from the coding-theory literature, not from this package.
 
-The binary [7,4] Hamming code and its dual, the [7,3] simplex code, under
-the antichain (Hamming metric).  The weight hierarchies are Wei's (IEEE
-T-IT 37(5), 1991); the enumerators are the classical ones
-(MacWilliams-Sloane, ch. 1).  The Hamming code has d_1 = 3 = n - k and
-d_2 = 5 = n - k + 2, so it is near-MDS and both NMDS closed forms apply.
+All codes are taken under the antichain (Hamming metric).
+
+* The binary [7,4] Hamming code, its dual the [7,3] simplex code, and
+  the extended [8,4,4] Hamming code.  The weight hierarchies are Wei's
+  (IEEE T-IT 37(5), 1991); the enumerators are the classical ones
+  (MacWilliams-Sloane, ch. 1).  The Hamming code has d_1 = 3 = n - k and
+  d_2 = 5 = n - k + 2, so it is near-MDS and both NMDS closed forms apply.
+* The extended binary Golay code [24,12,8], the GF(4) hexacode [6,3,4]
+  and the extended ternary Golay code [12,6,6], with the enumerators of
+  MacWilliams-Sloane (ch. 2, 16 and 20) and Conway-Sloane (ch. 3).
+* Reed-Solomon codes, which are MDS: their distribution is the classical
+  MDS formula (MacWilliams-Sloane, ch. 11, Thm. 6), written out below.
+
+Between them the enumerate census meets every word packing of the codeword
+stream: p = 2 with one digit plane (Golay, Hamming), p = 2 with several
+(hexacode, GF(8)), odd p with one (ternary Golay, GF(7)) and with
+several (GF(9)).
 """
 
 from __future__ import annotations
+
+from math import comb
 
 from posetcode import (
     LinearCode,
@@ -17,10 +31,28 @@ from posetcode import (
     duality_partition,
     gf,
     hamming_nmds_distribution,
+    mds_distribution,
     nmds_distribution,
     weight_hierarchy,
 )
-from posetcode.distribution import NMDS_LABEL
+from posetcode.distribution import MDS_LABEL, NMDS_LABEL
+
+
+def enumerator(n, terms):
+    """Distribution (A_0, ..., A_n) from {weight: count}."""
+    return tuple(terms.get(r, 0) for r in range(n + 1))
+
+
+def with_parity(rows):
+    """Rows extended by an overall binary parity coordinate."""
+    return [tuple(row) + (sum(row) % 2,) for row in rows]
+
+
+def systematic(a):
+    """Rows of [I | A]."""
+    k = len(a)
+    return [tuple(int(i == j) for j in range(k)) + tuple(a[i]) for i in range(k)]
+
 
 HAMMING_ROWS = [
     (1, 0, 0, 0, 1, 1, 0),
@@ -55,3 +87,77 @@ def test_simplex_distribution():
     want = (1, 0, 0, 0, 7, 0, 0, 0)  # 1 + 7z^4
     assert distribution(SIMPLEX, ANTI7, "enumerate") == want
     assert distribution(SIMPLEX, ANTI7, "moebius") == want
+
+
+def test_extended_hamming_8_4_4():
+    code = LinearCode.from_generator(gf(2), with_parity(HAMMING_ROWS))
+    anti = Poset.antichain(8)
+    assert weight_hierarchy(code, anti).weights == (4, 6, 7, 8)
+    want = enumerator(8, {0: 1, 4: 14, 8: 1})
+    assert distribution(code, anti, "enumerate") == want
+    assert distribution(code, anti, "moebius") == want
+
+
+def test_extended_binary_golay_enumerator():
+    # the [23,12] cyclic Golay code from g(x) = x^11 + x^10 + x^6 + x^5 + x^4 + x^2 + 1,
+    # extended by a parity bit: the extended quadratic-residue code of length 24
+    g = [1, 0, 1, 0, 1, 1, 1, 0, 0, 0, 1, 1]  # coefficients of x^0 .. x^11
+    rows = [(0,) * i + tuple(g) + (0,) * (11 - i) for i in range(12)]
+    code = LinearCode.from_generator(gf(2), with_parity(rows))
+    assert (code.n, code.k) == (24, 12)
+    want = enumerator(24, {0: 1, 8: 759, 12: 2576, 16: 759, 24: 1})
+    assert distribution(code, Poset.antichain(24), "enumerate") == want
+
+
+def test_hexacode_enumerator():
+    # GF(4) = {0, 1, w, w^2} encoded 0, 1, 2, 3, with w^2 = w + 1
+    w, w2 = 2, 3
+    code = LinearCode.from_generator(gf(4), systematic([(1, w2, w), (1, w, w2), (1, 1, 1)]))
+    want = enumerator(6, {0: 1, 4: 45, 6: 18})
+    anti = Poset.antichain(6)
+    assert distribution(code, anti, "enumerate") == want
+    assert distribution(code, anti, "moebius") == want
+
+
+def test_extended_ternary_golay_enumerator():
+    a = [
+        (0, 1, 1, 1, 1, 1),
+        (1, 0, 1, 2, 2, 1),
+        (1, 1, 0, 1, 2, 2),
+        (1, 2, 1, 0, 1, 2),
+        (1, 2, 2, 1, 0, 1),
+        (1, 1, 2, 2, 1, 0),
+    ]
+    code = LinearCode.from_generator(gf(3), systematic(a))
+    want = enumerator(12, {0: 1, 6: 264, 9: 440, 12: 24})
+    anti = Poset.antichain(12)
+    assert distribution(code, anti, "enumerate") == want
+    assert distribution(code, anti, "moebius") == want
+
+
+def reed_solomon(q, n, k):
+    """Evaluations of the polynomials of degree < k at n distinct field elements."""
+    field = gf(q)
+    points = range(q - n, q)
+    return LinearCode.from_generator(field, [[field.pow(x, i) for x in points] for i in range(k)])
+
+
+def classical_mds(n, k, q):
+    """A_w = C(n, w) sum_{j=0}^{w-d} (-1)^j C(w, j) (q^(w-d+1-j) - 1), d = n - k + 1."""
+    d = n - k + 1
+    counts = [1] + [0] * n
+    for w in range(d, n + 1):
+        counts[w] = comb(n, w) * sum((-1) ** j * comb(w, j) * (q ** (w - d + 1 - j) - 1) for j in range(w - d + 1))
+    return tuple(counts)
+
+
+def test_reed_solomon_distributions():
+    for q, n, k in [(5, 5, 3), (7, 6, 3), (7, 7, 4), (8, 8, 4), (9, 9, 4), (9, 8, 2)]:
+        code = reed_solomon(q, n, k)
+        anti = Poset.antichain(n)
+        assert classify(code, anti).label == MDS_LABEL
+        assert weight_hierarchy(code, anti).weights == tuple(range(n - k + 1, n + 1))
+        want = classical_mds(n, k, q)
+        assert sum(want) == q**k
+        assert distribution(code, anti, "enumerate") == want
+        assert mds_distribution(code, anti) == want

@@ -77,6 +77,30 @@ def test_closure_properties():
                     assert j & c == c
 
 
+def naive_closure(p, mask):
+    out = 0
+    for j in range(p.n):
+        if mask >> j & 1:
+            out |= p.below[j]
+    return out
+
+
+def test_closure_tables_match_downset_union():
+    rng = random.Random(9)
+    for _ in range(30):
+        p = random_poset(rng, rng.randint(1, 10))
+        assert all(p.ideal_closure(m) == naive_closure(p, m) for m in range(1 << p.n))
+    for _ in range(3):
+        p = random_poset(rng, 24)
+        for _ in range(2000):
+            m = rng.getrandbits(24)
+            assert p.ideal_closure(m) == naive_closure(p, m)
+    with pytest.raises(ValueError, match="out of range"):
+        p.ideal_closure(1 << 24)
+    with pytest.raises(ValueError, match="out of range"):
+        p.ideal_closure(-1)
+
+
 def test_maximal_elements_requires_ideal():
     p = Poset.chain(3)
     with pytest.raises(ValueError):
