@@ -56,28 +56,26 @@ class _PackedWords:
     """Words of length n over GF(p**m) packed into one int each.
 
     Digit j (base p) of coordinate i sits in bit field j*n + i.  Fields
-    are w bits wide: w = 1 for p = 2, where addition is XOR, and
-    w = p.bit_length() + 1 for odd p, where addition is SWAR mod p on
+    are w = p.bit_length() + 1 bits wide, and addition is SWAR mod p on
     all fields at once: s = a + b, then subtract p from every field whose
     sum reaches p, found by adding K = 2**(w-1) - p and reading the top
     bit H of the field.  Digits are below p < 2**(w-1), so a sum is at
     most 2p - 2 < 2**w and a sum plus K at most p - 2 + 2**(w-1) < 2**w:
-    no field ever carries into the next, for every odd p <= 251.
+    no field ever carries into the next, for every prime p.
 
     A field W is nonzero exactly when W + NZ, NZ = 2**(w-1) - 1, sets its
     top bit, again without a carry.  A coordinate of a + b is zero exactly
     when a and -b agree on all m of its fields, so supports() tests the
     fields of a XOR (-b), ORs the m digit planes onto plane 0, and
-    compacts the flags of plane 0 to an n-bit mask: for p = 2 the folded
-    word already is that mask; for odd p three dicts map the flags of
-    coordinates 8c..8c+7 to their bits.
+    compacts the flags of plane 0 to an n-bit mask: one dict per 8
+    coordinates maps their flags to their bits.
     """
 
-    __slots__ = ("field", "width", "top", "nonzero", "carry", "fold", "full", "spread", "chunks")
+    __slots__ = ("field", "width", "top", "nonzero", "carry", "fold", "spread", "chunks")
 
     def __init__(self, field: GF, n: int) -> None:
         p, m = field.p, field.m
-        w = 1 if p == 2 else p.bit_length() + 1
+        w = p.bit_length() + 1
         ones = sum(1 << (f * w) for f in range(m * n))
         self.field = field
         self.width = w
@@ -91,21 +89,21 @@ class _PackedWords:
         while planes > 1:
             planes = (planes + 1) // 2
             self.fold.append(planes * n * w)
-        self.full = (1 << n) - 1
         # an element's digit fields as they sit for coordinate 0
         self.spread = [0] * field.q
         for a in range(field.q):
             for j in range(m):
                 self.spread[a] |= a // p**j % p << (j * n * w)
+        # at least three chunks, empty ones past n, so supports() reads
+        # three lookups for every n <= 24
         self.chunks = []
-        if p != 2:
-            for base in (0, 8, 16):
-                mask, table = 0, {0: 0}
-                for i in range(base, min(base + 8, n)):
-                    flag = 1 << (i * w + w - 1)
-                    mask |= flag
-                    table.update({key | flag: bits | 1 << i for key, bits in table.items()})
-                self.chunks.append((mask, table))
+        for base in range(0, max(n, 24), 8):
+            mask, table = 0, {0: 0}
+            for i in range(base, min(base + 8, n)):
+                flag = 1 << (i * w + w - 1)
+                mask |= flag
+                table.update({key | flag: bits | 1 << i for key, bits in table.items()})
+            self.chunks.append((mask, table))
 
     def pack(self, word: Sequence[int]) -> int:
         spread, w = self.spread, self.width
@@ -118,30 +116,20 @@ class _PackedWords:
         words = [0]
         for row in rows:
             multiples = [self.pack(F._scale(c, row)) for c in range(1, F.q)]
-            if p == 2:
-                words += [a ^ t for t in multiples for a in words]
-            else:
-                words += [
-                    (s := a + t) - (((s + carry) & top) >> shift) * p for t in multiples for a in words
-                ]
+            words += [(s := a + t) - (((s + carry) & top) >> shift) * p for t in multiples for a in words]
         return words
 
     def supports(self, low: list[int], negated: int) -> list[int]:
         """Support masks of a + b for every packed a in low, given negated = -b packed."""
-        if self.field.p == 2:
-            xs = [a ^ negated for a in low]
-        else:
-            nonzero, top = self.nonzero, self.top
-            xs = [((a ^ negated) + nonzero) & top for a in low]
+        nonzero, top = self.nonzero, self.top
+        xs = [((a ^ negated) + nonzero) & top for a in low]
         for s in self.fold:
             xs = [x | x >> s for x in xs]
-        if self.chunks:
-            (k0, d0), (k1, d1), (k2, d2) = self.chunks
-            return [d0[x & k0] | d1[x & k1] | d2[x & k2] for x in xs]
-        if self.fold:
-            full = self.full
-            return [x & full for x in xs]
-        return xs
+        (k0, d0), (k1, d1), (k2, d2), *rest = self.chunks
+        out = [d0[x & k0] | d1[x & k1] | d2[x & k2] for x in xs]
+        for key, table in rest:
+            out = [bits | table[x & key] for bits, x in zip(out, xs)]
+        return out
 
 
 def poset_weight(poset: Poset, word: Sequence[int]) -> int:

@@ -320,9 +320,10 @@ class DistributionReport:
 def distribution_report(code: LinearCode, poset: Poset, method: str = "enumerate") -> DistributionReport:
     """Distribution plus classification; closed-form dispatches on the label.
 
-    An enumeration over the cap is refused before classify walks the ideals.
+    classify and distribution check their inputs as public entries do.
+    The enumeration cap is checked once more here, before classify walks
+    the ideals, so an over-cap enumeration is refused at once.
     """
-    _require_compatible(code, poset)
     if method == "enumerate":
         code.require_enumerable()
     cls_ = classify(code, poset)

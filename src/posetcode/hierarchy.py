@@ -119,12 +119,7 @@ def _require_bruteforce_caps(code: LinearCode, dims) -> None:
             )
 
 
-def min_weight_bruteforce(
-    code: LinearCode,
-    poset: Poset,
-    r: int,
-    _supports: list[int] | None = None,
-) -> tuple[int, tuple[tuple[int, ...], ...]]:
+def min_weight_bruteforce(code: LinearCode, poset: Poset, r: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """Definitional minimum over all r-dimensional subcodes.
 
     Returns the weight and a witness basis (codewords of the first
@@ -134,9 +129,15 @@ def min_weight_bruteforce(
     _require_compatible(code, poset)
     if not 1 <= r <= code.k:
         raise ValueError(f"subcode dimension {r} outside 1..{code.k}")
-    q = code.field.q
     _require_bruteforce_caps(code, (r,))
-    supports = _supports if _supports is not None else _message_supports(code)
+    return _min_weight_bruteforce(code, poset, r, _message_supports(code))
+
+
+def _min_weight_bruteforce(
+    code: LinearCode, poset: Poset, r: int, supports: list[int]
+) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """min_weight_bruteforce on checked inputs, given the message supports."""
+    q = code.field.q
     closure_size: dict[int, int] = {}
     powers = [q**i for i in range(code.k)]
     best_weight = poset.n + 1
@@ -246,7 +247,7 @@ def weight_hierarchy(
         supports = _message_supports(code)
         weights, witnesses = [], []
         for r in range(1, code.k + 1):
-            w, basis = min_weight_bruteforce(code, poset, r, _supports=supports)
+            w, basis = _min_weight_bruteforce(code, poset, r, supports)
             weights.append(w)
             witnesses.append(basis)
     else:

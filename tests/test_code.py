@@ -145,6 +145,17 @@ def test_support_batches_match_codeword_supports():
             assert flat == [support_mask(w) for w in code.codewords()], (q, n, k)
 
 
+def test_support_batches_beyond_three_chunks():
+    # codes are not bound by the poset size limit: n = 25 and 33 need a
+    # fourth and a fifth 8-coordinate chunk
+    rng = random.Random(27)
+    for q in (2, 3, 4, 9):
+        for n in (25, 33):
+            code = random_full_rank(rng, q, n, 2)
+            flat = [s for batch in code.support_batches() for s in batch]
+            assert flat == [support_mask(w) for w in code.codewords()], (q, n)
+
+
 def test_packed_span_adds_in_every_field():
     # a span of two rows makes the packed sum of two nonzero words, which
     # the stream only needs for k >= 3, out of reach of the cap for q > 101
