@@ -119,24 +119,26 @@ def _require_bruteforce_caps(code: LinearCode, dims) -> None:
             )
 
 
-def min_weight_bruteforce(code: LinearCode, poset: Poset, r: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+def min_weight_bruteforce(
+    code: LinearCode,
+    poset: Poset,
+    r: int,
+    _supports: list[int] | None = None,
+) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """Definitional minimum over all r-dimensional subcodes.
 
     Returns the weight and a witness basis (codewords of the first
     minimizing subspace in enumeration order).  Caps: q**k <= 2**16
-    messages and at most 2**20 subspaces.
+    messages and at most 2**20 subspaces.  weight_hierarchy checks the
+    inputs and the caps for every r once and passes the message supports
+    as _supports; the checks here run only without them.
     """
-    _require_compatible(code, poset)
-    if not 1 <= r <= code.k:
-        raise ValueError(f"subcode dimension {r} outside 1..{code.k}")
-    _require_bruteforce_caps(code, (r,))
-    return _min_weight_bruteforce(code, poset, r, _message_supports(code))
-
-
-def _min_weight_bruteforce(
-    code: LinearCode, poset: Poset, r: int, supports: list[int]
-) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """min_weight_bruteforce on checked inputs, given the message supports."""
+    if _supports is None:
+        _require_compatible(code, poset)
+        if not 1 <= r <= code.k:
+            raise ValueError(f"subcode dimension {r} outside 1..{code.k}")
+        _require_bruteforce_caps(code, (r,))
+        _supports = _message_supports(code)
     q = code.field.q
     closure_size: dict[int, int] = {}
     powers = [q**i for i in range(code.k)]
@@ -149,7 +151,7 @@ def _min_weight_bruteforce(
             for c, v in zip(row, powers):
                 if c:
                     enc += c * v
-            union |= supports[enc]
+            union |= _supports[enc]
         size = closure_size.get(union)
         if size is None:
             size = poset.ideal_closure(union).bit_count()
@@ -247,7 +249,7 @@ def weight_hierarchy(
         supports = _message_supports(code)
         weights, witnesses = [], []
         for r in range(1, code.k + 1):
-            w, basis = _min_weight_bruteforce(code, poset, r, supports)
+            w, basis = min_weight_bruteforce(code, poset, r, _supports=supports)
             weights.append(w)
             witnesses.append(basis)
     else:
