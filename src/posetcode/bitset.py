@@ -4,6 +4,13 @@ Bit j-1 of a mask stands for element j, so masks double as indices into
 arrays of length 2**n.  All public functions in this package that take or
 return subsets use this encoding; element lists in file formats and CLI
 output are 1-based.
+
+Tables over a family of subsets keep one byte per subset in a bytes
+object.  flags_equal and flags_at_least read such a table through one
+bytes.translate into an int whose byte i is 1 where entry i passes and 0
+elsewhere, so ANDing two flag ints intersects two conditions, and the
+lowest or highest set bit names the first or last passing entry, all
+without a Python loop over the entries.
 """
 
 from __future__ import annotations
@@ -11,6 +18,9 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 
 MAX_GROUND = 24
+
+# bytes.translate table adding 1 to every byte (255 wraps to 0)
+_PLUS_ONE = bytes(range(1, 256)) + b"\0"
 
 
 def bits_of(mask: int) -> Iterator[int]:
@@ -47,3 +57,21 @@ def from_elements(elements: Iterable[int], n: int) -> int:
         out |= bit
     return out
 
+
+def subset_sizes(n: int) -> bytes:
+    """Byte table of |A| for every mask A < 2**n, built by doubling:
+    the masks with bit e set are those without it, one element larger."""
+    sizes = b"\0"
+    for _ in range(n):
+        sizes += sizes.translate(_PLUS_ONE)
+    return sizes
+
+
+def flags_equal(table: bytes, value: int) -> int:
+    """Flag int of the entries of a byte table equal to value (0..255)."""
+    return int.from_bytes(table.translate(bytes(value) + b"\1" + bytes(255 - value)), "little")
+
+
+def flags_at_least(table: bytes, value: int) -> int:
+    """Flag int of the entries of a byte table that are at least value (0..256)."""
+    return int.from_bytes(table.translate(bytes(value) + b"\1" * (256 - value)), "little")

@@ -4,8 +4,9 @@ Subcommands: hierarchy, duality, distribution, classify, rank, selftest.
 Codes come from files in the format of code.parse_code; posets from files
 in the format of poset.parse_poset or from the presets chain:<n> and
 antichain:<n>.  Exit codes: 0 success, 1 input or usage error, 2 an
-internal self-check failed.  Output for fixed inputs and seeds is
-byte-identical across runs.
+internal self-check failed.  A self-check failure prints, on stderr, a
+reproducer: the code and the poset in their text formats.  Output for
+fixed inputs and seeds is byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import json
 import sys
 
 from .bitset import from_elements
-from .code import LinearCode, load_code
+from .code import LinearCode, format_code, load_code
 from .distribution import classify, distribution_report
 from .errors import SelfCheckError
 from .hierarchy import (
@@ -24,7 +25,7 @@ from .hierarchy import (
     duality_partition,
     weight_hierarchy,
 )
-from .poset import Poset, load_poset
+from .poset import Poset, format_poset, load_poset
 from .selftest import run_selftest
 
 
@@ -40,6 +41,22 @@ def _poset_from_arg(arg: str) -> Poset:
     return load_poset(arg)
 
 
+def _on_instance(run):
+    """Handler that loads --code and --poset and calls run(args, code, poset);
+    a SelfCheckError leaves it carrying the instance as its reproducer."""
+
+    def handler(args: argparse.Namespace) -> int:
+        code = load_code(args.code)
+        poset = _poset_from_arg(args.poset)
+        try:
+            return run(args, code, poset)
+        except SelfCheckError as exc:
+            exc.reproducer = format_code(code) + format_poset(poset)
+            raise
+
+    return handler
+
+
 def _print_json(obj: dict) -> None:
     print(json.dumps(obj))
 
@@ -52,9 +69,7 @@ def _format_elements(elems) -> str:
     return "{" + ",".join(str(e) for e in elems) + "}"
 
 
-def cmd_hierarchy(args: argparse.Namespace) -> int:
-    code = load_code(args.code)
-    poset = _poset_from_arg(args.poset)
+def cmd_hierarchy(args: argparse.Namespace, code: LinearCode, poset: Poset) -> int:
     result = weight_hierarchy(code, poset, args.method)
     if args.json:
         _print_json(result.as_dict())
@@ -69,9 +84,7 @@ def cmd_hierarchy(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_duality(args: argparse.Namespace) -> int:
-    code = load_code(args.code)
-    poset = _poset_from_arg(args.poset)
+def cmd_duality(args: argparse.Namespace, code: LinearCode, poset: Poset) -> int:
     result = duality_partition(code, poset)
     if args.json:
         _print_json(result.as_dict())
@@ -85,9 +98,7 @@ def cmd_duality(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_distribution(args: argparse.Namespace) -> int:
-    code = load_code(args.code)
-    poset = _poset_from_arg(args.poset)
+def cmd_distribution(args: argparse.Namespace, code: LinearCode, poset: Poset) -> int:
     report = distribution_report(code, poset, args.method)
     if args.json:
         _print_json(report.as_dict())
@@ -101,9 +112,7 @@ def cmd_distribution(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_classify(args: argparse.Namespace) -> int:
-    code = load_code(args.code)
-    poset = _poset_from_arg(args.poset)
+def cmd_classify(args: argparse.Namespace, code: LinearCode, poset: Poset) -> int:
     cls_ = classify(code, poset)
     if args.json:
         _print_json(cls_.as_dict())
@@ -180,12 +189,12 @@ def _build_parser() -> argparse.ArgumentParser:
         default=METHOD_IDEAL_SCAN,
     )
     p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=cmd_hierarchy)
+    p.set_defaults(handler=_on_instance(cmd_hierarchy))
 
     p = sub.add_parser("duality", help="hierarchy of the code and its dual; partition check")
     add_code_poset(p)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=cmd_duality)
+    p.set_defaults(handler=_on_instance(cmd_duality))
 
     p = sub.add_parser("distribution", help="poset weight distribution A_0..A_n")
     add_code_poset(p)
@@ -195,12 +204,12 @@ def _build_parser() -> argparse.ArgumentParser:
         default="enumerate",
     )
     p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=cmd_distribution)
+    p.set_defaults(handler=_on_instance(cmd_distribution))
 
     p = sub.add_parser("classify", help="MDS / NMDS / other with d_1 and d_2")
     add_code_poset(p)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=cmd_classify)
+    p.set_defaults(handler=_on_instance(cmd_classify))
 
     p = sub.add_parser("rank", help="rank, dual rank, and shortened dimension of a coordinate set")
     p.add_argument("--code", required=True, help="code file")
@@ -228,6 +237,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.handler(args)
     except SelfCheckError as exc:
         print(f"self-check failed: {exc}", file=sys.stderr)
+        if exc.reproducer is not None:
+            print("reproducer:", file=sys.stderr)
+            print(exc.reproducer, file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

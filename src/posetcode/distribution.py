@@ -14,16 +14,22 @@ enumerate
 
 moebius
     The words of C supported inside an ideal I form the shortened subcode
-    C^I, whose dimension RankProfile.shortened_dims tabulates.  So
+    C^I, whose dimension the rank walk tabulates (RankProfile.walked_dims).
+    So
 
         sum over ideals J <= I of |C & S_J| = q^(dim C^I),
 
     and the census is the Moebius inversion of q^(dim C^I) over the ideal
-    lattice J(P).  The fast transform of Bjorklund, Husfeldt,
-    Kaski, Koivisto, Nederlof and Parviainen ("Fast zeta transforms for
-    lattices with few irreducibles", SODA 2012) does it in n * |J(P)|
+    lattice J(P).  The fast transform of Bjorklund, Husfeldt, Kaski,
+    Koivisto, Nederlof and Parviainen ("Fast zeta transforms for lattices
+    with few irreducibles", SODA 2012) does it in n * |J(P)|
     subtractions: for e along the reverse of a linear extension, subtract
     the entry of I - {e} from the entry of I wherever I - {e} is an ideal.
+    The census reads the walk even where the hierarchy reads the zeta
+    fill (the antichain with q^k <= 2**n): that fill is the zeta
+    transform of the enumerate counts, so inverting it would hand those
+    counts back, and the census would stop being an oracle for
+    enumeration.
 
 The weight distribution (A_0, ..., A_n) with A_r = |{u in C : wt_P(u) = r}|
 sums the census over the ideals of each size.
@@ -60,7 +66,7 @@ from math import comb
 
 from .bitset import mask_from_positions, to_elements
 from .code import MAX_ENUMERATION, LinearCode
-from .hierarchy import _require_compatible, _scan_minima
+from .hierarchy import _require_compatible, _scan_minima, ideal_sizes
 from .poset import Poset
 
 MDS_LABEL = "MDS"
@@ -81,7 +87,9 @@ def support_census(code: LinearCode, poset: Poset, method: str = "moebius") -> d
     if method != "moebius":
         raise ValueError(f"unknown method {method!r}")
     q = code.field.q
-    census = {ideal: q**dim for ideal, dim in code.matroid.shortened_dims(poset).items()}
+    # the walk's table, never the zeta fill, which is itself built from the enumerate counts
+    ideals, dims = code.matroid.walked_dims(poset)
+    census = dict(zip(ideals, map([q**d for d in range(code.k + 1)].__getitem__, dims)))
     # undo the zeta transform one element at a time, last element first
     for e in reversed(poset.linear_extension()):
         bit = 1 << e
@@ -146,21 +154,14 @@ class Classification:
 
 
 def _dimension_profile_ok(code: LinearCode, poset: Poset, want) -> bool:
-    for ideal, dim in code.matroid.shortened_dims(poset).items():
-        expected = want(ideal.bit_count())
-        if expected is not None and dim != expected:
-            return False
-    return True
-
-
-def _dual_rank_profile_ok(code: LinearCode, poset: Poset) -> bool:
-    boundary = code.n - code.k
-    for ideal, dim in code.matroid.shortened_dims(poset).items():
-        size = ideal.bit_count()
-        # dual_rank(J) = |J| - dim C^J
-        if size != boundary and size - dim != min(size, boundary):
-            return False
-    return True
+    """dim C^J == want(|J|) on every ideal J, skipping sizes where want gives None."""
+    ideals, dims = code.matroid.shortened_dims(poset)
+    sizes = ideal_sizes(ideals)
+    wanted = [want(size) for size in range(code.n + 1)]
+    expected = bytes(0 if w is None else w for w in wanted).ljust(256, b"\0")
+    checked = bytes(0 if w is None else 255 for w in wanted).ljust(256, b"\0")
+    wrong = int.from_bytes(dims, "little") ^ int.from_bytes(sizes.translate(expected), "little")
+    return not wrong & int.from_bytes(sizes.translate(checked), "little")
 
 
 def _column_conditions(code: LinearCode) -> bool | None:
@@ -204,7 +205,11 @@ def classify(code: LinearCode, poset: Poset) -> Classification:
         dimension_ok = _dimension_profile_ok(
             code, poset, lambda size: None if size == d1 else max(0, size - d1)
         )
-        dual_rank_ok = _dual_rank_profile_ok(code, poset)
+        # dual_rank(J) = |J| - dim C^J is |J| below size n - k and n - k above it
+        boundary = n - k
+        dual_rank_ok = _dimension_profile_ok(
+            code, poset, lambda size: None if size == boundary else size - min(size, boundary)
+        )
         column_ok = _column_conditions(code)
     return Classification(
         label=label,

@@ -10,4 +10,9 @@ class SelfCheckError(RuntimeError):
     satisfy (strict monotonicity of the weight hierarchy, the Singleton-type
     window, or the duality partition).  Seeing this exception on valid input
     means the implementation, not the input, is wrong.
+
+    reproducer, when set, is the failing instance as the code text format
+    followed by the poset text format, so it replays from two files.
     """
+
+    reproducer: str | None = None

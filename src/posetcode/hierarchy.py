@@ -15,15 +15,20 @@ bruteforce
     the fast path and to serve as the definitional oracle.
 
 ideal-scan
-    Reads the table of shortened dimensions dim C^J = |J| - dual_rank(J)
-    over the ideals J of P (RankProfile.shortened_dims) once: it keeps the
-    smallest (|J|, J) for each dimension value, and a suffix minimum over
-    the values gives, for every r, the smallest ideal whose shortened
-    subcode has dimension at least r.  Restricting the scan to ideals is
-    exact: replacing any subset by its ideal closure keeps the objective
-    value while the shortened dimension can only grow.  The same scan with
-    the requirement pinned to exactly r (require_exact=True) returns the
-    same minimum, which is checked by the test suite.
+    Reads the flat table of shortened dimensions dim C^J = |J| - dual_rank(J)
+    over the ideals J of P (RankProfile.shortened_dims: ascending masks and
+    an aligned bytes object, from the zeta fill or the rank walk) and
+    finds, for every r, the smallest ideal, by size and then by mask, whose
+    shortened subcode has dimension at least r.  There is no Python loop
+    over the ideals: bytes.translate turns the dims into a flag int that
+    marks dim >= r and a table of ideal sizes into one that marks |J| = s
+    (bitset.flags_at_least, flags_equal), and the lowest set byte of
+    their AND is the smallest such ideal of size s.  Restricting the scan
+    to ideals is exact: replacing any subset by its ideal closure keeps
+    the objective value while the shortened dimension can only grow.  The
+    same scan with the requirement pinned to exactly r
+    (require_exact=True) returns the same minimum, which is checked by
+    the test suite.
 
 The full hierarchy must be strictly increasing and confined to the
 Singleton-type window r <= d_r <= n - k + r; weight_hierarchy raises
@@ -32,16 +37,20 @@ under P with the hierarchy of the dual code under the opposite poset:
 the sets {d_r} and {n + 1 - d'_s} must partition {1..n}.  Both come from
 the same table (Wei duality through the matroid relation
 dim C^I = |I| - rank_H(I) = k - rank_G(P - I)), so the dual code is never
-built; the test suite and the acceptance gate compare d'_s with the
+built: the dual dimensions n - k - rank_H(I) are one bytes table, and
+the dual scan reads the highest set byte, the largest ideal I of the
+largest size, whose complement is the smallest ideal of the opposite
+poset.  The test suite and the acceptance gate compare d'_s with the
 hierarchy of the dualized code under the dual poset.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .bitset import to_elements
+from .bitset import flags_at_least, flags_equal, subset_sizes, to_elements
 from .code import LinearCode
 from .errors import SelfCheckError
 from .poset import Poset
@@ -51,8 +60,6 @@ ORACLE_SUBSPACE_CAP = 1 << 20
 
 METHOD_IDEAL_SCAN = "ideal-scan"
 METHOD_BRUTEFORCE = "bruteforce"
-
-_UNREACHED = (float("inf"), 0)
 
 
 def gaussian_binomial(k: int, r: int, q: int) -> int:
@@ -164,27 +171,55 @@ def min_weight_bruteforce(
     return best_weight, witness
 
 
-def _minima(entries, k: int, require_exact: bool = False) -> list[tuple[int, int]]:
-    """For r = 1..k the smallest key (|J|, J) of the (key, dim) entries with
-    dim >= r (dim == r with require_exact): the smallest ideal, ties by mask."""
-    best = [_UNREACHED] * (k + 1)
-    for key, dim in entries:
-        if key < best[dim]:
-            best[dim] = key
-    if not require_exact:
-        for r in range(k - 1, 0, -1):
-            best[r] = min(best[r], best[r + 1])
-    if _UNREACHED in best[1:]:
-        r = best.index(_UNREACHED, 1)
-        raise SelfCheckError(f"no ideal reaches shortened dimension {r} although k={k}")
-    return best[1:]
+def ideal_sizes(ideals: Sequence[int]) -> bytes:
+    """Byte table of |I| aligned with the ideals of a shortened-dimension table."""
+    if isinstance(ideals, range):
+        # the antichain: every mask below 2**n, in order
+        return subset_sizes(len(ideals).bit_length() - 1)
+    return bytes(map(int.bit_count, ideals))
+
+
+def _table_minima(
+    ideals: Sequence[int], dims: bytes, n: int, count: int, downward: bool = False, require_exact: bool = False
+) -> list[tuple[int, int]]:
+    """For r = 1..count the first (|I|, I) over the aligned ideals and dims
+    tables, by ascending size then mask (both descending when downward),
+    whose dim is at least r (exactly r with require_exact).
+
+    One flag int of dims per r, ANDed with one flag int of the sizes per
+    size tried; the lowest set byte of a nonzero intersection is its
+    smallest mask, the highest its largest.  The ideals reaching r + 1
+    lie among those reaching r (not under require_exact), so the size
+    search resumes where r stopped.
+    """
+    sizes = ideal_sizes(ideals)
+    order = range(n, -1, -1) if downward else range(n + 1)
+    flags = flags_equal if require_exact else flags_at_least
+    out = []
+    start, at_pos, at = 0, None, 0
+    for r in range(1, count + 1):
+        reach = flags(dims, r)
+        for pos in range(0 if require_exact else start, n + 1):
+            if pos != at_pos:
+                at_pos, at = pos, flags_equal(sizes, order[pos])
+            hit = reach & at
+            if hit:
+                break
+        else:
+            raise SelfCheckError(f"no ideal reaches shortened dimension {r} although k={count}")
+        start = pos
+        index = (hit.bit_length() if downward else (hit & -hit).bit_length()) - 1 >> 3
+        out.append((order[pos], ideals[index]))
+    return out
 
 
 def _scan_minima(code: LinearCode, poset: Poset, require_exact: bool = False) -> list[tuple[int, int]]:
-    """(d_r, witness ideal) for r = 1..k in one pass over the shortened dimensions;
-    the caller has checked that code and poset have the same length."""
-    dims = code.matroid.shortened_dims(poset)
-    return _minima((((J.bit_count(), J), dim) for J, dim in dims.items()), code.k, require_exact)
+    """(d_r, witness ideal) for r = 1..k: the smallest ideal, ties by mask,
+    whose shortened subcode has dimension at least r (exactly r with
+    require_exact); the caller has checked that code and poset have the
+    same length."""
+    ideals, dims = code.matroid.shortened_dims(poset)
+    return _table_minima(ideals, dims, code.n, code.k, require_exact=require_exact)
 
 
 def min_weight_ideal_scan(
@@ -298,13 +333,18 @@ def duality_partition(code: LinearCode, poset: Poset) -> DualityPartition:
         raise ValueError("duality needs a proper subspace: 1 <= k <= n - 1")
     primal = weight_hierarchy(code, poset)
     n, k = code.n, code.k
-    full = (1 << n) - 1
-    dims = code.matroid.shortened_dims(poset)
-    dual_minima = _minima(
-        (((n - I.bit_count(), full ^ I), n - I.bit_count() - k + dim) for I, dim in dims.items()),
-        n - k,
-    )
-    dual_weights = tuple(w for w, _ in dual_minima)
+    ideals, dims = code.matroid.shortened_dims(poset)
+    # n - |I| - k + dim C^I = n - k - rank_H(I), byte by byte with no borrow,
+    # since rank_H(I) = |I| - dim C^I lies in 0..n-k
+    size = len(dims)
+    dual_dims = (
+        int.from_bytes(bytes([n - k]) * size, "little")
+        - int.from_bytes(ideal_sizes(ideals), "little")
+        + int.from_bytes(dims, "little")
+    ).to_bytes(size, "little")
+    # the smallest key (n - |I|, P - I) is the largest I
+    dual_minima = _table_minima(ideals, dual_dims, n, n - k, downward=True)
+    dual_weights = tuple(n - size for size, _ in dual_minima)
     _check_window(dual_weights, n, n - k)
     first = tuple(sorted(primal.weights))
     second = tuple(sorted(n + 1 - d for d in dual_weights))

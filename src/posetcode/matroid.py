@@ -1,17 +1,40 @@
 """Column-rank data of a linear code, viewed as a matroid on {1..n}.
 
-All ranks come from ideal_ranks, a depth-first walk over the ideal
-lattice J(P) (Poset.walk_ideals) that carries an echelon basis, so each
-ideal costs one reduction of the column it adds.  RankProfile keeps:
+Ranks come from ideal_ranks, a depth-first walk over the ideal lattice
+J(P) (Poset.walk_ideals) that carries an echelon basis, so each ideal
+costs one reduction of the column it adds.  RankProfile keeps:
 
   * per poset P, the shortened dimensions dim C^I = |I| - rank_H(I) on
-    every ideal I (G generator, H parity-check matrix).  This one table
-    gives the hierarchies of C under P and of the dual code under the
-    opposite poset, the support census and the classification;
+    every ideal I (G generator, H parity-check matrix), as one flat
+    table (ideals, dims): the ideal masks in ascending order
+    (range(2**n) for the antichain) and a bytes object aligned with
+    them.  This one table gives the hierarchies of C under P and of the
+    dual code under the opposite poset and the classification.  It has
+    two fills, chosen by the instance alone:
+
+      zeta   under the antichain every subset is an ideal and
+             q^(dim C^I) is the number of codewords supported inside I,
+             so the table is the subset-sum (zeta) transform of the
+             codeword support counts.  zeta_dims counts the
+             support_batches stream into byte-aligned little-endian
+             fields of one int T and runs one packed subset-sum per
+             coordinate, T += (T & low_e) << (w << e), where low_e
+             selects the w-bit fields whose index lacks bit e.  No
+             elimination at all.  It serves when
+             q^k <= min(2**n, MAX_ENUMERATION), so the stream is never
+             longer than the table;
+      walk   every other case: ideal_ranks on the parity-check columns.
+
+    walked_dims is the walk alone.  The Moebius census reads it and
+    never the zeta fill: Moebius inversion of a zeta transform of the
+    enumerate counts would just give those counts back, and the census
+    would stop being an oracle independent of enumeration;
   * for n <= TABLE_LIMIT, flat lists indexed by subset mask: rank(A) on
     the columns of G and dual_rank(A) on those of H (the dual matroid),
-    filled by the same walk over the antichain, whose ideals are all 2**n
-    subsets, in two separate eliminations.  They serve the checks below.
+    filled from the antichain's tables (rank by the walk on G, dual_rank
+    from the antichain's shortened dimensions, so by the zeta fill when it
+    serves).  They serve the checks below, and the complement identity
+    then holds the zeta fill against the walk on G.
 
 Both rank functions satisfy the matroid rank axioms
 
@@ -45,10 +68,14 @@ replace the 4**n pairs.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections import Counter
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
+from .bitset import flags_equal
+from .code import MAX_ENUMERATION
+from .errors import SelfCheckError
 from .field import GF
 from .matrix import Matrix
 from .poset import Poset
@@ -82,6 +109,58 @@ def ideal_ranks(poset: Poset, field: GF, columns: Sequence[Sequence[int]]) -> It
         yield ideal, len(basis)
 
 
+def _is_antichain(poset: Poset) -> bool:
+    return all(below == 1 << e for e, below in enumerate(poset.below))
+
+
+def zeta_dims(code) -> bytes:
+    """dim C^I for every subset I of the coordinates, indexed by mask, from
+    the codeword supports alone; see the module docstring.
+
+    Counters are fields of 1, 2 or 4 bytes, the narrowest that holds q^k,
+    and no partial sum exceeds q^k, so no field ever carries into the next.
+    A stream that is not q^k words long, or a sum that is not a power of
+    q, raises SelfCheckError.
+    """
+    n, q, total = code.n, code.field.q, code.codeword_count
+    size = 1 << n
+    wb = 1 if total < 1 << 8 else 2 if total < 1 << 16 else 4
+    tally: Counter[int] = Counter()
+    for batch in code.support_batches():
+        tally.update(batch)
+    if tally.total() != total:
+        raise SelfCheckError(f"support stream gave {tally.total()} words, not q^k = {total}")
+    counts = bytearray(size * wb)
+    for support, count in tally.items():
+        counts[support * wb : (support + 1) * wb] = count.to_bytes(wb, "little")
+    table = int.from_bytes(counts, "little")
+    # each buffer below is 2**n fields long: drop it once read, to bound the peak at n = 24
+    del counts, tally
+    w = 8 * wb
+    for e in range(n):
+        low = int.from_bytes((b"\xff" * (wb << e) + bytes(wb << e)) * (size >> (e + 1)), "little")
+        table += (table & low) << (w << e)
+    del low
+    # log_q field by field: byte plane j holds byte j of every field
+    data = table.to_bytes(size * wb, "little")
+    del table
+    planes = [data[j::wb] for j in range(wb)]
+    del data
+    dims = seen = 0
+    for d in range(code.k + 1):
+        power = q**d
+        hit = -1
+        for j, plane in enumerate(planes):
+            hit &= flags_equal(plane, power >> 8 * j & 255)
+        seen |= hit
+        dims |= hit * d
+    missed = seen ^ int.from_bytes(b"\1" * size, "little")
+    if missed:
+        subset = ((missed & -missed).bit_length() - 1) >> 3
+        raise SelfCheckError(f"zeta fill: the codewords inside subset {subset:#x} are not a power of q")
+    return dims.to_bytes(size, "little")
+
+
 class RankProfile:
     """Rank tables of one code's columns; see the module docstring."""
 
@@ -92,31 +171,38 @@ class RankProfile:
         self.full = (1 << code.n) - 1
         self._gen_cols = _columns(code.generator)
         self._par_cols = _columns(code.parity)
-        self._dims: dict[Poset, dict[int, int]] = {}
+        self._walks: dict[Poset, tuple[Sequence[int], bytes]] = {}
+        self._zeta: tuple[Sequence[int], bytes] | None = None
 
-    def shortened_dims(self, poset: Poset) -> dict[int, int]:
-        """dim C^I = |I| - rank_H(I) for every ideal I of the poset, keyed by mask."""
-        dims = self._dims.get(poset)
-        if dims is None:
-            ranks = ideal_ranks(poset, self.code.field, self._par_cols)
-            dims = self._dims[poset] = {ideal: ideal.bit_count() - r for ideal, r in ranks}
-        return dims
+    def shortened_dims(self, poset: Poset) -> tuple[Sequence[int], bytes]:
+        """(ideals, dims): the ideals of the poset in ascending mask order and
+        dim C^I = |I| - rank_H(I) of each, by the zeta fill or the walk."""
+        if not (_is_antichain(poset) and self.code.codeword_count <= min(1 << self.n, MAX_ENUMERATION)):
+            return self.walked_dims(poset)
+        if self._zeta is None:
+            self._zeta = (range(1 << self.n), zeta_dims(self.code))
+        return self._zeta
 
-    def _subset_table(self, entries: Iterable[tuple[int, int]]) -> list[int]:
-        table = [0] * (self.full + 1)
-        for mask, value in entries:
-            table[mask] = value
+    def walked_dims(self, poset: Poset) -> tuple[Sequence[int], bytes]:
+        """The table of shortened_dims, always filled by the rank walk."""
+        table = self._walks.get(poset)
+        if table is None:
+            walk = ideal_ranks(poset, self.code.field, self._par_cols)
+            dims = {ideal: ideal.bit_count() - r for ideal, r in walk}
+            ideals = range(1 << self.n) if _is_antichain(poset) else tuple(sorted(dims))
+            table = self._walks[poset] = (ideals, bytes(map(dims.__getitem__, ideals)))
         return table
 
     @cached_property
     def _rank_table(self) -> list[int]:
-        return self._subset_table(ideal_ranks(Poset.antichain(self.n), self.code.field, self._gen_cols))
+        ranks = dict(ideal_ranks(Poset.antichain(self.n), self.code.field, self._gen_cols))
+        return [ranks[mask] for mask in range(self.full + 1)]
 
     @cached_property
     def _dual_table(self) -> list[int]:
-        # the antichain's table of shortened dimensions is the same walk on H
-        dims = self.shortened_dims(Poset.antichain(self.n))
-        return self._subset_table((mask, mask.bit_count() - dim) for mask, dim in dims.items())
+        # rank_H(A) = |A| - dim C^A, read off the antichain's shortened dimensions
+        masks, dims = self.shortened_dims(Poset.antichain(self.n))
+        return [mask.bit_count() - dim for mask, dim in zip(masks, dims)]
 
     def _check_mask(self, mask: int) -> int:
         # called before a table is touched, so n > TABLE_LIMIT is refused before any fill

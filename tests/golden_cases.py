@@ -36,6 +36,14 @@ COMMANDS = (
     ("distribution", "--method", "moebius"),
     ("distribution", "--method", "closed-form"),
 )
+# the table scan at the size of the scan-antichain-q2 benchmark: a seeded
+# binary [14,7] code under antichain:14, whose shortened dimensions come
+# from the zeta fill; the expected files were recorded from the rank walk
+SCAN_CASES = (
+    ("rand14-antichain-duality", ["duality", "--json"]),
+    ("rand14-antichain-classify", ["classify", "--json"]),
+    ("rand14-antichain-duality-text", ["duality"]),
+)
 
 
 def cases() -> list[tuple[str, list[str]]]:
@@ -49,6 +57,8 @@ def cases() -> list[tuple[str, list[str]]]:
                 name = "-".join((code, poset_tag, command[0], *command[2:]))
                 argv = [command[0], "--code", str(DATA / f"{code}.code"), "--poset", poset_arg]
                 out.append((name, argv + list(command[1:]) + ["--json"]))
+    for name, (command, *flags) in SCAN_CASES:
+        out.append((name, [command, "--code", str(DATA / "rand14.code"), "--poset", "antichain:14", *flags]))
     return out
 
 

@@ -286,6 +286,31 @@ def test_selftest_corrupt_rank_fails_loudly(capsys):
     assert "q " in err and "n " in err  # reproducer carries both text formats
 
 
+@pytest.mark.parametrize("command", ["hierarchy", "duality", "distribution", "classify"])
+def test_self_check_failure_prints_reproducer(capsys, monkeypatch, command):
+    from posetcode.code import load_code, parse_code
+    from posetcode.matroid import RankProfile
+    from posetcode.poset import load_poset, parse_poset
+
+    def flat(self, poset):
+        # no ideal carries a nonzero shortened subcode: the scan must fail its self-check
+        ideals = poset.ideals()
+        return ideals, bytes(len(ideals))
+
+    monkeypatch.setattr(RankProfile, "shortened_dims", flat)
+    data = Path(__file__).resolve().parent / "data"
+    code_path, poset_path = str(data / "hamming7.code"), str(data / "nrt7.poset")
+    status, out, err = run_cli(capsys, command, "--code", code_path, "--poset", poset_path)
+    assert status == 2 and out == ""
+    message, reproducer = err.split("reproducer:\n")
+    assert message.startswith("self-check failed: ")
+    lines = reproducer.splitlines()
+    split = next(i for i, line in enumerate(lines) if line.startswith("n "))
+    code = parse_code("\n".join(lines[:split]))
+    assert code.generator.rows == load_code(code_path).generator.rows
+    assert parse_poset("\n".join(lines[split:])) == load_poset(poset_path)
+
+
 def test_console_entry_point(pair_file):
     # the module also runs as a script; exercises sys.exit plumbing
     proc = subprocess.run(

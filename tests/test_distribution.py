@@ -76,6 +76,30 @@ def test_enumerate_census_never_lists_ideals(monkeypatch):
     assert distribution(code, anti)[12] == 2
 
 
+def test_moebius_census_never_reads_the_zeta_fill(monkeypatch):
+    import posetcode.matroid as matroid
+    from posetcode.hierarchy import weight_hierarchy
+
+    def refuse(code):
+        raise AssertionError("read the zeta fill")
+
+    rng = random.Random(44)
+    codes = [random_code(rng, n_max=8, length=8) for _ in range(6)]
+    anti = Poset.antichain(8)
+    expected = [support_census(code, anti, "enumerate") for code in codes]
+    monkeypatch.setattr(matroid, "zeta_dims", refuse)
+    for code, census in zip(codes, expected):
+        assert code.codeword_count <= 1 << code.n  # the zeta fill would serve this antichain
+        assert support_census(code, anti, "moebius") == census
+        other = Poset.from_cover_relations(8, [(1, 2), (2, 5), (3, 5), (6, 8)])
+        classify(code, other)
+        weight_hierarchy(code, other)
+        weight_hierarchy(code, Poset.chain(8))
+    # the antichain scan itself does take the zeta fill
+    with pytest.raises(AssertionError, match="zeta fill"):
+        classify(codes[0], anti)
+
+
 def test_enumerate_report_refuses_over_cap_before_classifying(monkeypatch):
     from posetcode.matroid import RankProfile
 

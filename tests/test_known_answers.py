@@ -1,6 +1,7 @@
 """Known answers from the coding-theory literature, not from this package.
 
-All codes are taken under the antichain (Hamming metric).
+The codes below are taken under the antichain (Hamming metric); the last
+test takes random codes under the chain.
 
 * The binary [7,4] Hamming code, its dual the [7,3] simplex code, and
   the extended [8,4,4] Hamming code.  The weight hierarchies are Wei's
@@ -13,6 +14,12 @@ All codes are taken under the antichain (Hamming metric).
 * Reed-Solomon codes, which are MDS: their distribution is the classical
   MDS formula (MacWilliams-Sloane, ch. 11, Thm. 6), written out below.
 
+* Under the chain 1 < ... < n the ideals are the prefixes {1..j}, so
+  d_r is the r-th smallest last-nonzero position of an echelon basis of
+  the code reduced from the right (the one-chain case of Rosenbloom and
+  Tsfasman, Probl. Inf. Transm. 33(1), 1997).  The test eliminates with
+  the field's scalar operations alone.
+
 Between them the enumerate census meets every word packing of the codeword
 stream: p = 2 with one digit plane (Golay, Hamming), p = 2 with several
 (hexacode, GF(8)), odd p with one (ternary Golay, GF(7)) and with
@@ -22,9 +29,11 @@ several (GF(9)).
 from __future__ import annotations
 
 from math import comb
+from random import Random
 
 from posetcode import (
     LinearCode,
+    Matrix,
     Poset,
     classify,
     distribution,
@@ -161,3 +170,44 @@ def test_reed_solomon_distributions():
         assert sum(want) == q**k
         assert distribution(code, anti, "enumerate") == want
         assert mds_distribution(code, anti) == want
+
+
+def last_nonzero_positions(field, rows):
+    """1-based last-nonzero positions of an echelon basis of the row space,
+    reduced from the right: one distinct position per independent row."""
+    basis = {}
+    for row in rows:
+        v = list(row)
+        while any(v):
+            last = max(i for i, x in enumerate(v) if x)
+            if last not in basis:
+                basis[last] = v
+                break
+            b = basis[last]
+            c = field.mul(v[last], field.inv(b[last]))
+            v = [field.sub(x, field.mul(c, y)) for x, y in zip(v, b)]
+    return sorted(p + 1 for p in basis)
+
+
+def test_chain_hierarchy_from_echelon_positions():
+    rng = Random(71)
+    for trial in range(60):
+        q = (2, 3, 4, 5)[trial % 4]
+        field = gf(q)
+        n = rng.randint(2, 12)
+        k = rng.randint(1, n - 1)
+        while True:
+            rows = [[rng.randrange(q) for _ in range(n)] for _ in range(k)]
+            if Matrix(field, rows).rank() == k:
+                break
+        code = LinearCode.from_generator(field, rows)
+        chain = Poset.chain(n)
+        assert list(weight_hierarchy(code, chain).weights) == last_nonzero_positions(field, rows)
+        # under the reversed chain the ideals are suffixes: reverse the coordinates
+        dual = code.dualize()
+        reversed_rows = [row[::-1] for row in dual.generator.rows]
+        dual_weights = last_nonzero_positions(field, reversed_rows)
+        assert weight_hierarchy(dual, chain.dual()).weights == tuple(dual_weights)
+        partition = duality_partition(code, chain)
+        assert list(partition.dual_weights) == dual_weights
+        assert list(partition.second) == sorted(n + 1 - d for d in dual_weights)

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from posetcode.code import LinearCode
+from posetcode.errors import SelfCheckError
 from posetcode.field import gf
 from posetcode.matrix import Matrix
 from posetcode.poset import Poset
@@ -12,6 +13,7 @@ from posetcode.matroid import (
     RankProfile,
     check_complement_rank_identity,
     check_rank_axioms,
+    zeta_dims,
 )
 
 
@@ -73,10 +75,96 @@ def test_rank_matches_direct_elimination():
         if code.n == 6:
             posets.append(nrt)
         for poset in posets:
-            dims = profile.shortened_dims(poset)
-            assert sorted(dims) == list(poset.ideals())
-            for ideal, dim in dims.items():
+            ideals, dims = profile.shortened_dims(poset)
+            assert list(ideals) == list(poset.ideals())
+            assert len(dims) == len(ideals)
+            for ideal, dim in zip(ideals, dims):
                 assert dim == ideal.bit_count() - code.parity.column_submatrix(ideal).rank()
+
+
+def full_rank_code(rng, q, n, k):
+    while True:
+        rows = [[rng.randrange(q) for _ in range(n)] for _ in range(k)]
+        if Matrix(gf(q), rows).rank() == k:
+            return LinearCode.from_generator(gf(q), rows)
+
+
+def assert_zeta_matches_walk(code):
+    ideals, walked = code.matroid.walked_dims(Poset.antichain(code.n))
+    assert ideals == range(1 << code.n)
+    assert zeta_dims(code) == walked
+
+
+def test_zeta_fill_matches_walk_on_every_ideal():
+    rng = random.Random(37)
+    for trial in range(60):
+        q = (2, 3, 4, 5, 7, 8, 9)[trial % 7]
+        n = rng.randint(1, 8)
+        k = rng.randint(1, n)
+        if q**k > 1 << 16:
+            k = 1
+        assert_zeta_matches_walk(full_rank_code(rng, q, n, k))
+
+
+@pytest.mark.parametrize(
+    ("q", "n", "k"),
+    [
+        (2, 1, 1),  # n = 1
+        (9, 6, 1),  # k = 1
+        (2, 7, 7),  # q^k = 2^n, the largest the zeta fill serves
+        (2, 12, 7),  # 128 < 2^8: one-byte fields
+        (3, 10, 6),  # 729: two-byte fields
+        (4, 10, 8),  # 2^16: four-byte fields
+    ],
+)
+def test_zeta_fill_boundaries_and_field_widths(q, n, k):
+    code = full_rank_code(random.Random(38 + n + k), q, n, k)
+    assert_zeta_matches_walk(code)
+    if k == n:
+        assert zeta_dims(code) == bytes(mask.bit_count() for mask in range(1 << n))
+
+
+def test_shortened_dims_takes_zeta_fill_only_where_it_serves(monkeypatch):
+    import posetcode.matroid as matroid
+
+    calls = []
+
+    def counting(code):
+        calls.append(code)
+        return zeta_dims(code)
+
+    monkeypatch.setattr(matroid, "zeta_dims", counting)
+    rng = random.Random(39)
+    at_bound = full_rank_code(rng, 2, 6, 6)  # q^k = 2^n
+    assert at_bound.matroid.shortened_dims(Poset.antichain(6)) == at_bound.matroid.walked_dims(Poset.antichain(6))
+    assert calls == [at_bound]
+    above = full_rank_code(rng, 3, 6, 5)  # 243 > 2^6
+    above.matroid.shortened_dims(Poset.antichain(6))
+    above.matroid.shortened_dims(Poset.chain(6))
+    assert calls == [at_bound]
+
+
+def test_zeta_fill_rejects_corrupted_counts(monkeypatch):
+    code = full_rank_code(random.Random(40), 3, 5, 2)
+    honest = LinearCode.support_batches
+
+    def moved(self):
+        # the zero word's support reported as the full set: no word inside the empty set
+        batches = [list(batch) for batch in honest(self)]
+        batches[0][0] = (1 << self.n) - 1
+        return iter(batches)
+
+    monkeypatch.setattr(LinearCode, "support_batches", moved)
+    with pytest.raises(SelfCheckError, match="not a power of q"):
+        zeta_dims(code)
+
+    def extra(self):
+        yield from honest(self)
+        yield [0]
+
+    monkeypatch.setattr(LinearCode, "support_batches", extra)
+    with pytest.raises(SelfCheckError, match="not q\\^k"):
+        zeta_dims(code)
 
 
 def test_memoization_survives_query_order():
@@ -99,7 +187,8 @@ def test_fill_respects_table_limit():
     with pytest.raises(ValueError, match="n <= 16"):
         code.matroid.dual_rank(0)
     # the per-poset table has no such cap
-    assert code.matroid.shortened_dims(Poset.chain(17))[(1 << 17) - 1] == 1
+    ideals, dims = code.matroid.shortened_dims(Poset.chain(17))
+    assert ideals[-1] == (1 << 17) - 1 and dims[-1] == 1
 
 
 def test_shortened_dim_three_ways_agree():
