@@ -6,11 +6,12 @@ return subsets use this encoding; element lists in file formats and CLI
 output are 1-based.
 
 Tables over a family of subsets keep one byte per subset in a bytes
-object.  flags_equal and flags_at_least read such a table through one
-bytes.translate into an int whose byte i is 1 where entry i passes and 0
-elsewhere, so ANDing two flag ints intersects two conditions, and the
-lowest or highest set bit names the first or last passing entry, all
-without a Python loop over the entries.
+object, read without a Python loop over the entries: bytes.find and
+rfind name the first or last entry holding a value, and
+bytes.translate maps or deletes values.  flags_equal turns such a table
+into an int whose byte i is 1 where entry i equals a value and 0
+elsewhere, so ANDing flag ints intersects conditions on several tables
+aligned with the same subsets.
 """
 
 from __future__ import annotations
@@ -70,8 +71,3 @@ def subset_sizes(n: int) -> bytes:
 def flags_equal(table: bytes, value: int) -> int:
     """Flag int of the entries of a byte table equal to value (0..255)."""
     return int.from_bytes(table.translate(bytes(value) + b"\1" + bytes(255 - value)), "little")
-
-
-def flags_at_least(table: bytes, value: int) -> int:
-    """Flag int of the entries of a byte table that are at least value (0..256)."""
-    return int.from_bytes(table.translate(bytes(value) + b"\1" * (256 - value)), "little")

@@ -66,7 +66,7 @@ from math import comb
 
 from .bitset import mask_from_positions, to_elements
 from .code import MAX_ENUMERATION, LinearCode
-from .hierarchy import _require_compatible, _scan_minima, ideal_sizes
+from .hierarchy import _key_table, _primal_minima, _profile_ok, _require_compatible
 from .poset import Poset
 
 MDS_LABEL = "MDS"
@@ -153,17 +153,6 @@ class Classification:
         }
 
 
-def _dimension_profile_ok(code: LinearCode, poset: Poset, want) -> bool:
-    """dim C^J == want(|J|) on every ideal J, skipping sizes where want gives None."""
-    ideals, dims = code.matroid.shortened_dims(poset)
-    sizes = ideal_sizes(ideals)
-    wanted = [want(size) for size in range(code.n + 1)]
-    expected = bytes(0 if w is None else w for w in wanted).ljust(256, b"\0")
-    checked = bytes(0 if w is None else 255 for w in wanted).ljust(256, b"\0")
-    wrong = int.from_bytes(dims, "little") ^ int.from_bytes(sizes.translate(expected), "little")
-    return not wrong & int.from_bytes(sizes.translate(checked), "little")
-
-
 def _column_conditions(code: LinearCode) -> bool | None:
     n, k = code.n, code.k
     sizes = [n - k - 1, n - k, n - k + 1]
@@ -188,7 +177,8 @@ def classify(code: LinearCode, poset: Poset) -> Classification:
     """Decide MDS / NMDS / other from d_1 (and d_2 when it exists)."""
     _require_compatible(code, poset)
     n, k, q = code.n, code.k, code.field.q
-    minima = _scan_minima(code, poset)
+    ideals, key = _key_table(code, poset)
+    minima = _primal_minima(ideals, key, n, k)
     d1, w1 = minima[0]
     d2, w2 = minima[1] if k >= 2 else (None, None)
     label = OTHER_LABEL
@@ -199,17 +189,13 @@ def classify(code: LinearCode, poset: Poset) -> Classification:
     dimension_ok = dual_rank_ok = column_ok = None
     if label == MDS_LABEL:
         # dim climbs as max(0, |J| - d + 1): zero up to size d-1, then unit steps
-        dimension_ok = _dimension_profile_ok(code, poset, lambda size: max(0, size - d1 + 1))
+        dimension_ok = _profile_ok(key, n, k, lambda size: max(0, size - d1 + 1))
     elif label == NMDS_LABEL:
         # one silent size at |J| = d where both 0 and 1 occur across ideals
-        dimension_ok = _dimension_profile_ok(
-            code, poset, lambda size: None if size == d1 else max(0, size - d1)
-        )
+        dimension_ok = _profile_ok(key, n, k, lambda size: None if size == d1 else max(0, size - d1))
         # dual_rank(J) = |J| - dim C^J is |J| below size n - k and n - k above it
         boundary = n - k
-        dual_rank_ok = _dimension_profile_ok(
-            code, poset, lambda size: None if size == boundary else size - min(size, boundary)
-        )
+        dual_rank_ok = _profile_ok(key, n, k, lambda size: None if size == boundary else size - min(size, boundary))
         column_ok = _column_conditions(code)
     return Classification(
         label=label,

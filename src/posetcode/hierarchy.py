@@ -8,39 +8,50 @@ poset weight is
 where <.> is ideal closure.  Two independent computations are provided:
 
 bruteforce
-    Enumerates every r-dimensional subspace of the message space through
+    Runs over every r-dimensional subspace of the message space through
     its unique reduced-echelon basis (pivot columns first, then free
-    entries), maps basis rows to codewords, and takes the closure of the
-    union of supports.  Exponential, guarded by caps; exists to validate
-    the fast path and to serve as the definitional oracle.
+    entries) and takes the closure of the union of the supports of its
+    basis codewords.  For a fixed pivot pattern the rows range
+    independently, so the distinct unions are built one row at a time,
+    each kept with the first rows that reach it.  Exponential, guarded by
+    caps; exists to validate the fast path and to serve as the
+    definitional oracle.
 
 ideal-scan
-    Reads the flat table of shortened dimensions dim C^J = |J| - dual_rank(J)
-    over the ideals J of P (RankProfile.shortened_dims: ascending masks and
-    an aligned bytes object, from the zeta fill or the rank walk) and
-    finds, for every r, the smallest ideal, by size and then by mask, whose
-    shortened subcode has dimension at least r.  There is no Python loop
-    over the ideals: bytes.translate turns the dims into a flag int that
-    marks dim >= r and a table of ideal sizes into one that marks |J| = s
-    (bitset.flags_at_least, flags_equal), and the lowest set byte of
-    their AND is the smallest such ideal of size s.  Restricting the scan
-    to ideals is exact: replacing any subset by its ideal closure keeps
-    the objective value while the shortened dimension can only grow.  The
-    same scan with the requirement pinned to exactly r
-    (require_exact=True) returns the same minimum, which is checked by
-    the test suite.
+    Reads one byte per ideal I of P that names the pair
+    (dim C^I, rank_H I), where dim C^I = |I| - rank_H(I) is the shortened
+    dimension and H a parity-check matrix:
+
+        key(I) = (n - k + 1) dim C^I + rank_H(I) = (n - k) dim C^I + |I|.
+
+    It is built from the flat table of shortened dimensions
+    (RankProfile.shortened_dims: ascending ideal masks and an aligned
+    bytes object, from the zeta fill or the rank walk) by one translate,
+    one int add and one to_bytes, and read with bytes.find, rfind and
+    translate, with no Python loop over the ideals.  d_r = r + t for the
+    smallest t such that the byte of the pair (r, t) occurs, and
+    key.find gives the first ideal, by mask, that holds it.  The scan
+    asks for dim C^I = r exactly and still gives the definitional
+    minimum over dim C^I >= r: at size d_r no ideal has dim C^I > r,
+    or d_{r+1} <= d_r.  The profile checks of classify delete the
+    allowed pairs with translate and must be left with nothing.
+    Restricting the minimum to ideals is exact: replacing any subset by
+    its ideal closure keeps the objective value while the shortened
+    dimension can only grow.
 
 The full hierarchy must be strictly increasing and confined to the
 Singleton-type window r <= d_r <= n - k + r; weight_hierarchy raises
 SelfCheckError otherwise.  duality_partition pairs the hierarchy of C
 under P with the hierarchy of the dual code under the opposite poset:
-the sets {d_r} and {n + 1 - d'_s} must partition {1..n}.  Both come from
-the same table (Wei duality through the matroid relation
-dim C^I = |I| - rank_H(I) = k - rank_G(P - I)), so the dual code is never
-built: the dual dimensions n - k - rank_H(I) are one bytes table, and
-the dual scan reads the highest set byte, the largest ideal I of the
-largest size, whose complement is the smallest ideal of the opposite
-poset.  The test suite and the acceptance gate compare d'_s with the
+the sets {d_r} and {n + 1 - d'_s} must partition {1..n}.  Both are read
+from the same key table, which is Wei duality as the matroid relation
+dim C^I = |I| - rank_H(I) = k - rank_G(P - I): the ideals of the
+opposite poset are the complements P - I, and the dual code shortened
+on P - I has dimension n - k - rank_H(I).  So d'_s = k + s - g for the
+largest g such that the byte of the pair (g, n - k - s) occurs, and
+key.rfind gives the largest ideal I holding it, whose complement is
+the smallest ideal of the opposite poset.  The dual code is never
+built; the test suite and the acceptance gate compare d'_s with the
 hierarchy of the dualized code under the dual poset.
 """
 
@@ -50,7 +61,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .bitset import flags_at_least, flags_equal, subset_sizes, to_elements
+from .bitset import subset_sizes, to_elements
 from .code import LinearCode
 from .errors import SelfCheckError
 from .poset import Poset
@@ -74,35 +85,34 @@ def gaussian_binomial(k: int, r: int, q: int) -> int:
     return num // den
 
 
+def _echelon_rows(k: int, pivots: tuple[int, ...], q: int) -> list[list[tuple[int, ...]]]:
+    """Per pivot p, the rows with lead p of a reduced-echelon matrix: 1 at
+    p, 0 at the other pivots, and the free entries right of p running
+    through all q values in odometer order."""
+    out = []
+    for p in pivots:
+        free = [c for c in range(p + 1, k) if c not in pivots]
+        rows = []
+        for fill in product(range(q), repeat=len(free)):
+            row = [0] * k
+            row[p] = 1
+            for c, v in zip(free, fill):
+                row[c] = v
+            rows.append(tuple(row))
+        out.append(rows)
+    return out
+
+
 def reduced_echelon_rows(k: int, r: int, q: int):
     """Yield each r x k reduced-echelon matrix over GF(q) once, as row tuples.
 
     Pivot column combinations are emitted in lexicographic order; for each,
-    the free entries (right of the row's pivot, outside pivot columns) run
-    through all q values in odometer order.  Every r-dimensional subspace
-    of GF(q)^k has exactly one such matrix as its canonical basis.
+    the rows run through _echelon_rows in odometer order, the last row
+    fastest.  Every r-dimensional subspace of GF(q)^k has exactly one such
+    matrix as its canonical basis.
     """
     for pivots in combinations(range(k), r):
-        pivot_set = set(pivots)
-        free = [
-            (i, c)
-            for i in range(r)
-            for c in range(pivots[i] + 1, k)
-            if c not in pivot_set
-        ]
-        base = []
-        for i in range(r):
-            row = [0] * k
-            row[pivots[i]] = 1
-            base.append(row)
-        if not free:
-            yield tuple(tuple(row) for row in base)
-            continue
-        for fill in product(range(q), repeat=len(free)):
-            rows = [row[:] for row in base]
-            for (i, c), v in zip(free, fill):
-                rows[i][c] = v
-            yield tuple(tuple(row) for row in rows)
+        yield from product(*_echelon_rows(k, pivots, q))
 
 
 def _message_supports(code: LinearCode) -> list[int]:
@@ -135,10 +145,14 @@ def min_weight_bruteforce(
     """Definitional minimum over all r-dimensional subcodes.
 
     Returns the weight and a witness basis (codewords of the first
-    minimizing subspace in enumeration order).  Caps: q**k <= 2**16
-    messages and at most 2**20 subspaces.  weight_hierarchy checks the
-    inputs and the caps for every r once and passes the message supports
-    as _supports; the checks here run only without them.
+    minimizing subspace in the order of reduced_echelon_rows).  Caps:
+    q**k <= 2**16 messages and at most 2**20 subspaces.  weight_hierarchy
+    checks the inputs and the caps for every r once and passes the
+    message supports as _supports; the checks here run only without them.
+
+    Per pivot pattern the support unions grow one echelon row at a time,
+    each kept with the first rows reaching it (dict insertion order);
+    these are first in enumeration order, and so is the witness.
     """
     if _supports is None:
         _require_compatible(code, poset)
@@ -146,29 +160,26 @@ def min_weight_bruteforce(
             raise ValueError(f"subcode dimension {r} outside 1..{code.k}")
         _require_bruteforce_caps(code, (r,))
         _supports = _message_supports(code)
-    q = code.field.q
-    closure_size: dict[int, int] = {}
-    powers = [q**i for i in range(code.k)]
+    q, k = code.field.q, code.k
     best_weight = poset.n + 1
     best_rows: tuple[tuple[int, ...], ...] | None = None
-    for rows in reduced_echelon_rows(code.k, r, q):
-        union = 0
-        for row in rows:
-            enc = 0
-            for c, v in zip(row, powers):
-                if c:
-                    enc += c * v
-            union |= _supports[enc]
-        size = closure_size.get(union)
-        if size is None:
-            size = poset.ideal_closure(union).bit_count()
-            closure_size[union] = size
-        if size < best_weight:
-            best_weight = size
-            best_rows = rows
+    for pivots in combinations(range(k), r):
+        unions: dict[int, tuple[tuple[int, ...], ...]] = {0: ()}
+        for rows_at_p in _echelon_rows(k, pivots, q):
+            choices = [(row, _supports[sum(v * q**c for c, v in enumerate(row))]) for row in rows_at_p]
+            grown: dict[int, tuple[tuple[int, ...], ...]] = {}
+            for union, rows in unions.items():
+                for row, support in choices:
+                    joined = union | support
+                    if joined not in grown:
+                        grown[joined] = rows + (row,)
+            unions = grown
+        for closure, rows in zip(poset._ideal_closures(unions), unions.values()):
+            size = closure.bit_count()
+            if size < best_weight:
+                best_weight, best_rows = size, rows
     assert best_rows is not None
-    witness = tuple(code.codeword(row) for row in best_rows)
-    return best_weight, witness
+    return best_weight, tuple(code.codeword(row) for row in best_rows)
 
 
 def ideal_sizes(ideals: Sequence[int]) -> bytes:
@@ -179,65 +190,86 @@ def ideal_sizes(ideals: Sequence[int]) -> bytes:
     return bytes(map(int.bit_count, ideals))
 
 
-def _table_minima(
-    ideals: Sequence[int], dims: bytes, n: int, count: int, downward: bool = False, require_exact: bool = False
-) -> list[tuple[int, int]]:
-    """For r = 1..count the first (|I|, I) over the aligned ideals and dims
-    tables, by ascending size then mask (both descending when downward),
-    whose dim is at least r (exactly r with require_exact).
+def _key_table(code: LinearCode, poset: Poset) -> tuple[Sequence[int], bytes]:
+    """(ideals, key): the ideals of the poset in ascending mask order and
+    key(I) = (n - k + 1) dim C^I + rank_H(I) of each (module docstring),
+    for a code and poset of the same length.  SelfCheckError where a
+    dim byte names no pair: dim C^I > k, or rank_H(I) outside 0..n-k."""
+    n, k = code.n, code.k
+    ideals, dims = code.matroid.shortened_dims(poset)
+    # No borrow and no carry: the key is (n - k) dim + |I| with dims above k
+    # scaled to 0, so no byte of the sum exceeds (n - k) k + n <= 168 for
+    # n <= 24, and the add never spills from one ideal into the next.
+    scale = bytes((n - k) * d for d in range(k + 1)).ljust(256, b"\0")
+    key = (
+        int.from_bytes(dims.translate(scale), "little") + int.from_bytes(ideal_sizes(ideals), "little")
+    ).to_bytes(len(dims), "little")
+    # a byte decodes back to its dim exactly when it names a pair
+    decoded = key.translate(bytes(b // (n - k + 1) for b in range(256)))
+    if decoded != dims:
+        i = next(i for i, (got, dim) in enumerate(zip(decoded, dims)) if got != dim)
+        raise SelfCheckError(
+            f"shortened dimension {dims[i]} at ideal {ideals[i]:#x} is not a pair with "
+            f"dim <= k = {k} and 0 <= |I| - dim <= n - k = {n - k}"
+        )
+    return ideals, key
 
-    One flag int of dims per r, ANDed with one flag int of the sizes per
-    size tried; the lowest set byte of a nonzero intersection is its
-    smallest mask, the highest its largest.  The ideals reaching r + 1
-    lie among those reaching r (not under require_exact), so the size
-    search resumes where r stopped.
-    """
-    sizes = ideal_sizes(ideals)
-    order = range(n, -1, -1) if downward else range(n + 1)
-    flags = flags_equal if require_exact else flags_at_least
+
+def _primal_minima(ideals: Sequence[int], key: bytes, n: int, k: int) -> list[tuple[int, int]]:
+    """(d_r, witness ideal) for r = 1..k: the first ideal, by mask, holding
+    the pair (r, t) for the smallest t."""
+    step = n - k + 1
     out = []
-    start, at_pos, at = 0, None, 0
-    for r in range(1, count + 1):
-        reach = flags(dims, r)
-        for pos in range(0 if require_exact else start, n + 1):
-            if pos != at_pos:
-                at_pos, at = pos, flags_equal(sizes, order[pos])
-            hit = reach & at
-            if hit:
+    for r in range(1, k + 1):
+        for t in range(step):
+            i = key.find(step * r + t)
+            if i >= 0:
+                out.append((r + t, ideals[i]))
                 break
         else:
-            raise SelfCheckError(f"no ideal reaches shortened dimension {r} although k={count}")
-        start = pos
-        index = (hit.bit_length() if downward else (hit & -hit).bit_length()) - 1 >> 3
-        out.append((order[pos], ideals[index]))
+            raise SelfCheckError(f"no ideal has shortened dimension {r} although k={k}")
     return out
 
 
-def _scan_minima(code: LinearCode, poset: Poset, require_exact: bool = False) -> list[tuple[int, int]]:
-    """(d_r, witness ideal) for r = 1..k: the smallest ideal, ties by mask,
-    whose shortened subcode has dimension at least r (exactly r with
-    require_exact); the caller has checked that code and poset have the
-    same length."""
-    ideals, dims = code.matroid.shortened_dims(poset)
-    return _table_minima(ideals, dims, code.n, code.k, require_exact=require_exact)
+def _dual_minima(ideals: Sequence[int], key: bytes, n: int, k: int) -> list[tuple[int, int]]:
+    """(d'_s, witness ideal of the opposite poset) for s = 1..n-k: the
+    complement of the last ideal, by mask, holding the pair
+    (g, n - k - s) for the largest g."""
+    step, full = n - k + 1, (1 << n) - 1
+    out = []
+    for s in range(1, n - k + 1):
+        for g in range(k, -1, -1):
+            i = key.rfind(step * g + n - k - s)
+            if i >= 0:
+                out.append((k + s - g, full ^ ideals[i]))
+                break
+        else:
+            raise SelfCheckError(f"no ideal has dual shortened dimension {s} although n-k={n - k}")
+    return out
 
 
-def min_weight_ideal_scan(
-    code: LinearCode,
-    poset: Poset,
-    r: int,
-    require_exact: bool = False,
-) -> tuple[int, int]:
+def _profile_ok(key: bytes, n: int, k: int, want) -> bool:
+    """dim C^J == want(|J|) on every ideal J, skipping sizes where want gives
+    None: the key table holds no byte outside the allowed pairs."""
+    allowed = bytes(
+        (n - k + 1) * dim + size - dim
+        for size in range(n + 1)
+        for dim in range(max(0, size - n + k), min(k, size) + 1)
+        if want(size) in (None, dim)
+    )
+    return not key.translate(None, allowed)
+
+
+def min_weight_ideal_scan(code: LinearCode, poset: Poset, r: int) -> tuple[int, int]:
     """Smallest ideal carrying an r-dimensional shortened subcode.
 
     Returns (weight, witness ideal mask): the numerically smallest ideal
-    of minimum size.  With require_exact the shortened dimension must
-    equal r instead of reaching it; both variants attain the same minimum.
+    of minimum size, read off the key table of the module docstring.
     """
     _require_compatible(code, poset)
     if not 1 <= r <= code.k:
         raise ValueError(f"subcode dimension {r} outside 1..{code.k}")
-    return _scan_minima(code, poset, require_exact)[r - 1]
+    return _primal_minima(*_key_table(code, poset), code.n, code.k)[r - 1]
 
 
 @dataclass(frozen=True)
@@ -276,7 +308,7 @@ def weight_hierarchy(
     """All k minimum weights, verified against the structural invariants."""
     _require_compatible(code, poset)
     if method == METHOD_IDEAL_SCAN:
-        minima = _scan_minima(code, poset)
+        minima = _primal_minima(*_key_table(code, poset), code.n, code.k)
         weights = [w for w, _ in minima]
         witnesses = [to_elements(mask) for _, mask in minima]
     elif method == METHOD_BRUTEFORCE:
@@ -322,35 +354,22 @@ class DualityPartition:
 
 
 def duality_partition(code: LinearCode, poset: Poset) -> DualityPartition:
-    """Both hierarchies from one table of shortened dimensions, with the
-    partition statement verified.
-
-    The ideals of the opposite poset are the complements P - I of the
-    ideals I of P, and the dual code shortened on P - I has dimension
-    (n - |I|) - rank_G(P - I) = n - |I| - k + dim C^I.
-    """
+    """Both hierarchies from one key table, with the partition statement
+    verified; see the module docstring."""
     if code.k == code.n:
         raise ValueError("duality needs a proper subspace: 1 <= k <= n - 1")
-    primal = weight_hierarchy(code, poset)
+    _require_compatible(code, poset)
     n, k = code.n, code.k
-    ideals, dims = code.matroid.shortened_dims(poset)
-    # n - |I| - k + dim C^I = n - k - rank_H(I), byte by byte with no borrow,
-    # since rank_H(I) = |I| - dim C^I lies in 0..n-k
-    size = len(dims)
-    dual_dims = (
-        int.from_bytes(bytes([n - k]) * size, "little")
-        - int.from_bytes(ideal_sizes(ideals), "little")
-        + int.from_bytes(dims, "little")
-    ).to_bytes(size, "little")
-    # the smallest key (n - |I|, P - I) is the largest I
-    dual_minima = _table_minima(ideals, dual_dims, n, n - k, downward=True)
-    dual_weights = tuple(n - size for size, _ in dual_minima)
+    ideals, key = _key_table(code, poset)
+    weights = tuple(d for d, _ in _primal_minima(ideals, key, n, k))
+    _check_window(weights, n, k)
+    dual_weights = tuple(d for d, _ in _dual_minima(ideals, key, n, k))
     _check_window(dual_weights, n, n - k)
-    first = tuple(sorted(primal.weights))
+    first = tuple(sorted(weights))
     second = tuple(sorted(n + 1 - d for d in dual_weights))
     if sorted(first + second) != list(range(1, n + 1)):
         raise SelfCheckError(f"duality partition fails: first={first}, second={second}, n={n}")
-    return DualityPartition(n, k, primal.weights, dual_weights, first, second)
+    return DualityPartition(n, k, weights, dual_weights, first, second)
 
 
 def _check_window(weights, n: int, k: int) -> None:

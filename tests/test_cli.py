@@ -311,6 +311,42 @@ def test_self_check_failure_prints_reproducer(capsys, monkeypatch, command):
     assert parse_poset("\n".join(lines[split:])) == load_poset(poset_path)
 
 
+@pytest.mark.parametrize(
+    "index, value",
+    [(-1, 5), (-1, 0), (0, 1)],
+    ids=["dim-above-k", "rank-above-n-k", "rank-negative"],
+)
+def test_key_table_refuses_a_poisoned_dims_byte(capsys, monkeypatch, index, value):
+    from posetcode.code import load_code
+    from posetcode.distribution import classify
+    from posetcode.errors import SelfCheckError
+    from posetcode.hierarchy import duality_partition, weight_hierarchy
+    from posetcode.matroid import RankProfile
+    from posetcode.poset import load_poset
+
+    real = RankProfile.shortened_dims
+
+    def poisoned(self, poset):
+        # hamming7 is [7,4]: dim 5 > k at the full ideal, dim 0 there leaves rank_H = 7 > n - k,
+        # and dim 1 on the empty ideal makes rank_H = -1
+        ideals, dims = real(self, poset)
+        dims = bytearray(dims)
+        dims[index] = value
+        return ideals, bytes(dims)
+
+    monkeypatch.setattr(RankProfile, "shortened_dims", poisoned)
+    data = Path(__file__).resolve().parent / "data"
+    code_path, poset_path = str(data / "hamming7.code"), str(data / "nrt7.poset")
+    code, poset = load_code(code_path), load_poset(poset_path)
+    for entry in (weight_hierarchy, duality_partition, classify):
+        with pytest.raises(SelfCheckError, match="is not a pair"):
+            entry(code, poset)
+    status, out, err = run_cli(capsys, "duality", "--code", code_path, "--poset", poset_path)
+    assert status == 2 and out == ""
+    assert err.startswith("self-check failed: shortened dimension")
+    assert "reproducer:\n" in err and format_code(code) in err
+
+
 def test_console_entry_point(pair_file):
     # the module also runs as a script; exercises sys.exit plumbing
     proc = subprocess.run(

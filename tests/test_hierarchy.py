@@ -12,6 +12,8 @@ from posetcode.hierarchy import (
     METHOD_BRUTEFORCE,
     METHOD_IDEAL_SCAN,
     WeightHierarchy,
+    _dual_minima,
+    _key_table,
     duality_partition,
     gaussian_binomial,
     min_weight_bruteforce,
@@ -117,9 +119,10 @@ def test_scan_agrees_with_bruteforce_on_random_instances():
             fast = weight_hierarchy(code, poset, METHOD_IDEAL_SCAN)
             slow = weight_hierarchy(code, poset, METHOD_BRUTEFORCE)
             assert fast.weights == slow.weights
-            # exact-slack variant returns the same minima
+            # the definitional minimum over the table (dim >= r) returns the same minima
+            ideals, dims = code.matroid.shortened_dims(poset)
             for r in range(1, code.k + 1):
-                w_exact, mask = min_weight_ideal_scan(code, poset, r, require_exact=True)
+                w_exact, mask = min((i.bit_count(), i) for i, dim in zip(ideals, dims) if dim >= r)
                 assert w_exact == fast.weights[r - 1]
                 assert poset.is_ideal(mask)
 
@@ -138,6 +141,33 @@ def test_scan_witness_is_minimal_ideal():
             for other in poset.ideals():
                 if (other.bit_count(), other) < (mask.bit_count(), mask):
                     assert other.bit_count() - profile.dual_rank(other) < r
+
+
+def _per_subspace_bruteforce(code, poset, r):
+    """One closure per subspace of reduced_echelon_rows, first minimum kept."""
+    q = code.field.q
+    supports = [support_mask(code.codeword(m)) for m in product(range(q), repeat=code.k)]
+    best_weight, best_rows = poset.n + 1, None
+    for rows in reduced_echelon_rows(code.k, r, q):
+        union = 0
+        for row in rows:
+            # product() runs the last message coordinate fastest
+            union |= supports[sum(v * q ** (code.k - 1 - c) for c, v in enumerate(row))]
+        size = poset.ideal_closure(union).bit_count()
+        if size < best_weight:
+            best_weight, best_rows = size, rows
+    return best_weight, tuple(code.codeword(row) for row in best_rows)
+
+
+def test_bruteforce_matches_per_subspace_loop():
+    rng = random.Random(46)
+    cases = 0
+    while cases < 500:
+        code = random_code(rng, n_max=7, k_max=4)
+        poset = rng.choice((random_poset(rng, code.n), Poset.antichain(code.n), Poset.chain(code.n)))
+        for r in range(1, code.k + 1):
+            assert min_weight_bruteforce(code, poset, r) == _per_subspace_bruteforce(code, poset, r)
+            cases += 1
 
 
 def test_bruteforce_witness_is_valid_basis():
@@ -203,6 +233,24 @@ def test_duality_on_random_instances():
         assert len(d.first) == code.k
         assert len(d.second) == code.n - code.k
         assert sorted(d.first + d.second) == list(range(1, code.n + 1))
+
+
+def test_dual_scan_witness_is_smallest_ideal_of_opposite_poset():
+    rng = random.Random(47)
+    for _ in range(15):
+        code = random_code(rng)
+        if code.k == code.n:
+            continue
+        poset = random_poset(rng, code.n)
+        dual_code, opposite = code.dualize(), poset.dual()
+        ideals, key = _key_table(code, poset)
+        for s, (w, mask) in enumerate(_dual_minima(ideals, key, code.n, code.k), start=1):
+            assert opposite.is_ideal(mask) and mask.bit_count() == w
+            assert dual_code.shorten(mask)[0] == s
+            # nothing of the opposite poset that is smaller, or as small with a smaller mask, qualifies
+            for other in opposite.ideals():
+                if (other.bit_count(), other) < (w, mask):
+                    assert dual_code.shorten(other)[0] < s
 
 
 def test_duality_rejects_full_space():
