@@ -8,15 +8,14 @@ output are 1-based.
 Tables over a family of subsets keep one byte per subset in a bytes
 object, read without a Python loop over the entries: bytes.find and
 rfind name the first or last entry holding a value, and
-bytes.translate maps or deletes values.  flags_equal turns such a table
-into an int whose byte i is 1 where entry i equals a value and 0
-elsewhere, so ANDing flag ints intersects conditions on several tables
-aligned with the same subsets.
+bytes.translate maps or deletes values.  to_fields widens such a table
+into little-endian fields of several bytes, one translate per byte
+plane, for packed int arithmetic on all entries at once.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 
 MAX_GROUND = 24
 
@@ -68,6 +67,10 @@ def subset_sizes(n: int) -> bytes:
     return sizes
 
 
-def flags_equal(table: bytes, value: int) -> int:
-    """Flag int of the entries of a byte table equal to value (0..255)."""
-    return int.from_bytes(table.translate(bytes(value) + b"\1" + bytes(255 - value)), "little")
+def to_fields(table: bytes, values: Sequence[int], width: int) -> bytearray:
+    """values[table[i]] as the width-byte little-endian field i; entries
+    with no value give 0."""
+    out = bytearray(len(table) * width)
+    for j in range(width):
+        out[j::width] = table.translate(bytes(v >> 8 * j & 255 for v in values).ljust(256, b"\0"))
+    return out

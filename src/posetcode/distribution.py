@@ -14,22 +14,24 @@ enumerate
 
 moebius
     The words of C supported inside an ideal I form the shortened subcode
-    C^I, whose dimension the rank walk tabulates (RankProfile.walked_dims).
-    So
-
-        sum over ideals J <= I of |C & S_J| = q^(dim C^I),
-
-    and the census is the Moebius inversion of q^(dim C^I) over the ideal
-    lattice J(P).  The fast transform of Bjorklund, Husfeldt, Kaski,
+    C^I, so the sum over ideals J <= I of |C & S_J| is q^(dim C^I), and
+    the census is the Moebius inversion of q^(dim C^I) over the ideal
+    lattice J(P): the fast transform of Bjorklund, Husfeldt, Kaski,
     Koivisto, Nederlof and Parviainen ("Fast zeta transforms for lattices
-    with few irreducibles", SODA 2012) does it in n * |J(P)|
-    subtractions: for e along the reverse of a linear extension, subtract
-    the entry of I - {e} from the entry of I wherever I - {e} is an ideal.
-    The census reads the walk even where the hierarchy reads the zeta
-    fill (the antichain with q^k <= 2**n): that fill is the zeta
-    transform of the enumerate counts, so inverting it would hand those
+    with few irreducibles", SODA 2012).  Its table is
+    RankProfile.census_dims: the zeta fill of C-perp's stream under the
+    antichain where it serves, else the rank walk, never C's own stream.
+    Inverting a zeta transform of C's enumerate counts would hand those
     counts back, and the census would stop being an oracle for
-    enumeration.
+    enumeration.  Under the antichain, the q^(dim C^I) sit in fields of
+    one int T, written by one translate per byte plane, each with a guard
+    bit G above q^k, and n packed steps T -= (T & low_e) << (w << e)
+    subtract every field without coordinate e from the one with it.  A
+    count that would go negative borrows the guard bit of its own field
+    and never the next field; a cleared guard, or a dim above k, raises
+    SelfCheckError.  Other posets take n * |J(P)| subtractions in a dict:
+    for e along the reverse of a linear extension, subtract the entry of
+    I - {e} from the entry of I wherever I - {e} is an ideal.
 
 The weight distribution (A_0, ..., A_n) with A_r = |{u in C : wt_P(u) = r}|
 sums the census over the ideals of each size.
@@ -64,9 +66,11 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .bitset import mask_from_positions, to_elements
+from .bitset import mask_from_positions, to_elements, to_fields
 from .code import MAX_ENUMERATION, LinearCode
+from .errors import SelfCheckError
 from .hierarchy import _key_table, _primal_minima, _profile_ok, _require_compatible
+from .matroid import _low_masks
 from .poset import Poset
 
 MDS_LABEL = "MDS"
@@ -86,10 +90,11 @@ def support_census(code: LinearCode, poset: Poset, method: str = "moebius") -> d
         return dict(counts)
     if method != "moebius":
         raise ValueError(f"unknown method {method!r}")
-    q = code.field.q
-    # the walk's table, never the zeta fill, which is itself built from the enumerate counts
-    ideals, dims = code.matroid.walked_dims(poset)
-    census = dict(zip(ideals, map([q**d for d in range(code.k + 1)].__getitem__, dims)))
+    n, k, q = code.n, code.k, code.field.q
+    ideals, dims = code.matroid.census_dims(poset)
+    if len(dims) == 1 << n:
+        return _packed_moebius(dims, n, k, q)
+    census = dict(zip(ideals, map([q**d for d in range(k + 1)].__getitem__, dims)))
     # undo the zeta transform one element at a time, last element first
     for e in reversed(poset.linear_extension()):
         bit = 1 << e
@@ -97,6 +102,30 @@ def support_census(code: LinearCode, poset: Poset, method: str = "moebius") -> d
             if ideal & bit and ideal ^ bit in census:
                 census[ideal] -= census[ideal ^ bit]
     return {ideal: count for ideal, count in census.items() if count}
+
+
+def _packed_moebius(dims: bytes, n: int, k: int, q: int) -> dict[int, int]:
+    """The census from a table over all 2**n masks, by packed int steps
+    with a guard bit per field; see the module docstring."""
+    size, wb = len(dims), (q**k).bit_length() // 8 + 1
+    w, guard = 8 * wb, 1 << 8 * wb - 1
+    if (bad := dims.translate(bytes(k + 1).ljust(256, b"\1")).find(1)) >= 0:
+        raise SelfCheckError(f"Moebius census: shortened dimension {dims[bad]} > k = {k} at subset {bad:#x}")
+    guards = int.from_bytes(guard.to_bytes(wb, "little") * size, "little")
+    table = int.from_bytes(to_fields(dims, [q**d | guard for d in range(k + 1)], wb), "little")
+    for e, low in _low_masks(n, w, guard - 1):
+        table -= (table & low) << (w << e)
+        if table & guards != guards:
+            lost = guards & ~table
+            raise SelfCheckError(f"Moebius census: negative count at subset {((lost & -lost).bit_length() - 1) // w:#x}")
+    # a field is nonzero exactly when subtracting 1 from it keeps its guard bit
+    nonzero = ((table - (guards >> w - 1)) & guards).to_bytes(size * wb, "little")[wb - 1 :: wb]
+    data = table.to_bytes(size * wb, "little")
+    census, subset = {}, nonzero.find(0x80)
+    while subset >= 0:
+        census[subset] = int.from_bytes(data[subset * wb : (subset + 1) * wb], "little") - guard
+        subset = nonzero.find(0x80, subset + 1)
+    return census
 
 
 def distribution(code: LinearCode, poset: Poset, method: str = "enumerate") -> tuple[int, ...]:

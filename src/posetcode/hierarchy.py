@@ -26,7 +26,7 @@ ideal-scan
 
     It is built from the flat table of shortened dimensions
     (RankProfile.shortened_dims: ascending ideal masks and an aligned
-    bytes object, from the zeta fill or the rank walk) by one translate,
+    bytes object, from a zeta fill or the rank walk) by one translate,
     one int add and one to_bytes, and read with bytes.find, rfind and
     translate, with no Python loop over the ideals.  d_r = r + t for the
     smallest t such that the byte of the pair (r, t) occurs, and

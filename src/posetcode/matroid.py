@@ -19,22 +19,26 @@ costs one reduction of the column it adds.  RankProfile keeps:
              support_batches stream into byte-aligned little-endian
              fields of one int T and runs one packed subset-sum per
              coordinate, T += (T & low_e) << (w << e), where low_e
-             selects the w-bit fields whose index lacks bit e.  No
-             elimination at all.  It serves when
-             q^k <= min(2**n, MAX_ENUMERATION), so the stream is never
-             longer than the table;
+             (_low_masks) selects the w-bit fields whose index lacks
+             bit e.  No elimination at all.  C-perp's stream, from the
+             parity-check rows, serves as well as C's: reversing its
+             table complements the index, and
+             dim C^A = |A| - (n - k) + dim C-perp^(complement A).  The
+             shorter stream serves, C's own on a tie, when it is no
+             longer than the table and within MAX_ENUMERATION;
       walk   every other case: ideal_ranks on the parity-check columns.
 
-    walked_dims is the walk alone.  The Moebius census reads it and
-    never the zeta fill: Moebius inversion of a zeta transform of the
-    enumerate counts would just give those counts back, and the census
-    would stop being an oracle independent of enumeration;
+    walked_dims is the walk alone.  census_dims, the table the Moebius
+    census reads, is C-perp's fill or the walk, never C's own stream:
+    Moebius inversion of a zeta transform of the enumerate counts would
+    just give those counts back, and the census would stop being an
+    oracle independent of enumeration;
   * for n <= TABLE_LIMIT, flat lists indexed by subset mask: rank(A) on
     the columns of G and dual_rank(A) on those of H (the dual matroid),
     filled from the antichain's tables (rank by the walk on G, dual_rank
-    from the antichain's shortened dimensions, so by the zeta fill when it
+    from the antichain's shortened dimensions, so by a zeta fill when one
     serves).  They serve the checks below, and the complement identity
-    then holds the zeta fill against the walk on G.
+    then holds either zeta fill against the walk on G.
 
 Both rank functions satisfy the matroid rank axioms
 
@@ -73,8 +77,8 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
-from .bitset import flags_equal
-from .code import MAX_ENUMERATION
+from .bitset import subset_sizes, to_fields
+from .code import MAX_ENUMERATION, LinearCode
 from .errors import SelfCheckError
 from .field import GF
 from .matrix import Matrix
@@ -113,18 +117,23 @@ def _is_antichain(poset: Poset) -> bool:
     return all(below == 1 << e for e, below in enumerate(poset.below))
 
 
-def zeta_dims(code) -> bytes:
-    """dim C^I for every subset I of the coordinates, indexed by mask, from
-    the codeword supports alone; see the module docstring.
+def _low_masks(n: int, width: int, value: int) -> Iterator[tuple[int, int]]:
+    """(e, low_e) for e = n-1 down to 0: value in each of 2**n width-bit
+    fields whose index lacks bit e; low_{e-1} = low_e ^ low_e << 2**(e-1) fields."""
+    low = int.from_bytes(value.to_bytes(width // 8, "little") * (1 << n >> 1), "little")
+    for e in reversed(range(n)):
+        yield e, low
+        if e:
+            low ^= low << (width << (e - 1))
 
-    Counters are fields of 1, 2 or 4 bytes, the narrowest that holds q^k,
-    and no partial sum exceeds q^k, so no field ever carries into the next.
-    A stream that is not q^k words long, or a sum that is not a power of
-    q, raises SelfCheckError.
-    """
-    n, q, total = code.n, code.field.q, code.codeword_count
-    size = 1 << n
-    wb = 1 if total < 1 << 8 else 2 if total < 1 << 16 else 4
+
+def zeta_dims(code) -> bytes:
+    """dim C^I for every subset I, indexed by mask, from the codeword
+    supports alone (module docstring).  Fields are the fewest whole bytes
+    that hold q^k, which no partial sum exceeds, so none carries.  A stream
+    not q^k words long, or a sum not a power of q, raises SelfCheckError."""
+    n, k, total = code.n, code.k, code.codeword_count
+    size, wb = 1 << n, (total.bit_length() + 7) // 8
     tally: Counter[int] = Counter()
     for batch in code.support_batches():
         tally.update(batch)
@@ -137,28 +146,28 @@ def zeta_dims(code) -> bytes:
     # each buffer below is 2**n fields long: drop it once read, to bound the peak at n = 24
     del counts, tally
     w = 8 * wb
-    for e in range(n):
-        low = int.from_bytes((b"\xff" * (wb << e) + bytes(wb << e)) * (size >> (e + 1)), "little")
+    for e, low in _low_masks(n, w, (1 << w) - 1):
         table += (table & low) << (w << e)
-    del low
-    # log_q field by field: byte plane j holds byte j of every field
     data = table.to_bytes(size * wb, "little")
-    del table
-    planes = [data[j::wb] for j in range(wb)]
-    del data
-    dims = seen = 0
-    for d in range(code.k + 1):
-        power = q**d
-        hit = -1
-        for j, plane in enumerate(planes):
-            hit &= flags_equal(plane, power >> 8 * j & 255)
-        seen |= hit
-        dims |= hit * d
-    missed = seen ^ int.from_bytes(b"\1" * size, "little")
-    if missed:
-        subset = ((missed & -missed).bit_length() - 1) >> 3
+    del table, low
+    # log_q: the top nonzero byte of q^d, with its plane, names d.  One
+    # translate per byte plane, from the top; a lower plane's names fill
+    # in only where no higher plane named one (name d + 1, 0 for none).
+    powers = [0] + [code.field.q**d for d in range(k + 1)]
+    for j in reversed(range(wb)):
+        tops = {power >> 8 * j: name for name, power in enumerate(powers) if 0 < power >> 8 * j < 256}
+        named = data[j::wb].translate(bytes(tops.get(b, 0) for b in range(256)))
+        if j < wb - 1:
+            named = int.from_bytes(named, "little") & int.from_bytes(names.translate(b"\xff" + bytes(255)), "little")
+            named = (named | int.from_bytes(names, "little")).to_bytes(size, "little")
+        names = named
+    # and every field must be exactly the power it names
+    subset = names.find(0)
+    if subset < 0 and (rebuilt := to_fields(names, powers, wb)) != data:
+        subset = next(i for i in range(size) if rebuilt[i * wb : (i + 1) * wb] != data[i * wb : (i + 1) * wb])
+    if subset >= 0:
         raise SelfCheckError(f"zeta fill: the codewords inside subset {subset:#x} are not a power of q")
-    return dims.to_bytes(size, "little")
+    return names.translate(b"\xff" + bytes(range(255)))
 
 
 class RankProfile:
@@ -172,16 +181,33 @@ class RankProfile:
         self._gen_cols = _columns(code.generator)
         self._par_cols = _columns(code.parity)
         self._walks: dict[Poset, tuple[Sequence[int], bytes]] = {}
-        self._zeta: tuple[Sequence[int], bytes] | None = None
+
+    @cached_property
+    def _primal_fill(self) -> bytes:
+        return zeta_dims(self.code)
+
+    @cached_property
+    def _dual_fill(self) -> bytes:
+        # |A| + dim C-perp^(complement A) never carries; below n - k it becomes 255 > k
+        code, n, k = self.code, self.n, self.k
+        reversed_dual = zeta_dims(LinearCode(code.field, code.parity, code.generator))[::-1]
+        total = int.from_bytes(subset_sizes(n), "little") + int.from_bytes(reversed_dual, "little")
+        return total.to_bytes(1 << n, "little").translate(b"\xff" * (n - k) + bytes(range(256 - n + k)))
 
     def shortened_dims(self, poset: Poset) -> tuple[Sequence[int], bytes]:
         """(ideals, dims): the ideals of the poset in ascending mask order and
-        dim C^I = |I| - rank_H(I) of each, by the zeta fill or the walk."""
-        if not (_is_antichain(poset) and self.code.codeword_count <= min(1 << self.n, MAX_ENUMERATION)):
-            return self.walked_dims(poset)
-        if self._zeta is None:
-            self._zeta = (range(1 << self.n), zeta_dims(self.code))
-        return self._zeta
+        dim C^I = |I| - rank_H(I) of each, by a zeta fill or the walk."""
+        cap = min(1 << self.n, MAX_ENUMERATION, self.code.field.q ** (self.n - self.k))
+        if _is_antichain(poset) and self.code.codeword_count <= cap:
+            return range(1 << self.n), self._primal_fill
+        return self.census_dims(poset)
+
+    def census_dims(self, poset: Poset) -> tuple[Sequence[int], bytes]:
+        """The table of shortened_dims by C-perp's zeta fill or the walk,
+        never by C's own stream: the one the Moebius census reads."""
+        if _is_antichain(poset) and self.code.field.q ** (self.n - self.k) <= min(1 << self.n, MAX_ENUMERATION):
+            return range(1 << self.n), self._dual_fill
+        return self.walked_dims(poset)
 
     def walked_dims(self, poset: Poset) -> tuple[Sequence[int], bytes]:
         """The table of shortened_dims, always filled by the rank walk."""

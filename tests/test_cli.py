@@ -347,6 +347,29 @@ def test_key_table_refuses_a_poisoned_dims_byte(capsys, monkeypatch, index, valu
     assert "reproducer:\n" in err and format_code(code) in err
 
 
+@pytest.mark.parametrize("index, value", [(-1, 0), (3, 5)], ids=["borrow", "dim-above-k"])
+def test_moebius_census_refuses_a_poisoned_table(capsys, monkeypatch, index, value):
+    from posetcode.code import load_code
+    from posetcode.matroid import RankProfile
+
+    real = RankProfile.census_dims
+
+    def poisoned(self, poset):
+        # simplex7 is [7,3], so classify reads C's own stream and only the census is poisoned;
+        # dim 0 at the full set leaves it fewer words than its subsets
+        ideals, dims = real(self, poset)
+        dims = bytearray(dims)
+        dims[index] = value
+        return ideals, bytes(dims)
+
+    monkeypatch.setattr(RankProfile, "census_dims", poisoned)
+    code_path = str(Path(__file__).resolve().parent / "data" / "simplex7.code")
+    status, out, err = run_cli(capsys, "distribution", "--method", "moebius", "--code", code_path, "--poset", "antichain:7")
+    assert status == 2 and out == ""
+    assert err.startswith("self-check failed: Moebius census")
+    assert "reproducer:\n" in err and format_code(load_code(code_path)) in err
+
+
 def test_console_entry_point(pair_file):
     # the module also runs as a script; exercises sys.exit plumbing
     proc = subprocess.run(

@@ -76,28 +76,111 @@ def test_enumerate_census_never_lists_ideals(monkeypatch):
     assert distribution(code, anti)[12] == 2
 
 
-def test_moebius_census_never_reads_the_zeta_fill(monkeypatch):
-    import posetcode.matroid as matroid
+def test_moebius_census_never_streams_the_code_itself(monkeypatch):
     from posetcode.hierarchy import weight_hierarchy
 
-    def refuse(code):
-        raise AssertionError("read the zeta fill")
-
     rng = random.Random(44)
-    codes = [random_code(rng, n_max=8, length=8) for _ in range(6)]
     anti = Poset.antichain(8)
+    codes = []
+    while len(codes) < 6:
+        code = random_code(rng, n_max=8, k_max=8, length=8)
+        if code.field.q ** (code.n - code.k) <= 1 << code.n:  # C-perp's zeta fill serves this antichain
+            codes.append(code)
     expected = [support_census(code, anti, "enumerate") for code in codes]
-    monkeypatch.setattr(matroid, "zeta_dims", refuse)
+    own = {code.generator for code in codes}
+    honest = LinearCode.support_batches
+    streamed = []
+
+    def guarded(self):
+        if self.generator in own:
+            raise AssertionError("streamed the code's own words")
+        streamed.append(self.generator)
+        return honest(self)
+
+    monkeypatch.setattr(LinearCode, "support_batches", guarded)
     for code, census in zip(codes, expected):
-        assert code.codeword_count <= 1 << code.n  # the zeta fill would serve this antichain
         assert support_census(code, anti, "moebius") == census
+        assert streamed[-1] == code.parity  # the census read C-perp's stream
         other = Poset.from_cover_relations(8, [(1, 2), (2, 5), (3, 5), (6, 8)])
         classify(code, other)
         weight_hierarchy(code, other)
         weight_hierarchy(code, Poset.chain(8))
-    # the antichain scan itself does take the zeta fill
-    with pytest.raises(AssertionError, match="zeta fill"):
-        classify(codes[0], anti)
+    # the antichain scan itself does stream C where C's stream is not the longer one
+    tie = next(code for code in codes if code.k <= code.n - code.k)
+    with pytest.raises(AssertionError, match="own words"):
+        classify(tie, anti)
+
+
+def dict_moebius(ideals, dims, poset, q, k):
+    """The census by the Moebius dict loop over a (ideals, dims) table."""
+    census = dict(zip(ideals, (q**d for d in dims)))
+    for e in reversed(poset.linear_extension()):
+        bit = 1 << e
+        for ideal in census:
+            if ideal & bit and ideal ^ bit in census:
+                census[ideal] -= census[ideal ^ bit]
+    return {ideal: count for ideal, count in census.items() if count}
+
+
+@pytest.mark.parametrize(
+    ("q", "n", "k", "width"),
+    [
+        (2, 9, 5, 1),
+        (3, 8, 4, 1),
+        (5, 8, 3, 1),  # C-perp's 5^5 words exceed 2^8: the walk serves
+        (7, 3, 2, 1),
+        (2, 10, 8, 2),
+        (3, 9, 5, 2),
+        (4, 8, 5, 2),
+        (5, 6, 4, 2),
+        (7, 6, 4, 2),
+        (8, 6, 4, 2),
+        (9, 7, 3, 2),
+        (4, 9, 8, 3),
+        (9, 10, 8, 4),  # 9^8 words: over the enumeration cap
+        (256, 10, 8, 9),  # 2^64 words: over 2^63
+    ],
+)
+def test_packed_census_matches_enumeration_from_both_sources(q, n, k, width):
+    from posetcode.distribution import _packed_moebius
+
+    rng = random.Random(60 + q + n + k)
+    while True:
+        rows = [[rng.randrange(q) for _ in range(n)] for _ in range(k)]
+        if Matrix(gf(q), rows).rank() == k:
+            code = LinearCode.from_generator(gf(q), rows)
+            break
+    assert (q**k).bit_length() // 8 + 1 == width
+    anti = Poset.antichain(n)
+    ideals, walked = code.matroid.walked_dims(anti)
+    if q**k <= 1 << 20:
+        expected = support_census(code, anti, "enumerate")
+    else:
+        expected = dict_moebius(ideals, walked, anti, q, k)
+    assert sum(expected.values()) == q**k
+    assert _packed_moebius(walked, n, k, q) == expected
+    ideals, dims = code.matroid.census_dims(anti)
+    if q ** (n - k) <= 1 << n:
+        assert dims == walked and dims is code.matroid._dual_fill
+    assert support_census(code, anti, "moebius") == expected
+
+
+def test_packed_census_refuses_a_borrow_or_a_dim_above_k():
+    from posetcode.distribution import _packed_moebius
+    from posetcode.errors import SelfCheckError
+
+    code = LinearCode.from_generator(gf(3), [(1, 0, 1, 2, 0, 1), (0, 1, 1, 1, 2, 0), (0, 0, 0, 1, 1, 1)])
+    dims = bytearray(code.matroid.walked_dims(Poset.antichain(6))[1])
+    assert _packed_moebius(bytes(dims), 6, 3, 3) == support_census(code, Poset.antichain(6), "enumerate")
+    # the full set then holds fewer words than a subset of it
+    borrow = dims.copy()
+    borrow[-1] = 0
+    with pytest.raises(SelfCheckError, match="negative count"):
+        _packed_moebius(bytes(borrow), 6, 3, 3)
+    above = dims.copy()
+    above[5] = 4
+    with pytest.raises(SelfCheckError, match="dimension 4 > k = 3 at subset 0x5"):
+        _packed_moebius(bytes(above), 6, 3, 3)
 
 
 def test_enumerate_report_refuses_over_cap_before_classifying(monkeypatch):

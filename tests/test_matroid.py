@@ -114,7 +114,7 @@ def test_zeta_fill_matches_walk_on_every_ideal():
         (2, 7, 7),  # q^k = 2^n, the largest the zeta fill serves
         (2, 12, 7),  # 128 < 2^8: one-byte fields
         (3, 10, 6),  # 729: two-byte fields
-        (4, 10, 8),  # 2^16: four-byte fields
+        (4, 10, 8),  # 2^16: three-byte fields
     ],
 )
 def test_zeta_fill_boundaries_and_field_widths(q, n, k):
@@ -130,18 +130,37 @@ def test_shortened_dims_takes_zeta_fill_only_where_it_serves(monkeypatch):
     calls = []
 
     def counting(code):
-        calls.append(code)
+        calls.append(code.generator)
         return zeta_dims(code)
 
     monkeypatch.setattr(matroid, "zeta_dims", counting)
     rng = random.Random(39)
-    at_bound = full_rank_code(rng, 2, 6, 6)  # q^k = 2^n
-    assert at_bound.matroid.shortened_dims(Poset.antichain(6)) == at_bound.matroid.walked_dims(Poset.antichain(6))
-    assert calls == [at_bound]
-    above = full_rank_code(rng, 3, 6, 5)  # 243 > 2^6
-    above.matroid.shortened_dims(Poset.antichain(6))
+    anti = Poset.antichain(6)
+    at_bound = full_rank_code(rng, 4, 6, 3)  # q^k = q^(n-k) = 2^n: a tie keeps C's own stream
+    assert at_bound.matroid.shortened_dims(anti) == at_bound.matroid.walked_dims(anti)
+    assert calls == [at_bound.generator]
+    shorter_dual = full_rank_code(rng, 3, 6, 5)  # 243 > 2^6 words, but C-perp has 3
+    assert shorter_dual.matroid.shortened_dims(anti) == shorter_dual.matroid.walked_dims(anti)
+    assert calls == [at_bound.generator, shorter_dual.parity]
+    above = full_rank_code(rng, 5, 6, 3)  # 125 > 2^6 words either way
+    above.matroid.shortened_dims(anti)
     above.matroid.shortened_dims(Poset.chain(6))
-    assert calls == [at_bound]
+    assert len(calls) == 2
+
+
+def test_dual_zeta_fill_matches_walk_on_every_ideal():
+    rng = random.Random(41)
+    for trial in range(40):
+        q = (2, 3, 4, 5)[trial % 4]
+        n = rng.randint(2, 9)
+        k = rng.randint(n // 2 + 1, n)  # k > n - k: C-perp is the shorter stream
+        if q ** (n - k) > 1 << n:
+            k = n
+        code = full_rank_code(rng, q, n, k)
+        anti = Poset.antichain(n)
+        assert code.matroid.shortened_dims(anti)[1] is code.matroid._dual_fill
+        assert code.matroid._dual_fill == code.matroid.walked_dims(anti)[1]
+        assert code.matroid.census_dims(anti) == code.matroid.shortened_dims(anti)
 
 
 def test_zeta_fill_rejects_corrupted_counts(monkeypatch):
@@ -165,6 +184,22 @@ def test_zeta_fill_rejects_corrupted_counts(monkeypatch):
     monkeypatch.setattr(LinearCode, "support_batches", extra)
     with pytest.raises(SelfCheckError, match="not q\\^k"):
         zeta_dims(code)
+
+    # a full-weight word moved off one coordinate: only the field of the
+    # full set minus that coordinate changes, 3^6 or 3^7 plus one, whose
+    # top byte still names a power of 3 while its low byte does not
+    wide = full_rank_code(random.Random(42), 3, 12, 7)
+    full = (1 << 12) - 1
+
+    def shifted(self):
+        batches = [list(batch) for batch in honest(self)]
+        b, i = next((b, i) for b, batch in enumerate(batches) for i, s in enumerate(batch) if s == full)
+        batches[b][i] = full ^ 1
+        return iter(batches)
+
+    monkeypatch.setattr(LinearCode, "support_batches", shifted)
+    with pytest.raises(SelfCheckError, match="subset 0xffe are not a power of q"):
+        zeta_dims(wide)
 
 
 def test_memoization_survives_query_order():
