@@ -148,7 +148,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
 
 
 def cmd_selftest(args: argparse.Namespace) -> int:
-    report = run_selftest(args.seed, args.trials, corrupt_rank=args.corrupt_rank)
+    report = run_selftest(args.seed, args.trials)
     if args.json:
         _print_json(report.as_dict())
     else:
@@ -220,7 +220,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--corrupt-rank", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(handler=cmd_selftest)
 
     return parser

@@ -9,17 +9,16 @@ the size of the ideal closure of its support.
 Codeword enumeration runs in ascending base-q order of the message
 encoding: message integer m encodes the coefficient vector
 (m // q**i) % q applied to generator row i.  Two streams follow that
-order.  codewords() yields the words as tuples; it keeps one running
-word and applies per-digit increment deltas, so each step costs O(n)
-field additions regardless of k.  support_batches() yields only the
-supports, as n-bit masks, and is what the enumerate census and the
-brute-force hierarchy read.  It packs each word into one int (see
-_PackedWords), spans the low ceil(k/2) generator rows and the high
-floor(k/2) rows separately, and meets in the middle: for each word b of
-the high span, one list comprehension over the low span gives the
-supports of the q**ceil(k/2) codewords a + b, a few int operations
-each.  It holds the two spans and one batch, a few times q**ceil(k/2)
-ints, never q**k.
+order, and both span the low ceil(k/2) generator rows and the high
+floor(k/2) rows separately and meet in the middle: for each word b of
+the high span, the codewords a + b for each word a of the low span.
+They hold the two spans, a few times q**ceil(k/2) words, never q**k.
+codewords() yields the words as tuples, one row addition each.
+support_batches() yields only the supports, as n-bit masks, and is what
+the enumerate census and the brute-force hierarchy read.  It packs each
+word into one int (see _PackedWords), and one list comprehension over
+the low span gives the supports of the q**ceil(k/2) codewords a + b, a
+few int operations each.
 
 Text format for code files (parse_code / format_code):
 
@@ -198,29 +197,22 @@ class LinearCode:
             )
 
     def codewords(self) -> Iterator[tuple[int, ...]]:
-        """Stream all q**k codewords in ascending message-encoding order."""
+        """Stream all q**k codewords in ascending message-encoding order, met in the
+        middle as in support_batches: a + b for each word b of the high span, then
+        each word a of the low span.  The cap is checked before any word is built."""
         self.require_enumerable()
-        total = self.codeword_count
-        F = self.field
-        q = F.q
-        rows = self.generator.rows
-        # when digit i steps c -> c+1 the running word gains step[c] * row i
-        # (c == q-1 means the rollover step back to 0)
-        step = [F.sub((c + 1) % q, c) for c in range(q)]
-        word = [0] * self.n
-        digits = [0] * self.k
-        yield tuple(word)
-        for _ in range(total - 1):
-            i = 0
-            while True:
-                c = digits[i]
-                word = F._add_scaled(word, step[c], rows[i])
-                if c + 1 < q:
-                    digits[i] = c + 1
-                    break
-                digits[i] = 0
-                i += 1
-            yield tuple(word)
+        F, rows, half = self.field, self.generator.rows, (self.k + 1) // 2
+
+        def span(part: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+            words = [(0,) * self.n]
+            for row in part:
+                words += [tuple(F._add_scaled(a, c, row)) for c in range(1, F.q) for a in words]
+            return words
+
+        low = span(rows[:half])
+        for b in span(rows[half:]):
+            for a in low:
+                yield tuple(F._add_scaled(b, 1, a))
 
     def support_batches(self) -> Iterator[list[int]]:
         """Support masks of all q**k codewords in message-encoding order.

@@ -38,8 +38,9 @@ sums the census over the ideals of each size.
 
 A code is MDS for P when d_1 = n - k + 1, and near-MDS (NMDS) when
 d_1 = n - k and d_2 = n - k + 2 (k >= 2).  Both admit closed-form
-distributions driven only by the ideal census of P, the count of maximal
-elements per ideal, and (for NMDS) the census at the bottom size d:
+distributions driven only by N(r, m), the number of ideals of size r
+with m maximal elements (one walk over J(P) counts it), and (for NMDS)
+the census at the bottom size d:
 
     MDS   A_r = sum_{|I| = r} sum_{s=0}^{r-d} (-1)^s C(m_I, s) (q^(r-d+1-s) - 1)
     NMDS  A_r = sum_{|I| = r} sum_{s=0}^{r-d-1} (-1)^s C(m_I, s) (q^(r-d-s) - 1)
@@ -246,6 +247,23 @@ def _alternating_sum(m: int, t: int, q: int) -> int:
     return sum((-1) ** s * comb(m, s) * (q ** (t - s) - 1) for s in range(t))
 
 
+def _closed_form_counts(poset: Poset, d: int, t: int, q: int) -> list[int]:
+    """[1, A_1, ..., A_n], A_r the sum of _alternating_sum(m_I, r - d + t, q) over the ideals I
+    of size r, each sum taken once per (r, m) from N(r, m); see the module docstring."""
+    below = poset.below
+    # the walk carries the maximal elements: adding e keeps e and drops what lies below it
+    walk = poset.walk_ideals(lambda top, e: top & ~below[e] | 1 << e, 0)
+    counts = [1] + [0] * poset.n
+    for (r, m), count in Counter((ideal.bit_count(), top.bit_count()) for ideal, top in walk).items():
+        counts[r] += count * _alternating_sum(m, r - d + t, q)
+    return counts
+
+
+def _minimal_outside(poset: Poset, ideal: int) -> int:
+    """Mask of the minimal elements of P - ideal: those whose strict downset lies in the ideal."""
+    return sum(1 << e for e, down in enumerate(poset.below) if down & ~ideal == 1 << e)
+
+
 def mds_distribution(code: LinearCode, poset: Poset, classification: Classification | None = None) -> tuple[int, ...]:
     """Closed-form distribution for MDS poset codes."""
     cls_ = classification or classify(code, poset)
@@ -254,23 +272,12 @@ def mds_distribution(code: LinearCode, poset: Poset, classification: Classificat
             f"not MDS for this poset: d1={cls_.d1} at ideal {list(cls_.d1_witness)}, "
             f"needed n-k+1={code.n - code.k + 1}"
         )
-    n, q, d = code.n, code.field.q, cls_.d1
-    counts = [0] * (n + 1)
-    counts[0] = 1
-    for ideal in poset.ideals():
-        r = ideal.bit_count()
-        if r >= d:
-            counts[r] += _alternating_sum(poset.maximal_elements(ideal).bit_count(), r - d + 1, q)
-    return tuple(counts)
+    return tuple(_closed_form_counts(poset, cls_.d1, 1, code.field.q))
 
 
 def nmds_distribution(code: LinearCode, poset: Poset, classification: Classification | None = None) -> tuple[int, ...]:
-    """Closed-form distribution for near-MDS poset codes.
-
-    The correction term needs the census at the bottom size d = n - k;
-    it comes from the moebius census, which the test suite validates
-    against enumeration independently of this formula.
-    """
+    """Closed-form distribution for near-MDS poset codes.  The correction term reads the
+    moebius census at the bottom size d = n - k, which the tests check against enumeration."""
     cls_ = classification or classify(code, poset)
     if cls_.label != NMDS_LABEL:
         raise ValueError(
@@ -278,23 +285,16 @@ def nmds_distribution(code: LinearCode, poset: Poset, classification: Classifica
             f"at ideal {list(cls_.d1_witness)}, needed (n-k, n-k+2)="
             f"({code.n - code.k}, {code.n - code.k + 2})"
         )
-    n, q, d = code.n, code.field.q, cls_.d1
-    full = (1 << n) - 1
-    dual = poset.dual()
-    # (a_J, |C & S_J|) for the ideals J of size d; a_J counts the minimal elements of P - J
+    d = cls_.d1
+    # (a_J, |C & S_J|) for the ideals J of size d
     bottom = [
-        (dual.maximal_elements(full ^ j).bit_count(), count)
+        (_minimal_outside(poset, j).bit_count(), count)
         for j, count in support_census(code, poset).items()
         if j.bit_count() == d
     ]
-    counts = [0] * (n + 1)
-    counts[0] = 1
-    for r in range(d, n + 1):
-        counts[r] = (-1) ** (r - d) * sum(comb(a, r - d) * count for a, count in bottom)
-    for ideal in poset.ideals():
-        r = ideal.bit_count()
-        if r >= d:
-            counts[r] += _alternating_sum(poset.maximal_elements(ideal).bit_count(), r - d, q)
+    counts = _closed_form_counts(poset, d, 0, code.field.q)
+    for r in range(d, code.n + 1):
+        counts[r] += (-1) ** (r - d) * sum(comb(a, r - d) * count for a, count in bottom)
     return tuple(counts)
 
 

@@ -6,20 +6,16 @@ the ideal scan against the definitional brute force, the Moebius support
 census against enumeration, closed-form distributions against both, the
 rank identities on all subsets, and the duality partition, whose dual
 weights (read off the primal table) must also equal the hierarchy of the
-dualized code under the dual poset.  Any failure
-is recorded together with a reproducer (the code and poset in their text
-formats) so it can be replayed from files.
+dualized code under the dual poset.  Any failure is recorded together
+with a reproducer (the code and poset in their text formats) so it can
+be replayed from files.  No option plants a fault: the failure path is
+tested by patching random_instance to hand out a poisoned instance.
 
 Instance space: q in {2, 3, 4, 5}, 2 <= n <= 10, 1 <= k <= min(5, n - 1),
 generator matrices resampled until full rank, and posets built from a
 random linear order with each compatible pair related with probability
 1/3.  Every instance is also examined under the antichain, where poset
 weight must collapse to Hamming weight.
-
-corrupt_rank poisons the all-subsets rank table of the first instance;
-the run must then fail with an R1 witness, which exercises the negative
-path of the verification machinery.  Only the checks that read rank fail:
-the other paths read the shortened-dimension table.
 """
 
 from __future__ import annotations
@@ -253,7 +249,7 @@ def _check_antichain_weights(s: _Session, code: LinearCode, poset: Poset) -> Non
     )
 
 
-def run_selftest(seed: int, trials: int, corrupt_rank: bool = False) -> SelfTestReport:
+def run_selftest(seed: int, trials: int) -> SelfTestReport:
     """Run all randomized cross-checks; see the module docstring."""
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
@@ -262,11 +258,9 @@ def run_selftest(seed: int, trials: int, corrupt_rank: bool = False) -> SelfTest
     report = SelfTestReport(seed=seed, trials=trials)
     s = _Session(report)
     seen_labels: set[tuple] = set()
-    for index in range(trials):
+    for _ in range(trials):
         code, poset = random_instance(rng)
         s.set_instance(code, poset)
-        if corrupt_rank and index == 0:
-            code.matroid._rank_table[1] = 2
         _check_hierarchy(s, code, poset)
         _check_rank_structure(s, code)
         _check_counts(s, code, poset)

@@ -277,8 +277,9 @@ def test_selftest_json_deterministic(capsys):
     assert got["passed"] is True and got["failures"] == []
 
 
-def test_selftest_corrupt_rank_fails_loudly(capsys):
-    status, out, err = run_cli(capsys, "selftest", "--seed", "1", "--trials", "2", "--corrupt-rank")
+def test_selftest_corrupt_rank_fails_loudly(capsys, poison_first_instance):
+    poison_first_instance()
+    status, out, err = run_cli(capsys, "selftest", "--seed", "1", "--trials", "2")
     assert status == 2
     assert out.splitlines()[-1] == "FAIL"
     assert "FAIL rank-axioms: rank violates R1 at A=0x1" in err

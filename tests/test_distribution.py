@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,9 @@ from posetcode.distribution import (
     MDS_LABEL,
     NMDS_LABEL,
     OTHER_LABEL,
+    _alternating_sum,
+    _closed_form_counts,
+    _minimal_outside,
     classify,
     distribution,
     distribution_report,
@@ -19,7 +23,9 @@ from posetcode.distribution import (
 )
 from posetcode.field import gf
 from posetcode.matrix import Matrix
-from posetcode.poset import Poset
+from posetcode.poset import Poset, load_poset
+
+DATA = Path(__file__).parent / "data"
 
 # fixture codes used throughout
 PAIR = LinearCode.from_generator(gf(2), [(1, 1, 0, 0), (0, 0, 1, 1)])  # NMDS under antichain
@@ -284,6 +290,60 @@ def test_closed_forms_match_enumeration_on_randoms():
                 seen_nmds += 1
                 assert nmds_distribution(code, poset, c) == reference
     assert seen_mds >= 5 and seen_nmds >= 5
+
+
+def per_ideal_counts(poset, d, t, q):
+    """The closed forms' ideal sums by the loop over poset.ideals() that
+    _closed_form_counts replaced."""
+    counts = [0] * (poset.n + 1)
+    counts[0] = 1
+    for ideal in poset.ideals():
+        r = ideal.bit_count()
+        if r >= d:
+            counts[r] += _alternating_sum(poset.maximal_elements(ideal).bit_count(), r - d + t, q)
+    return counts
+
+
+def census_test_posets():
+    rng = random.Random(56)
+    posets = [random_poset(rng, rng.randint(1, 10)) for _ in range(30)]
+    posets += [Poset.antichain(n) for n in (1, 5, 10)] + [Poset.chain(n) for n in (1, 6, 12)]
+    return posets + [load_poset(path) for path in sorted(DATA.glob("nrt*.poset"))]
+
+
+def test_closed_form_counts_match_the_per_ideal_loop():
+    for poset in census_test_posets():
+        for q in (2, 5):
+            for d in range(poset.n + 2):
+                for t in (0, 1):
+                    assert _closed_form_counts(poset, d, t, q) == per_ideal_counts(poset, d, t, q), (poset, q, d, t)
+
+
+def test_minimal_outside_is_the_dual_posets_maximal_elements():
+    for poset in census_test_posets():
+        dual, full = poset.dual(), (1 << poset.n) - 1
+        for ideal in poset.ideals():
+            assert _minimal_outside(poset, ideal) == dual.maximal_elements(full ^ ideal), (poset, ideal)
+
+
+def test_closed_forms_read_no_ideal_list_maximal_elements_or_dual(monkeypatch):
+    rng = random.Random(57)
+    nrt7 = load_poset(DATA / "nrt7.poset")
+    cases = []
+    while sum(label == MDS_LABEL for *_, label in cases) < 8 or sum(label == NMDS_LABEL for *_, label in cases) < 8:
+        code = random_code(rng, n_max=7, length=7 if len(cases) % 3 == 0 else None)
+        for poset in (random_poset(rng, code.n), Poset.antichain(code.n), nrt7):
+            if poset.n == code.n and (label := classify(code, poset).label) != OTHER_LABEL:
+                cases.append((code, poset, distribution(code, poset, "enumerate"), label))
+
+    def refuse(*args):
+        raise AssertionError("a closed form read the ideal list, the maximal elements or the dual poset")
+
+    for name in ("ideals", "maximal_elements", "dual"):
+        monkeypatch.setattr(Poset, name, refuse)
+    for code, poset, reference, label in cases:
+        closed = mds_distribution if label == MDS_LABEL else nmds_distribution
+        assert closed(code, poset) == reference, (code, poset)
 
 
 def test_antichain_binomial_form_matches_general_form():

@@ -71,8 +71,9 @@ def test_selftest_rejects_nonpositive_trials():
     assert SelfTestReport(seed=0, trials=0).passed is False
 
 
-def test_corrupt_rank_produces_r1_failure_with_reproducer():
-    report = run_selftest(seed=1, trials=2, corrupt_rank=True)
+def test_corrupt_rank_produces_r1_failure_with_reproducer(poison_first_instance):
+    poison_first_instance()
+    report = run_selftest(seed=1, trials=2)
     assert not report.passed
     rank_failures = [f for f in report.failures if f.check == "rank-axioms"]
     assert report.failures[0] is rank_failures[0]
@@ -93,9 +94,10 @@ def test_corrupt_rank_produces_r1_failure_with_reproducer():
     assert check_rank_axioms(code.matroid).passed
 
 
-def test_corrupt_rank_leaves_later_instances_clean():
+def test_corrupt_rank_leaves_later_instances_clean(poison_first_instance):
     clean = run_selftest(seed=5, trials=3)
-    poisoned = run_selftest(seed=5, trials=3, corrupt_rank=True)
+    poison_first_instance()
+    poisoned = run_selftest(seed=5, trials=3)
     assert clean.passed and not poisoned.passed
     # second and third instances contribute passing checks as usual
     assert poisoned.counts["hierarchy-scan-vs-oracle"] == 3
