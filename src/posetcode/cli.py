@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .bitset import from_elements
 from .code import LinearCode, format_code, load_code
@@ -166,7 +167,9 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     return 0
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first main call of the process and reused."""
     parser = argparse.ArgumentParser(
         prog="posetcode",
         description="Weight hierarchies, duality, and weight distributions of linear codes under poset metrics.",

@@ -14,11 +14,11 @@ floor(k/2) rows separately and meet in the middle: for each word b of
 the high span, the codewords a + b for each word a of the low span.
 They hold the two spans, a few times q**ceil(k/2) words, never q**k.
 codewords() yields the words as tuples, one row addition each.
-support_batches() yields only the supports, as n-bit masks, and is what
-the enumerate census and the brute-force hierarchy read.  It packs each
-word into one int (see _PackedWords), and one list comprehension over
-the low span gives the supports of the q**ceil(k/2) codewords a + b, a
-few int operations each.
+support_batches() yields only the supports, as n-bit masks, or given a
+poset their ideal closures, which the enumerate census counts.  It packs
+each word into one int (see _PackedWords), and one list comprehension
+over the low span gives the supports of the q**ceil(k/2) codewords
+a + b, a few int operations each.
 
 Text format for code files (parse_code / format_code):
 
@@ -54,59 +54,72 @@ def support_mask(word: Sequence[int]) -> int:
 class _PackedWords:
     """Words of length n over GF(p**m) packed into one int each.
 
-    Digit j (base p) of coordinate i sits in bit field j*n + i.  Fields
-    are w = p.bit_length() + 1 bits wide, and addition is SWAR mod p on
-    all fields at once: s = a + b, then subtract p from every field whose
-    sum reaches p, found by adding K = 2**(w-1) - p and reading the top
-    bit H of the field.  Digits are below p < 2**(w-1), so a sum is at
-    most 2p - 2 < 2**w and a sum plus K at most p - 2 + 2**(w-1) < 2**w:
-    no field ever carries into the next, for every prime p.
+    Digit j (base p) of coordinate i sits in bit field i*m + j, so
+    coordinate i takes the c = m*w bits from bit i*c on and one shift and
+    mask reads it.  Fields are w = p.bit_length() + 1 bits wide, and
+    addition is SWAR mod p on all fields at once: s = a + b, then subtract
+    p from every field whose sum reaches p, found by adding
+    K = 2**(w-1) - p and reading the top bit H of the field.  Digits are
+    below p < 2**(w-1), so a sum is at most 2p - 2 < 2**w and a sum plus K
+    at most p - 2 + 2**(w-1) < 2**w: no field ever carries into the next,
+    for every prime p.
 
-    A field W is nonzero exactly when W + NZ, NZ = 2**(w-1) - 1, sets its
-    top bit, again without a carry.  A coordinate of a + b is zero exactly
-    when a and -b agree on all m of its fields, so supports() tests the
-    fields of a XOR (-b), ORs the m digit planes onto plane 0, and
-    compacts the flags of plane 0 to an n-bit mask: one dict per 8
-    coordinates maps their flags to their bits.
+    A coordinate of a + b is zero exactly when a and -b agree on all m of
+    its fields.  So supports() reads the c bits X of each coordinate of
+    a XOR (-b), where no field has its top bit set: X < 2**(c-1), and
+    X + NZ, NZ = 2**(c-1) - 1, sets the top bit of the coordinate exactly
+    when X is nonzero, again without a carry.  One dict per 8 coordinates
+    maps these flags to the OR of their images: their bits, or a poset's
+    downsets, which gives the closure.
     """
 
-    __slots__ = ("field", "width", "top", "nonzero", "carry", "fold", "spread", "chunks")
+    __slots__ = ("field", "width", "stride", "top", "nonzero", "flags", "carry", "spread", "element", "chunks")
 
-    def __init__(self, field: GF, n: int) -> None:
+    def __init__(self, field: GF, n: int, images: Sequence[int] | None = None) -> None:
         p, m = field.p, field.m
         w = p.bit_length() + 1
+        c = m * w
         ones = sum(1 << (f * w) for f in range(m * n))
+        coordinates = sum(1 << (i * c) for i in range(n))
         self.field = field
         self.width = w
+        self.stride = c
         self.top = ones << (w - 1)
-        self.nonzero = ones * ((1 << (w - 1)) - 1)
         self.carry = ones * ((1 << (w - 1)) - p)
-        # shifts that OR the upper half of the digit planes onto the lower
-        # half, until plane 0 holds the OR of all m
-        self.fold = []
-        planes = m
-        while planes > 1:
-            planes = (planes + 1) // 2
-            self.fold.append(planes * n * w)
-        # an element's digit fields as they sit for coordinate 0
-        self.spread = [0] * field.q
-        for a in range(field.q):
-            for j in range(m):
-                self.spread[a] |= a // p**j % p << (j * n * w)
+        self.nonzero = coordinates * ((1 << (c - 1)) - 1)
+        self.flags = coordinates << (c - 1)
+        # an element's digit fields as they sit for coordinate 0, and back
+        self.spread = [0]
+        for a in range(1, field.q):
+            self.spread.append(a % p | self.spread[a // p] << w)
+        self.element = {s: a for a, s in enumerate(self.spread)}
         # at least three chunks, empty ones past n, so supports() reads
         # three lookups for every n <= 24
+        images = images or [1 << i for i in range(n)]
         self.chunks = []
         for base in range(0, max(n, 24), 8):
             mask, table = 0, {0: 0}
             for i in range(base, min(base + 8, n)):
-                flag = 1 << (i * w + w - 1)
+                flag = 1 << ((i + 1) * c - 1)
                 mask |= flag
-                table.update({key | flag: bits | 1 << i for key, bits in table.items()})
+                table.update({key | flag: bits | images[i] for key, bits in table.items()})
             self.chunks.append((mask, table))
 
     def pack(self, word: Sequence[int]) -> int:
-        spread, w = self.spread, self.width
-        return sum(spread[a] << (i * w) for i, a in enumerate(word))
+        spread, c = self.spread, self.stride
+        return sum(spread[a] << (i * c) for i, a in enumerate(word))
+
+    def times(self, scalar: int, word: int) -> int:
+        """scalar * word: double and add for prime q, else one coordinate at a time."""
+        if self.field.m == 1:
+            p, top, carry, shift, out = self.field.p, self.top, self.carry, self.width - 1, word
+            for bit in bin(scalar)[3:]:
+                out = (s := out + out) - (((s + carry) & top) >> shift) * p
+                if bit == "1":
+                    out = (s := out + word) - (((s + carry) & top) >> shift) * p
+            return out
+        element, spread, times_c, digits = self.element, self.spread, self.field._mul[scalar], (1 << self.stride) - 1
+        return sum(spread[times_c[element[word >> at & digits]]] << at for at in range(0, word.bit_length(), self.stride))
 
     def span(self, rows: Sequence[Sequence[int]]) -> list[int]:
         """Packed words of every combination of the rows, in message-encoding order."""
@@ -119,11 +132,9 @@ class _PackedWords:
         return words
 
     def supports(self, low: list[int], negated: int) -> list[int]:
-        """Support masks of a + b for every packed a in low, given negated = -b packed."""
-        nonzero, top = self.nonzero, self.top
-        xs = [((a ^ negated) + nonzero) & top for a in low]
-        for s in self.fold:
-            xs = [x | x >> s for x in xs]
+        """Support images of a + b for every packed a in low, given negated = -b packed."""
+        nonzero, flags = self.nonzero, self.flags
+        xs = [((a ^ negated) + nonzero) & flags for a in low]
         (k0, d0), (k1, d1), (k2, d2), *rest = self.chunks
         out = [d0[x & k0] | d1[x & k1] | d2[x & k2] for x in xs]
         for key, table in rest:
@@ -214,19 +225,22 @@ class LinearCode:
             for a in low:
                 yield tuple(F._add_scaled(b, 1, a))
 
-    def support_batches(self) -> Iterator[list[int]]:
-        """Support masks of all q**k codewords in message-encoding order.
+    def support_batches(self, poset: Poset | None = None) -> Iterator[list[int]]:
+        """Support masks of all q**k codewords in message-encoding order, or
+        with a poset of length n their ideal closures.
 
         Batch b holds the supports of the messages b * q**h .. (b+1) * q**h - 1
         with h = ceil(k/2); see the module docstring.  The cap is checked
         here, before anything is packed.
         """
+        if poset is not None and poset.n != self.n:
+            raise ValueError(f"poset size {poset.n} != code length {self.n}")
         self.require_enumerable()
-        return self._support_batches()
+        return self._support_batches(None if poset is None else poset.below)
 
-    def _support_batches(self) -> Iterator[list[int]]:
+    def _support_batches(self, images: Sequence[int] | None) -> Iterator[list[int]]:
         F = self.field
-        packed = _PackedWords(F, self.n)
+        packed = _PackedWords(F, self.n, images)
         rows = self.generator.rows
         half = (self.k + 1) // 2
         low = packed.span(rows[:half])

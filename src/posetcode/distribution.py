@@ -6,11 +6,11 @@ has ideal closure exactly I.  The support census maps each ideal I to
 take the census:
 
 enumerate
-    Stream the supports of the q**k codewords (LinearCode.support_batches,
-    guarded by the enumeration cap), close each one through the poset's
-    per-byte closure tables, and count the closures.  It never lists the
-    ideals of P and never reads the rank table, so it is the independent
-    oracle for the other method.
+    Count the support closures of the q**k codewords, which the stream
+    reads straight off the packed words (LinearCode.support_batches given
+    the poset, guarded by the enumeration cap).  It never lists the ideals
+    of P and never reads the rank table, so it is the independent oracle
+    for the other method.
 
 moebius
     The words of C supported inside an ideal I form the shortened subcode
@@ -86,8 +86,8 @@ def support_census(code: LinearCode, poset: Poset, method: str = "moebius") -> d
     _require_compatible(code, poset)
     if method == "enumerate":
         counts: Counter[int] = Counter()
-        for batch in code.support_batches():
-            counts.update(poset._ideal_closures(batch))
+        for batch in code.support_batches(poset):
+            counts.update(batch)
         return dict(counts)
     if method != "moebius":
         raise ValueError(f"unknown method {method!r}")

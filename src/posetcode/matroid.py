@@ -2,7 +2,10 @@
 
 Ranks come from ideal_ranks, a depth-first walk over the ideal lattice
 J(P) (Poset.walk_ideals) that carries an echelon basis, so each ideal
-costs one reduction of the column it adds.  RankProfile keeps:
+costs one reduction of the column it adds.  Columns and rows are packed
+words (code._PackedWords): one shift and mask reads a column's digits
+at a row's lead, and one SWAR add of a multiple of the row, built the
+first time some column needs it, clears them.  RankProfile keeps:
 
   * per poset P, the shortened dimensions dim C^I = |I| - rank_H(I) on
     every ideal I (G generator, H parity-check matrix), as one flat
@@ -26,7 +29,8 @@ costs one reduction of the column it adds.  RankProfile keeps:
              dim C^A = |A| - (n - k) + dim C-perp^(complement A).  The
              shorter stream serves, C's own on a tie, when it is no
              longer than the table and within MAX_ENUMERATION;
-      walk   every other case: ideal_ranks on the parity-check columns.
+      walk   every other case: ideal_ranks on the parity-check columns,
+             written by mask into one 2**n bytearray under the antichain.
 
     walked_dims is the walk alone.  census_dims, the table the Moebius
     census reads, is C-perp's fill or the walk, never C's own stream:
@@ -78,7 +82,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .bitset import subset_sizes, to_fields
-from .code import MAX_ENUMERATION, LinearCode
+from .code import MAX_ENUMERATION, LinearCode, _PackedWords
 from .errors import SelfCheckError
 from .field import GF
 from .matrix import Matrix
@@ -94,20 +98,28 @@ def _columns(mat: Matrix) -> list[tuple[int, ...]]:
 def ideal_ranks(poset: Poset, field: GF, columns: Sequence[Sequence[int]]) -> Iterator[tuple[int, int]]:
     """(ideal, rank of the columns it indexes) for every ideal of the poset.
 
-    The walk carries an echelon basis of (lead, row) pairs, each row 1 at
-    its lead and 0 at earlier rows' leads, so one in-order pass reduces a column.
+    The walk carries an echelon basis of packed rows, zero at earlier rows'
+    leads, so one in-order pass reduces a column.  A row is kept as (lead bit
+    offset, row, -1/lead times each element, -(a/lead) * row by lead digits a).
     """
+    packed = _PackedWords(field, len(columns[0]))
+    words = [packed.pack(column) for column in columns]
+    element, stride, digits, p = packed.element, packed.stride, (1 << packed.stride) - 1, field.p
+    shift, top, carry = packed.width - 1, packed.top, packed.carry
+    scales = {packed.spread[a]: field._mul[field._neg[field._inv[a]]] for a in range(1, field.q)}
 
     def extend(basis: tuple, e: int) -> tuple:
-        v = columns[e]
-        for lead, b in basis:
-            if v[lead]:
-                v = field._sub_scaled(v, v[lead], b)
-        lead = next((i for i, x in enumerate(v) if x), None)
-        if lead is None:
+        v = words[e]
+        for at, row, scale, multiples in basis:
+            if a := v >> at & digits:
+                if (t := multiples.get(a)) is None:
+                    t = multiples[a] = packed.times(scale[element[a]], row)
+                v = (s := v + t) - (((s + carry) & top) >> shift) * p
+        if not v:
             return basis
-        v = tuple(field._scale(field._inv[v[lead]], v))
-        return basis + ((lead, v),)
+        at = (v & -v).bit_length() - 1
+        at -= at % stride
+        return basis + ((at, v, scales[v >> at & digits], {}),)
 
     for ideal, basis in poset.walk_ideals(extend, ()):
         yield ideal, len(basis)
@@ -214,9 +226,16 @@ class RankProfile:
         table = self._walks.get(poset)
         if table is None:
             walk = ideal_ranks(poset, self.code.field, self._par_cols)
-            dims = {ideal: ideal.bit_count() - r for ideal, r in walk}
-            ideals = range(1 << self.n) if _is_antichain(poset) else tuple(sorted(dims))
-            table = self._walks[poset] = (ideals, bytes(map(dims.__getitem__, ideals)))
+            if _is_antichain(poset):
+                dims = bytearray(1 << self.n)
+                for ideal, r in walk:
+                    dims[ideal] = ideal.bit_count() - r
+                table = (range(1 << self.n), bytes(dims))
+            else:
+                dims = {ideal: ideal.bit_count() - r for ideal, r in walk}
+                ideals = tuple(sorted(dims))
+                table = (ideals, bytes(map(dims.__getitem__, ideals)))
+            self._walks[poset] = table
         return table
 
     @cached_property

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from posetcode.bitset import from_elements
-from posetcode.cli import main
+from posetcode.cli import _build_parser, main
 from posetcode.code import LinearCode, format_code
 from posetcode.field import gf
 
@@ -251,6 +251,29 @@ def test_usage_and_help_exit_codes(capsys):
     capsys.readouterr()
     assert main(["hierarchy", "--code", "x", "--poset", "y", "--method", "guess"]) == 1
     capsys.readouterr()
+
+
+def test_main_calls_in_one_process_match_fresh_ones(capsys, pair_file):
+    # the parser is built once per process; a usage error must leave it
+    # as good as new for the calls after it
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    calls = [
+        ["classify", "--code", pair_file, "--poset", "antichain:4"],
+        ["hierarchy", "--code", pair_file],
+        ["hierarchy", "--code", pair_file, "--poset", "chain:4", "--json"],
+        ["no-such-command"],
+        ["distribution", "--code", pair_file, "--poset", "antichain:4", "--method", "moebius"],
+        ["rank", "--code", pair_file, "--set", "1,x"],
+        ["duality", "--code", pair_file, "--poset", "chain:4"],
+    ]
+    for argv in calls:
+        status, out, _ = run_cli(capsys, *argv)
+        fresh = subprocess.run([sys.executable, "-m", "posetcode.cli", *argv], capture_output=True, text=True, env=env)
+        assert (status, out) == (fresh.returncode, fresh.stdout), argv
+    assert list(map(main, calls[:4])) == [0, 1, 0, 1]
+    assert _build_parser.cache_info().misses == 1
 
 
 def test_selftest_text_and_exit(capsys):

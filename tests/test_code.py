@@ -129,13 +129,17 @@ def random_full_rank(rng, q, n, k):
             return LinearCode.from_generator(gf(q), rows)
 
 
+def random_poset(rng, n):
+    return Poset.from_cover_relations(n, [(i, j) for j in range(2, n + 1) for i in range(1, j) if rng.random() < 2 / n])
+
+
 def test_support_batches_match_codeword_supports():
     # k = 1 leaves the high half empty; odd k splits unevenly; n = 24 needs
     # all three closure bytes; the other lengths are not multiples of 8
     rng = random.Random(25)
     for q in PACKING_FIELDS:
         k_max = max(k for k in range(1, 9) if q**k <= 5000)
-        shapes = [(24, 1), (rng.randint(2, 7), min(2, k_max)), (rng.choice([9, 13, 17]), k_max)]
+        shapes = [(24, 1), (24, min(3, k_max)), (rng.randint(2, 7), min(2, k_max)), (rng.choice([9, 13, 17]), k_max)]
         for n, k in shapes:
             code = random_full_rank(rng, q, n, k)
             batches = list(code.support_batches())
@@ -143,6 +147,19 @@ def test_support_batches_match_codeword_supports():
             assert all(len(batch) == q ** ((k + 1) // 2) for batch in batches)
             flat = [s for batch in batches for s in batch]
             assert flat == [support_mask(w) for w in code.codewords()], (q, n, k)
+            # given a poset, the stream yields the closures, batch for batch
+            poset = random_poset(rng, n)
+            closures = list(code.support_batches(poset))
+            assert closures == [poset._ideal_closures(batch) for batch in batches], (q, n, k)
+            assert [s for batch in closures for s in batch] == [
+                poset.ideal_closure(support_mask(w)) for w in code.codewords()
+            ], (q, n, k)
+
+
+def test_support_batches_refuse_a_poset_of_another_length():
+    code = LinearCode.from_generator(gf(3), [(1, 2, 0, 1)])
+    with pytest.raises(ValueError, match="poset size 5 != code length 4"):
+        code.support_batches(Poset.chain(5))
 
 
 def test_support_batches_beyond_three_chunks():

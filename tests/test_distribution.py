@@ -75,7 +75,11 @@ def test_enumerate_census_never_lists_ideals(monkeypatch):
     def refuse(self, size=None):
         raise AssertionError("enumerate census listed the ideals")
 
+    def refuse_closures(self, masks):
+        raise AssertionError("enumerate census closed the supports after the stream")
+
     monkeypatch.setattr(Poset, "ideals", refuse)
+    monkeypatch.setattr(Poset, "_ideal_closures", refuse_closures)
     code = LinearCode.from_generator(gf(2), [(1,) * 12 + (0,) * 12, (0,) * 12 + (1,) * 12])
     anti = Poset.antichain(24)
     assert support_census(code, anti, "enumerate") == {0: 1, 0xFFF: 1, 0xFFF000: 1, 0xFFFFFF: 1}

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -8,13 +9,17 @@ from posetcode.code import LinearCode
 from posetcode.errors import SelfCheckError
 from posetcode.field import gf
 from posetcode.matrix import Matrix
-from posetcode.poset import Poset
+from posetcode.poset import Poset, load_poset
 from posetcode.matroid import (
     RankProfile,
+    _columns,
     check_complement_rank_identity,
     check_rank_axioms,
+    ideal_ranks,
     zeta_dims,
 )
+
+from test_code import PACKING_FIELDS
 
 
 def random_code(rng, n_max=6, length=None):
@@ -80,6 +85,29 @@ def test_rank_matches_direct_elimination():
             assert len(dims) == len(ideals)
             for ideal, dim in zip(ideals, dims):
                 assert dim == ideal.bit_count() - code.parity.column_submatrix(ideal).rank()
+
+
+@pytest.mark.parametrize("q", PACKING_FIELDS)
+def test_packed_walk_matches_column_rank(q):
+    # every ideal once, its rank that of a direct elimination on the columns
+    # it indexes, under random posets, the antichain and the NRT files; k = n
+    # leaves H no rows and n - k = 1 one
+    rng = random.Random(q)
+    data = Path(__file__).parent / "data"
+    for poset in (
+        load_poset(data / "nrt4.poset"),
+        load_poset(data / "nrt7.poset"),
+        Poset.antichain(6),
+        Poset.from_cover_relations(7, [(i, j) for j in range(2, 8) for i in range(1, j) if rng.random() < 0.3]),
+    ):
+        n = poset.n
+        for k in sorted({n, n - 1, rng.randint(1, n - 1)}):
+            code = full_rank_code(rng, q, n, k)
+            for mat in (code.parity, code.generator):
+                walk = list(ideal_ranks(poset, code.field, _columns(mat)))
+                assert sorted(ideal for ideal, _ in walk) == list(poset.ideals())
+                for ideal, rank in walk:
+                    assert rank == mat.column_submatrix(ideal).rank(), (q, n, k, ideal)
 
 
 def full_rank_code(rng, q, n, k):
