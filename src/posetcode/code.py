@@ -15,10 +15,17 @@ the high span, the codewords a + b for each word a of the low span.
 They hold the two spans, a few times q**ceil(k/2) words, never q**k.
 codewords() yields the words as tuples, one row addition each.
 support_batches() yields only the supports, as n-bit masks, or given a
-poset their ideal closures, which the enumerate census counts.  It packs
-each word into one int (see _PackedWords), and one list comprehension
-over the low span gives the supports of the q**ceil(k/2) codewords
-a + b, a few int operations each.
+poset their ideal closures.  It packs each word into one int (see
+_PackedWords), and one list comprehension over the low span gives the
+supports of the q**ceil(k/2) codewords a + b, a few int operations each.
+
+A word and its q - 1 nonzero multiples share a support, so the enumerate
+census reads one word per line: support_batches(poset, lines=True) keeps
+the zero word and the monic messages, whose last nonzero digit is 1, in
+message order, 1 + (q**k - 1)/(q - 1) supports.  A span's monic words
+ending at row i fill its block [q**i, 2 * q**i), so the stream yields one
+batch of the zero word and the low span's monic words, then the low span
+for each monic high word.  For q = 2 that is the full stream.
 
 Text format for code files (parse_code / format_code):
 
@@ -73,9 +80,9 @@ class _PackedWords:
     downsets, which gives the closure.
     """
 
-    __slots__ = ("field", "width", "stride", "top", "nonzero", "flags", "carry", "spread", "element", "chunks")
+    __slots__ = ("field", "width", "stride", "top", "nonzero", "flags", "carry", "spread", "element")
 
-    def __init__(self, field: GF, n: int, images: Sequence[int] | None = None) -> None:
+    def __init__(self, field: GF, n: int) -> None:
         p, m = field.p, field.m
         w = p.bit_length() + 1
         c = m * w
@@ -93,17 +100,6 @@ class _PackedWords:
         for a in range(1, field.q):
             self.spread.append(a % p | self.spread[a // p] << w)
         self.element = {s: a for a, s in enumerate(self.spread)}
-        # at least three chunks, empty ones past n, so supports() reads
-        # three lookups for every n <= 24
-        images = images or [1 << i for i in range(n)]
-        self.chunks = []
-        for base in range(0, max(n, 24), 8):
-            mask, table = 0, {0: 0}
-            for i in range(base, min(base + 8, n)):
-                flag = 1 << ((i + 1) * c - 1)
-                mask |= flag
-                table.update({key | flag: bits | images[i] for key, bits in table.items()})
-            self.chunks.append((mask, table))
 
     def pack(self, word: Sequence[int]) -> int:
         spread, c = self.spread, self.stride
@@ -131,11 +127,24 @@ class _PackedWords:
             words += [(s := a + t) - (((s + carry) & top) >> shift) * p for t in multiples for a in words]
         return words
 
-    def supports(self, low: list[int], negated: int) -> list[int]:
+    def chunks(self, images: Sequence[int]) -> list[tuple[int, dict[int, int]]]:
+        """supports()' tables: per 8 coordinates a flag mask and a dict from its flags to the
+        OR of their images; at least three, empty past n, so n <= 24 reads three lookups."""
+        n, c, out = len(images), self.stride, []
+        for base in range(0, max(n, 24), 8):
+            mask, table = 0, {0: 0}
+            for i in range(base, min(base + 8, n)):
+                flag = 1 << ((i + 1) * c - 1)
+                mask |= flag
+                table.update({key | flag: bits | images[i] for key, bits in table.items()})
+            out.append((mask, table))
+        return out
+
+    def supports(self, low: list[int], negated: int, chunks: list[tuple[int, dict[int, int]]]) -> list[int]:
         """Support images of a + b for every packed a in low, given negated = -b packed."""
         nonzero, flags = self.nonzero, self.flags
         xs = [((a ^ negated) + nonzero) & flags for a in low]
-        (k0, d0), (k1, d1), (k2, d2), *rest = self.chunks
+        (k0, d0), (k1, d1), (k2, d2), *rest = chunks
         out = [d0[x & k0] | d1[x & k1] | d2[x & k2] for x in xs]
         for key, table in rest:
             out = [bits | table[x & key] for bits, x in zip(out, xs)]
@@ -225,28 +234,35 @@ class LinearCode:
             for a in low:
                 yield tuple(F._add_scaled(b, 1, a))
 
-    def support_batches(self, poset: Poset | None = None) -> Iterator[list[int]]:
+    def support_batches(self, poset: Poset | None = None, *, lines: bool = False) -> Iterator[list[int]]:
         """Support masks of all q**k codewords in message-encoding order, or
         with a poset of length n their ideal closures.
 
         Batch b holds the supports of the messages b * q**h .. (b+1) * q**h - 1
-        with h = ceil(k/2); see the module docstring.  The cap is checked
-        here, before anything is packed.
+        with h = ceil(k/2); lines=True keeps only the zero word and the monic
+        messages, 1 + (q**k - 1)/(q - 1) supports (see the module docstring).
+        The cap, on q**k either way, is checked here, before anything is packed.
         """
         if poset is not None and poset.n != self.n:
             raise ValueError(f"poset size {poset.n} != code length {self.n}")
         self.require_enumerable()
-        return self._support_batches(None if poset is None else poset.below)
+        return self._support_batches([1 << i for i in range(self.n)] if poset is None else poset.below, lines)
 
-    def _support_batches(self, images: Sequence[int] | None) -> Iterator[list[int]]:
-        F = self.field
-        packed = _PackedWords(F, self.n, images)
+    def _support_batches(self, images: Sequence[int], lines: bool) -> Iterator[list[int]]:
+        F, q = self.field, self.field.q
+        packed = _PackedWords(F, self.n)
+        chunks = packed.chunks(images)
         rows = self.generator.rows
         half = (self.k + 1) // 2
         low = packed.span(rows[:half])
         minus_one = F.neg(1)
-        for negated in packed.span([F._scale(minus_one, row) for row in rows[half:]]):
-            yield packed.supports(low, negated)
+        high = packed.span([F._scale(minus_one, row) for row in rows[half:]])
+        if lines:
+            # span() puts the words whose last nonzero digit is 1, at row i, in [q**i, 2 * q**i)
+            yield packed.supports([0] + [a for i in range(half) for a in low[q**i : 2 * q**i]], 0, chunks)
+            high = [b for i in range(self.k - half) for b in high[q**i : 2 * q**i]]
+        for negated in high:
+            yield packed.supports(low, negated, chunks)
 
     # -- derived codes -------------------------------------------------------
 

@@ -6,11 +6,13 @@ has ideal closure exactly I.  The support census maps each ideal I to
 take the census:
 
 enumerate
-    Count the support closures of the q**k codewords, which the stream
-    reads straight off the packed words (LinearCode.support_batches given
-    the poset, guarded by the enumeration cap).  It never lists the ideals
-    of P and never reads the rank table, so it is the independent oracle
-    for the other method.
+    Count the support closures of the codewords, which the stream reads
+    straight off the packed words (LinearCode.support_batches given the
+    poset and lines=True, guarded by the cap on q**k): one word per line,
+    its count taken q - 1 times, but the zero word's once.  Counts that do
+    not sum to q**k raise SelfCheckError.  It never lists the ideals of P
+    and never reads the rank table, so it is the independent oracle for
+    the other method.
 
 moebius
     The words of C supported inside an ideal I form the shortened subcode
@@ -84,14 +86,18 @@ _COLUMN_CONDITION_CAP = 1 << 16
 def support_census(code: LinearCode, poset: Poset, method: str = "moebius") -> dict[int, int]:
     """Map each ideal I with C & S_I nonempty to |C & S_I|; see the module docstring."""
     _require_compatible(code, poset)
+    n, k, q = code.n, code.k, code.field.q
     if method == "enumerate":
         counts: Counter[int] = Counter()
-        for batch in code.support_batches(poset):
+        for batch in code.support_batches(poset, lines=True):
             counts.update(batch)
-        return dict(counts)
+        # every nonzero word stands for its q - 1 nonzero multiples, which share its support
+        census = {ideal: count * (q - 1) if ideal else count for ideal, count in counts.items()}
+        if (total := sum(census.values())) != q**k:
+            raise SelfCheckError(f"enumerate census: {total} words counted, not q^k = {q**k}")
+        return census
     if method != "moebius":
         raise ValueError(f"unknown method {method!r}")
-    n, k, q = code.n, code.k, code.field.q
     ideals, dims = code.matroid.census_dims(poset)
     if len(dims) == 1 << n:
         return _packed_moebius(dims, n, k, q)

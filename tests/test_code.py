@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -154,6 +155,30 @@ def test_support_batches_match_codeword_supports():
             assert [s for batch in closures for s in batch] == [
                 poset.ideal_closure(support_mask(w)) for w in code.codewords()
             ], (q, n, k)
+
+
+def test_line_stream_holds_one_word_per_line():
+    # the zero word once and q - 1 copies of every other support must give
+    # back the supports of all q^k codewords; k = 1 leaves the high half
+    # empty, odd k splits unevenly, and for q = 2 the lines are all words
+    rng = random.Random(28)
+    for q in PACKING_FIELDS:
+        k_max = max(k for k in range(1, 9) if q**k <= 5000)
+        odd = k_max - 1 + k_max % 2
+        shapes = [(24, 1), (rng.choice([9, 13, 17]), min(2, k_max)), (rng.choice([11, 24]), odd)]
+        for n, k in shapes:
+            code = random_full_rank(rng, q, n, k)
+            for poset in (None, random_poset(rng, n)):
+                close = (lambda s: s) if poset is None else poset.ideal_closure
+                lines = list(code.support_batches(poset, lines=True))
+                flat = [s for batch in lines for s in batch]
+                assert len(flat) == 1 + (q**k - 1) // (q - 1), (q, n, k)
+                assert flat[0] == 0 and 0 not in flat[1:], (q, n, k)
+                expected = Counter(close(support_mask(w)) for w in code.codewords())
+                multiples = Counter({s: (q - 1) * c for s, c in Counter(flat[1:]).items()})
+                assert multiples + Counter({0: 1}) == expected, (q, n, k)
+                if q == 2:
+                    assert lines == list(code.support_batches(poset)), (n, k)
 
 
 def test_support_batches_refuse_a_poset_of_another_length():

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from posetcode.code import LinearCode
+from posetcode.code import LinearCode, support_mask
 from posetcode.distribution import (
     MDS_LABEL,
     NMDS_LABEL,
@@ -24,6 +25,7 @@ from posetcode.distribution import (
 from posetcode.field import gf
 from posetcode.matrix import Matrix
 from posetcode.poset import Poset, load_poset
+from test_code import PACKING_FIELDS, random_full_rank
 
 DATA = Path(__file__).parent / "data"
 
@@ -203,6 +205,41 @@ def test_enumerate_report_refuses_over_cap_before_classifying(monkeypatch):
     code = LinearCode.from_generator(gf(2), Matrix.identity(gf(2), 21).rows)
     with pytest.raises(ValueError, match="enumeration cap"):
         distribution_report(code, Poset.antichain(21), "enumerate")
+
+
+def test_enumerate_census_matches_closures_of_all_codewords():
+    # the oracle closes the support of each of the q^k tuple words one at a
+    # time, through none of the packed code; k = 1 leaves the stream's high
+    # half empty, odd k splits it unevenly, n = 24 fills all three closure
+    # tables and the other lengths are not multiples of 8
+    rng = random.Random(57)
+    for q in PACKING_FIELDS:
+        k_max = max(k for k in range(1, 9) if q**k <= 5000)
+        shapes = [(24, 1), (rng.choice([5, 10, 13]), min(2, k_max)), (rng.choice([11, 24]), k_max - 1 + k_max % 2)]
+        for n, k in shapes:
+            code = random_full_rank(rng, q, n, k)
+            for poset in (random_poset(rng, n), Poset.chain(n), Poset.antichain(n)):
+                expected = Counter(poset.ideal_closure(support_mask(w)) for w in code.codewords())
+                assert support_census(code, poset, "enumerate") == expected, (q, n, k)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("fault", ["drop-first", "drop-last", "repeat"])
+def test_enumerate_census_refuses_a_stream_short_or_long_by_a_batch(monkeypatch, q, fault):
+    from posetcode.errors import SelfCheckError
+
+    code = random_full_rank(random.Random(58), q, 7, 3)
+    honest = LinearCode.support_batches
+
+    def faulty(self, poset=None, *, lines=False):
+        batches = list(honest(self, poset, lines=lines))
+        if fault == "repeat":
+            return iter(batches + batches[-1:])
+        return iter(batches[1:] if fault == "drop-first" else batches[:-1])
+
+    monkeypatch.setattr(LinearCode, "support_batches", faulty)
+    with pytest.raises(SelfCheckError, match=f"not q\\^k = {q**3}"):
+        support_census(code, Poset.chain(7), "enumerate")
 
 
 def test_distribution_fixtures():
