@@ -27,6 +27,11 @@ ending at row i fill its block [q**i, 2 * q**i), so the stream yields one
 batch of the zero word and the low span's monic words, then the low span
 for each monic high word.  For q = 2 that is the full stream.
 
+shorten(J) solves for the messages whose codewords vanish outside J:
+from the identity basis, one kernel step per coordinate c outside J
+meets the kernel so far with the hyperplane (mG)_c = 0.  shorten_dims
+runs the same step depth first over every subset, one step each.
+
 Text format for code files (parse_code / format_code):
 
     q 2 n 4 k 2    # header
@@ -42,11 +47,13 @@ import warnings
 from collections.abc import Iterable, Iterator, Sequence
 from pathlib import Path
 
+from .bitset import bits_of
 from .field import GF, gf
 from .matrix import Matrix, matrix_times_col, row_times_matrix
 from .poset import Poset
 
 MAX_ENUMERATION = 1 << 20
+TABLE_LIMIT = 16  # all-subsets tables: shorten_dims and the matroid rank tables
 
 
 def support_mask(word: Sequence[int]) -> int:
@@ -266,21 +273,57 @@ class LinearCode:
 
     # -- derived codes -------------------------------------------------------
 
+    def _meet_hyperplane(self, basis: tuple, c: int) -> tuple:
+        """The kernel step.  basis holds rows (m | mG) whose messages m span
+        the kernel {m : (mG)_i = 0} of some coordinates i; return such rows
+        for the part of that kernel where also (mG)_c = 0.
+
+        Messages stay reduced with respect to their last nonzero digit, their
+        lead, which is 1 and zero in every other message.  The first row
+        with (mG)_c != 0 has the smallest such lead; it clears the later
+        rows and leaves, which keeps that shape, so the messages stay the
+        basis Matrix.null_space_basis returns for the same kernel.
+        """
+        at = self.k + c
+        i = next((i for i, row in enumerate(basis) if row[at]), None)
+        if i is None:
+            return basis
+        F, pivot = self.field, basis[i]
+        over = F._neg[F._inv[pivot[at]]]
+        later = (F._add_scaled(row, F._mul[row[at]][over], pivot) if row[at] else row for row in basis[i + 1 :])
+        return basis[:i] + tuple(later)
+
+    def _kernel_root(self) -> tuple:
+        # (e_i | row i of G): the identity basis of messages, with their codewords
+        return tuple((0,) * i + (1,) + (0,) * (self.k - 1 - i) + row for i, row in enumerate(self.generator.rows))
+
     def shorten(self, mask: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
         """Dimension and basis of the subcode supported inside the subset.
 
         The subcode C^J = {u in C : supp(u) <= J} is cut out by solving for
-        messages whose codewords vanish on the complement of J, so the
+        messages whose codewords vanish on the complement of J, one kernel
+        step per coordinate outside J from the identity basis, so the
         returned dimension comes from a null-space computation and not from
         any rank identity.  Basis words are full-length.
         """
         if not 0 <= mask < (1 << self.n):
             raise ValueError(f"subset mask {mask:#x} out of range for n={self.n}")
+        rows = self._kernel_root()
+        for c in bits_of(((1 << self.n) - 1) ^ mask):
+            rows = self._meet_hyperplane(rows, c)
+        return len(rows), tuple(tuple(row[self.k :]) for row in rows)
+
+    def shorten_dims(self) -> bytes:
+        """shorten(J)[0] for every subset mask J, from one depth-first walk
+        over the complements S of J, one kernel step per subset.  Entries
+        start at 255, so a subset the walk misses shows as a wrong dimension."""
+        if self.n > TABLE_LIMIT:
+            raise ValueError(f"all-subsets tables need n <= {TABLE_LIMIT}, got n={self.n}")
         full = (1 << self.n) - 1
-        outside = self.generator.column_submatrix(full ^ mask)
-        messages = outside.transpose().null_space_basis()
-        basis = tuple(row_times_matrix(msg, self.generator) for msg in messages.rows)
-        return messages.nrows, basis
+        dims = bytearray(b"\xff" * (full + 1))
+        for outside, rows in Poset.antichain(self.n).walk_ideals(self._meet_hyperplane, self._kernel_root()):
+            dims[full ^ outside] = len(rows)
+        return bytes(dims)
 
     def dualize(self) -> LinearCode:
         """The dual code, generated by the parity-check rows."""

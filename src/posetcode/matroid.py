@@ -43,6 +43,8 @@ first time some column needs it, clears them.  RankProfile keeps:
     from the antichain's shortened dimensions, so by a zeta fill when one
     serves).  They serve the checks below, and the complement identity
     then holds either zeta fill against the walk on G.
+    shortened_dim_tables reads dim C^J off both on every mask, beside a
+    third table from the null-space solver (LinearCode.shorten_dims).
 
 Both rank functions satisfy the matroid rank axioms
 
@@ -59,10 +61,10 @@ as well as by the three-way description of the shortened subcode dimension
   |J| - dual_rank(J) = k - rank(complement of J) = dim {u in C : supp(u) <= J}.
 
 check_rank_axioms and check_complement_rank_identity verify these
-statements on every subset.  The axiom check reads each table once
-through the public accessors, so a corrupted table is caught, and then
-sweeps R1 on every A, and R2 and R3 only locally, for A and elements
-e, g outside A:
+statements on every subset.  Each refuses n > TABLE_LIMIT before any
+fill, then reads each table once, so a corrupted table is caught; the
+identity is one compare of whole tables.  The axiom check sweeps R1 on
+every A, and R2 and R3 only locally, for A and elements e, g outside A:
 
   R2  f(A) <= f(A | e)
   R3  f(A | e | g) + f(A) <= f(A | e) + f(A | g).
@@ -71,7 +73,10 @@ On the Boolean lattice these are equivalent to R2 and R3 over all pairs:
 monotonicity follows along a chain of single-element steps from A up to
 B, and local submodularity implies submodularity (Schrijver,
 Combinatorial Optimization, Thm 44.1).  So C(n, 2) * 2**(n-2) comparisons
-replace the 4**n pairs.
+replace the 4**n pairs.  Once R1 holds every value fits a byte, and the
+sweep runs as packed steps on byte fields of one int: one step compares
+all A for R2 at each e, and one for R3 at each pair (e, g).  A violation
+is reported as the scalar sweep would: the smallest A, then e, then g.
 """
 
 from __future__ import annotations
@@ -82,13 +87,11 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .bitset import subset_sizes, to_fields
-from .code import MAX_ENUMERATION, LinearCode, _PackedWords
+from .code import MAX_ENUMERATION, TABLE_LIMIT, LinearCode, _PackedWords
 from .errors import SelfCheckError
 from .field import GF
 from .matrix import Matrix
 from .poset import Poset
-
-TABLE_LIMIT = 16
 
 
 def _columns(mat: Matrix) -> list[tuple[int, ...]]:
@@ -240,8 +243,11 @@ class RankProfile:
 
     @cached_property
     def _rank_table(self) -> list[int]:
-        ranks = dict(ideal_ranks(Poset.antichain(self.n), self.code.field, self._gen_cols))
-        return [ranks[mask] for mask in range(self.full + 1)]
+        # -1 where the walk never writes, which R1 refuses
+        table = [-1] * (self.full + 1)
+        for mask, r in ideal_ranks(Poset.antichain(self.n), self.code.field, self._gen_cols):
+            table[mask] = r
+        return table
 
     @cached_property
     def _dual_table(self) -> list[int]:
@@ -249,10 +255,17 @@ class RankProfile:
         masks, dims = self.shortened_dims(Poset.antichain(self.n))
         return [mask.bit_count() - dim for mask, dim in zip(masks, dims)]
 
-    def _check_mask(self, mask: int) -> int:
+    @cached_property
+    def _solver_dims(self) -> bytes:
+        return self.code.shorten_dims()
+
+    def _require_tables(self) -> None:
         # called before a table is touched, so n > TABLE_LIMIT is refused before any fill
         if self.n > TABLE_LIMIT:
             raise ValueError(f"all-subsets rank tables need n <= {TABLE_LIMIT}, got n={self.n}")
+
+    def _check_mask(self, mask: int) -> int:
+        self._require_tables()
         if not 0 <= mask <= self.full:
             raise ValueError(f"subset mask {mask:#x} out of range for n={self.n}")
         return mask
@@ -270,11 +283,19 @@ class RankProfile:
     def shortened_dim_three_ways(self, mask: int) -> tuple[int, int, int]:
         """dim of the shortened subcode computed three independent ways:
         |J| - dual_rank(J), k - rank(complement J), and by the null-space
-        solver in LinearCode.shorten."""
-        via_dual = mask.bit_count() - self.dual_rank(mask)
-        via_complement = self.k - self.rank(self.full ^ mask)
-        via_solver = self.code.shorten(mask)[0]
-        return via_dual, via_complement, via_solver
+        solver of LinearCode.shorten_dims."""
+        mask = self._check_mask(mask)
+        via_dual = mask.bit_count() - self._dual_table[mask]
+        via_complement = self.k - self._rank_table[self.full ^ mask]
+        return via_dual, via_complement, self._solver_dims[mask]
+
+    def shortened_dim_tables(self) -> tuple[list[int], list[int], bytes]:
+        """The three ways of shortened_dim_three_ways as tables over every
+        mask J, in mask order."""
+        self._require_tables()
+        via_dual = [size - r for size, r in zip(subset_sizes(self.n), self._dual_table)]
+        via_complement = [self.k - r for r in reversed(self._rank_table)]
+        return via_dual, via_complement, self._solver_dims
 
 
 @dataclass(frozen=True)
@@ -303,25 +324,47 @@ class IdentityReport:
     witness: int | None
 
 
+def _lowest_field(flags: int) -> int:
+    """Index of the lowest byte field whose flag bit is set."""
+    return ((flags & -flags).bit_length() - 1) >> 3
+
+
 def _axiom_violation(name: str, t: list[int], n: int) -> AxiomViolation | None:
-    """First violation in the local sweep over the table t of f; see the module docstring."""
-    for a, value in enumerate(t):
-        if not 0 <= value <= a.bit_count():
-            return AxiomViolation(name, "R1", a, None)
-    bits = [1 << e for e in range(n)]
-    for a, value in enumerate(t):
-        for e in bits:
-            if not a & e and t[a | e] < value:
-                return AxiomViolation(name, "R2", a, a | e)
-    for a, value in enumerate(t):
-        outside = [e for e in bits if not a & e]
-        for i, e in enumerate(outside):
-            ae = a | e
-            t_ae = t[ae]
-            for g in outside[i + 1 :]:
-                if t[ae | g] + value > t_ae + t[a | g]:
-                    # A | e and A | g meet in A and join to A | e | g
-                    return AxiomViolation(name, "R3", ae, a | g)
+    """First violation of the local sweep over the table t of f, in the order
+    R1 by A, R2 by (A, e), R3 by (A, e, g); see the module docstring.
+
+    Once R1 holds, every f(A) lies in 0..n <= 16, so t packs into byte
+    fields of one int T, and one step compares every field at once.
+    Field A of T >> (8 << e) holds f(A | e) wherever A lacks e.  A step
+    adds the guard bit 0x80 to each field of the side that should be the
+    larger and subtracts the other side: every field stays in 0..255, so
+    none borrows from the next, and a field whose guard bit clears breaks
+    the inequality.  low_e (_low_masks) keeps the guards of the fields A
+    that lack e.
+    """
+    if not (0 <= min(t) and max(t) <= n):
+        a = next(a for a, value in enumerate(t) if not 0 <= value <= a.bit_count())
+        return AxiomViolation(name, "R1", a, None)
+    table = int.from_bytes(bytes(t), "little")
+    guards = int.from_bytes(b"\x80" * len(t), "little")
+    if over := guards & ~(int.from_bytes(subset_sizes(n), "little") + guards - table):
+        return AxiomViolation(name, "R1", _lowest_field(over), None)
+    low = dict(_low_masks(n, 8, 0x80))
+    up = [table >> (8 << e) for e in range(n)]
+    r2 = [(_lowest_field(v), e) for e in range(n) if (v := low[e] & ~(up[e] + guards - table))]
+    if r2:
+        a, e = min(r2)
+        return AxiomViolation(name, "R2", a, a | 1 << e)
+    r3 = [
+        (_lowest_field(v), e, g)
+        for e in range(n)
+        for g in range(e + 1, n)
+        if (v := low[e] & low[g] & ~(up[e] + up[g] + guards - table - (up[e] >> (8 << g))))
+    ]
+    if r3:
+        # A | e and A | g meet in A and join to A | e | g
+        a, e, g = min(r3)
+        return AxiomViolation(name, "R3", a | 1 << e, a | 1 << g)
     return None
 
 
@@ -331,20 +374,22 @@ def check_rank_axioms(profile: RankProfile) -> AxiomReport:
     The first violation in sweep order is reported with its witnesses:
     A for R1, (A, A | e) for R2, (A | e, A | g) for R3.
     """
+    profile._require_tables()
     n = profile.n
-    for name, fn in (("rank", profile.rank), ("dual_rank", profile.dual_rank)):
-        violation = _axiom_violation(name, [fn(mask) for mask in range(1 << n)], n)
+    for name, table in (("rank", profile._rank_table), ("dual_rank", profile._dual_table)):
+        violation = _axiom_violation(name, table, n)
         if violation is not None:
             return AxiomReport(n, False, violation)
     return AxiomReport(n, True, None)
 
 
 def check_complement_rank_identity(profile: RankProfile) -> IdentityReport:
-    """Verify dual_rank(A) = |A| - k + rank(complement A) on every subset;
-    the witness is the smallest failing mask."""
-    n, k, full = profile.n, profile.k, profile.full
-    rank = [profile.rank(mask) for mask in range(full + 1)]
-    for mask in range(full + 1):
-        if profile.dual_rank(mask) != mask.bit_count() - k + rank[full ^ mask]:
-            return IdentityReport(n, False, mask)
-    return IdentityReport(n, True, None)
+    """Verify dual_rank(A) = |A| - k + rank(complement A) on every subset,
+    as one compare of whole tables; the witness is the smallest failing mask."""
+    profile._require_tables()
+    n, k = profile.n, profile.k
+    lhs = [r - size for size, r in zip(subset_sizes(n), profile._dual_table)]
+    rhs = [r - k for r in reversed(profile._rank_table)]
+    if lhs == rhs:
+        return IdentityReport(n, True, None)
+    return IdentityReport(n, False, next(a for a, (x, y) in enumerate(zip(lhs, rhs)) if x != y))

@@ -4,8 +4,10 @@ run_selftest draws seeded random (code, poset) instances and checks, on
 each one, that independent implementations of the same quantity agree:
 the ideal scan against the definitional brute force, the Moebius support
 census against enumeration, closed-form distributions against both, the
-rank identities on all subsets, and the duality partition, whose dual
-weights (read off the primal table) must also equal the hierarchy of the
+rank axioms, the complement identity and the shortened dimension three
+ways (two rank tables and the null-space solver) on all subsets, each a
+pass over whole tables, and the duality partition, whose dual weights
+(read off the primal table) must also equal the hierarchy of the
 dualized code under the dual poset.  Any failure is recorded together
 with a reproducer (the code and poset in their text formats) so it can
 be replayed from files.  No option plants a fault: the failure path is
@@ -173,15 +175,13 @@ def _check_rank_structure(s: _Session, code: LinearCode) -> None:
         identity.passed,
         f"identity fails at mask {identity.witness:#x}" if identity.witness is not None else "identity check failed",
     )
-    triple_ok = True
-    detail = ""
-    for mask in range(1 << code.n):
-        a, b, c = profile.shortened_dim_three_ways(mask)
-        if not a == b == c:
-            triple_ok = False
-            detail = f"triple ({a}, {b}, {c}) at mask {mask:#x}"
-            break
-    s.expect("shortened-dim-triple", triple_ok, detail)
+    via_dual, via_complement, via_solver = profile.shortened_dim_tables()
+    if via_dual == via_complement == list(via_solver):
+        s.ok("shortened-dim-triple")
+    else:
+        triples = enumerate(zip(via_dual, via_complement, via_solver))
+        mask, (a, b, c) = next((mask, t) for mask, t in triples if not t[0] == t[1] == t[2])
+        s.fail("shortened-dim-triple", f"triple ({a}, {b}, {c}) at mask {mask:#x}")
 
 
 def _check_counts(s: _Session, code: LinearCode, poset: Poset) -> None:

@@ -255,6 +255,63 @@ def test_shorten_matches_enumeration():
             assert Matrix(gf(q), basis, n).rank() == dim if basis else dim == 0
 
 
+def subcode_sizes(code):
+    """|C^J| for every subset J: the codewords() supports, summed over subsets."""
+    counts = [0] * (1 << code.n)
+    for word in code.codewords():
+        counts[support_mask(word)] += 1
+    for e in range(code.n):
+        for mask in range(1 << code.n):
+            if mask >> e & 1:
+                counts[mask] += counts[mask ^ (1 << e)]
+    return counts
+
+
+# (n, k) per field: k = 1, k = n with q^n <= 4096, n = 12, and one mixed shape
+SOLVER_SHAPES = {
+    2: [(1, 1), (12, 1), (12, 12), (12, 5), (9, 4)],
+    3: [(1, 1), (12, 1), (7, 7), (12, 4), (9, 5)],
+    4: [(1, 1), (12, 1), (6, 6), (12, 3), (9, 4)],
+    5: [(1, 1), (12, 1), (5, 5), (12, 3), (9, 2)],
+    8: [(1, 1), (12, 1), (4, 4), (12, 2), (9, 3)],
+}
+
+
+@pytest.mark.parametrize("q", sorted(SOLVER_SHAPES))
+def test_shorten_dims_match_shorten_and_subcode_sizes(q):
+    rng = random.Random(60 + q)
+    for n, k in SOLVER_SHAPES[q]:
+        code = random_full_rank(rng, q, n, k)
+        dims = code.shorten_dims()
+        assert isinstance(dims, bytes) and len(dims) == 1 << n
+        sizes = subcode_sizes(code)
+        for mask in range(1 << n):
+            assert dims[mask] == code.shorten(mask)[0], (q, n, k, mask)
+            assert q ** dims[mask] == sizes[mask], (q, n, k, mask)
+
+
+def test_shorten_is_the_null_space_basis():
+    # byte for byte the (dim, basis) of the column null space of G outside J,
+    # for every subset, k = 1 and k = n among the shapes
+    rng = random.Random(66)
+    for q in sorted(SOLVER_SHAPES):
+        for n, k in [(1, 1), (4, 4), (5, 1), (6, 3), (7, rng.randint(1, 7))]:
+            code = random_full_rank(rng, q, n, k)
+            full = (1 << n) - 1
+            for mask in range(1 << n):
+                messages = code.generator.column_submatrix(full ^ mask).transpose().null_space_basis()
+                expected = (messages.nrows, tuple(row_times_matrix(m, code.generator) for m in messages.rows))
+                got = code.shorten(mask)
+                assert got == expected, (q, n, k, mask)
+                assert all(type(word) is tuple for word in got[1])
+
+
+def test_shorten_dims_refuse_above_table_limit():
+    code = LinearCode.from_generator(gf(2), [tuple(1 for _ in range(17))])
+    with pytest.raises(ValueError, match="n <= 16"):
+        code.shorten_dims()
+
+
 def test_dualize():
     rng = random.Random(23)
     for _ in range(15):

@@ -11,6 +11,9 @@ from posetcode.field import gf
 from posetcode.matrix import Matrix
 from posetcode.poset import Poset, load_poset
 from posetcode.matroid import (
+    AxiomReport,
+    AxiomViolation,
+    IdentityReport,
     RankProfile,
     _columns,
     check_complement_rank_identity,
@@ -357,3 +360,94 @@ def test_local_sweep_matches_definition_on_corrupted_tables():
         verdicts.add((broken, None if report.passed else report.violation.axiom))
     # every kind of verdict occurs, so the comparison above is not vacuous
     assert verdicts == {(False, None), (True, "R1"), (True, "R2"), (True, "R3")}
+
+
+def local_sweep(name, t, n):
+    """The scalar local sweep: the first violation in the order R1 by A,
+    R2 by (A, e), R3 by (A, e, g), one comparison at a time."""
+    for a, value in enumerate(t):
+        if not 0 <= value <= a.bit_count():
+            return AxiomViolation(name, "R1", a, None)
+    bits = [1 << e for e in range(n)]
+    for a, value in enumerate(t):
+        for e in bits:
+            if not a & e and t[a | e] < value:
+                return AxiomViolation(name, "R2", a, a | e)
+    for a, value in enumerate(t):
+        outside = [e for e in bits if not a & e]
+        for i, e in enumerate(outside):
+            for g in outside[i + 1 :]:
+                if t[a | e | g] + value > t[a | e] + t[a | g]:
+                    return AxiomViolation(name, "R3", a | e, a | g)
+    return None
+
+
+def identity_witness(rank, dual, n, k):
+    """The smallest mask failing dual(A) = |A| - k + rank(complement A), one mask at a time."""
+    full = (1 << n) - 1
+    return next((a for a in range(full + 1) if dual[a] != a.bit_count() - k + rank[full ^ a]), None)
+
+
+def corrupt_keeping_r1(rng, t, n, kind):
+    """Move one entry by one within 0..|A|: the full set down (top), a
+    singleton of rank 1 down to 0 (bottom), or any of the lowest or highest
+    2n + 1 masks (edge)."""
+    size = len(t)
+    if kind == "top":
+        candidates = [size - 1]
+    elif kind == "bottom":
+        candidates = [1 << e for e in range(n) if t[1 << e] == 1]
+    else:
+        candidates = list(range(1, 2 * n + 2)) + list(range(size - 2 * n - 1, size))
+    for mask in rng.sample(candidates, len(candidates)):
+        for step in rng.sample((-1, 1), 2) if kind == "edge" else (-1,):
+            if 0 <= t[mask] + step <= mask.bit_count():
+                t[mask] += step
+                return mask
+    return None
+
+
+@pytest.mark.parametrize(("q", "n", "k"), [(2, 12, 6), (3, 12, 4), (2, 13, 5), (4, 14, 7), (2, 16, 8)])
+def test_packed_sweep_matches_scalar_sweep_on_edge_corruptions(q, n, k):
+    # entries near the bottom and the top of both tables changed so that R1
+    # still holds: the report, and the identity witness, are the scalar ones
+    rng = random.Random(70 + n + q)
+    code = full_rank_code(rng, q, n, k)
+    honest = code.matroid
+    assert check_rank_axioms(honest) == AxiomReport(n, True, None)
+    rounds = [("rank", "top"), ("dual_rank", "bottom")]
+    if n < 16:
+        rounds += [(table, kind) for table in ("rank", "dual_rank") for kind in ("top", "bottom", "edge", "edge")]
+    verdicts = set()
+    for name, kind in rounds:
+        profile = RankProfile(code)
+        profile._rank_table = list(honest._rank_table)
+        profile._dual_table = list(honest._dual_table)
+        table = profile._rank_table if name == "rank" else profile._dual_table
+        for _ in range(1 if kind != "edge" else rng.randint(1, 3)):
+            assert corrupt_keeping_r1(rng, table, n, kind) is not None
+        expected = local_sweep("rank", profile._rank_table, n) or local_sweep("dual_rank", profile._dual_table, n)
+        report = check_rank_axioms(profile)
+        assert report == AxiomReport(n, expected is None, expected), (name, kind)
+        if expected is not None:
+            assert expected.function == name and violates(table, expected)
+            verdicts.add(expected.axiom)
+        witness = identity_witness(profile._rank_table, profile._dual_table, n, k)
+        assert check_complement_rank_identity(profile) == IdentityReport(n, witness is None, witness)
+    assert verdicts == {"R2", "R3"}
+
+
+def test_packed_sweep_refuses_out_of_range_values_at_the_first_mask():
+    # values outside 0..n cannot be packed; R1 is then swept one mask at a time
+    code = full_rank_code(random.Random(71), 3, 12, 6)
+    full = (1 << 12) - 1
+    for edits in ({full: 13}, {full: -1, 5: 3}, {1: 2, 7: -3}, {0: 1, full - 1: 99}):
+        profile = RankProfile(code)
+        profile._dual_table = list(code.matroid._dual_table)
+        for mask, value in edits.items():
+            profile._dual_table[mask] = value
+        expected = local_sweep("dual_rank", profile._dual_table, 12)
+        assert expected.axiom == "R1" and expected.set_a == min(edits)
+        assert check_rank_axioms(profile) == AxiomReport(12, False, expected)
+        witness = identity_witness(profile._rank_table, profile._dual_table, 12, 6)
+        assert check_complement_rank_identity(profile).witness == witness == min(edits)

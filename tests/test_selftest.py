@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from posetcode.code import parse_code
+from posetcode.code import LinearCode, parse_code
 from posetcode.matroid import check_rank_axioms
 from posetcode.poset import parse_poset
 from posetcode.selftest import SelfTestReport, random_instance, run_selftest
@@ -101,3 +101,25 @@ def test_corrupt_rank_leaves_later_instances_clean(poison_first_instance):
     assert clean.passed and not poisoned.passed
     # second and third instances contribute passing checks as usual
     assert poisoned.counts["hierarchy-scan-vs-oracle"] == 3
+
+
+def test_wrong_solver_entry_fails_the_triple_with_its_mask(monkeypatch):
+    honest = LinearCode.shorten_dims
+
+    def off_by_one(self):
+        dims = bytearray(honest(self))
+        dims[3] += 1
+        return bytes(dims)
+
+    monkeypatch.setattr(LinearCode, "shorten_dims", off_by_one)
+    report = run_selftest(seed=1, trials=2)
+    assert not report.passed
+    # only the triple reads the solver table; every other check still passes
+    assert [f.check for f in report.failures] == ["shortened-dim-triple"] * 2
+    assert "shortened-dim-triple" not in report.counts
+    assert report.counts["rank-axioms"] == report.counts["complement-identity"] == 2
+    for failure in report.failures:
+        text = failure.reproducer
+        code = parse_code(text[: text.index("n ", text.index("\n"))])
+        dim = code.shorten(3)[0]
+        assert failure.detail == f"triple ({dim}, {dim}, {dim + 1}) at mask 0x3"
