@@ -30,31 +30,38 @@ moebius
     bit G above q^k, and n packed steps T -= (T & low_e) << (w << e)
     subtract every field without coordinate e from the one with it.  A
     count that would go negative borrows the guard bit of its own field
-    and never the next field; a cleared guard, or a dim above k, raises
-    SelfCheckError.  Other posets take n * |J(P)| subtractions in a dict:
-    for e along the reverse of a linear extension, subtract the entry of
-    I - {e} from the entry of I wherever I - {e} is an ideal.
+    and never the next field.  Other posets take n * |J(P)| subtractions
+    in a dict: for e along the reverse of a linear extension, subtract
+    the entry of I - {e} from the entry of I wherever I - {e} is an
+    ideal.  A dim above k in the table, read once for both, a cleared
+    guard or a negative count left in the dict raises SelfCheckError.
 
 The weight distribution (A_0, ..., A_n) with A_r = |{u in C : wt_P(u) = r}|
 sums the census over the ideals of each size.
 
 A code is MDS for P when d_1 = n - k + 1, and near-MDS (NMDS) when
-d_1 = n - k and d_2 = n - k + 2 (k >= 2).  Both admit closed-form
-distributions driven only by N(r, m), the number of ideals of size r
-with m maximal elements (one walk over J(P) counts it), and (for NMDS)
-the census at the bottom size d:
+d_1 = n - k and d_2 = n - k + 2 (k >= 2).  One closed form gives both.
+Every ideal has dim C^I >= D(|I|), D(s) = max(0, s - (n - k)), so
+q^(dim C^I) = q^D(|I|) + g(I) with g >= 0.  The Moebius function of J(P)
+is (-1)^|A| on the sets A of maximal elements of I; invert each part:
 
-    MDS   A_r = sum_{|I| = r} sum_{s=0}^{r-d} (-1)^s C(m_I, s) (q^(r-d+1-s) - 1)
-    NMDS  A_r = sum_{|I| = r} sum_{s=0}^{r-d-1} (-1)^s C(m_I, s) (q^(r-d-s) - 1)
-              + (-1)^(r-d) sum_{|J| = d} C(a_J, r-d) |C & S_J|
+    A_r = sum_m N(r, m) sum_{a=0}^{m} (-1)^a C(m, a) q^D(r-a)
+        + sum_{J in W} (-1)^(r-|J|) C(a_J, r-|J|) g(J)
 
-with m_I the number of maximal elements of I and a_J the number of
-minimal elements of P - J: an ideal J of size d lies between I minus its
-maximal elements and I for exactly C(a_J, r-d) ideals I of size r, the
-unions of J with r-d minimal elements of P - J.  When P is the antichain
-a_J = n - d and the NMDS form collapses to binomials:
+with N(r, m) the number of ideals of size r with m maximal elements (one
+walk over J(P) counts it), the window W the ideals with g(J) != 0, and
+a_J the number of minimal elements of P - J: J is I less some maximal
+elements of I for exactly C(a_J, r - |J|) ideals I of size r.  W is read
+off RankProfile.census_dims by translate and find.  It is empty for MDS
+codes, whose table is never read: dim C^J = 0 below size n - k + 1, and
+as d_{r+1} > d_r every d_r sits at the Singleton bound n - k + r.  For
+NMDS codes d_2 = n - k + 2 leaves in W only ideals of size d = n - k
+with dim C^J = 1, where g(J) = q - 1 = |C & S_J| is the correction of
+Dodunekov and Landjev ("On near-MDS codes", 1995).  Under the antichain
+N(r, m) is C(n, r) at m = r, a_J = n - d, and the NMDS form collapses
+to binomials:
 
-    A_r = C(n, r) sum_{s=0}^{r-d-1} (-1)^s C(r, s) (q^(r-d-s) - 1)
+    A_r = C(n, r) sum_{a=0}^{r} (-1)^a C(r, a) q^D(r-a)
         + (-1)^(r-d) C(n-d, r-d) A_d.
 
 Every closed form here is validated against enumeration by the test suite;
@@ -64,15 +71,15 @@ none of them is ever used as its own oracle.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterator
-from dataclasses import dataclass
+from collections.abc import Iterator, Sequence
+from dataclasses import asdict, dataclass
 from itertools import combinations
 from math import comb
 
 from .bitset import mask_from_positions, to_elements, to_fields
 from .code import MAX_ENUMERATION, LinearCode
 from .errors import SelfCheckError
-from .hierarchy import _key_table, _primal_minima, _profile_ok, _require_compatible
+from .hierarchy import _key_table, _primal_minima, _profile_ok, _require_compatible, ideal_sizes
 from .matroid import _low_masks
 from .poset import Poset
 
@@ -98,7 +105,7 @@ def support_census(code: LinearCode, poset: Poset, method: str = "moebius") -> d
         return census
     if method != "moebius":
         raise ValueError(f"unknown method {method!r}")
-    ideals, dims = code.matroid.census_dims(poset)
+    ideals, dims = _census_table(code, poset)
     if len(dims) == 1 << n:
         return _packed_moebius(dims, n, k, q)
     census = dict(zip(ideals, map([q**d for d in range(k + 1)].__getitem__, dims)))
@@ -108,16 +115,25 @@ def support_census(code: LinearCode, poset: Poset, method: str = "moebius") -> d
         for ideal in census:
             if ideal & bit and ideal ^ bit in census:
                 census[ideal] -= census[ideal ^ bit]
+    if min(census.values()) < 0:
+        subset = next(ideal for ideal, count in census.items() if count < 0)
+        raise SelfCheckError(f"Moebius census: negative count at subset {subset:#x}")
     return {ideal: count for ideal, count in census.items() if count}
 
 
+def _census_table(code: LinearCode, poset: Poset) -> tuple[Sequence[int], bytes]:
+    """RankProfile.census_dims, with SelfCheckError for a dim above k."""
+    (ideals, dims), k = code.matroid.census_dims(poset), code.k
+    if (bad := dims.translate(bytes(k + 1).ljust(256, b"\1")).find(1)) >= 0:
+        raise SelfCheckError(f"Moebius census: shortened dimension {dims[bad]} > k = {k} at subset {ideals[bad]:#x}")
+    return ideals, dims
+
+
 def _packed_moebius(dims: bytes, n: int, k: int, q: int) -> dict[int, int]:
-    """The census from a table over all 2**n masks, by packed int steps
-    with a guard bit per field; see the module docstring."""
+    """The census from a table over all 2**n masks, each dim at most k, by
+    packed int steps with a guard bit per field; see the module docstring."""
     size, wb = len(dims), (q**k).bit_length() // 8 + 1
     w, guard = 8 * wb, 1 << 8 * wb - 1
-    if (bad := dims.translate(bytes(k + 1).ljust(256, b"\1")).find(1)) >= 0:
-        raise SelfCheckError(f"Moebius census: shortened dimension {dims[bad]} > k = {k} at subset {bad:#x}")
     guards = int.from_bytes(guard.to_bytes(wb, "little") * size, "little")
     table = int.from_bytes(to_fields(dims, [q**d | guard for d in range(k + 1)], wb), "little")
     for e, low in _low_masks(n, w, guard - 1):
@@ -174,19 +190,8 @@ class Classification:
     column_conditions_ok: bool | None
 
     def as_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "n": self.n,
-            "k": self.k,
-            "q": self.q,
-            "d1": self.d1,
-            "d2": self.d2,
-            "d1_witness": list(self.d1_witness),
-            "d2_witness": None if self.d2_witness is None else list(self.d2_witness),
-            "dimension_profile_ok": self.dimension_profile_ok,
-            "dual_rank_profile_ok": self.dual_rank_profile_ok,
-            "column_conditions_ok": self.column_conditions_ok,
-        }
+        # fields in declaration order, the witness tuples as lists
+        return {name: list(v) if isinstance(v, tuple) else v for name, v in asdict(self).items()}
 
 
 def _column_conditions(code: LinearCode) -> bool | None:
@@ -248,20 +253,39 @@ def classify(code: LinearCode, poset: Poset) -> Classification:
     )
 
 
-def _alternating_sum(m: int, t: int, q: int) -> int:
-    """sum_{s=0}^{t-1} (-1)^s C(m, s) (q^(t-s) - 1): the ideal term of the closed forms."""
-    return sum((-1) ** s * comb(m, s) * (q ** (t - s) - 1) for s in range(t))
+def _ideal_term(r: int, m: int, redundancy: int, q: int) -> int:
+    """sum_{a=0}^{m} (-1)^a C(m, a) q^D(r - a), D(s) = max(0, s - redundancy):
+    the first part of the closed form for one ideal of size r with m maximal elements."""
+    return sum((-1) ** a * comb(m, a) * q ** max(0, r - a - redundancy) for a in range(m + 1))
 
 
-def _closed_form_counts(poset: Poset, d: int, t: int, q: int) -> list[int]:
-    """[1, A_1, ..., A_n], A_r the sum of _alternating_sum(m_I, r - d + t, q) over the ideals I
-    of size r, each sum taken once per (r, m) from N(r, m); see the module docstring."""
+def _closed_form_counts(code: LinearCode, poset: Poset, d1: int) -> list[int]:
+    """[A_0, ..., A_n] by the closed form of the module docstring for a code of
+    first weight d1 under P: the ideal terms once per (r, m) of N(r, m), then
+    the window, read off the census table only when d1 <= n - k."""
+    n, k, q = code.n, code.k, code.field.q
     below = poset.below
     # the walk carries the maximal elements: adding e keeps e and drops what lies below it
     walk = poset.walk_ideals(lambda top, e: top & ~below[e] | 1 << e, 0)
-    counts = [1] + [0] * poset.n
+    counts = [0] * (n + 1)
     for (r, m), count in Counter((ideal.bit_count(), top.bit_count()) for ideal, top in walk).items():
-        counts[r] += count * _alternating_sum(m, r - d + t, q)
+        counts[r] += count * _ideal_term(r, m, n - k, q)
+    if d1 > n - k:
+        return counts
+    ideals, dims = _census_table(code, poset)
+    sizes = ideal_sizes(ideals)
+    floor = sizes.translate(bytes(max(0, s - (n - k)) for s in range(256)))
+    # the window: a nonzero byte wherever dim C^J differs from D(|J|)
+    flags = int.from_bytes(dims, "little") ^ int.from_bytes(floor, "little")
+    flags = flags.to_bytes(len(dims), "little").translate(b"\0" + b"\1" * 255)
+    window: Counter[tuple[int, int, int]] = Counter()
+    at = flags.find(1)
+    while at >= 0:
+        window[sizes[at], _minimal_outside(poset, ideals[at]).bit_count(), q ** dims[at] - q ** floor[at]] += 1
+        at = flags.find(1, at + 1)
+    for (size, a, g), count in window.items():
+        for r in range(size, size + a + 1):
+            counts[r] += (-1) ** (r - size) * comb(a, r - size) * g * count
     return counts
 
 
@@ -271,19 +295,19 @@ def _minimal_outside(poset: Poset, ideal: int) -> int:
 
 
 def mds_distribution(code: LinearCode, poset: Poset, classification: Classification | None = None) -> tuple[int, ...]:
-    """Closed-form distribution for MDS poset codes."""
+    """Closed-form distribution for MDS poset codes: no window, so no census table."""
     cls_ = classification or classify(code, poset)
     if cls_.label != MDS_LABEL:
         raise ValueError(
             f"not MDS for this poset: d1={cls_.d1} at ideal {list(cls_.d1_witness)}, "
             f"needed n-k+1={code.n - code.k + 1}"
         )
-    return tuple(_closed_form_counts(poset, cls_.d1, 1, code.field.q))
+    return tuple(_closed_form_counts(code, poset, cls_.d1))
 
 
 def nmds_distribution(code: LinearCode, poset: Poset, classification: Classification | None = None) -> tuple[int, ...]:
-    """Closed-form distribution for near-MDS poset codes.  The correction term reads the
-    moebius census at the bottom size d = n - k, which the tests check against enumeration."""
+    """Closed-form distribution for near-MDS poset codes: the window is the ideals
+    of size n - k that hold a codeword, read off the census table."""
     cls_ = classification or classify(code, poset)
     if cls_.label != NMDS_LABEL:
         raise ValueError(
@@ -291,17 +315,7 @@ def nmds_distribution(code: LinearCode, poset: Poset, classification: Classifica
             f"at ideal {list(cls_.d1_witness)}, needed (n-k, n-k+2)="
             f"({code.n - code.k}, {code.n - code.k + 2})"
         )
-    d = cls_.d1
-    # (a_J, |C & S_J|) for the ideals J of size d
-    bottom = [
-        (_minimal_outside(poset, j).bit_count(), count)
-        for j, count in support_census(code, poset).items()
-        if j.bit_count() == d
-    ]
-    counts = _closed_form_counts(poset, d, 0, code.field.q)
-    for r in range(d, code.n + 1):
-        counts[r] += (-1) ** (r - d) * sum(comb(a, r - d) * count for a, count in bottom)
-    return tuple(counts)
+    return tuple(_closed_form_counts(code, poset, cls_.d1))
 
 
 def hamming_nmds_distribution(code: LinearCode) -> tuple[int, ...]:
@@ -318,12 +332,11 @@ def hamming_nmds_distribution(code: LinearCode) -> tuple[int, ...]:
             f"not NMDS under the antichain: d1={cls_.d1}, d2={cls_.d2}, "
             f"needed ({code.n - code.k}, {code.n - code.k + 2})"
         )
-    n, q, d = code.n, code.field.q, cls_.d1
+    n, k, q, d = code.n, code.k, code.field.q, cls_.d1
     a_d = distribution(code, poset, "enumerate" if code.codeword_count <= MAX_ENUMERATION else "moebius")[d]
-    counts = [0] * (n + 1)
-    counts[0] = 1
+    counts = [comb(n, r) * _ideal_term(r, r, n - k, q) for r in range(n + 1)]
     for r in range(d, n + 1):
-        counts[r] = comb(n, r) * _alternating_sum(r, r - d, q) + (-1) ** (r - d) * comb(n - d, r - d) * a_d
+        counts[r] += (-1) ** (r - d) * comb(n - d, r - d) * a_d
     return tuple(counts)
 
 
@@ -356,15 +369,12 @@ def distribution_report(code: LinearCode, poset: Poset, method: str = "enumerate
     if method in ("enumerate", "moebius"):
         counts = distribution(code, poset, method)
     elif method == "closed-form":
-        if cls_.label == MDS_LABEL:
-            counts = mds_distribution(code, poset, cls_)
-        elif cls_.label == NMDS_LABEL:
-            counts = nmds_distribution(code, poset, cls_)
-        else:
+        if cls_.label == OTHER_LABEL:
             raise ValueError(
                 f"closed-form needs an MDS or NMDS code; got d1={cls_.d1} "
                 f"(witness ideal {list(cls_.d1_witness)}), d2={cls_.d2}"
             )
+        counts = tuple(_closed_form_counts(code, poset, cls_.d1))
     else:
         raise ValueError(f"unknown method {method!r}")
     return DistributionReport(counts=counts, method=method, classification=cls_)

@@ -58,7 +58,7 @@ hierarchy of the dualized code under the dual poset.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations, product
 
 from .bitset import subset_sizes, to_elements
@@ -343,14 +343,8 @@ class DualityPartition:
     second: tuple[int, ...]
 
     def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "weights": list(self.weights),
-            "dual_weights": list(self.dual_weights),
-            "first": list(self.first),
-            "second": list(self.second),
-        }
+        # fields in declaration order, every tuple as a list
+        return {name: list(v) if isinstance(v, tuple) else v for name, v in asdict(self).items()}
 
 
 def duality_partition(code: LinearCode, poset: Poset) -> DualityPartition:

@@ -9,8 +9,8 @@ constructor takes an explicit column count when no rows are given.
 The constructor checks every entry, and the vector products check their
 vector once on entry; row reduction and the products themselves then run
 on the field's unchecked row operations.  Matrices derived from a checked
-one (echelon form, column restriction, transpose, null-space basis) are
-built without the entry checks.
+one (echelon form, column restriction, null-space basis) are built
+without the entry checks.
 """
 
 from __future__ import annotations
@@ -121,11 +121,6 @@ class Matrix:
                 v[pc] = F.neg(R.rows[i][f])
             out.append(v)
         return Matrix._unchecked(self.field, out, self.ncols)
-
-    def transpose(self) -> Matrix:
-        if self.nrows == 0:
-            return Matrix._unchecked(self.field, ((),) * self.ncols, 0)
-        return Matrix._unchecked(self.field, zip(*self.rows), self.nrows)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Matrix):

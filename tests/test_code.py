@@ -299,7 +299,8 @@ def test_shorten_is_the_null_space_basis():
             code = random_full_rank(rng, q, n, k)
             full = (1 << n) - 1
             for mask in range(1 << n):
-                messages = code.generator.column_submatrix(full ^ mask).transpose().null_space_basis()
+                outside = code.generator.column_submatrix(full ^ mask)
+                messages = Matrix(code.field, zip(*outside.rows), ncols=outside.nrows).null_space_basis()
                 expected = (messages.nrows, tuple(row_times_matrix(m, code.generator) for m in messages.rows))
                 got = code.shorten(mask)
                 assert got == expected, (q, n, k, mask)

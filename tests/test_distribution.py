@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -11,8 +12,8 @@ from posetcode.distribution import (
     MDS_LABEL,
     NMDS_LABEL,
     OTHER_LABEL,
-    _alternating_sum,
     _closed_form_counts,
+    _ideal_term,
     _minimal_outside,
     classify,
     distribution,
@@ -177,9 +178,10 @@ def test_packed_census_matches_enumeration_from_both_sources(q, n, k, width):
     assert support_census(code, anti, "moebius") == expected
 
 
-def test_packed_census_refuses_a_borrow_or_a_dim_above_k():
+def test_packed_census_refuses_a_borrow_or_a_dim_above_k(monkeypatch):
     from posetcode.distribution import _packed_moebius
     from posetcode.errors import SelfCheckError
+    from posetcode.matroid import RankProfile
 
     code = LinearCode.from_generator(gf(3), [(1, 0, 1, 2, 0, 1), (0, 1, 1, 1, 2, 0), (0, 0, 0, 1, 1, 1)])
     dims = bytearray(code.matroid.walked_dims(Poset.antichain(6))[1])
@@ -189,10 +191,40 @@ def test_packed_census_refuses_a_borrow_or_a_dim_above_k():
     borrow[-1] = 0
     with pytest.raises(SelfCheckError, match="negative count"):
         _packed_moebius(bytes(borrow), 6, 3, 3)
+    # a dim above k is refused once, where the census reads the table
     above = dims.copy()
     above[5] = 4
+    monkeypatch.setattr(RankProfile, "census_dims", lambda self, poset: (range(64), bytes(above)))
     with pytest.raises(SelfCheckError, match="dimension 4 > k = 3 at subset 0x5"):
-        _packed_moebius(bytes(above), 6, 3, 3)
+        support_census(code, Poset.antichain(6), "moebius")
+
+
+@pytest.mark.parametrize("poset_name", ["nrt7", "antichain"])
+def test_census_and_window_refuse_a_poisoned_table(monkeypatch, poset_name):
+    # the dict inversion (nrt7) and the packed one (antichain) refuse the same tables
+    from posetcode.code import load_code
+    from posetcode.errors import SelfCheckError
+    from posetcode.matroid import RankProfile
+
+    code = load_code(DATA / "hamming7.code")
+    poset = load_poset(DATA / "nrt7.poset") if poset_name == "nrt7" else Poset.antichain(7)
+    ideals, dims = code.matroid.census_dims(poset)
+    assert distribution(code, poset, "moebius") == distribution(code, poset, "enumerate")
+
+    def poison(index, value):
+        table = bytearray(dims)
+        table[index] = value
+        monkeypatch.setattr(RankProfile, "census_dims", lambda self, p: (ideals, bytes(table)))
+
+    # dim 0 at the full set leaves it fewer words than the ideals below it
+    poison(-1, 0)
+    with pytest.raises(SelfCheckError, match="Moebius census: negative count at subset"):
+        distribution(code, poset, "moebius")
+    poison(3, 5)
+    above = f"Moebius census: shortened dimension 5 > k = 4 at subset {ideals[3]:#x}$"
+    for read in (lambda: support_census(code, poset, "moebius"), lambda: _closed_form_counts(code, poset, 1)):
+        with pytest.raises(SelfCheckError, match=above):
+            read()
 
 
 def test_enumerate_report_refuses_over_cap_before_classifying(monkeypatch):
@@ -333,15 +365,22 @@ def test_closed_forms_match_enumeration_on_randoms():
     assert seen_mds >= 5 and seen_nmds >= 5
 
 
-def per_ideal_counts(poset, d, t, q):
-    """The closed forms' ideal sums by the loop over poset.ideals() that
-    _closed_form_counts replaced."""
+def per_ideal_counts(code, poset):
+    """[A_0, ..., A_n] by the Moebius inversion of q^(dim C^I) taken ideal by
+    ideal: the sum over the sets A of maximal elements of I of
+    (-1)^|A| q^(dim C^(I - A)), read off the census table."""
+    q = code.field.q
+    ideals, dims = code.matroid.census_dims(poset)
+    dim = dict(zip(ideals, dims))
     counts = [0] * (poset.n + 1)
-    counts[0] = 1
     for ideal in poset.ideals():
-        r = ideal.bit_count()
-        if r >= d:
-            counts[r] += _alternating_sum(poset.maximal_elements(ideal).bit_count(), r - d + t, q)
+        top = poset.maximal_elements(ideal)
+        sub = top
+        while True:
+            counts[ideal.bit_count()] += (-1) ** sub.bit_count() * q ** dim[ideal ^ sub]
+            if not sub:
+                break
+            sub = (sub - 1) & top
     return counts
 
 
@@ -353,11 +392,31 @@ def census_test_posets():
 
 
 def test_closed_form_counts_match_the_per_ideal_loop():
+    # every code, not only MDS and NMDS ones: with d1 <= n - k the window holds
+    # every ideal whose dim is off D(|J|), of any size
+    rng = random.Random(55)
+    windows = set()
     for poset in census_test_posets():
+        n = poset.n
         for q in (2, 5):
-            for d in range(poset.n + 2):
-                for t in (0, 1):
-                    assert _closed_form_counts(poset, d, t, q) == per_ideal_counts(poset, d, t, q), (poset, q, d, t)
+            for k in {1, n, rng.randint(1, n)}:
+                code = random_full_rank(rng, q, n, k)
+                d1 = classify(code, poset).d1
+                ideals, dims = code.matroid.census_dims(poset)
+                windows.add(sum(dim != max(0, ideal.bit_count() - (n - k)) for ideal, dim in zip(ideals, dims)))
+                assert _closed_form_counts(code, poset, d1) == per_ideal_counts(code, poset), (poset, q, k)
+    assert 0 in windows and max(windows) >= 20
+
+
+def test_ideal_term_is_the_old_alternating_sum():
+    # sum_{s=0}^{r-d} (-1)^s C(m, s) (q^(r-d+1-s) - 1), the MDS ideal term with d = n - k + 1
+    for q in (2, 3, 7):
+        for redundancy in range(5):
+            for r in range(1, 9):
+                for m in range(1, r + 1):
+                    old = sum((-1) ** s * comb(m, s) * (q ** (r - redundancy - s) - 1) for s in range(r - redundancy))
+                    assert _ideal_term(r, m, redundancy, q) == old, (q, redundancy, r, m)
+    assert _ideal_term(0, 0, 3, 5) == 1
 
 
 def test_minimal_outside_is_the_dual_posets_maximal_elements():
@@ -385,6 +444,34 @@ def test_closed_forms_read_no_ideal_list_maximal_elements_or_dual(monkeypatch):
     for code, poset, reference, label in cases:
         closed = mds_distribution if label == MDS_LABEL else nmds_distribution
         assert closed(code, poset) == reference, (code, poset)
+
+
+def test_nmds_reads_no_census_and_mds_no_table(monkeypatch):
+    from importlib import import_module
+
+    from posetcode.matroid import RankProfile
+
+    # the package re-exports the function distribution under the module's name
+    distribution_module = import_module("posetcode.distribution")
+
+    rng = random.Random(59)
+    nrt7 = load_poset(DATA / "nrt7.poset")
+    cases = {MDS_LABEL: [], NMDS_LABEL: []}
+    while min(map(len, cases.values())) < 6:
+        code = random_code(rng, n_max=7, length=7 if rng.random() < 0.3 else None)
+        for poset in (random_poset(rng, code.n), Poset.antichain(code.n), nrt7):
+            if poset.n == code.n and (c := classify(code, poset)).label != OTHER_LABEL:
+                cases[c.label].append((code, poset, c, distribution(code, poset, "enumerate")))
+
+    def refuse(*args):
+        raise AssertionError("a closed form read more than it needs")
+
+    monkeypatch.setattr(distribution_module, "support_census", refuse)
+    for code, poset, c, reference in cases[NMDS_LABEL]:
+        assert nmds_distribution(code, poset) == reference
+    monkeypatch.setattr(RankProfile, "census_dims", refuse)
+    for code, poset, c, reference in cases[MDS_LABEL]:
+        assert mds_distribution(code, poset, c) == reference
 
 
 def test_antichain_binomial_form_matches_general_form():

@@ -10,7 +10,10 @@ test takes random codes under the chain.
   d_2 = 5 = n - k + 2, so it is near-MDS and both NMDS closed forms apply.
 * The extended binary Golay code [24,12,8], the GF(4) hexacode [6,3,4]
   and the extended ternary Golay code [12,6,6], with the enumerators of
-  MacWilliams-Sloane (ch. 2, 16 and 20) and Conway-Sloane (ch. 3).
+  MacWilliams-Sloane (ch. 2, 16 and 20) and Conway-Sloane (ch. 3).  The
+  extended Hamming and ternary Golay codes are near-MDS as well, with
+  (d_1, d_2) = (4, 6) and (6, 8), so both NMDS closed forms must give
+  their enumerators.
 * Reed-Solomon codes, which are MDS: their distribution is the classical
   MDS formula (MacWilliams-Sloane, ch. 11, Thm. 6), written out below.
 
@@ -105,6 +108,11 @@ def test_extended_hamming_8_4_4():
     want = enumerator(8, {0: 1, 4: 14, 8: 1})
     assert distribution(code, anti, "enumerate") == want
     assert distribution(code, anti, "moebius") == want
+    # d_1 = 4 = n - k and d_2 = 6 = n - k + 2: near-MDS
+    c = classify(code, anti)
+    assert (c.label, c.d1, c.d2) == (NMDS_LABEL, 4, 6)
+    assert nmds_distribution(code, anti) == want
+    assert hamming_nmds_distribution(code) == want
 
 
 def test_extended_binary_golay_enumerator():
@@ -142,6 +150,11 @@ def test_extended_ternary_golay_enumerator():
     anti = Poset.antichain(12)
     assert distribution(code, anti, "enumerate") == want
     assert distribution(code, anti, "moebius") == want
+    # d_1 = 6 = n - k and d_2 = 8 = n - k + 2: near-MDS
+    c = classify(code, anti)
+    assert (c.label, c.d1, c.d2) == (NMDS_LABEL, 6, 8)
+    assert nmds_distribution(code, anti) == want
+    assert hamming_nmds_distribution(code) == want
 
 
 def reed_solomon(q, n, k):
