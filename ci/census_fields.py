@@ -6,7 +6,9 @@ For each q below it draws a random full-rank [20, k] code over GF(q),
 k the largest value <= 10 with q^k <= 2^17, and takes its support census
 under the NRT poset of 4 chains of 5 twice: by enumeration (the line
 stream) and by the Moebius inversion of the rank walk's table.  The two
-must agree, else the script exits 1.  It prints, per field, k, the best
+must agree, else the script exits 1.  The last three fields pack a
+coordinate into bits that straddle (243, 251) or span (256) bytes of the
+stream's slots.  It prints, per field, k, the best
 of five enumerate census times in ms and the best of their ratios to a
 fixed pure-Python loop timed right before and after each census (/ref),
 as ci/walk_fields.py does.
@@ -26,7 +28,7 @@ from posetcode.distribution import support_census
 from posetcode.field import gf
 from walk_fields import full_rank, nrt_poset, reference
 
-FIELDS = (2, 3, 4, 5, 7, 8, 9, 16, 25, 27)
+FIELDS = (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 243, 251, 256)
 CHAINS, LENGTH = 4, 5
 N = CHAINS * LENGTH
 REPEATS = 5

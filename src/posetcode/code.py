@@ -15,9 +15,17 @@ the high span, the codewords a + b for each word a of the low span.
 They hold the two spans, a few times q**ceil(k/2) words, never q**k.
 codewords() yields the words as tuples, one row addition each.
 support_batches() yields only the supports, as n-bit masks, or given a
-poset their ideal closures.  It packs each word into one int (see
-_PackedWords), and one list comprehension over the low span gives the
-supports of the q**ceil(k/2) codewords a + b, a few int operations each.
+poset their ideal closures, with whole-int and bytes operations per batch
+and no Python per codeword.  It packs each word into one int (see
+_PackedWords) and lays the low span out once as one little-endian int,
+a slot of B = ceil(n*c/8) bytes per word.  For each high word b, one XOR
+with -b's slot repeated gives a XOR (-b) for every a, and a coordinate of
+a + b is zero exactly when all its bits there are.  Every bit lies in one
+slot byte, so per slot byte j and closure byte o one bytes.translate of
+the batch's byte lane j maps each word's byte j to byte o of the OR of
+the images (bits, or the poset's downsets) of the coordinates with a bit
+set in it.  The planes, ORed as ints and interleaved into records of
+native ints, are the batch.
 
 A word and its q - 1 nonzero multiples share a support, so the enumerate
 census reads one word per line: support_batches(poset, lines=True) keeps
@@ -43,8 +51,11 @@ Text format for code files (parse_code / format_code):
 
 from __future__ import annotations
 
+import sys
 import warnings
 from collections.abc import Iterable, Iterator, Sequence
+from itertools import repeat
+from operator import lshift, or_
 from pathlib import Path
 
 from .bitset import bits_of
@@ -54,6 +65,7 @@ from .poset import Poset
 
 MAX_ENUMERATION = 1 << 20
 TABLE_LIMIT = 16  # all-subsets tables: shorten_dims and the matroid rank tables
+_GROUP_WORDS = 1024  # words per closures() call of the support stream, at least
 
 
 def support_mask(word: Sequence[int]) -> int:
@@ -78,30 +90,23 @@ class _PackedWords:
     at most p - 2 + 2**(w-1) < 2**w: no field ever carries into the next,
     for every prime p.
 
-    A coordinate of a + b is zero exactly when a and -b agree on all m of
-    its fields.  So supports() reads the c bits X of each coordinate of
-    a XOR (-b), where no field has its top bit set: X < 2**(c-1), and
-    X + NZ, NZ = 2**(c-1) - 1, sets the top bit of the coordinate exactly
-    when X is nonzero, again without a carry.  One dict per 8 coordinates
-    maps these flags to the OR of their images: their bits, or a poset's
-    downsets, which gives the closure.
+    Digits are canonical, so a coordinate of a + b is zero exactly when
+    a and -b agree on all m of its fields, which is when its c bits of
+    a XOR (-b) are all zero: LinearCode.support_batches reads supports so.
     """
 
-    __slots__ = ("field", "width", "stride", "top", "nonzero", "flags", "carry", "spread", "element")
+    __slots__ = ("field", "width", "stride", "top", "carry", "spread", "element")
 
     def __init__(self, field: GF, n: int) -> None:
         p, m = field.p, field.m
         w = p.bit_length() + 1
         c = m * w
         ones = sum(1 << (f * w) for f in range(m * n))
-        coordinates = sum(1 << (i * c) for i in range(n))
         self.field = field
         self.width = w
         self.stride = c
         self.top = ones << (w - 1)
         self.carry = ones * ((1 << (w - 1)) - p)
-        self.nonzero = coordinates * ((1 << (c - 1)) - 1)
-        self.flags = coordinates << (c - 1)
         # an element's digit fields as they sit for coordinate 0, and back
         self.spread = [0]
         for a in range(1, field.q):
@@ -125,37 +130,37 @@ class _PackedWords:
         return sum(spread[times_c[element[word >> at & digits]]] << at for at in range(0, word.bit_length(), self.stride))
 
     def span(self, rows: Sequence[Sequence[int]]) -> list[int]:
-        """Packed words of every combination of the rows, in message-encoding order."""
+        """Packed words of every combination of the rows, in message-encoding order:
+        element sum d_j p**j is sum d_j x**j, so this is the span over GF(p) of
+        the words x**j * row, j < m, row by row, by SWAR adds alone."""
         F, p = self.field, self.field.p
         shift, top, carry = self.width - 1, self.top, self.carry
         words = [0]
         for row in rows:
-            multiples = [self.pack(F._scale(c, row)) for c in range(1, F.q)]
-            words += [(s := a + t) - (((s + carry) & top) >> shift) * p for t in multiples for a in words]
+            for j in range(F.m):
+                multiples = [self.pack(F._scale(p**j, row))]
+                for _ in range(p - 2):
+                    multiples.append((s := multiples[-1] + multiples[0]) - (((s + carry) & top) >> shift) * p)
+                words += [(s := a + t) - (((s + carry) & top) >> shift) * p for t in multiples for a in words]
         return words
 
-    def chunks(self, images: Sequence[int]) -> list[tuple[int, dict[int, int]]]:
-        """supports()' tables: per 8 coordinates a flag mask and a dict from its flags to the
-        OR of their images; at least three, empty past n, so n <= 24 reads three lookups."""
-        n, c, out = len(images), self.stride, []
-        for base in range(0, max(n, 24), 8):
-            mask, table = 0, {0: 0}
-            for i in range(base, min(base + 8, n)):
-                flag = 1 << ((i + 1) * c - 1)
-                mask |= flag
-                table.update({key | flag: bits | images[i] for key, bits in table.items()})
-            out.append((mask, table))
-        return out
 
-    def supports(self, low: list[int], negated: int, chunks: list[tuple[int, dict[int, int]]]) -> list[int]:
-        """Support images of a + b for every packed a in low, given negated = -b packed."""
-        nonzero, flags = self.nonzero, self.flags
-        xs = [((a ^ negated) + nonzero) & flags for a in low]
-        (k0, d0), (k1, d1), (k2, d2), *rest = chunks
-        out = [d0[x & k0] | d1[x & k1] | d2[x & k2] for x in xs]
-        for key, table in rest:
-            out = [bits | table[x & key] for bits, x in zip(out, xs)]
-        return out
+def _byte_tables(images: Sequence[int], slot: int, stride: int) -> list[list[tuple[int, bytes]]]:
+    """Per slot byte j, (o, T) for each closure byte o it reaches: T[v] is byte o
+    of the OR of the images of the coordinates with a bit set in v at byte j.
+    Built by doubling: the records v with bit t set, t < 8, are those below
+    2**t ORed with the image of the coordinate that owns bit t."""
+    n, size = len(images), (len(images) + 7) // 8
+    ones = [int.from_bytes((b"\1" + bytes(size - 1)) * (1 << t), "little") for t in range(8)]
+    blank, out = bytes(256), []
+    for j in range(slot):
+        wide = 0
+        for t, bit in enumerate(range(8 * j, 8 * j + 8)):
+            image = images[bit // stride] if bit < n * stride else 0
+            wide |= (wide | image * ones[t]) << (8 * size << t)
+        wide = wide.to_bytes(256 * size, "little")
+        out.append([(o, table) for o in range(size) if (table := wide[o::size]) != blank])
+    return out
 
 
 def poset_weight(poset: Poset, word: Sequence[int]) -> int:
@@ -256,20 +261,53 @@ class LinearCode:
         return self._support_batches([1 << i for i in range(self.n)] if poset is None else poset.below, lines)
 
     def _support_batches(self, images: Sequence[int], lines: bool) -> Iterator[list[int]]:
-        F, q = self.field, self.field.q
-        packed = _PackedWords(F, self.n)
-        chunks = packed.chunks(images)
-        rows = self.generator.rows
-        half = (self.k + 1) // 2
-        low = packed.span(rows[:half])
-        minus_one = F.neg(1)
-        high = packed.span([F._scale(minus_one, row) for row in rows[half:]])
+        F, q, n = self.field, self.field.q, self.n
+        packed = _PackedWords(F, n)
+        slot = (n * packed.stride + 7) // 8
+        tables = _byte_tables(images, slot, packed.stride)
+        # closures go out as records of `limbs` native ints of `limb` bytes:
+        # byte o of a closure sits at byte o ^ flip of its record, flip
+        # reversing each limb's bytes on a big-endian host
+        size = (n + 7) // 8
+        limb, kind = (4, "I") if size <= 4 else (8, "Q")
+        limbs = -(-size // limb)
+        record, flip = limb * limbs, 0 if sys.byteorder == "little" else limb - 1
+
+        def closures(data: bytes, count: int) -> list[int]:
+            planes = [0] * size
+            for j, reached in enumerate(tables):
+                lane = data[j::slot]
+                for o, table in reached:
+                    planes[o] |= int.from_bytes(lane.translate(table), "little")
+            out = bytearray(count * record)
+            for o, plane in enumerate(planes):
+                out[o ^ flip :: record] = plane.to_bytes(count, "little")
+            values = memoryview(out).cast(kind).tolist()
+            if limbs == 1:
+                return values
+            joined = values[::limbs]
+            for i in range(1, limbs):
+                joined = list(map(or_, joined, map(lshift, values[i::limbs], repeat(64 * i))))
+            return joined
+
+        rows, half = self.generator.rows, (self.k + 1) // 2
+        low = b"".join(map(int.to_bytes, packed.span(rows[:half]), repeat(slot), repeat("little")))
+        high = packed.span([F._scale(F.neg(1), row) for row in rows[half:]])
         if lines:
             # span() puts the words whose last nonzero digit is 1, at row i, in [q**i, 2 * q**i)
-            yield packed.supports([0] + [a for i in range(half) for a in low[q**i : 2 * q**i]], 0, chunks)
+            first = bytes(slot) + b"".join(low[q**i * slot : 2 * q**i * slot] for i in range(half))
+            yield closures(first, len(first) // slot)
             high = [b for i in range(self.k - half) for b in high[q**i : 2 * q**i]]
-        for negated in high:
-            yield packed.supports(low, negated, chunks)
+        count = len(low) // slot
+        words = int.from_bytes(low, "little")
+        ones = int.from_bytes((b"\1" + bytes(slot - 1)) * count, "little")
+        # a short low span shares one closures() call among several high words
+        group = -(-_GROUP_WORDS // count)
+        for at in range(0, len(high), group):
+            data = b"".join((words ^ b * ones).to_bytes(len(low), "little") for b in high[at : at + group])
+            values = closures(data, len(data) // slot)
+            for i in range(0, len(values), count):
+                yield values[i : i + count]
 
     # -- derived codes -------------------------------------------------------
 

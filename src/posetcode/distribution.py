@@ -7,9 +7,11 @@ take the census:
 
 enumerate
     Count the support closures of the codewords, which the stream reads
-    straight off the packed words (LinearCode.support_batches given the
-    poset and lines=True, guarded by the cap on q**k): one word per line,
-    its count taken q - 1 times, but the zero word's once.  Counts that do
+    off the packed words a batch at a time, one bytes.translate per slot
+    byte and closure byte with no Python per word
+    (LinearCode.support_batches given the poset and lines=True, guarded by
+    the cap on q**k): one word per line, its count taken q - 1 times, but
+    the zero word's once.  Counts that do
     not sum to q**k raise SelfCheckError.  It never lists the ideals of P
     and never reads the rank table, so it is the independent oracle for
     the other method.

@@ -189,10 +189,11 @@ def test_support_batches_refuse_a_poset_of_another_length():
 
 def test_support_batches_beyond_three_chunks():
     # codes are not bound by the poset size limit: n = 25 and 33 need a
-    # fourth and a fifth 8-coordinate chunk
+    # fourth and a fifth closure byte, and n = 65 and 70 closures longer
+    # than one 8-byte record limb
     rng = random.Random(27)
     for q in (2, 3, 4, 9):
-        for n in (25, 33):
+        for n in (25, 33, 65, 70):
             code = random_full_rank(rng, q, n, 2)
             flat = [s for batch in code.support_batches() for s in batch]
             assert flat == [support_mask(w) for w in code.codewords()], (q, n)

@@ -123,3 +123,22 @@ def test_wrong_solver_entry_fails_the_triple_with_its_mask(monkeypatch):
         code = parse_code(text[: text.index("n ", text.index("\n"))])
         dim = code.shorten(3)[0]
         assert failure.detail == f"triple ({dim}, {dim}, {dim + 1}) at mask 0x3"
+
+
+def test_antichain_check_names_the_first_bad_word():
+    # handed a chain for the antichain, the check must report the first
+    # codeword in stream order whose poset weight is not its Hamming weight
+    from posetcode.code import poset_weight, support_mask
+    from posetcode.field import gf
+    from posetcode.poset import Poset
+    from posetcode.selftest import _check_antichain_weights, _Session
+
+    code = LinearCode.from_generator(gf(3), [(0, 1, 2, 0, 0), (0, 0, 1, 1, 2), (1, 0, 0, 0, 1)])
+    chain = Poset.chain(code.n)
+    report = SelfTestReport(seed=0, trials=1)
+    _check_antichain_weights(_Session(report), code, chain)
+    expected = next(w for w in code.codewords() if poset_weight(chain, w) != support_mask(w).bit_count())
+    assert [f.detail for f in report.failures] == [f"poset weight != Hamming weight at word {expected}"]
+    report = SelfTestReport(seed=0, trials=1)
+    _check_antichain_weights(_Session(report), code, Poset.antichain(code.n))
+    assert report.failures == [] and report.counts == {"antichain-hamming-weight": 1}
