@@ -59,12 +59,23 @@ def from_elements(elements: Iterable[int], n: int) -> int:
 
 
 def subset_sizes(n: int) -> bytes:
-    """Byte table of |A| for every mask A < 2**n, built by doubling:
-    the masks with bit e set are those without it, one element larger."""
-    sizes = b"\0"
-    for _ in range(n):
-        sizes += sizes.translate(_PLUS_ONE)
-    return sizes
+    """Byte table of |A| for every mask A < 2**n."""
+    return digit_sums((1,) * n)
+
+
+def digit_sums(lengths: Sequence[int]) -> bytes:
+    """Byte table of the digit sum of every index of the mixed radix whose
+    digit c runs over 0..lengths[c], digit 0 lowest: |I| for every ideal of
+    a disjoint union of chains by its index (poset.ChainLayout), |A| for
+    every mask under the antichain.  Built by copying: the indices with
+    digit c at t are those below, t larger."""
+    sums = b"\0"
+    for s in lengths:
+        top = sums
+        for _ in range(s):
+            top = top.translate(_PLUS_ONE)
+            sums += top
+    return sums
 
 
 def to_fields(table: bytes, values: Sequence[int], width: int) -> bytearray:

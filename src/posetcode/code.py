@@ -33,7 +33,10 @@ the zero word and the monic messages, whose last nonzero digit is 1, in
 message order, 1 + (q**k - 1)/(q - 1) supports.  A span's monic words
 ending at row i fill its block [q**i, 2 * q**i), so the stream yields one
 batch of the zero word and the low span's monic words, then the low span
-for each monic high word.  For q = 2 that is the full stream.
+for each monic high word.  For q = 2 that is the full stream, batch for
+batch, and it runs as one.  closure_counts tallies the line stream into
+the census |C & S_I| that the enumerate distribution and the zeta fills
+of the matroid module read.
 
 shorten(J) solves for the messages whose codewords vanish outside J:
 from the identity basis, one kernel step per coordinate c outside J
@@ -53,12 +56,14 @@ from __future__ import annotations
 
 import sys
 import warnings
+from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import repeat
 from operator import lshift, or_
 from pathlib import Path
 
 from .bitset import bits_of
+from .errors import SelfCheckError
 from .field import GF, gf
 from .matrix import Matrix, matrix_times_col, row_times_matrix
 from .poset import Poset
@@ -260,6 +265,24 @@ class LinearCode:
         self.require_enumerable()
         return self._support_batches([1 << i for i in range(self.n)] if poset is None else poset.below, lines)
 
+    def closure_counts(self, poset: Poset) -> dict[int, int]:
+        """|C & S_I| for each ideal I of the poset that holds a codeword: the
+        closures of the line stream, each counted q - 1 times but the first,
+        the zero word's, once.  Counts that do not sum to q**k raise
+        SelfCheckError."""
+        q, stream = self.field.q, self.support_batches(poset, lines=True)
+        first = next(stream, [])
+        census = Counter(first)
+        for batch in stream:
+            census.update(batch)
+        if q > 2 and first:
+            # every other line stands for its q - 1 nonzero multiples, which share its support
+            census = {ideal: count * (q - 1) for ideal, count in census.items()}
+            census[first[0]] -= q - 2
+        if (total := sum(census.values())) != self.codeword_count:
+            raise SelfCheckError(f"enumerate census: {total} words counted, not q^k = {self.codeword_count}")
+        return census
+
     def _support_batches(self, images: Sequence[int], lines: bool) -> Iterator[list[int]]:
         F, q, n = self.field, self.field.q, self.n
         packed = _PackedWords(F, n)
@@ -293,7 +316,8 @@ class LinearCode:
         rows, half = self.generator.rows, (self.k + 1) // 2
         low = b"".join(map(int.to_bytes, packed.span(rows[:half]), repeat(slot), repeat("little")))
         high = packed.span([F._scale(F.neg(1), row) for row in rows[half:]])
-        if lines:
+        if lines and q > 2:
+            # over GF(2) every word is its line, so the full stream's batches are the line batches;
             # span() puts the words whose last nonzero digit is 1, at row i, in [q**i, 2 * q**i)
             first = bytes(slot) + b"".join(low[q**i * slot : 2 * q**i * slot] for i in range(half))
             yield closures(first, len(first) // slot)

@@ -9,12 +9,15 @@ enumerate
     Count the support closures of the codewords, which the stream reads
     off the packed words a batch at a time, one bytes.translate per slot
     byte and closure byte with no Python per word
-    (LinearCode.support_batches given the poset and lines=True, guarded by
-    the cap on q**k): one word per line, its count taken q - 1 times, but
-    the zero word's once.  Counts that do
-    not sum to q**k raise SelfCheckError.  It never lists the ideals of P
-    and never reads the rank table, so it is the independent oracle for
-    the other method.
+    (LinearCode.closure_counts: support_batches given the poset and
+    lines=True, guarded by the cap on q**k): one word per line, its count
+    taken q - 1 times, but the zero word's once.  Counts that do not sum
+    to q**k raise SelfCheckError.  It never lists the ideals of P and
+    never reads the rank table, so it is the independent oracle for the
+    other method.  The enumerate report under a disjoint union of chains
+    classifies off the zeta of this census (RankProfile.keep), so it
+    walks nothing and streams C once; the census itself still reads no
+    rank table, and the tests check the report's label against classify.
 
 moebius
     The words of C supported inside an ideal I form the shortened subcode
@@ -23,14 +26,16 @@ moebius
     lattice J(P): the fast transform of Bjorklund, Husfeldt, Kaski,
     Koivisto, Nederlof and Parviainen ("Fast zeta transforms for lattices
     with few irreducibles", SODA 2012).  Its table is
-    RankProfile.census_dims: the zeta fill of C-perp's stream under the
-    antichain where it serves, else the rank walk, never C's own stream.
+    RankProfile.census_dims: the zeta fill of C-perp's stream under a
+    disjoint union of chains where it serves, else the rank walk, never
+    C's own stream; the moebius report classifies off that same table.
     Inverting a zeta transform of C's enumerate counts would hand those
     counts back, and the census would stop being an oracle for
     enumeration.  Under the antichain, the q^(dim C^I) sit in fields of
     one int T, written by one translate per byte plane, each with a guard
     bit G above q^k, and n packed steps T -= (T & low_e) << (w << e)
-    subtract every field without coordinate e from the one with it.  A
+    subtract every field without coordinate e from the one with it
+    (low_e from _digit_masks, as for the zeta fill).  A
     count that would go negative borrows the guard bit of its own field
     and never the next field.  Other posets take n * |J(P)| subtractions
     in a dict: for e along the reverse of a linear extension, subtract
@@ -50,8 +55,10 @@ is (-1)^|A| on the sets A of maximal elements of I; invert each part:
     A_r = sum_m N(r, m) sum_{a=0}^{m} (-1)^a C(m, a) q^D(r-a)
         + sum_{J in W} (-1)^(r-|J|) C(a_J, r-|J|) g(J)
 
-with N(r, m) the number of ideals of size r with m maximal elements (one
-walk over J(P) counts it), the window W the ideals with g(J) != 0, and
+with N(r, m) the number of ideals of size r with m maximal elements (the
+coefficients of F_P(x, y) = prod_c (1 + y (x + ... + x^s_c)) under a
+disjoint union of chains of lengths s_c, else one walk over J(P)
+counts it), the window W the ideals with g(J) != 0, and
 a_J the number of minimal elements of P - J: J is I less some maximal
 elements of I for exactly C(a_J, r - |J|) ideals I of size r.  W is read
 off RankProfile.census_dims by translate and find.  It is empty for MDS
@@ -82,7 +89,7 @@ from .bitset import mask_from_positions, to_elements, to_fields
 from .code import MAX_ENUMERATION, LinearCode
 from .errors import SelfCheckError
 from .hierarchy import _key_table, _primal_minima, _profile_ok, _require_compatible, ideal_sizes
-from .matroid import _low_masks
+from .matroid import _digit_masks, _zeta
 from .poset import Poset
 
 MDS_LABEL = "MDS"
@@ -95,19 +102,16 @@ _COLUMN_CONDITION_CAP = 1 << 16
 def support_census(code: LinearCode, poset: Poset, method: str = "moebius") -> dict[int, int]:
     """Map each ideal I with C & S_I nonempty to |C & S_I|; see the module docstring."""
     _require_compatible(code, poset)
-    n, k, q = code.n, code.k, code.field.q
     if method == "enumerate":
-        counts: Counter[int] = Counter()
-        for batch in code.support_batches(poset, lines=True):
-            counts.update(batch)
-        # every nonzero word stands for its q - 1 nonzero multiples, which share its support
-        census = {ideal: count * (q - 1) if ideal else count for ideal, count in counts.items()}
-        if (total := sum(census.values())) != q**k:
-            raise SelfCheckError(f"enumerate census: {total} words counted, not q^k = {q**k}")
-        return census
+        return code.closure_counts(poset)
     if method != "moebius":
         raise ValueError(f"unknown method {method!r}")
-    ideals, dims = _census_table(code, poset)
+    return _moebius(code, poset, *_census_table(code, poset))
+
+
+def _moebius(code: LinearCode, poset: Poset, ideals: Sequence[int], dims: bytes) -> dict[int, int]:
+    """The census by Moebius inversion of a census table (module docstring)."""
+    n, k, q = code.n, code.k, code.field.q
     if len(dims) == 1 << n:
         return _packed_moebius(dims, n, k, q)
     census = dict(zip(ideals, map([q**d for d in range(k + 1)].__getitem__, dims)))
@@ -138,8 +142,8 @@ def _packed_moebius(dims: bytes, n: int, k: int, q: int) -> dict[int, int]:
     w, guard = 8 * wb, 1 << 8 * wb - 1
     guards = int.from_bytes(guard.to_bytes(wb, "little") * size, "little")
     table = int.from_bytes(to_fields(dims, [q**d | guard for d in range(k + 1)], wb), "little")
-    for e, low in _low_masks(n, w, guard - 1):
-        table -= (table & low) << (w << e)
+    for shift, low in _digit_masks((1,) * n, w, guard - 1):
+        table -= (table & low) << shift
         if table & guards != guards:
             lost = guards & ~table
             raise SelfCheckError(f"Moebius census: negative count at subset {((lost & -lost).bit_length() - 1) // w:#x}")
@@ -155,8 +159,12 @@ def _packed_moebius(dims: bytes, n: int, k: int, q: int) -> dict[int, int]:
 
 def distribution(code: LinearCode, poset: Poset, method: str = "enumerate") -> tuple[int, ...]:
     """Weight distribution (A_0, ..., A_n): the support census summed by ideal size."""
-    counts = [0] * (poset.n + 1)
-    for ideal, count in support_census(code, poset, method).items():
+    return _by_size(support_census(code, poset, method), poset.n)
+
+
+def _by_size(census: dict[int, int], n: int) -> tuple[int, ...]:
+    counts = [0] * (n + 1)
+    for ideal, count in census.items():
         counts[ideal.bit_count()] += count
     return tuple(counts)
 
@@ -266,11 +274,8 @@ def _closed_form_counts(code: LinearCode, poset: Poset, d1: int) -> list[int]:
     first weight d1 under P: the ideal terms once per (r, m) of N(r, m), then
     the window, read off the census table only when d1 <= n - k."""
     n, k, q = code.n, code.k, code.field.q
-    below = poset.below
-    # the walk carries the maximal elements: adding e keeps e and drops what lies below it
-    walk = poset.walk_ideals(lambda top, e: top & ~below[e] | 1 << e, 0)
     counts = [0] * (n + 1)
-    for (r, m), count in Counter((ideal.bit_count(), top.bit_count()) for ideal, top in walk).items():
+    for (r, m), count in _ideal_profile(poset).items():
         counts[r] += count * _ideal_term(r, m, n - k, q)
     if d1 > n - k:
         return counts
@@ -289,6 +294,29 @@ def _closed_form_counts(code: LinearCode, poset: Poset, d1: int) -> list[int]:
         for r in range(size, size + a + 1):
             counts[r] += (-1) ** (r - size) * comb(a, r - size) * g * count
     return counts
+
+
+def _ideal_profile(poset: Poset) -> Counter[tuple[int, int]]:
+    """N(r, m): the number of ideals of size r with m maximal elements, the
+    coefficients of F_P(x, y) = sum_I x^|I| y^m(I).  Under a disjoint union
+    of chains an ideal takes a prefix of each chain, and a nonempty one adds
+    one maximal element, so F_P is the product over the chains of
+    1 + y (x + ... + x^s).  Other posets take one walk over J(P)."""
+    layout = poset.chain_layout()
+    if layout is None:
+        below = poset.below
+        # the walk carries the maximal elements: adding e keeps e and drops what lies below it
+        walk = poset.walk_ideals(lambda top, e: top & ~below[e] | 1 << e, 0)
+        return Counter((ideal.bit_count(), top.bit_count()) for ideal, top in walk)
+    terms = Counter({(0, 0): 1})
+    for s in layout.lengths:
+        grown: Counter[tuple[int, int]] = Counter()
+        for (r, m), count in terms.items():
+            grown[r, m] += count
+            for a in range(1, s + 1):
+                grown[r + a, m + 1] += count
+        terms = grown
+    return terms
 
 
 def _minimal_outside(poset: Poset, ideal: int) -> int:
@@ -361,22 +389,30 @@ class DistributionReport:
 def distribution_report(code: LinearCode, poset: Poset, method: str = "enumerate") -> DistributionReport:
     """Distribution plus classification; closed-form dispatches on the label.
 
-    classify and distribution check their inputs as public entries do.
-    The enumeration cap is checked once more here, before classify walks
-    the ideals, so an over-cap enumeration is refused at once.
+    enumerate and moebius classify off the table their counts come from,
+    kept on the code's RankProfile for classify to read: the zeta of the
+    enumerate census under a disjoint union of chains (other posets keep
+    classify's own table), and the census table itself.  Both take the
+    census first, so the enumeration cap and a poisoned census table are
+    refused before anything is classified.
     """
     if method == "enumerate":
-        code.require_enumerable()
-    cls_ = classify(code, poset)
-    if method in ("enumerate", "moebius"):
-        counts = distribution(code, poset, method)
-    elif method == "closed-form":
-        if cls_.label == OTHER_LABEL:
-            raise ValueError(
-                f"closed-form needs an MDS or NMDS code; got d1={cls_.d1} "
-                f"(witness ideal {list(cls_.d1_witness)}), d2={cls_.d2}"
-            )
-        counts = tuple(_closed_form_counts(code, poset, cls_.d1))
-    else:
+        census = support_census(code, poset, "enumerate")
+        if (layout := poset.chain_layout()) is not None:
+            code.matroid.keep(poset, layout.in_mask_order(_zeta(layout, census, code.field.q, code.k)))
+    elif method == "moebius":
+        _require_compatible(code, poset)
+        table = _census_table(code, poset)
+        census = _moebius(code, poset, *table)
+        code.matroid.keep(poset, table)
+    elif method != "closed-form":
         raise ValueError(f"unknown method {method!r}")
-    return DistributionReport(counts=counts, method=method, classification=cls_)
+    cls_ = classify(code, poset)
+    if method != "closed-form":
+        return DistributionReport(counts=_by_size(census, poset.n), method=method, classification=cls_)
+    if cls_.label == OTHER_LABEL:
+        raise ValueError(
+            f"closed-form needs an MDS or NMDS code; got d1={cls_.d1} "
+            f"(witness ideal {list(cls_.d1_witness)}), d2={cls_.d2}"
+        )
+    return DistributionReport(tuple(_closed_form_counts(code, poset, cls_.d1)), method, cls_)

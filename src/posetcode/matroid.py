@@ -11,27 +11,39 @@ first time some column needs it, clears them.  RankProfile keeps:
     every ideal I (G generator, H parity-check matrix), as one flat
     table (ideals, dims): the ideal masks in ascending order
     (range(2**n) for the antichain) and a bytes object aligned with
-    them.  This one table gives the hierarchies of C under P and of the
-    dual code under the opposite poset and the classification.  It has
-    two fills, chosen by the instance alone:
+    them.  Where the layout's index order is not mask order the table
+    is sorted by mask, so scans still find the smallest-mask witness.
+    This one table gives the hierarchies of C under P and of the dual
+    code under the opposite poset and the classification.  It has two
+    fills, chosen by the instance alone:
 
-      zeta   under the antichain every subset is an ideal and
-             q^(dim C^I) is the number of codewords supported inside I,
-             so the table is the subset-sum (zeta) transform of the
-             codeword support counts.  zeta_dims counts the
-             support_batches stream into byte-aligned little-endian
-             fields of one int T and runs one packed subset-sum per
-             coordinate, T += (T & low_e) << (w << e), where low_e
-             (_low_masks) selects the w-bit fields whose index lacks
-             bit e.  No elimination at all.  C-perp's stream, from the
-             parity-check rows, serves as well as C's: reversing its
-             table complements the index, and
+      zeta   when P is a disjoint union of chains (Poset.chain_layout:
+             the antichain, a chain, NRT posets), J(P) is a product of
+             chains, and q^(dim C^I) is the number of codewords whose
+             support closes into I, so the table is the zeta transform
+             over J(P) of the enumerate census (LinearCode.closure_counts).
+             zeta_dims places the census at the layout's indices in
+             byte-aligned little-endian fields of one int T and runs one
+             packed prefix sum per chain c and digit t = 1..s_c,
+             T += (T & M) << (w * stride_c), where M (_digit_masks)
+             selects the w-bit fields whose digit c is t - 1: n steps in
+             all, and under the antichain, where the index is the mask,
+             one subset-sum step per coordinate.  No elimination at all.
+             C-perp's stream under the opposite poset (the same chains,
+             reversed) serves as well as C's: complementing an ideal
+             reverses every digit, so reversing its table complements
+             the index, and
              dim C^A = |A| - (n - k) + dim C-perp^(complement A).  The
              shorter stream serves, C's own on a tie, when it is no
-             longer than the table and within MAX_ENUMERATION;
+             longer than the table (|J(P)| fields) and within
+             MAX_ENUMERATION;
       walk   every other case: ideal_ranks on the parity-check columns,
-             written by mask into one 2**n bytearray under the antichain.
+             written by layout index into one bytearray under a disjoint
+             union of chains.
 
+    A table already in hand serves before either: keep() takes the
+    zeta of a distribution report's enumerate census, or its census
+    table, so the report's classification fills nothing more.
     walked_dims is the walk alone.  census_dims, the table the Moebius
     census reads, is C-perp's fill or the walk, never C's own stream:
     Moebius inversion of a zeta transform of the enumerate counts would
@@ -81,17 +93,16 @@ is reported as the scalar sweep would: the smallest A, then e, then g.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
-from .bitset import subset_sizes, to_fields
+from .bitset import digit_sums, subset_sizes, to_fields
 from .code import MAX_ENUMERATION, TABLE_LIMIT, LinearCode, _PackedWords
 from .errors import SelfCheckError
 from .field import GF
 from .matrix import Matrix
-from .poset import Poset
+from .poset import ChainLayout, Poset
 
 
 def _columns(mat: Matrix) -> list[tuple[int, ...]]:
@@ -128,61 +139,80 @@ def ideal_ranks(poset: Poset, field: GF, columns: Sequence[Sequence[int]]) -> It
         yield ideal, len(basis)
 
 
-def _is_antichain(poset: Poset) -> bool:
-    return all(below == 1 << e for e, below in enumerate(poset.below))
+def _digit_masks(lengths: Sequence[int], width: int, value: int) -> Iterator[tuple[int, int]]:
+    """(shift, mask) for each chain c from the last down and each digit t =
+    1..s_c up: mask holds value in each width-bit field of the product of
+    chains whose digit c is t - 1, and shift moves a field to its digit t.
+    The digit-0 mask of chain c follows from chain c + 1's by one XOR when
+    chain c + 1 has length 1 (every chain of the antichain): its fields are
+    those of chain c + 1's digit 0 at most stride_c fields past a multiple
+    of stride_(c+1)."""
+    strides = [1]
+    for s in lengths:
+        strides.append(strides[-1] * (s + 1))
+    field, size, zero = value.to_bytes(width // 8, "little"), strides[-1], 0
+    for c in reversed(range(len(lengths))):
+        stride, s = strides[c], lengths[c]
+        if zero and lengths[c + 1] == 1:
+            zero ^= zero << (width * stride)
+        else:
+            # stride fields of value per period, the zero fields between them; no buffer outlives the int
+            periods = [field * stride] * (size // strides[c + 1])
+            zero = int.from_bytes(bytes(len(field) * stride * s).join(periods), "little")
+            del periods
+        mask = zero
+        for t in range(1, s + 1):
+            yield width * stride, mask
+            if t < s:
+                mask <<= width * stride
 
 
-def _low_masks(n: int, width: int, value: int) -> Iterator[tuple[int, int]]:
-    """(e, low_e) for e = n-1 down to 0: value in each of 2**n width-bit
-    fields whose index lacks bit e; low_{e-1} = low_e ^ low_e << 2**(e-1) fields."""
-    low = int.from_bytes(value.to_bytes(width // 8, "little") * (1 << n >> 1), "little")
-    for e in reversed(range(n)):
-        yield e, low
-        if e:
-            low ^= low << (width << (e - 1))
-
-
-def zeta_dims(code) -> bytes:
-    """dim C^I for every subset I, indexed by mask, from the codeword
-    supports alone (module docstring).  Fields are the fewest whole bytes
-    that hold q^k, which no partial sum exceeds, so none carries.  A stream
-    not q^k words long, or a sum not a power of q, raises SelfCheckError."""
-    n, k, total = code.n, code.k, code.codeword_count
-    size, wb = 1 << n, (total.bit_length() + 7) // 8
-    tally: Counter[int] = Counter()
-    for batch in code.support_batches():
-        tally.update(batch)
-    if tally.total() != total:
-        raise SelfCheckError(f"support stream gave {tally.total()} words, not q^k = {total}")
+def _zeta(layout: ChainLayout, census: dict[int, int], q: int, k: int) -> bytes:
+    """dim C^I by index over the layout from the census |C & S_I| (module
+    docstring).  Fields are the fewest whole bytes that hold q^k, which no
+    partial sum exceeds, so none carries.  A sum not a power of q raises
+    SelfCheckError."""
+    size, wb = layout.size, ((q**k).bit_length() + 7) // 8
     counts = bytearray(size * wb)
-    for support, count in tally.items():
-        counts[support * wb : (support + 1) * wb] = count.to_bytes(wb, "little")
+    # under the antichain the index is the mask
+    at_index = census.items() if size == 1 << layout.n else zip(map(layout.index, census), census.values())
+    for at, count in at_index:
+        counts[at * wb : (at + 1) * wb] = count.to_bytes(wb, "little")
     table = int.from_bytes(counts, "little")
-    # each buffer below is 2**n fields long: drop it once read, to bound the peak at n = 24
-    del counts, tally
+    # each buffer below is |J(P)| fields long: drop it once read, to bound the peak at n = 24
+    del counts
     w = 8 * wb
-    for e, low in _low_masks(n, w, (1 << w) - 1):
-        table += (table & low) << (w << e)
+    for shift, mask in _digit_masks(layout.lengths, w, (1 << w) - 1):
+        table += (table & mask) << shift
     data = table.to_bytes(size * wb, "little")
-    del table, low
+    del table, mask
     # log_q: the top nonzero byte of q^d, with its plane, names d.  One
     # translate per byte plane, from the top; a lower plane's names fill
     # in only where no higher plane named one (name d + 1, 0 for none).
-    powers = [0] + [code.field.q**d for d in range(k + 1)]
+    powers = [0] + [q**d for d in range(k + 1)]
     for j in reversed(range(wb)):
-        tops = {power >> 8 * j: name for name, power in enumerate(powers) if 0 < power >> 8 * j < 256}
-        named = data[j::wb].translate(bytes(tops.get(b, 0) for b in range(256)))
+        tops = bytearray(256)
+        for name, power in enumerate(powers):
+            if 0 < power >> 8 * j < 256:
+                tops[power >> 8 * j] = name
+        named = data[j::wb].translate(tops)
         if j < wb - 1:
             named = int.from_bytes(named, "little") & int.from_bytes(names.translate(b"\xff" + bytes(255)), "little")
             named = (named | int.from_bytes(names, "little")).to_bytes(size, "little")
         names = named
     # and every field must be exactly the power it names
-    subset = names.find(0)
-    if subset < 0 and (rebuilt := to_fields(names, powers, wb)) != data:
-        subset = next(i for i in range(size) if rebuilt[i * wb : (i + 1) * wb] != data[i * wb : (i + 1) * wb])
-    if subset >= 0:
-        raise SelfCheckError(f"zeta fill: the codewords inside subset {subset:#x} are not a power of q")
+    at = names.find(0)
+    if at < 0 and (rebuilt := to_fields(names, powers, wb)) != data:
+        at = next(i for i in range(size) if rebuilt[i * wb : (i + 1) * wb] != data[i * wb : (i + 1) * wb])
+    if at >= 0:
+        raise SelfCheckError(f"zeta fill: the codewords inside subset {layout.ideal(at):#x} are not a power of q")
     return names.translate(b"\xff" + bytes(range(255)))
+
+
+def zeta_dims(code, poset: Poset) -> bytes:
+    """dim C^I on every ideal of a disjoint union of chains, by layout index,
+    from the code's enumerate census alone (module docstring)."""
+    return _zeta(poset.chain_layout(), code.closure_counts(poset), code.field.q, code.k)
 
 
 class RankProfile:
@@ -196,44 +226,64 @@ class RankProfile:
         self._gen_cols = _columns(code.generator)
         self._par_cols = _columns(code.parity)
         self._walks: dict[Poset, tuple[Sequence[int], bytes]] = {}
+        self._fills: dict[tuple[Poset, bool], tuple[Sequence[int], bytes]] = {}
+        self._kept: dict[Poset, tuple[Sequence[int], bytes]] = {}
 
-    @cached_property
-    def _primal_fill(self) -> bytes:
-        return zeta_dims(self.code)
+    def _primal_fill(self, poset: Poset) -> tuple[Sequence[int], bytes]:
+        if (table := self._fills.get((poset, False))) is None:
+            table = self._fills[poset, False] = poset.chain_layout().in_mask_order(zeta_dims(self.code, poset))
+        return table
 
-    @cached_property
-    def _dual_fill(self) -> bytes:
+    def _dual_fill(self, poset: Poset) -> tuple[Sequence[int], bytes]:
         # |A| + dim C-perp^(complement A) never carries; below n - k it becomes 255 > k
-        code, n, k = self.code, self.n, self.k
-        reversed_dual = zeta_dims(LinearCode(code.field, code.parity, code.generator))[::-1]
-        total = int.from_bytes(subset_sizes(n), "little") + int.from_bytes(reversed_dual, "little")
-        return total.to_bytes(1 << n, "little").translate(b"\xff" * (n - k) + bytes(range(256 - n + k)))
+        if (table := self._fills.get((poset, True))) is None:
+            code, layout, n, k = self.code, poset.chain_layout(), self.n, self.k
+            reversed_dual = zeta_dims(LinearCode(code.field, code.parity, code.generator), layout.opposite())[::-1]
+            total = int.from_bytes(digit_sums(layout.lengths), "little") + int.from_bytes(reversed_dual, "little")
+            dims = total.to_bytes(layout.size, "little").translate(b"\xff" * (n - k) + bytes(range(256 - n + k)))
+            table = self._fills[poset, True] = layout.in_mask_order(dims)
+        return table
+
+    def _fill_cap(self, poset: Poset) -> int:
+        # a zeta fill serves a disjoint union of chains when its stream is no longer than the table
+        layout = poset.chain_layout()
+        return 0 if layout is None else min(layout.size, MAX_ENUMERATION)
+
+    def keep(self, poset: Poset, table: tuple[Sequence[int], bytes]) -> None:
+        """Keep a table of shortened_dims already in hand for the poset (the
+        zeta of a report's enumerate census, or its census table), so the
+        classification reads it with no second fill.  census_dims never
+        reads a kept table."""
+        self._kept[poset] = table
 
     def shortened_dims(self, poset: Poset) -> tuple[Sequence[int], bytes]:
         """(ideals, dims): the ideals of the poset in ascending mask order and
-        dim C^I = |I| - rank_H(I) of each, by a zeta fill or the walk."""
-        cap = min(1 << self.n, MAX_ENUMERATION, self.code.field.q ** (self.n - self.k))
-        if _is_antichain(poset) and self.code.codeword_count <= cap:
-            return range(1 << self.n), self._primal_fill
+        dim C^I = |I| - rank_H(I) of each: a kept table, or by a zeta fill or
+        the walk."""
+        if (table := self._kept.get(poset)) is not None:
+            return table
+        if self.code.codeword_count <= min(self._fill_cap(poset), self.code.field.q ** (self.n - self.k)):
+            return self._primal_fill(poset)
         return self.census_dims(poset)
 
     def census_dims(self, poset: Poset) -> tuple[Sequence[int], bytes]:
         """The table of shortened_dims by C-perp's zeta fill or the walk,
         never by C's own stream: the one the Moebius census reads."""
-        if _is_antichain(poset) and self.code.field.q ** (self.n - self.k) <= min(1 << self.n, MAX_ENUMERATION):
-            return range(1 << self.n), self._dual_fill
+        if self.code.field.q ** (self.n - self.k) <= self._fill_cap(poset):
+            return self._dual_fill(poset)
         return self.walked_dims(poset)
 
     def walked_dims(self, poset: Poset) -> tuple[Sequence[int], bytes]:
-        """The table of shortened_dims, always filled by the rank walk."""
+        """The table of shortened_dims, always filled by the rank walk:
+        written by index into one bytearray over a disjoint union of chains."""
         table = self._walks.get(poset)
         if table is None:
             walk = ideal_ranks(poset, self.code.field, self._par_cols)
-            if _is_antichain(poset):
-                dims = bytearray(1 << self.n)
+            if (layout := poset.chain_layout()) is not None:
+                index, dims = layout.index, bytearray(layout.size)
                 for ideal, r in walk:
-                    dims[ideal] = ideal.bit_count() - r
-                table = (range(1 << self.n), bytes(dims))
+                    dims[index(ideal)] = ideal.bit_count() - r
+                table = layout.in_mask_order(bytes(dims))
             else:
                 dims = {ideal: ideal.bit_count() - r for ideal, r in walk}
                 ideals = tuple(sorted(dims))
@@ -339,8 +389,8 @@ def _axiom_violation(name: str, t: list[int], n: int) -> AxiomViolation | None:
     adds the guard bit 0x80 to each field of the side that should be the
     larger and subtracts the other side: every field stays in 0..255, so
     none borrows from the next, and a field whose guard bit clears breaks
-    the inequality.  low_e (_low_masks) keeps the guards of the fields A
-    that lack e.
+    the inequality.  low_e keeps the guards of the fields A that lack e:
+    the digit masks of the antichain's product of chains (_digit_masks).
     """
     if not (0 <= min(t) and max(t) <= n):
         a = next(a for a, value in enumerate(t) if not 0 <= value <= a.bit_count())
@@ -349,7 +399,7 @@ def _axiom_violation(name: str, t: list[int], n: int) -> AxiomViolation | None:
     guards = int.from_bytes(b"\x80" * len(t), "little")
     if over := guards & ~(int.from_bytes(subset_sizes(n), "little") + guards - table):
         return AxiomViolation(name, "R1", _lowest_field(over), None)
-    low = dict(_low_masks(n, 8, 0x80))
+    low = [mask for _, mask in _digit_masks((1,) * n, 8, 0x80)][::-1]
     up = [table >> (8 << e) for e in range(n)]
     r2 = [(_lowest_field(v), e) for e in range(n) if (v := low[e] & ~(up[e] + guards - table))]
     if r2:

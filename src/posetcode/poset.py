@@ -29,7 +29,7 @@ transitively redundant pairs; format_poset writes only cover relations.
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from pathlib import Path
 from typing import TypeVar
 
@@ -42,7 +42,7 @@ class Poset:
     """Immutable poset; construct via from_cover_relations, chain, antichain,
     or directly from per-element downset masks."""
 
-    __slots__ = ("n", "below", "_ideals", "_closures")
+    __slots__ = ("n", "below", "_ideals", "_closures", "_layout")
 
     def __init__(self, n: int, below: Iterable[int]) -> None:
         if not 1 <= n <= MAX_GROUND:
@@ -66,6 +66,8 @@ class Poset:
         self.below = below
         self._ideals: tuple[int, ...] | None = None
         self._closures: tuple[list[int], list[int], list[int]] | None = None
+        # () until chain_layout() first runs; None there means no chain decomposition
+        self._layout: ChainLayout | None | tuple = ()
 
     # -- constructors --------------------------------------------------
 
@@ -190,6 +192,35 @@ class Poset:
                     stack.append((j + 1, mask | (1 << e), extend(state, e)))
             yield mask, state
 
+    def chain_layout(self) -> ChainLayout | None:
+        """J(P) as a product of chains when P is a disjoint union of chains
+        (the antichain, a chain, NRT posets), else None.  Cached on first use.
+
+        P is one when the strict downset of every element is empty or the
+        downset of one element f, its only lower cover, and no f is the
+        only lower cover of two elements: then every element has at most
+        one cover each way, and the chains run up from the minimal elements.
+        """
+        if self._layout == ():
+            below = self.below
+            whose = {down: f for f, down in enumerate(below)}
+            up: dict[int, int] = {}
+            for e, down in enumerate(below):
+                if strict := down ^ (1 << e):
+                    f = whose.get(strict)
+                    if f is None or f in up:
+                        self._layout = None
+                        return None
+                    up[f] = e
+            chains = []
+            for e, down in enumerate(below):
+                if down == 1 << e:
+                    chains.append([e])
+                    while chains[-1][-1] in up:
+                        chains[-1].append(up[chains[-1][-1]])
+            self._layout = ChainLayout(self.n, chains)
+        return self._layout
+
     def ideals(self) -> tuple[int, ...]:
         """All order ideals as masks in ascending numeric order.
 
@@ -242,6 +273,82 @@ class Poset:
 
     def __repr__(self) -> str:
         return f"Poset(n={self.n}, covers={list(self.cover_relations())})"
+
+
+class ChainLayout:
+    """J(P) of a disjoint union of chains as the product of the chains.
+
+    The chains go bottom up, ordered by least element, which keeps their
+    order, and so every stride, the same under the opposite poset.  Ideal I
+    sits at index sum_c |I & chain c| * stride_c, with stride_c the product
+    of s_b + 1 over the chains b before c (s_b the length of chain b): a sum
+    over the elements of I, so one table per mask byte maps an ideal to its
+    index.  Under the antichain every chain is one element and the index is
+    the mask.  Index order is mask order when each chain takes consecutive
+    bits upwards, chain after chain, as in the NRT files; otherwise
+    in_mask_order sorts.
+    """
+
+    __slots__ = ("n", "chains", "lengths", "size", "_weight", "_tables")
+
+    def __init__(self, n: int, chains: Iterable[Iterable[int]]) -> None:
+        self.n = n
+        self.chains = tuple(sorted(map(tuple, chains), key=min))
+        self.lengths = tuple(map(len, self.chains))
+        weight, stride = [0] * n, 1
+        for chain in self.chains:
+            for e in chain:
+                weight[e] = stride
+            stride *= len(chain) + 1
+        self.size = stride
+        self._weight = weight
+        self._tables: tuple[list[int], list[int], list[int]] | None = None
+
+    def index(self, ideal: int) -> int:
+        if self._tables is None:
+            # built on first use: the sums of the weights of each subset of a mask byte
+            tables = []
+            for base in (0, 8, 16):
+                table = [0]
+                for weight in self._weight[base : base + 8]:
+                    table += [v + weight for v in table]
+                tables.append(table)
+            self._tables = tuple(tables)
+        t0, t1, t2 = self._tables
+        return t0[ideal & 255] + t1[ideal >> 8 & 255] + t2[ideal >> 16]
+
+    def ideal(self, index: int) -> int:
+        """The ideal at an index: digit c is the prefix of chain c it takes."""
+        mask = 0
+        for chain in self.chains:
+            index, digit = divmod(index, len(chain) + 1)
+            mask |= sum(1 << e for e in chain[:digit])
+        return mask
+
+    def opposite(self) -> Poset:
+        """The opposite poset: the same chains, each reversed."""
+        above = [0] * self.n
+        for chain in self.chains:
+            top = 0
+            for e in reversed(chain):
+                top |= 1 << e
+                above[e] = top
+        return Poset(self.n, above)
+
+    def in_mask_order(self, dims: bytes) -> tuple[Sequence[int], bytes]:
+        """(ideals, dims) in ascending mask order from dims by index."""
+        if self.size == 1 << self.n:
+            return range(self.size), dims
+        ideals = [0]
+        for chain in self.chains:
+            prefixes = [0]
+            for e in chain:
+                prefixes.append(prefixes[-1] | 1 << e)
+            ideals = [mask | prefix for prefix in prefixes for mask in ideals]
+        if [e for chain in self.chains for e in chain] == list(range(self.n)):
+            return tuple(ideals), dims
+        order = sorted(range(self.size), key=ideals.__getitem__)
+        return tuple(map(ideals.__getitem__, order)), bytes(map(dims.__getitem__, order))
 
 
 def parse_poset(text: str) -> Poset:

@@ -100,24 +100,27 @@ def test_moebius_census_never_streams_the_code_itself(monkeypatch):
         if code.field.q ** (code.n - code.k) <= 1 << code.n:  # C-perp's zeta fill serves this antichain
             codes.append(code)
     expected = [support_census(code, anti, "enumerate") for code in codes]
+    chain = Poset.chain(8)
+    on_chain = [support_census(code, chain, "enumerate") for code in codes]
     own = {code.generator for code in codes}
     honest = LinearCode.support_batches
     streamed = []
 
-    def guarded(self):
+    def guarded(self, poset=None, *, lines=False):
         if self.generator in own:
             raise AssertionError("streamed the code's own words")
         streamed.append(self.generator)
-        return honest(self)
+        return honest(self, poset, lines=lines)
 
     monkeypatch.setattr(LinearCode, "support_batches", guarded)
-    for code, census in zip(codes, expected):
+    for code, census, chain_census in zip(codes, expected, on_chain):
         assert support_census(code, anti, "moebius") == census
         assert streamed[-1] == code.parity  # the census read C-perp's stream
         other = Poset.from_cover_relations(8, [(1, 2), (2, 5), (3, 5), (6, 8)])
         classify(code, other)
         weight_hierarchy(code, other)
-        weight_hierarchy(code, Poset.chain(8))
+        # a chain is a disjoint union of chains: its census reads C-perp's fill or the walk
+        assert support_census(code, chain, "moebius") == chain_census
     # the antichain scan itself does stream C where C's stream is not the longer one
     tie = next(code for code in codes if code.k <= code.n - code.k)
     with pytest.raises(AssertionError, match="own words"):
@@ -174,7 +177,7 @@ def test_packed_census_matches_enumeration_from_both_sources(q, n, k, width):
     assert _packed_moebius(walked, n, k, q) == expected
     ideals, dims = code.matroid.census_dims(anti)
     if q ** (n - k) <= 1 << n:
-        assert dims == walked and dims is code.matroid._dual_fill
+        assert dims == walked and dims is code.matroid._dual_fill(anti)[1]
     assert support_census(code, anti, "moebius") == expected
 
 
@@ -528,3 +531,86 @@ def test_mds_under_chain_every_code_is_mds():
             assert c.d2 == h.weights[1]
         is_mds = c.d1 == code.n - code.k + 1
         assert (c.label == MDS_LABEL) == is_mds
+
+
+def fresh(code):
+    """The same code with no rank tables built yet."""
+    return LinearCode.from_generator(code.field, code.generator.rows)
+
+
+def test_report_classifies_off_its_own_table_as_classify_does():
+    from test_poset import chain_union
+
+    rng = random.Random(77)
+    posets = [chain_union(rng, [rng.randint(1, 3) for _ in range(rng.randint(1, 3))]) for _ in range(8)]
+    posets += [load_poset(DATA / "nrt7.poset"), load_poset(DATA / "v3.poset")]
+    for poset in posets:
+        n = poset.n
+        for q in (2, 3, 5):
+            for k in {1, n, rng.randint(1, n)}:
+                code = random_full_rank(rng, q, n, k)
+                expected = classify(fresh(code), poset)
+                for method in ("enumerate", "moebius"):
+                    report = distribution_report(fresh(code), poset, method)
+                    assert report.classification == expected, (poset, q, k, method)
+                    assert report.counts == distribution(fresh(code), poset, method)
+
+
+def test_enumerate_report_under_a_chain_union_walks_nothing_and_streams_once(monkeypatch):
+    import posetcode.matroid as matroid
+
+    def refuse(*args):
+        raise AssertionError("walked the ideals")
+
+    honest = LinearCode.support_batches
+    streams = []
+
+    def counting(self, poset=None, *, lines=False):
+        streams.append(self.generator)
+        return honest(self, poset, lines=lines)
+
+    rng = random.Random(78)
+    nrt = load_poset(DATA / "nrt7.poset")
+    codes = [random_full_rank(rng, 3, 7, k) for k in (2, 4, 6)]  # C's own stream is longer than J(P) for k >= 4
+    expected = [classify(fresh(code), nrt) for code in codes]
+    monkeypatch.setattr(matroid, "ideal_ranks", refuse)
+    monkeypatch.setattr(Poset, "walk_ideals", refuse)
+    monkeypatch.setattr(LinearCode, "support_batches", counting)
+    for code, cls_ in zip(codes, expected):
+        streams.clear()
+        assert distribution_report(code, nrt, "enumerate").classification == cls_
+        assert streams == [code.generator]
+
+
+def test_moebius_report_fills_one_table_on_a_tie(monkeypatch):
+    import posetcode.matroid as matroid
+
+    honest = matroid.zeta_dims
+    calls = []
+
+    def counting(code, poset):
+        calls.append(code.generator)
+        return honest(code, poset)
+
+    monkeypatch.setattr(matroid, "zeta_dims", counting)
+    rng = random.Random(79)
+    for poset in (Poset.antichain(8), load_poset(DATA / "nrt4.poset")):
+        n = poset.n
+        code = random_full_rank(rng, 2, n, n // 2)  # q^k = q^(n-k): a tie
+        calls.clear()
+        report = distribution_report(code, poset, "moebius")
+        assert calls == [code.parity]  # C-perp's fill, read by the census and the classification
+        assert report.classification == classify(fresh(code), poset)
+        assert report.counts == distribution(fresh(code), poset, "enumerate")
+
+
+def test_ideal_profile_product_matches_the_walk():
+    from posetcode.distribution import _ideal_profile
+    from test_poset import chain_union
+
+    rng = random.Random(80)
+    posets = [chain_union(rng, [rng.randint(1, 5) for _ in range(rng.randint(1, 5))], i % 2 == 0) for i in range(20)]
+    posets += [Poset.antichain(9), Poset.chain(9)] + census_test_posets()
+    for poset in posets:
+        walked = Counter((ideal.bit_count(), poset.maximal_elements(ideal).bit_count()) for ideal in poset.ideals())
+        assert _ideal_profile(poset) == walked, poset

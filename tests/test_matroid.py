@@ -123,7 +123,7 @@ def full_rank_code(rng, q, n, k):
 def assert_zeta_matches_walk(code):
     ideals, walked = code.matroid.walked_dims(Poset.antichain(code.n))
     assert ideals == range(1 << code.n)
-    assert zeta_dims(code) == walked
+    assert zeta_dims(code, Poset.antichain(code.n)) == walked
 
 
 def test_zeta_fill_matches_walk_on_every_ideal():
@@ -152,7 +152,7 @@ def test_zeta_fill_boundaries_and_field_widths(q, n, k):
     code = full_rank_code(random.Random(38 + n + k), q, n, k)
     assert_zeta_matches_walk(code)
     if k == n:
-        assert zeta_dims(code) == bytes(mask.bit_count() for mask in range(1 << n))
+        assert zeta_dims(code, Poset.antichain(n)) == bytes(mask.bit_count() for mask in range(1 << n))
 
 
 def test_shortened_dims_takes_zeta_fill_only_where_it_serves(monkeypatch):
@@ -160,9 +160,9 @@ def test_shortened_dims_takes_zeta_fill_only_where_it_serves(monkeypatch):
 
     calls = []
 
-    def counting(code):
+    def counting(code, poset):
         calls.append(code.generator)
-        return zeta_dims(code)
+        return zeta_dims(code, poset)
 
     monkeypatch.setattr(matroid, "zeta_dims", counting)
     rng = random.Random(39)
@@ -189,8 +189,8 @@ def test_dual_zeta_fill_matches_walk_on_every_ideal():
             k = n
         code = full_rank_code(rng, q, n, k)
         anti = Poset.antichain(n)
-        assert code.matroid.shortened_dims(anti)[1] is code.matroid._dual_fill
-        assert code.matroid._dual_fill == code.matroid.walked_dims(anti)[1]
+        assert code.matroid.shortened_dims(anti)[1] is code.matroid._dual_fill(anti)[1]
+        assert code.matroid._dual_fill(anti)[1] == code.matroid.walked_dims(anti)[1]
         assert code.matroid.census_dims(anti) == code.matroid.shortened_dims(anti)
 
 
@@ -198,23 +198,23 @@ def test_zeta_fill_rejects_corrupted_counts(monkeypatch):
     code = full_rank_code(random.Random(40), 3, 5, 2)
     honest = LinearCode.support_batches
 
-    def moved(self):
+    def moved(self, poset=None, *, lines=False):
         # the zero word's support reported as the full set: no word inside the empty set
-        batches = [list(batch) for batch in honest(self)]
+        batches = [list(batch) for batch in honest(self, poset, lines=lines)]
         batches[0][0] = (1 << self.n) - 1
         return iter(batches)
 
     monkeypatch.setattr(LinearCode, "support_batches", moved)
     with pytest.raises(SelfCheckError, match="not a power of q"):
-        zeta_dims(code)
+        zeta_dims(code, Poset.antichain(code.n))
 
-    def extra(self):
-        yield from honest(self)
+    def extra(self, poset=None, *, lines=False):
+        yield from honest(self, poset, lines=lines)
         yield [0]
 
     monkeypatch.setattr(LinearCode, "support_batches", extra)
     with pytest.raises(SelfCheckError, match="not q\\^k"):
-        zeta_dims(code)
+        zeta_dims(code, Poset.antichain(code.n))
 
     # a full-weight word moved off one coordinate: only the field of the
     # full set minus that coordinate changes, 3^6 or 3^7 plus one, whose
@@ -222,15 +222,15 @@ def test_zeta_fill_rejects_corrupted_counts(monkeypatch):
     wide = full_rank_code(random.Random(42), 3, 12, 7)
     full = (1 << 12) - 1
 
-    def shifted(self):
-        batches = [list(batch) for batch in honest(self)]
+    def shifted(self, poset=None, *, lines=False):
+        batches = [list(batch) for batch in honest(self, poset, lines=lines)]
         b, i = next((b, i) for b, batch in enumerate(batches) for i, s in enumerate(batch) if s == full)
         batches[b][i] = full ^ 1
         return iter(batches)
 
     monkeypatch.setattr(LinearCode, "support_batches", shifted)
     with pytest.raises(SelfCheckError, match="subset 0xffe are not a power of q"):
-        zeta_dims(wide)
+        zeta_dims(wide, Poset.antichain(12))
 
 
 def test_memoization_survives_query_order():
@@ -451,3 +451,90 @@ def test_packed_sweep_refuses_out_of_range_values_at_the_first_mask():
         assert check_rank_axioms(profile) == AxiomReport(12, False, expected)
         witness = identity_witness(profile._rank_table, profile._dual_table, 12, 6)
         assert check_complement_rank_identity(profile).witness == witness == min(edits)
+
+
+def test_layout_zeta_of_the_census_matches_walk_on_chain_unions():
+    # C's fill and C-perp's fill against the walk, byte for byte, in mask
+    # order: shuffled labels put index order off mask order
+    from test_poset import chain_union
+
+    rng = random.Random(73)
+    data = Path(__file__).parent / "data"
+    posets = [chain_union(rng, [rng.randint(1, 4) for _ in range(rng.randint(1, 4))], i % 3 != 0) for i in range(24)]
+    posets += [Poset.antichain(7), Poset.chain(7), load_poset(data / "nrt4.poset"), load_poset(data / "nrt7.poset")]
+    for i, poset in enumerate(posets):
+        n = poset.n
+        q = PACKING_FIELDS[i % len(PACKING_FIELDS)]
+        for k in sorted({1, n, rng.randint(1, n)}):
+            if q ** min(k, n - k) > 1 << 12:
+                continue
+            code = full_rank_code(rng, q, n, k)
+            walked = code.matroid.walked_dims(poset)
+            layout = poset.chain_layout()
+            if q**k <= 1 << 12:
+                assert layout.in_mask_order(zeta_dims(code, poset)) == walked, (poset, q, k)
+            if q ** (n - k) <= 1 << 12:
+                assert code.matroid._dual_fill(poset) == walked, (poset, q, k)
+
+
+@pytest.mark.parametrize("q", PACKING_FIELDS)
+def test_layout_zeta_over_every_packing_field(q):
+    # k = 1, k = n and the largest k with q^k small, under a chain union with shuffled labels and an NRT file
+    from test_poset import chain_union
+
+    rng = random.Random(74 + q)
+    for poset in (chain_union(rng, [2, 3, 1]), load_poset(Path(__file__).parent / "data" / "nrt7.poset")):
+        n = poset.n
+        for k in sorted({1, n, max(k for k in range(1, n + 1) if q**k <= 1 << 12)}):
+            code = full_rank_code(rng, q, n, k)
+            walked = code.matroid.walked_dims(poset)
+            if q**k <= 1 << 12:
+                assert poset.chain_layout().in_mask_order(zeta_dims(code, poset)) == walked, (q, k)
+            if q ** (n - k) <= 1 << 12:
+                # k = n leaves C-perp no rows
+                assert code.matroid._dual_fill(poset) == walked, (q, k)
+
+
+def test_no_layout_no_fill(monkeypatch):
+    # v3 and random posets that are no disjoint union of chains take the walk
+    import posetcode.matroid as matroid
+
+    def refuse(code, poset):
+        raise AssertionError("filled a table without a chain layout")
+
+    monkeypatch.setattr(matroid, "zeta_dims", refuse)
+    rng = random.Random(75)
+    v3 = load_poset(Path(__file__).parent / "data" / "v3.poset")
+    assert v3.chain_layout() is None
+    code = full_rank_code(rng, 2, 3, 1)
+    assert code.matroid.shortened_dims(v3) == code.matroid.census_dims(v3) == code.matroid.walked_dims(v3)
+    seen = 0
+    while seen < 10:
+        n = rng.randint(3, 8)
+        relations = [(i, j) for j in range(2, n + 1) for i in range(1, j) if rng.random() < 0.4]
+        poset = Poset.from_cover_relations(n, relations)
+        if poset.chain_layout() is None:
+            seen += 1
+            code = full_rank_code(rng, 2, n, rng.randint(1, n))
+            assert code.matroid.shortened_dims(poset) == code.matroid.walked_dims(poset)
+            assert code.matroid.census_dims(poset) == code.matroid.walked_dims(poset)
+
+
+def test_layout_zeta_rejects_a_corrupted_census(monkeypatch):
+    # under a chain union whose index order is not mask order, the failing
+    # field is named by its ideal's mask
+    poset = Poset.from_cover_relations(5, [(3, 1), (1, 5), (4, 2)])
+    code = full_rank_code(random.Random(76), 3, 5, 2)
+    honest = LinearCode.support_batches
+    full = (1 << 5) - 1
+
+    def moved(self, poset=None, *, lines=False):
+        # a full-weight line reported one element short: the ideal {1, 2, 3, 4} gains 2 words
+        batches = [list(batch) for batch in honest(self, poset, lines=lines)]
+        b, i = next((b, i) for b, batch in enumerate(batches) for i, s in enumerate(batch) if s == full)
+        batches[b][i] = full ^ 1 << 4
+        return iter(batches)
+
+    monkeypatch.setattr(LinearCode, "support_batches", moved)
+    with pytest.raises(SelfCheckError, match="subset 0xf are not a power of q"):
+        zeta_dims(code, poset)

@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from posetcode.bitset import mask_from_positions, to_elements
+from posetcode.bitset import digit_sums, mask_from_positions, to_elements
 from posetcode.poset import Poset, format_poset, load_poset, parse_poset
 
 
@@ -202,3 +202,64 @@ def test_digest_stable_and_distinguishes():
 def test_bitset_element_round_trip():
     mask = mask_from_positions([0, 2, 3])
     assert to_elements(mask) == (1, 3, 4)
+
+
+def chain_union(rng, lengths, shuffle=True):
+    """Disjoint union of chains of the given lengths, labels shuffled or in blocks."""
+    n = sum(lengths)
+    labels = list(range(1, n + 1))
+    if shuffle:
+        rng.shuffle(labels)
+    relations, at = [], 0
+    for s in lengths:
+        chain = labels[at : at + s]
+        relations += zip(chain, chain[1:])
+        at += s
+    return Poset.from_cover_relations(n, relations)
+
+
+def test_chain_layout_indexes_every_ideal_once():
+    rng = random.Random(71)
+    for trial in range(40):
+        lengths = [rng.randint(1, 4) for _ in range(rng.randint(1, 5))]
+        poset = chain_union(rng, lengths, shuffle=trial % 2 == 0)
+        layout = poset.chain_layout()
+        assert sorted(layout.lengths) == sorted(lengths) and sum(layout.lengths) == poset.n
+        # each chain bottom up, the chains by least element
+        assert [min(chain) for chain in layout.chains] == sorted(min(chain) for chain in layout.chains)
+        for chain in layout.chains:
+            assert all(poset.below[b] & ~poset.below[a] == 1 << b for a, b in zip(chain, chain[1:]))
+        ideals = poset.ideals()
+        assert layout.size == len(ideals)
+        assert sorted(map(layout.index, ideals)) == list(range(layout.size))
+        assert all(layout.ideal(layout.index(ideal)) == ideal for ideal in ideals)
+        assert digit_sums(layout.lengths) == bytes(layout.ideal(i).bit_count() for i in range(layout.size))
+        assert list(layout.in_mask_order(bytes(layout.size))[0]) == list(ideals)
+        assert layout.opposite() == poset.dual()
+        # complementing an ideal reverses its index
+        full = (1 << poset.n) - 1
+        assert all(layout.index(full ^ ideal) == layout.size - 1 - layout.index(ideal) for ideal in ideals)
+
+
+def test_chain_layout_of_presets_and_of_posets_that_are_no_union_of_chains():
+    anti = Poset.antichain(10).chain_layout()
+    assert anti.lengths == (1,) * 10 and anti.size == 1 << 10
+    assert all(anti.index(mask) == mask for mask in range(1 << 10))
+    assert Poset.chain(6).chain_layout().lengths == (6,)
+    for poset in (
+        parse_poset("n 3\n1 < 3\n2 < 3\n"),  # v3: two elements below one
+        parse_poset("n 3\n1 < 2\n1 < 3\n"),  # one element below two
+        parse_poset("n 4\n1 < 2\n2 < 3\n4 < 3\n"),
+    ):
+        assert poset.chain_layout() is None
+    rng = random.Random(72)
+    for _ in range(60):
+        n = rng.randint(2, 9)
+        relations = [(i, j) for j in range(2, n + 1) for i in range(1, j) if rng.random() < 0.3]
+        poset = Poset.from_cover_relations(n, relations)
+        # a disjoint union of chains: every element covers at most one and is covered by at most one
+        covers = poset.cover_relations()
+        is_union = all(
+            sum(i == e for i, _ in covers) <= 1 and sum(j == e for _, j in covers) <= 1 for e in range(1, n + 1)
+        )
+        assert (poset.chain_layout() is not None) == is_union, poset
