@@ -19,7 +19,7 @@ row operations _scale, _add_scaled, _sub_scaled and _dot do not: they are
 the inner loops of row reduction and codeword streaming, and their callers
 pass rows that the Matrix constructor (which the code parser goes through)
 or the vector products have already checked.  Outside this module only
-the packed rank walk (matroid.ideal_ranks, code._PackedWords.times)
+the packed rank walk (matroid._reducer, code._PackedWords.times)
 reads the tables directly, a row at a time.
 """
 

@@ -1,11 +1,16 @@
 """Column-rank data of a linear code, viewed as a matroid on {1..n}.
 
-Ranks come from ideal_ranks, a depth-first walk over the ideal lattice
-J(P) (Poset.walk_ideals) that carries an echelon basis, so each ideal
-costs one reduction of the column it adds.  Columns and rows are packed
-words (code._PackedWords): one shift and mask reads a column's digits
-at a row's lead, and one SWAR add of a multiple of the row, built the
-first time some column needs it, clears them.  RankProfile keeps:
+Ranks come from a depth-first walk over the ideal lattice J(P) that
+carries an echelon basis; _reducer, the one kernel, reduces the column
+each ideal adds.  Columns and rows are packed words (code._PackedWords):
+one shift and mask reads a column's digits at a row's lead, and one SWAR
+add of a multiple of the row, built the first time some column needs
+it, clears them.  Rank is monotone (R2), so once the basis is full every
+larger ideal has full rank.  grid_ranks walks a disjoint union of chains
+by layout index (one more element of chain c is stride_c on) into a
+bytearray prefilled with the full rank, and stops going up a chain at
+its first full basis: every longer prefix, and all below it in the walk,
+are supersets.  ideal_ranks walks any poset.  RankProfile keeps:
 
   * per poset P, the shortened dimensions dim C^I = |I| - rank_H(I) on
     every ideal I (G generator, H parity-check matrix), as one flat
@@ -37,9 +42,9 @@ first time some column needs it, clears them.  RankProfile keeps:
              shorter stream serves, C's own on a tie, when it is no
              longer than the table (|J(P)| fields) and within
              MAX_ENUMERATION;
-      walk   every other case: ideal_ranks on the parity-check columns,
-             written by layout index into one bytearray under a disjoint
-             union of chains.
+      walk   every other case: grid_ranks on the parity-check columns
+             under a disjoint union of chains, read off as C-perp's fill
+             with n - k - rank_H(I) in place of dim C-perp; else ideal_ranks.
 
     A table already in hand serves before either: keep() takes the
     zeta of a distribution report's enumerate census, or its census
@@ -51,7 +56,7 @@ first time some column needs it, clears them.  RankProfile keeps:
     oracle independent of enumeration;
   * for n <= TABLE_LIMIT, flat lists indexed by subset mask: rank(A) on
     the columns of G and dual_rank(A) on those of H (the dual matroid),
-    filled from the antichain's tables (rank by the walk on G, dual_rank
+    filled from the antichain's tables (rank by grid_ranks on G, dual_rank
     from the antichain's shortened dimensions, so by a zeta fill when one
     serves).  They serve the checks below, and the complement identity
     then holds either zeta fill against the walk on G.
@@ -93,7 +98,7 @@ is reported as the scalar sweep would: the smallest A, then e, then g.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -109,20 +114,20 @@ def _columns(mat: Matrix) -> list[tuple[int, ...]]:
     return [tuple(row[c] for row in mat.rows) for c in range(mat.ncols)]
 
 
-def ideal_ranks(poset: Poset, field: GF, columns: Sequence[Sequence[int]]) -> Iterator[tuple[int, int]]:
-    """(ideal, rank of the columns it indexes) for every ideal of the poset.
-
-    The walk carries an echelon basis of packed rows, zero at earlier rows'
-    leads, so one in-order pass reduces a column.  A row is kept as (lead bit
-    offset, row, -1/lead times each element, -(a/lead) * row by lead digits a).
-    """
-    packed = _PackedWords(field, len(columns[0]))
+def _reducer(field: GF, columns: Sequence[Sequence[int]]) -> Callable[[tuple, int], tuple]:
+    """extend(basis, e): the echelon basis of packed rows, zero at earlier
+    rows' leads, with column e reduced in by one in-order pass; a full basis
+    comes back at once.  A row is kept as (lead bit offset, row, -1/lead
+    times each element, -(a/lead) * row by lead digits a)."""
+    packed = _PackedWords(field, full := len(columns[0]))
     words = [packed.pack(column) for column in columns]
     element, stride, digits, p = packed.element, packed.stride, (1 << packed.stride) - 1, field.p
     shift, top, carry = packed.width - 1, packed.top, packed.carry
     scales = {packed.spread[a]: field._mul[field._neg[field._inv[a]]] for a in range(1, field.q)}
 
     def extend(basis: tuple, e: int) -> tuple:
+        if len(basis) == full:
+            return basis
         v = words[e]
         for at, row, scale, multiples in basis:
             if a := v >> at & digits:
@@ -135,8 +140,34 @@ def ideal_ranks(poset: Poset, field: GF, columns: Sequence[Sequence[int]]) -> It
         at -= at % stride
         return basis + ((at, v, scales[v >> at & digits], {}),)
 
-    for ideal, basis in poset.walk_ideals(extend, ()):
+    return extend
+
+
+def ideal_ranks(poset: Poset, field: GF, columns: Sequence[Sequence[int]]) -> Iterator[tuple[int, int]]:
+    """(ideal, rank of the columns it indexes) for every ideal of the poset."""
+    for ideal, basis in poset.walk_ideals(_reducer(field, columns), ()):
         yield ideal, len(basis)
+
+
+def grid_ranks(layout: ChainLayout, field: GF, columns: Sequence[Sequence[int]]) -> bytearray:
+    """Ranks of the columns on the ideals of a chain union by layout index (module docstring)."""
+    full, extend = len(columns[0]), _reducer(field, columns)
+    ranks = bytearray(1) + bytes([full]) * (layout.size - 1)
+    chains = [(layout._weight[chain[0]], chain) for chain in layout.chains]
+    last, stack = len(chains) - 1, [(0, 0, ())] if full else []
+    while stack:
+        first, at, basis = stack.pop()
+        for c in range(first, last + 1):
+            stride, chain = chains[c]
+            up, i = basis, at
+            for e in chain:
+                up, i = extend(up, e), i + stride
+                if (r := len(up)) == full:
+                    break
+                ranks[i] = r
+                if c < last:
+                    stack.append((c + 1, i, up))
+    return ranks
 
 
 def _digit_masks(lengths: Sequence[int], width: int, value: int) -> Iterator[tuple[int, int]]:
@@ -234,14 +265,18 @@ class RankProfile:
             table = self._fills[poset, False] = poset.chain_layout().in_mask_order(zeta_dims(self.code, poset))
         return table
 
+    def _dims(self, layout: ChainLayout, slack: bytes) -> tuple[Sequence[int], bytes]:
+        # by index, |I| + slack(I) with slack n - k - rank_H(I) = dim C-perp^(complement I) never carries
+        # and less n - k is dim C^I, or 255 > k below n - k
+        total = int.from_bytes(digit_sums(layout.lengths), "little") + int.from_bytes(slack, "little")
+        n_k = self.n - self.k
+        return layout.in_mask_order(total.to_bytes(layout.size, "little").translate(b"\xff" * n_k + bytes(range(256 - n_k))))
+
     def _dual_fill(self, poset: Poset) -> tuple[Sequence[int], bytes]:
-        # |A| + dim C-perp^(complement A) never carries; below n - k it becomes 255 > k
         if (table := self._fills.get((poset, True))) is None:
-            code, layout, n, k = self.code, poset.chain_layout(), self.n, self.k
+            code, layout = self.code, poset.chain_layout()
             reversed_dual = zeta_dims(LinearCode(code.field, code.parity, code.generator), layout.opposite())[::-1]
-            total = int.from_bytes(digit_sums(layout.lengths), "little") + int.from_bytes(reversed_dual, "little")
-            dims = total.to_bytes(layout.size, "little").translate(b"\xff" * (n - k) + bytes(range(256 - n + k)))
-            table = self._fills[poset, True] = layout.in_mask_order(dims)
+            table = self._fills[poset, True] = self._dims(layout, reversed_dual)
         return table
 
     def _fill_cap(self, poset: Poset) -> int:
@@ -274,18 +309,15 @@ class RankProfile:
         return self.walked_dims(poset)
 
     def walked_dims(self, poset: Poset) -> tuple[Sequence[int], bytes]:
-        """The table of shortened_dims, always filled by the rank walk:
-        written by index into one bytearray over a disjoint union of chains."""
+        """The table of shortened_dims, always filled by the rank walk on H:
+        grid_ranks over a disjoint union of chains, else ideal_ranks."""
         table = self._walks.get(poset)
         if table is None:
-            walk = ideal_ranks(poset, self.code.field, self._par_cols)
             if (layout := poset.chain_layout()) is not None:
-                index, dims = layout.index, bytearray(layout.size)
-                for ideal, r in walk:
-                    dims[index(ideal)] = ideal.bit_count() - r
-                table = layout.in_mask_order(bytes(dims))
+                ranks = grid_ranks(layout, self.code.field, self._par_cols)
+                table = self._dims(layout, ranks.translate(bytes(range(self.n - self.k, -1, -1)).ljust(256, b"\0")))
             else:
-                dims = {ideal: ideal.bit_count() - r for ideal, r in walk}
+                dims = {ideal: ideal.bit_count() - r for ideal, r in ideal_ranks(poset, self.code.field, self._par_cols)}
                 ideals = tuple(sorted(dims))
                 table = (ideals, bytes(map(dims.__getitem__, ideals)))
             self._walks[poset] = table
@@ -293,11 +325,9 @@ class RankProfile:
 
     @cached_property
     def _rank_table(self) -> list[int]:
-        # -1 where the walk never writes, which R1 refuses
-        table = [-1] * (self.full + 1)
-        for mask, r in ideal_ranks(Poset.antichain(self.n), self.code.field, self._gen_cols):
-            table[mask] = r
-        return table
+        # the walk leaves the full rank k on the supersets of a full-rank set
+        # it prunes; on a set it skipped with fewer than k elements R1 refuses it
+        return list(grid_ranks(Poset.antichain(self.n).chain_layout(), self.code.field, self._gen_cols))
 
     @cached_property
     def _dual_table(self) -> list[int]:

@@ -8,6 +8,7 @@ import pytest
 from posetcode.code import LinearCode
 from posetcode.errors import SelfCheckError
 from posetcode.field import gf
+from posetcode.hierarchy import weight_hierarchy
 from posetcode.matrix import Matrix
 from posetcode.poset import Poset, load_poset
 from posetcode.matroid import (
@@ -18,6 +19,7 @@ from posetcode.matroid import (
     _columns,
     check_complement_rank_identity,
     check_rank_axioms,
+    grid_ranks,
     ideal_ranks,
     zeta_dims,
 )
@@ -111,6 +113,134 @@ def test_packed_walk_matches_column_rank(q):
                 assert sorted(ideal for ideal, _ in walk) == list(poset.ideals())
                 for ideal, rank in walk:
                     assert rank == mat.column_submatrix(ideal).rank(), (q, n, k, ideal)
+
+
+def nrt(chains, length):
+    pairs = [(c * length + i, c * length + i + 1) for c in range(chains) for i in range(1, length)]
+    return Poset.from_cover_relations(chains * length, pairs)
+
+
+@pytest.mark.parametrize("q", PACKING_FIELDS)
+def test_grid_walk_matches_the_unpruned_walk_and_column_rank(q):
+    # the pruned grid table, by layout index, against ideal_ranks, which
+    # yields every ideal, and a direct elimination; k = n leaves H no rows,
+    # so every ideal is full rank, and n - k = 1 gives H one
+    from test_poset import chain_union
+
+    rng = random.Random(90 + q)
+    data = Path(__file__).parent / "data"
+    posets = (
+        load_poset(data / "nrt4.poset"),
+        load_poset(data / "nrt7.poset"),
+        chain_union(rng, [2, 3, 1]),
+        chain_union(rng, [1, 2, 2, 1]),
+        Poset.chain(6),
+        Poset.antichain(6),
+    )
+    for poset in posets:
+        n, layout = poset.n, poset.chain_layout()
+        for k in sorted({1, n, n - 1, rng.randint(1, n)}):
+            code = full_rank_code(rng, q, n, k)
+            for mat in (code.generator, code.parity):
+                grid = grid_ranks(layout, code.field, _columns(mat))
+                walked = dict(ideal_ranks(poset, code.field, _columns(mat)))
+                assert len(grid) == len(walked) == layout.size
+                for index, rank in enumerate(grid):
+                    ideal = layout.ideal(index)
+                    assert rank == walked[ideal] == mat.column_submatrix(ideal).rank(), (poset, q, k, ideal)
+            # walked_dims reads the grid on H: |I| - rank_H(I), in mask order
+            ideals, dims = code.matroid.walked_dims(poset)
+            assert list(ideals) == list(poset.ideals())
+            assert list(dims) == [ideal.bit_count() - walked[ideal] for ideal in ideals]
+
+
+def counting_reducer(monkeypatch):
+    """Wrap the reduction kernel: every call is counted, and none may reduce
+    a column against a basis that is already full."""
+    import posetcode.matroid as matroid
+
+    honest, calls = matroid._reducer, []
+
+    def counting(field, columns):
+        extend, full = honest(field, columns), len(columns[0])
+
+        def counted(basis, e):
+            assert len(basis) < full, "reduced a column against a full basis"
+            calls.append(e)
+            return extend(basis, e)
+
+        return counted
+
+    monkeypatch.setattr(matroid, "_reducer", counting)
+    return calls
+
+
+def walk_parent(layout, index):
+    """The index of the ideal the grid walk extends to reach a nonempty one:
+    one element less on the last chain it meets."""
+    strides = [1]
+    for s in layout.lengths:
+        strides.append(strides[-1] * (s + 1))
+    c = max(c for c, s in enumerate(layout.lengths) if index // strides[c] % (s + 1))
+    return index - strides[c]
+
+
+def test_grid_walk_stops_at_full_rank(monkeypatch):
+    # the walk reduces a column exactly where the ideal it extends is below
+    # full rank: fewer reductions than the |J(P)| - 1 of a walk over every ideal
+    rng = random.Random(91)
+    cases = [(nrt(4, 5), full_rank_code(rng, 3, 20, 10))]  # 592 of its 1 296 ideals have full rank
+    cases += [(Poset.antichain(8), full_rank_code(rng, q, 8, k)) for q, k in ((2, 4), (5, 2), (4, 7), (3, 8))]
+    cases += [(nrt(3, 4), full_rank_code(rng, 9, 12, 6)), (Poset.chain(7), full_rank_code(rng, 2, 7, 3))]
+    expected = [dict(ideal_ranks(poset, code.field, _columns(code.parity))) for poset, code in cases]
+    calls = counting_reducer(monkeypatch)
+    for (poset, code), ranks in zip(cases, expected):
+        layout, full = poset.chain_layout(), code.n - code.k
+        by_index = [ranks[layout.ideal(index)] for index in range(layout.size)]
+        calls.clear()
+        assert list(grid_ranks(layout, code.field, _columns(code.parity))) == by_index
+        assert len(calls) == sum(by_index[walk_parent(layout, i)] < full for i in range(1, layout.size))
+        assert len(calls) < layout.size - 1, (poset, code.k)
+
+
+def test_reducer_returns_a_full_basis_at_once():
+    # as many rows as the columns have coordinates: no row is read
+    import posetcode.matroid as matroid
+
+    code = full_rank_code(random.Random(93), 3, 6, 3)
+    extend = matroid._reducer(code.field, _columns(code.parity))
+    full = (None,) * 3
+    assert all(extend(full, e) is full for e in range(6))
+
+
+def test_a_skipped_ideal_keeps_the_full_rank_which_the_checks_refuse(monkeypatch):
+    # the grid walk prefills the full rank: an ideal it skipped with fewer
+    # elements than the columns have rows then has rank above its size
+    import posetcode.matroid as matroid
+
+    honest = matroid.grid_ranks
+
+    def skipping(skipped):
+        def walk(layout, field, columns):
+            ranks = honest(layout, field, columns)
+            assert skipped.bit_count() < len(columns[0]) and ranks[layout.index(skipped)] < len(columns[0])
+            ranks[layout.index(skipped)] = len(columns[0])
+            return ranks
+
+        return walk
+
+    rng = random.Random(92)
+    data = Path(__file__).parent / "data"
+    for poset, k, skipped in ((Poset.antichain(6), 3, 0b000011), (load_poset(data / "nrt4.poset"), 2, 0b0001)):
+        code = full_rank_code(rng, 5, poset.n, k)  # 5^k and 5^(n-k) exceed |J(P)|: the hierarchy walks
+        assert weight_hierarchy(LinearCode.from_generator(code.field, code.generator.rows), poset).weights
+        monkeypatch.setattr(matroid, "grid_ranks", skipping(skipped))
+        with pytest.raises(SelfCheckError, match=f"dimension 255 at ideal {skipped:#x} is not a pair"):
+            weight_hierarchy(code, poset)
+        if poset == Poset.antichain(6):
+            report = check_rank_axioms(RankProfile(code))
+            assert report == AxiomReport(6, False, AxiomViolation("rank", "R1", skipped, None))
+        monkeypatch.undo()
 
 
 def full_rank_code(rng, q, n, k):
