@@ -8,12 +8,13 @@ the CLI on them, each command in a child process:
   weights must equal those of a scan of the rank walk's table
   (RankProfile.walked_dims), taken here in-process;
 * `hierarchy --json` must give the walk scan's weights and witnesses;
-* `distribution --method enumerate --json` and `--method moebius --json`
-  must give the same counts and classification.
+* `distribution --method moebius --json` must finish within 1.5 s;
+  `--method enumerate --json` and it must give the same counts, and the
+  classification of the walk's table.
 
 q^k = q^(n-k) = 4 096 words: both fills serve, and the tie takes C's own
 stream for the scan and C-perp's for the census.  Exits 1 on a mismatch, a
-failed run or a duality over budget; the time budget of the whole script
+failed run or a duality or Moebius census over budget; the time budget of the whole script
 is the timeout around it.  Run from the repository root:
 
     PYTHONPATH=src timeout 60 python ci/chain_fill_budget.py
@@ -29,10 +30,13 @@ import time
 from pathlib import Path
 from random import Random
 
-from posetcode import LinearCode, Matrix, Poset, duality_partition, format_code, format_poset, gf, weight_hierarchy
+from posetcode import LinearCode, Matrix, Poset, format_code, format_poset, gf
+from posetcode.bitset import to_elements
+from posetcode.distribution import _classify
+from posetcode.hierarchy import _dual_minima, _key_table, _primal_minima
 
 CHAINS, LENGTH, K = 12, 2, 12
-DUALITY_S = 1.5
+DUALITY_S = MOEBIUS_S = 1.5
 
 
 def nrt_poset() -> Poset:
@@ -69,25 +73,31 @@ def main() -> int:
         enumerate_, enumerate_s = cli("distribution", "--method", "enumerate", *files)
         moebius, moebius_s = cli("distribution", "--method", "moebius", *files)
     print(f"NRT {CHAINS}x{LENGTH} binary [{poset.n},{K}] duality: {duality_s:.2f} s (budget {DUALITY_S} s)")
-    print(f"hierarchy {hierarchy_s:.2f} s, distribution enumerate {enumerate_s:.2f} s, moebius {moebius_s:.2f} s")
+    print(f"distribution moebius: {moebius_s:.2f} s (budget {MOEBIUS_S} s)")
+    print(f"hierarchy {hierarchy_s:.2f} s, distribution enumerate {enumerate_s:.2f} s")
 
     # the oracle: the same scans over the table of the rank walk
     started = time.perf_counter()
-    profile = code.matroid
-    profile.keep(poset, profile.walked_dims(poset))
-    walked = weight_hierarchy(code, poset)
-    partition = duality_partition(code, poset)
+    walked = code.matroid.walked_dims(poset)
+    ideals, key = _key_table(code, walked)
+    primal, dual = _primal_minima(ideals, key, poset.n, K), _dual_minima(ideals, key, poset.n, K)
+    label = _classify(code, walked)
     print(f"walk and scan in-process: {time.perf_counter() - started:.2f} s")
 
     problems = []
     if duality_s > DUALITY_S:
         problems.append(f"duality took {duality_s:.2f} s, above the {DUALITY_S} s budget")
-    if (duality["weights"], duality["dual_weights"]) != (list(partition.weights), list(partition.dual_weights)):
-        problems.append(f"duality {duality['weights']} / {duality['dual_weights']} != walk {partition.as_dict()}")
-    if (hierarchy["weights"], hierarchy["witnesses"]) != (list(walked.weights), [list(w) for w in walked.witnesses]):
-        problems.append(f"hierarchy {hierarchy} != walk {walked.as_dict()}")
+    if moebius_s > MOEBIUS_S:
+        problems.append(f"distribution --method moebius took {moebius_s:.2f} s, above the {MOEBIUS_S} s budget")
+    weights, witnesses = [d for d, _ in primal], [list(to_elements(mask)) for _, mask in primal]
+    if (duality["weights"], duality["dual_weights"]) != (weights, [d for d, _ in dual]):
+        problems.append(f"duality {duality['weights']} / {duality['dual_weights']} != walk {weights} / {dual}")
+    if (hierarchy["weights"], hierarchy["witnesses"]) != (weights, witnesses):
+        problems.append(f"hierarchy {hierarchy} != walk {weights} at {witnesses}")
     if enumerate_ != {**moebius, "method": "enumerate"}:
         problems.append(f"enumerate {enumerate_} != moebius {moebius}")
+    if (moebius["classification"], moebius["d1"], moebius["d2"]) != (label.label, label.d1, label.d2):
+        problems.append(f"moebius {moebius} classified other than the walk: {label}")
     for problem in problems:
         print(problem, file=sys.stderr)
     return 1 if problems else 0

@@ -65,8 +65,8 @@ def subset_sizes(n: int) -> bytes:
 
 def digit_sums(lengths: Sequence[int]) -> bytes:
     """Byte table of the digit sum of every index of the mixed radix whose
-    digit c runs over 0..lengths[c], digit 0 lowest: |I| for every ideal of
-    a disjoint union of chains by its index (poset.ChainLayout), |A| for
+    digit c runs over 0..lengths[c], digit 0 lowest: |S_x| at every point
+    x of a chain layout's grid by its index (poset.ChainLayout), |A| for
     every mask under the antichain.  Built by copying: the indices with
     digit c at t are those below, t larger."""
     sums = b"\0"

@@ -14,10 +14,10 @@ enumerate
     taken q - 1 times, but the zero word's once.  Counts that do not sum
     to q**k raise SelfCheckError.  It never lists the ideals of P and
     never reads the rank table, so it is the independent oracle for the
-    other method.  The enumerate report under a disjoint union of chains
-    classifies off the zeta of this census (RankProfile.keep), so it
-    walks nothing and streams C once; the census itself still reads no
-    rank table, and the tests check the report's label against classify.
+    other method.  The enumerate report classifies off the zeta of this
+    census (matroid._zeta), so it walks nothing and streams C once; the
+    census itself still reads no rank table, and the tests check the
+    report's label against classify.
 
 moebius
     The words of C supported inside an ideal I form the shortened subcode
@@ -26,22 +26,21 @@ moebius
     lattice J(P): the fast transform of Bjorklund, Husfeldt, Kaski,
     Koivisto, Nederlof and Parviainen ("Fast zeta transforms for lattices
     with few irreducibles", SODA 2012).  Its table is
-    RankProfile.census_dims: the zeta fill of C-perp's stream under a
-    disjoint union of chains where it serves, else the rank walk, never
-    C's own stream; the moebius report classifies off that same table.
-    Inverting a zeta transform of C's enumerate counts would hand those
-    counts back, and the census would stop being an oracle for
-    enumeration.  Under the antichain, the q^(dim C^I) sit in fields of
-    one int T, written by one translate per byte plane, each with a guard
-    bit G above q^k, and n packed steps T -= (T & low_e) << (w << e)
-    subtract every field without coordinate e from the one with it
-    (low_e from _digit_masks, as for the zeta fill).  A
-    count that would go negative borrows the guard bit of its own field
-    and never the next field.  Other posets take n * |J(P)| subtractions
-    in a dict: for e along the reverse of a linear extension, subtract
-    the entry of I - {e} from the entry of I wherever I - {e} is an
-    ideal.  A dim above k in the table, read once for both, a cleared
-    guard or a negative count left in the dict raises SelfCheckError.
+    RankProfile.census_dims, by index on the grid of P's chain partition
+    (poset.ChainLayout): the zeta fill of C-perp's stream where it
+    serves, else the rank walk, never C's own stream; the moebius report
+    classifies off that same table.  Inverting a zeta transform of C's
+    enumerate counts would hand those counts back, and the census would
+    stop being an oracle for enumeration.  The q^(dim C^I) sit in fields
+    of one int T, each with a guard bit G above q^k.  One packed step per
+    element e, last of a linear extension first, undoes e:
+    T -= (T & M_e) << (w * stride_c), M_e the fields from which adding e
+    gives an ideal (ChainLayout.step): on a disjoint union of chains a
+    digit mask of _digit_masks, each chain's from its top digit down.
+    Off the ideals the fields start at 0, so no step moves anything
+    from or to them.  A count that would go negative borrows the guard
+    bit of its own field and never the next field.  A dim above k at an
+    ideal, read once for both, or a cleared guard raises SelfCheckError.
 
 The weight distribution (A_0, ..., A_n) with A_r = |{u in C : wt_P(u) = r}|
 sums the census over the ideals of each size.
@@ -106,55 +105,47 @@ def support_census(code: LinearCode, poset: Poset, method: str = "moebius") -> d
         return code.closure_counts(poset)
     if method != "moebius":
         raise ValueError(f"unknown method {method!r}")
-    return _moebius(code, poset, *_census_table(code, poset))
+    return _moebius(poset, _census_table(code, poset), code.k, code.field.q)
 
 
-def _moebius(code: LinearCode, poset: Poset, ideals: Sequence[int], dims: bytes) -> dict[int, int]:
-    """The census by Moebius inversion of a census table (module docstring)."""
-    n, k, q = code.n, code.k, code.field.q
-    if len(dims) == 1 << n:
-        return _packed_moebius(dims, n, k, q)
-    census = dict(zip(ideals, map([q**d for d in range(k + 1)].__getitem__, dims)))
-    # undo the zeta transform one element at a time, last element first
-    for e in reversed(poset.linear_extension()):
-        bit = 1 << e
-        for ideal in census:
-            if ideal & bit and ideal ^ bit in census:
-                census[ideal] -= census[ideal ^ bit]
-    if min(census.values()) < 0:
-        subset = next(ideal for ideal, count in census.items() if count < 0)
-        raise SelfCheckError(f"Moebius census: negative count at subset {subset:#x}")
-    return {ideal: count for ideal, count in census.items() if count}
+def _census_table(code: LinearCode, poset: Poset) -> bytes:
+    """RankProfile.census_dims, with SelfCheckError for a dim above k at an ideal."""
+    dims, k = code.matroid.census_dims(poset), code.k
+    ideals, at_ideals = poset.chain_layout().in_mask_order(dims)
+    if (bad := at_ideals.translate(bytes(k + 1).ljust(256, b"\1")).find(1)) >= 0:
+        raise SelfCheckError(f"Moebius census: shortened dimension {at_ideals[bad]} > k = {k} at subset {ideals[bad]:#x}")
+    return dims
 
 
-def _census_table(code: LinearCode, poset: Poset) -> tuple[Sequence[int], bytes]:
-    """RankProfile.census_dims, with SelfCheckError for a dim above k."""
-    (ideals, dims), k = code.matroid.census_dims(poset), code.k
-    if (bad := dims.translate(bytes(k + 1).ljust(256, b"\1")).find(1)) >= 0:
-        raise SelfCheckError(f"Moebius census: shortened dimension {dims[bad]} > k = {k} at subset {ideals[bad]:#x}")
-    return ideals, dims
-
-
-def _packed_moebius(dims: bytes, n: int, k: int, q: int) -> dict[int, int]:
-    """The census from a table over all 2**n masks, each dim at most k, by
-    packed int steps with a guard bit per field; see the module docstring."""
-    size, wb = len(dims), (q**k).bit_length() // 8 + 1
+def _moebius(poset: Poset, dims: bytes, k: int, q: int) -> dict[int, int]:
+    """The census from a census table by grid index, each dim at an ideal at
+    most k, by packed int steps with a guard bit per field (module docstring)."""
+    layout = poset.chain_layout()
+    size, wb = layout.size, (q**k).bit_length() // 8 + 1
     w, guard = 8 * wb, 1 << 8 * wb - 1
     guards = int.from_bytes(guard.to_bytes(wb, "little") * size, "little")
     table = int.from_bytes(to_fields(dims, [q**d | guard for d in range(k + 1)], wb), "little")
-    for shift, low in _digit_masks((1,) * n, w, guard - 1):
-        table -= (table & low) << shift
+    if layout.flags is None:
+        # each chain's digit masks, from the last chain down and its top digit down
+        masks = _digit_masks(layout.lengths, w, guard - 1)
+        steps = (step for s in reversed(layout.lengths) for step in reversed([next(masks) for _ in range(s)]))
+    else:
+        # count 0 off the ideals, so no step moves anything from there
+        table = table & int.from_bytes(to_fields(layout.flags, [0, guard - 1], wb), "little") | guards
+        steps = (layout.step(e, (guard - 1).to_bytes(wb, "little")) for e in reversed(poset.linear_extension()))
+    for stride, low in steps:
+        table -= (table & low) << w * stride
         if table & guards != guards:
             lost = guards & ~table
-            raise SelfCheckError(f"Moebius census: negative count at subset {((lost & -lost).bit_length() - 1) // w:#x}")
+            raise SelfCheckError(f"Moebius census: negative count at subset {layout.ideal(((lost & -lost).bit_length() - 1) // w):#x}")
     # a field is nonzero exactly when subtracting 1 from it keeps its guard bit
     nonzero = ((table - (guards >> w - 1)) & guards).to_bytes(size * wb, "little")[wb - 1 :: wb]
     data = table.to_bytes(size * wb, "little")
-    census, subset = {}, nonzero.find(0x80)
-    while subset >= 0:
-        census[subset] = int.from_bytes(data[subset * wb : (subset + 1) * wb], "little") - guard
-        subset = nonzero.find(0x80, subset + 1)
-    return census
+    census, at = {}, nonzero.find(0x80)
+    while at >= 0:
+        census[at] = int.from_bytes(data[at * wb : (at + 1) * wb], "little") - guard
+        at = nonzero.find(0x80, at + 1)
+    return census if size == 1 << layout.n else dict(zip(map(layout.ideal, census), census.values()))
 
 
 def distribution(code: LinearCode, poset: Poset, method: str = "enumerate") -> tuple[int, ...]:
@@ -227,8 +218,13 @@ def _column_conditions(code: LinearCode) -> bool | None:
 def classify(code: LinearCode, poset: Poset) -> Classification:
     """Decide MDS / NMDS / other from d_1 (and d_2 when it exists)."""
     _require_compatible(code, poset)
+    return _classify(code, code.matroid.shortened_dims(poset))
+
+
+def _classify(code: LinearCode, table: tuple[Sequence[int], bytes]) -> Classification:
+    """classify off a table of RankProfile.shortened_dims already in hand."""
     n, k, q = code.n, code.k, code.field.q
-    ideals, key = _key_table(code, poset)
+    ideals, key = _key_table(code, table)
     minima = _primal_minima(ideals, key, n, k)
     d1, w1 = minima[0]
     d2, w2 = minima[1] if k >= 2 else (None, None)
@@ -279,7 +275,7 @@ def _closed_form_counts(code: LinearCode, poset: Poset, d1: int) -> list[int]:
         counts[r] += count * _ideal_term(r, m, n - k, q)
     if d1 > n - k:
         return counts
-    ideals, dims = _census_table(code, poset)
+    ideals, dims = poset.chain_layout().in_mask_order(_census_table(code, poset))
     sizes = ideal_sizes(ideals)
     floor = sizes.translate(bytes(max(0, s - (n - k)) for s in range(256)))
     # the window: a nonzero byte wherever dim C^J differs from D(|J|)
@@ -303,7 +299,7 @@ def _ideal_profile(poset: Poset) -> Counter[tuple[int, int]]:
     one maximal element, so F_P is the product over the chains of
     1 + y (x + ... + x^s).  Other posets take one walk over J(P)."""
     layout = poset.chain_layout()
-    if layout is None:
+    if layout.flags is not None:
         below = poset.below
         # the walk carries the maximal elements: adding e keeps e and drops what lies below it
         walk = poset.walk_ideals(lambda top, e: top & ~below[e] | 1 << e, 0)
@@ -389,27 +385,16 @@ class DistributionReport:
 def distribution_report(code: LinearCode, poset: Poset, method: str = "enumerate") -> DistributionReport:
     """Distribution plus classification; closed-form dispatches on the label.
 
-    enumerate and moebius classify off the table their counts come from,
-    kept on the code's RankProfile for classify to read: the zeta of the
-    enumerate census under a disjoint union of chains (other posets keep
-    classify's own table), and the census table itself.  Both take the
-    census first, so the enumeration cap and a poisoned census table are
-    refused before anything is classified.
+    enumerate and moebius classify off the table their counts come from:
+    the zeta of the enumerate census, and the census table itself.  Both
+    take the census first, so the enumeration cap and a poisoned census
+    table are refused before anything is classified.
     """
-    if method == "enumerate":
-        census = support_census(code, poset, "enumerate")
-        if (layout := poset.chain_layout()) is not None:
-            code.matroid.keep(poset, layout.in_mask_order(_zeta(layout, census, code.field.q, code.k)))
-    elif method == "moebius":
-        _require_compatible(code, poset)
-        table = _census_table(code, poset)
-        census = _moebius(code, poset, *table)
-        code.matroid.keep(poset, table)
-    elif method != "closed-form":
-        raise ValueError(f"unknown method {method!r}")
-    cls_ = classify(code, poset)
     if method != "closed-form":
-        return DistributionReport(counts=_by_size(census, poset.n), method=method, classification=cls_)
+        census, layout = support_census(code, poset, method), poset.chain_layout()
+        table = _zeta(layout, census, code.field.q, code.k) if method == "enumerate" else code.matroid.census_dims(poset)
+        return DistributionReport(_by_size(census, poset.n), method, _classify(code, layout.in_mask_order(table)))
+    cls_ = classify(code, poset)
     if cls_.label == OTHER_LABEL:
         raise ValueError(
             f"closed-form needs an MDS or NMDS code; got d1={cls_.d1} "

@@ -190,13 +190,13 @@ def ideal_sizes(ideals: Sequence[int]) -> bytes:
     return bytes(map(int.bit_count, ideals))
 
 
-def _key_table(code: LinearCode, poset: Poset) -> tuple[Sequence[int], bytes]:
-    """(ideals, key): the ideals of the poset in ascending mask order and
-    key(I) = (n - k + 1) dim C^I + rank_H(I) of each (module docstring),
-    for a code and poset of the same length.  SelfCheckError where a
-    dim byte names no pair: dim C^I > k, or rank_H(I) outside 0..n-k."""
+def _key_table(code: LinearCode, table: tuple[Sequence[int], bytes]) -> tuple[Sequence[int], bytes]:
+    """(ideals, key): the ideals of a table of RankProfile.shortened_dims, in
+    ascending mask order, and key(I) = (n - k + 1) dim C^I + rank_H(I) of
+    each (module docstring).  SelfCheckError where a dim byte names no
+    pair: dim C^I > k, or rank_H(I) outside 0..n-k."""
     n, k = code.n, code.k
-    ideals, dims = code.matroid.shortened_dims(poset)
+    ideals, dims = table
     # No borrow and no carry: the key is (n - k) dim + |I| with dims above k
     # scaled to 0, so no byte of the sum exceeds (n - k) k + n <= 168 for
     # n <= 24, and the add never spills from one ideal into the next.
@@ -269,7 +269,7 @@ def min_weight_ideal_scan(code: LinearCode, poset: Poset, r: int) -> tuple[int, 
     _require_compatible(code, poset)
     if not 1 <= r <= code.k:
         raise ValueError(f"subcode dimension {r} outside 1..{code.k}")
-    return _primal_minima(*_key_table(code, poset), code.n, code.k)[r - 1]
+    return _primal_minima(*_key_table(code, code.matroid.shortened_dims(poset)), code.n, code.k)[r - 1]
 
 
 @dataclass(frozen=True)
@@ -308,7 +308,7 @@ def weight_hierarchy(
     """All k minimum weights, verified against the structural invariants."""
     _require_compatible(code, poset)
     if method == METHOD_IDEAL_SCAN:
-        minima = _primal_minima(*_key_table(code, poset), code.n, code.k)
+        minima = _primal_minima(*_key_table(code, code.matroid.shortened_dims(poset)), code.n, code.k)
         weights = [w for w, _ in minima]
         witnesses = [to_elements(mask) for _, mask in minima]
     elif method == METHOD_BRUTEFORCE:
@@ -354,7 +354,7 @@ def duality_partition(code: LinearCode, poset: Poset) -> DualityPartition:
         raise ValueError("duality needs a proper subspace: 1 <= k <= n - 1")
     _require_compatible(code, poset)
     n, k = code.n, code.k
-    ideals, key = _key_table(code, poset)
+    ideals, key = _key_table(code, code.matroid.shortened_dims(poset))
     weights = tuple(d for d, _ in _primal_minima(ideals, key, n, k))
     _check_window(weights, n, k)
     dual_weights = tuple(d for d, _ in _dual_minima(ideals, key, n, k))

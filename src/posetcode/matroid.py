@@ -10,50 +10,43 @@ larger ideal has full rank.  grid_ranks walks a disjoint union of chains
 by layout index (one more element of chain c is stride_c on) into a
 bytearray prefilled with the full rank, and stops going up a chain at
 its first full basis: every longer prefix, and all below it in the walk,
-are supersets.  ideal_ranks walks any poset.  RankProfile keeps:
+are supersets.  ideal_ranks walks the ideals of any poset.  RankProfile
+keeps:
 
   * per poset P, the shortened dimensions dim C^I = |I| - rank_H(I) on
-    every ideal I (G generator, H parity-check matrix), as one flat
-    table (ideals, dims): the ideal masks in ascending order
-    (range(2**n) for the antichain) and a bytes object aligned with
-    them.  Where the layout's index order is not mask order the table
-    is sorted by mask, so scans still find the smallest-mask witness.
-    This one table gives the hierarchies of C under P and of the dual
-    code under the opposite poset and the classification.  It has two
-    fills, chosen by the instance alone:
+    every ideal I (G generator, H parity-check matrix), as one bytes
+    table by index on the grid of P's chain partition (ChainLayout),
+    meaningless off the ideals.  shortened_dims and walked_dims hand it
+    out in ascending mask order at the ideals only, as (ideals, dims)
+    (ChainLayout.in_mask_order; range(2**n) for the antichain), so scans
+    still find the smallest-mask witness.  This one table gives the
+    hierarchies of C under P and of the dual code under the opposite
+    poset and the classification.  It has two fills, chosen by the
+    instance alone:
 
-      zeta   when P is a disjoint union of chains (Poset.chain_layout:
-             the antichain, a chain, NRT posets), J(P) is a product of
-             chains, and q^(dim C^I) is the number of codewords whose
-             support closes into I, so the table is the zeta transform
-             over J(P) of the enumerate census (LinearCode.closure_counts).
-             zeta_dims places the census at the layout's indices in
+      zeta   an ideal J sits at grid point x or below exactly when
+             J <= S_x, so the prefix sum over the grid of the enumerate
+             census (LinearCode.closure_counts) counts at x the codewords
+             whose support closes into S_x: q^(dim C^I) at an ideal I, a
+             power of q everywhere.  zeta_dims places the census in
              byte-aligned little-endian fields of one int T and runs one
              packed prefix sum per chain c and digit t = 1..s_c,
              T += (T & M) << (w * stride_c), where M (_digit_masks)
-             selects the w-bit fields whose digit c is t - 1: n steps in
-             all, and under the antichain, where the index is the mask,
-             one subset-sum step per coordinate.  No elimination at all.
-             C-perp's stream under the opposite poset (the same chains,
-             reversed) serves as well as C's: complementing an ideal
-             reverses every digit, so reversing its table complements
-             the index, and
-             dim C^A = |A| - (n - k) + dim C-perp^(complement A).  The
-             shorter stream serves, C's own on a tie, when it is no
-             longer than the table (|J(P)| fields) and within
-             MAX_ENUMERATION;
+             selects the w-bit fields whose digit c is t - 1: n steps, no
+             elimination.  C-perp's stream under the opposite poset serves
+             as well as C's: reversing its table complements the index,
+             and dim C^A = |A| - (n - k) + dim C-perp^(complement A).  The
+             shorter stream serves, C's own on a tie, when it is no longer
+             than the grid and within MAX_ENUMERATION;
       walk   every other case: grid_ranks on the parity-check columns
-             under a disjoint union of chains, read off as C-perp's fill
-             with n - k - rank_H(I) in place of dim C-perp; else ideal_ranks.
+             under a disjoint union of chains, else ideal_ranks, each
+             rank written at its index, read off as C-perp's fill with
+             n - k - rank_H(I) in place of dim C-perp.
 
-    A table already in hand serves before either: keep() takes the
-    zeta of a distribution report's enumerate census, or its census
-    table, so the report's classification fills nothing more.
-    walked_dims is the walk alone.  census_dims, the table the Moebius
-    census reads, is C-perp's fill or the walk, never C's own stream:
-    Moebius inversion of a zeta transform of the enumerate counts would
-    just give those counts back, and the census would stop being an
-    oracle independent of enumeration;
+    walked_dims is the walk alone.  census_dims, by index, is C-perp's
+    fill or the walk, never C's own stream: Moebius inversion of a zeta
+    transform of the enumerate counts would give those counts back, and
+    the census would stop being an oracle independent of enumeration;
   * for n <= TABLE_LIMIT, flat lists indexed by subset mask: rank(A) on
     the columns of G and dual_rank(A) on those of H (the dual matroid),
     filled from the antichain's tables (rank by grid_ranks on G, dual_rank
@@ -171,9 +164,9 @@ def grid_ranks(layout: ChainLayout, field: GF, columns: Sequence[Sequence[int]])
 
 
 def _digit_masks(lengths: Sequence[int], width: int, value: int) -> Iterator[tuple[int, int]]:
-    """(shift, mask) for each chain c from the last down and each digit t =
+    """(stride_c, mask) for each chain c from the last down and each digit t =
     1..s_c up: mask holds value in each width-bit field of the product of
-    chains whose digit c is t - 1, and shift moves a field to its digit t.
+    chains whose digit c is t - 1, which stride_c fields on have digit t.
     The digit-0 mask of chain c follows from chain c + 1's by one XOR when
     chain c + 1 has length 1 (every chain of the antichain): its fields are
     those of chain c + 1's digit 0 at most stride_c fields past a multiple
@@ -193,7 +186,7 @@ def _digit_masks(lengths: Sequence[int], width: int, value: int) -> Iterator[tup
             del periods
         mask = zero
         for t in range(1, s + 1):
-            yield width * stride, mask
+            yield stride, mask
             if t < s:
                 mask <<= width * stride
 
@@ -213,8 +206,8 @@ def _zeta(layout: ChainLayout, census: dict[int, int], q: int, k: int) -> bytes:
     # each buffer below is |J(P)| fields long: drop it once read, to bound the peak at n = 24
     del counts
     w = 8 * wb
-    for shift, mask in _digit_masks(layout.lengths, w, (1 << w) - 1):
-        table += (table & mask) << shift
+    for stride, mask in _digit_masks(layout.lengths, w, (1 << w) - 1):
+        table += (table & mask) << w * stride
     data = table.to_bytes(size * wb, "little")
     del table, mask
     # log_q: the top nonzero byte of q^d, with its plane, names d.  One
@@ -241,8 +234,8 @@ def _zeta(layout: ChainLayout, census: dict[int, int], q: int, k: int) -> bytes:
 
 
 def zeta_dims(code, poset: Poset) -> bytes:
-    """dim C^I on every ideal of a disjoint union of chains, by layout index,
-    from the code's enumerate census alone (module docstring)."""
+    """dim C^I by grid index from the code's enumerate census alone; off the
+    ideals, log_q of the words inside S_x (module docstring)."""
     return _zeta(poset.chain_layout(), code.closure_counts(poset), code.field.q, code.k)
 
 
@@ -256,72 +249,59 @@ class RankProfile:
         self.full = (1 << code.n) - 1
         self._gen_cols = _columns(code.generator)
         self._par_cols = _columns(code.parity)
-        self._walks: dict[Poset, tuple[Sequence[int], bytes]] = {}
-        self._fills: dict[tuple[Poset, bool], tuple[Sequence[int], bytes]] = {}
-        self._kept: dict[Poset, tuple[Sequence[int], bytes]] = {}
+        self._walks: dict[Poset, bytes] = {}
+        self._fills: dict[tuple[Poset, bool], bytes] = {}
 
-    def _primal_fill(self, poset: Poset) -> tuple[Sequence[int], bytes]:
-        if (table := self._fills.get((poset, False))) is None:
-            table = self._fills[poset, False] = poset.chain_layout().in_mask_order(zeta_dims(self.code, poset))
-        return table
+    def _primal_fill(self, poset: Poset) -> bytes:
+        if (dims := self._fills.get((poset, False))) is None:
+            dims = self._fills[poset, False] = zeta_dims(self.code, poset)
+        return dims
 
-    def _dims(self, layout: ChainLayout, slack: bytes) -> tuple[Sequence[int], bytes]:
+    def _dims(self, layout: ChainLayout, slack: bytes) -> bytes:
         # by index, |I| + slack(I) with slack n - k - rank_H(I) = dim C-perp^(complement I) never carries
         # and less n - k is dim C^I, or 255 > k below n - k
         total = int.from_bytes(digit_sums(layout.lengths), "little") + int.from_bytes(slack, "little")
         n_k = self.n - self.k
-        return layout.in_mask_order(total.to_bytes(layout.size, "little").translate(b"\xff" * n_k + bytes(range(256 - n_k))))
+        return total.to_bytes(layout.size, "little").translate(b"\xff" * n_k + bytes(range(256 - n_k)))
 
-    def _dual_fill(self, poset: Poset) -> tuple[Sequence[int], bytes]:
-        if (table := self._fills.get((poset, True))) is None:
+    def _dual_fill(self, poset: Poset) -> bytes:
+        if (dims := self._fills.get((poset, True))) is None:
             code, layout = self.code, poset.chain_layout()
             reversed_dual = zeta_dims(LinearCode(code.field, code.parity, code.generator), layout.opposite())[::-1]
-            table = self._fills[poset, True] = self._dims(layout, reversed_dual)
-        return table
-
-    def _fill_cap(self, poset: Poset) -> int:
-        # a zeta fill serves a disjoint union of chains when its stream is no longer than the table
-        layout = poset.chain_layout()
-        return 0 if layout is None else min(layout.size, MAX_ENUMERATION)
-
-    def keep(self, poset: Poset, table: tuple[Sequence[int], bytes]) -> None:
-        """Keep a table of shortened_dims already in hand for the poset (the
-        zeta of a report's enumerate census, or its census table), so the
-        classification reads it with no second fill.  census_dims never
-        reads a kept table."""
-        self._kept[poset] = table
+            dims = self._fills[poset, True] = self._dims(layout, reversed_dual)
+        return dims
 
     def shortened_dims(self, poset: Poset) -> tuple[Sequence[int], bytes]:
         """(ideals, dims): the ideals of the poset in ascending mask order and
-        dim C^I = |I| - rank_H(I) of each: a kept table, or by a zeta fill or
-        the walk."""
-        if (table := self._kept.get(poset)) is not None:
-            return table
-        if self.code.codeword_count <= min(self._fill_cap(poset), self.code.field.q ** (self.n - self.k)):
-            return self._primal_fill(poset)
-        return self.census_dims(poset)
+        dim C^I = |I| - rank_H(I) of each, by a zeta fill or the walk."""
+        # C's own fill serves when its stream is the shorter and no longer than the grid
+        own = self.code.codeword_count <= min(poset.chain_layout().size, MAX_ENUMERATION, self.code.field.q ** (self.n - self.k))
+        return poset.chain_layout().in_mask_order(self._primal_fill(poset) if own else self.census_dims(poset))
 
-    def census_dims(self, poset: Poset) -> tuple[Sequence[int], bytes]:
-        """The table of shortened_dims by C-perp's zeta fill or the walk,
-        never by C's own stream: the one the Moebius census reads."""
-        if self.code.field.q ** (self.n - self.k) <= self._fill_cap(poset):
+    def census_dims(self, poset: Poset) -> bytes:
+        """dim C^I by grid index, meaningless off the ideals, by C-perp's zeta
+        fill or the walk, never C's own stream: the Moebius census's table."""
+        if self.code.field.q ** (self.n - self.k) <= min(poset.chain_layout().size, MAX_ENUMERATION):
             return self._dual_fill(poset)
-        return self.walked_dims(poset)
+        return self._walked(poset)
 
     def walked_dims(self, poset: Poset) -> tuple[Sequence[int], bytes]:
-        """The table of shortened_dims, always filled by the rank walk on H:
-        grid_ranks over a disjoint union of chains, else ideal_ranks."""
-        table = self._walks.get(poset)
-        if table is None:
-            if (layout := poset.chain_layout()) is not None:
+        """The table of shortened_dims, always filled by the rank walk on H."""
+        return poset.chain_layout().in_mask_order(self._walked(poset))
+
+    def _walked(self, poset: Poset) -> bytes:
+        # by index: grid_ranks on a disjoint union of chains, else ideal_ranks on the ideals only
+        if (dims := self._walks.get(poset)) is None:
+            layout = poset.chain_layout()
+            if layout.flags is None:
                 ranks = grid_ranks(layout, self.code.field, self._par_cols)
-                table = self._dims(layout, ranks.translate(bytes(range(self.n - self.k, -1, -1)).ljust(256, b"\0")))
             else:
-                dims = {ideal: ideal.bit_count() - r for ideal, r in ideal_ranks(poset, self.code.field, self._par_cols)}
-                ideals = tuple(sorted(dims))
-                table = (ideals, bytes(map(dims.__getitem__, ideals)))
-            self._walks[poset] = table
-        return table
+                ranks = bytearray(layout.size)
+                for ideal, r in ideal_ranks(poset, self.code.field, self._par_cols):
+                    ranks[layout.index(ideal)] = r
+            slack = ranks.translate(bytes(range(self.n - self.k, -1, -1)).ljust(256, b"\0"))
+            dims = self._walks[poset] = self._dims(layout, slack)
+        return dims
 
     @cached_property
     def _rank_table(self) -> list[int]:

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import hashlib
 from collections.abc import Callable, Iterable, Iterator, Sequence
+from itertools import compress
 from pathlib import Path
 from typing import TypeVar
 
@@ -66,8 +67,7 @@ class Poset:
         self.below = below
         self._ideals: tuple[int, ...] | None = None
         self._closures: tuple[list[int], list[int], list[int]] | None = None
-        # () until chain_layout() first runs; None there means no chain decomposition
-        self._layout: ChainLayout | None | tuple = ()
+        self._layout: ChainLayout | None = None
 
     # -- constructors --------------------------------------------------
 
@@ -121,12 +121,8 @@ class Poset:
         return cls(n, (1 << j for j in range(n)))
 
     def dual(self) -> Poset:
-        """Same ground set with every relation reversed."""
-        above = [1 << i for i in range(self.n)]
-        for j in range(self.n):
-            for i in bits_of(self.below[j]):
-                above[i] |= 1 << j
-        return Poset(self.n, above)
+        """Same ground set with every relation reversed (ChainLayout.opposite)."""
+        return self.chain_layout().opposite()
 
     # -- ideals ----------------------------------------------------------
 
@@ -192,33 +188,34 @@ class Poset:
                     stack.append((j + 1, mask | (1 << e), extend(state, e)))
             yield mask, state
 
-    def chain_layout(self) -> ChainLayout | None:
-        """J(P) as a product of chains when P is a disjoint union of chains
-        (the antichain, a chain, NRT posets), else None.  Cached on first use.
+    def chain_layout(self) -> ChainLayout:
+        """J(P) laid out on a minimum chain partition of P; cached on first use.
 
-        P is one when the strict downset of every element is empty or the
-        downset of one element f, its only lower cover, and no f is the
-        only lower cover of two elements: then every element has at most
-        one cover each way, and the chains run up from the minimal elements.
+        A maximum matching of each element to one below it (augmenting
+        paths) leaves width(P) elements matched to none below (Fulkerson's
+        proof of Dilworth's theorem, 1956), each the bottom of a chain up
+        the matching.  On a disjoint union of chains it pairs covers only.
         """
-        if self._layout == ():
-            below = self.below
-            whose = {down: f for f, down in enumerate(below)}
-            up: dict[int, int] = {}
-            for e, down in enumerate(below):
-                if strict := down ^ (1 << e):
-                    f = whose.get(strict)
-                    if f is None or f in up:
-                        self._layout = None
-                        return None
-                    up[f] = e
-            chains = []
-            for e, down in enumerate(below):
-                if down == 1 << e:
-                    chains.append([e])
-                    while chains[-1][-1] in up:
-                        chains[-1].append(up[chains[-1][-1]])
-            self._layout = ChainLayout(self.n, chains)
+        if self._layout is None:
+            below, n = self.below, self.n
+            up, down = [-1] * n, [-1] * n
+
+            def augment(e: int, seen: set[int]) -> bool:
+                for f in bits_of(below[e] ^ 1 << e):
+                    if f not in seen:
+                        seen.add(f)
+                        if up[f] < 0 or augment(up[f], seen):
+                            down[e], up[f] = f, e
+                            return True
+                return False
+
+            for e in range(n):
+                augment(e, set())
+            chains = [[e] for e in range(n) if down[e] < 0]
+            for chain in chains:
+                while up[chain[-1]] >= 0:
+                    chain.append(up[chain[-1]])
+            self._layout = ChainLayout(below, chains)
         return self._layout
 
     def ideals(self) -> tuple[int, ...]:
@@ -276,79 +273,116 @@ class Poset:
 
 
 class ChainLayout:
-    """J(P) of a disjoint union of chains as the product of the chains.
-
-    The chains go bottom up, ordered by least element, which keeps their
-    order, and so every stride, the same under the opposite poset.  Ideal I
-    sits at index sum_c |I & chain c| * stride_c, with stride_c the product
-    of s_b + 1 over the chains b before c (s_b the length of chain b): a sum
-    over the elements of I, so one table per mask byte maps an ideal to its
-    index.  Under the antichain every chain is one element and the index is
-    the mask.  Index order is mask order when each chain takes consecutive
-    bits upwards, chain after chain, as in the NRT files; otherwise
-    in_mask_order sorts.
+    """J(P) on the grid of a chain partition of P, bottom-up chains ordered
+    by least element.  Grid point x takes the first x_c elements of each
+    chain c, the set S_x, at index sum_c x_c * stride_c, stride_c the
+    product of s_b + 1 over the chains b before c (s_b the length of chain
+    b); under the antichain the index is the mask.  An ideal meets each
+    chain in a prefix, so it is S_x for one x; flags marks those x, None on
+    a disjoint union of chains, where the grid is J(P).  As s + 1 <= 2**s,
+    the grid has at most 2**n points.  opposite() keeps the chains, each
+    reversed, so complementing an ideal reverses its index.
     """
 
-    __slots__ = ("n", "chains", "lengths", "size", "_weight", "_tables")
+    __slots__ = ("n", "below", "chains", "lengths", "size", "_weight", "_up", "_split", "_low", "_high", "_at_low", "_at_high", "_flags", "_order")
 
-    def __init__(self, n: int, chains: Iterable[Iterable[int]]) -> None:
-        self.n = n
+    def __init__(self, below: Sequence[int], chains: Iterable[Iterable[int]]) -> None:
+        self.n = n = len(below)
+        self.below = tuple(below)
         self.chains = tuple(sorted(map(tuple, chains), key=min))
         self.lengths = tuple(map(len, self.chains))
-        weight, stride = [0] * n, 1
-        for chain in self.chains:
-            for e in chain:
-                weight[e] = stride
-            stride *= len(chain) + 1
-        self.size = stride
-        self._weight = weight
-        self._tables: tuple[list[int], list[int], list[int]] | None = None
-
-    def index(self, ideal: int) -> int:
-        if self._tables is None:
-            # built on first use: the sums of the weights of each subset of a mask byte
-            tables = []
-            for base in (0, 8, 16):
-                table = [0]
-                for weight in self._weight[base : base + 8]:
-                    table += [v + weight for v in table]
-                tables.append(table)
-            self._tables = tuple(tables)
-        t0, t1, t2 = self._tables
-        return t0[ideal & 255] + t1[ideal >> 8 & 255] + t2[ideal >> 16]
-
-    def ideal(self, index: int) -> int:
-        """The ideal at an index: digit c is the prefix of chain c it takes."""
-        mask = 0
-        for chain in self.chains:
-            index, digit = divmod(index, len(chain) + 1)
-            mask |= sum(1 << e for e in chain[:digit])
-        return mask
-
-    def opposite(self) -> Poset:
-        """The opposite poset: the same chains, each reversed."""
-        above = [0] * self.n
+        # _up[e]: e and what lies above it on its chain
+        weight, up, strides = [0] * n, [0] * n, [1]
         for chain in self.chains:
             top = 0
             for e in reversed(chain):
-                top |= 1 << e
-                above[e] = top
-        return Poset(self.n, above)
+                weight[e], top = strides[-1], top | 1 << e
+                up[e] = top
+            strides.append(strides[-1] * (len(chain) + 1))
+        self.size = strides[-1]
+        self._weight, self._up = weight, up
+        # S_x is its part on the chains below a split near sqrt(size), at index % split, and the rest;
+        # under the antichain, where the index is the mask, no table is needed
+        if self.size != 1 << n:
+            c = next(c for c, stride in enumerate(strides) if stride * stride >= self.size)
+            self._split, self._low, self._high = strides[c], _prefix_sets(self.chains[:c], up), _prefix_sets(self.chains[c:], up)
+            self._at_low, self._at_high = {s: i for i, s in enumerate(self._low)}, {s: i * strides[c] for i, s in enumerate(self._high)}
+        self._flags: bytes | None | tuple = ()
+        self._order: tuple[tuple[int, ...], list[int] | None] | None = None
+
+    def index(self, ideal: int) -> int:
+        """The index of S_x, such as an ideal (the last low set is the low chains whole)."""
+        if self.size == 1 << self.n:
+            return ideal
+        return self._at_low[ideal & self._low[-1]] + self._at_high[ideal & ~self._low[-1]]
+
+    def ideal(self, index: int) -> int:
+        """S_x at an index: digit c is the prefix of chain c it takes."""
+        if self.size == 1 << self.n:
+            return index
+        return self._low[index % self._split] | self._high[index // self._split]
+
+    def step(self, e: int, field: bytes) -> tuple[int, int]:
+        """(stride_c, packed fields) for e the t-th element of chain c: field
+        at the x with x_c = t - 1 whose S_x holds everything below e, where
+        adding e moves x on by stride_c, and zero fields elsewhere."""
+        out, low, high = field, self.below[e] ^ 1 << e, (1 << self.n) - 1 ^ self._up[e]
+        for chain in self.chains:
+            mask = self._up[chain[0]]
+            lo, hi = (low & mask).bit_count(), (high & mask).bit_count()
+            zero = bytes(len(out))
+            out = b"".join((zero * lo, out * (hi - lo + 1), zero * (len(chain) - hi)))
+        return self._weight[e], int.from_bytes(out, "little")
+
+    @property
+    def flags(self) -> bytes | None:
+        """A byte per grid point, 1 where S_x is an ideal, else 0; None on a
+        disjoint union of chains.  Added along a linear extension, an ideal's
+        elements pass through ideals only: one pass of steps flags them all."""
+        if self._flags == ():
+            self._flags = None
+            if any(self.below[e] & ~self._up[chain[0]] for chain in self.chains for e in chain):
+                flags = 1
+                for e in sorted(range(self.n), key=lambda e: self.below[e].bit_count()):
+                    stride, box = self.step(e, b"\1")
+                    flags |= (flags & box) << 8 * stride
+                self._flags = flags.to_bytes(self.size, "little")
+        return self._flags
+
+    def opposite(self) -> Poset:
+        """The opposite poset, laid out on the same chains, each reversed, and
+        so with these flags reversed once they are known."""
+        above = [1 << e for e in range(self.n)]
+        for f, down in enumerate(self.below):
+            for e in bits_of(down ^ 1 << f):
+                above[e] |= 1 << f
+        opposite = Poset(self.n, above)
+        opposite._layout = ChainLayout(above, (chain[::-1] for chain in self.chains))
+        opposite._layout._flags = self._flags if self._flags in ((), None) else self._flags[::-1]
+        return opposite
 
     def in_mask_order(self, dims: bytes) -> tuple[Sequence[int], bytes]:
-        """(ideals, dims) in ascending mask order from dims by index."""
+        """(ideals, dims) in ascending mask order from dims by index, at the
+        ideals only; sorted unless each chain takes consecutive bits upwards."""
         if self.size == 1 << self.n:
             return range(self.size), dims
-        ideals = [0]
-        for chain in self.chains:
-            prefixes = [0]
-            for e in chain:
-                prefixes.append(prefixes[-1] | 1 << e)
-            ideals = [mask | prefix for prefix in prefixes for mask in ideals]
-        if [e for chain in self.chains for e in chain] == list(range(self.n)):
-            return tuple(ideals), dims
-        order = sorted(range(self.size), key=ideals.__getitem__)
-        return tuple(map(ideals.__getitem__, order)), bytes(map(dims.__getitem__, order))
+        if self._order is None:
+            kept = range(self.size) if self.flags is None else list(compress(range(self.size), self.flags))
+            low, high, split = self._low, self._high, self._split
+            masks = [low[i % split] | high[i // split] for i in kept]
+            if [e for chain in self.chains for e in chain] != list(range(self.n)):
+                kept, masks = sorted(kept, key=dict(zip(kept, masks)).__getitem__), sorted(masks)
+            self._order = tuple(masks), None if isinstance(kept, range) else kept
+        ideals, order = self._order
+        return ideals, dims if order is None else bytes(map(dims.__getitem__, order))
+
+
+def _prefix_sets(chains: Sequence[Sequence[int]], up: Sequence[int]) -> list[int]:
+    """S_x at every point of the grid of the chains, by index; up as in ChainLayout."""
+    sets = [0]
+    for chain in chains:
+        sets = [s | up[chain[0]] ^ top for top in [*map(up.__getitem__, chain), 0] for s in sets]
+    return sets
 
 
 def parse_poset(text: str) -> Poset:

@@ -313,15 +313,17 @@ def test_selftest_corrupt_rank_fails_loudly(capsys, poison_first_instance):
 @pytest.mark.parametrize("command", ["hierarchy", "duality", "distribution", "classify"])
 def test_self_check_failure_prints_reproducer(capsys, monkeypatch, command):
     from posetcode.code import load_code, parse_code
-    from posetcode.matroid import RankProfile
-    from posetcode.poset import load_poset, parse_poset
+    from posetcode.poset import ChainLayout, load_poset, parse_poset
 
-    def flat(self, poset):
-        # no ideal carries a nonzero shortened subcode: the scan must fail its self-check
-        ideals = poset.ideals()
-        return ideals, bytes(len(ideals))
+    real = ChainLayout.in_mask_order
 
-    monkeypatch.setattr(RankProfile, "shortened_dims", flat)
+    def flat(self, dims):
+        # every table is read in mask order; no ideal carries a nonzero
+        # shortened subcode: the scan must fail its self-check
+        ideals, dims = real(self, dims)
+        return ideals, bytes(len(dims))
+
+    monkeypatch.setattr(ChainLayout, "in_mask_order", flat)
     data = Path(__file__).resolve().parent / "data"
     code_path, poset_path = str(data / "hamming7.code"), str(data / "nrt7.poset")
     status, out, err = run_cli(capsys, command, "--code", code_path, "--poset", poset_path)
@@ -381,10 +383,9 @@ def test_moebius_census_refuses_a_poisoned_table(capsys, monkeypatch, index, val
     def poisoned(self, poset):
         # simplex7 is [7,3], so classify reads C's own stream and only the census is poisoned;
         # dim 0 at the full set leaves it fewer words than its subsets
-        ideals, dims = real(self, poset)
-        dims = bytearray(dims)
+        dims = bytearray(real(self, poset))
         dims[index] = value
-        return ideals, bytes(dims)
+        return bytes(dims)
 
     monkeypatch.setattr(RankProfile, "census_dims", poisoned)
     code_path = str(Path(__file__).resolve().parent / "data" / "simplex7.code")

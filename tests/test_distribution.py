@@ -90,8 +90,6 @@ def test_enumerate_census_never_lists_ideals(monkeypatch):
 
 
 def test_moebius_census_never_streams_the_code_itself(monkeypatch):
-    from posetcode.hierarchy import weight_hierarchy
-
     rng = random.Random(44)
     anti = Poset.antichain(8)
     codes = []
@@ -102,6 +100,8 @@ def test_moebius_census_never_streams_the_code_itself(monkeypatch):
     expected = [support_census(code, anti, "enumerate") for code in codes]
     chain = Poset.chain(8)
     on_chain = [support_census(code, chain, "enumerate") for code in codes]
+    other = Poset.from_cover_relations(8, [(1, 2), (2, 5), (3, 5), (6, 8)])
+    on_other = [support_census(code, other, "enumerate") for code in codes]
     own = {code.generator for code in codes}
     honest = LinearCode.support_batches
     streamed = []
@@ -113,14 +113,12 @@ def test_moebius_census_never_streams_the_code_itself(monkeypatch):
         return honest(self, poset, lines=lines)
 
     monkeypatch.setattr(LinearCode, "support_batches", guarded)
-    for code, census, chain_census in zip(codes, expected, on_chain):
+    for code, census, chain_census, other_census in zip(codes, expected, on_chain, on_other):
         assert support_census(code, anti, "moebius") == census
         assert streamed[-1] == code.parity  # the census read C-perp's stream
-        other = Poset.from_cover_relations(8, [(1, 2), (2, 5), (3, 5), (6, 8)])
-        classify(code, other)
-        weight_hierarchy(code, other)
-        # a chain is a disjoint union of chains: its census reads C-perp's fill or the walk
+        # a chain, and a poset that is no union of chains: the census reads C-perp's fill or the walk
         assert support_census(code, chain, "moebius") == chain_census
+        assert support_census(code, other, "moebius") == other_census
     # the antichain scan itself does stream C where C's stream is not the longer one
     tie = next(code for code in codes if code.k <= code.n - code.k)
     with pytest.raises(AssertionError, match="own words"):
@@ -158,7 +156,7 @@ def dict_moebius(ideals, dims, poset, q, k):
     ],
 )
 def test_packed_census_matches_enumeration_from_both_sources(q, n, k, width):
-    from posetcode.distribution import _packed_moebius
+    from posetcode.distribution import _moebius
 
     rng = random.Random(60 + q + n + k)
     while True:
@@ -174,32 +172,99 @@ def test_packed_census_matches_enumeration_from_both_sources(q, n, k, width):
     else:
         expected = dict_moebius(ideals, walked, anti, q, k)
     assert sum(expected.values()) == q**k
-    assert _packed_moebius(walked, n, k, q) == expected
-    ideals, dims = code.matroid.census_dims(anti)
+    assert _moebius(anti, walked, k, q) == expected
+    dims = code.matroid.census_dims(anti)
     if q ** (n - k) <= 1 << n:
-        assert dims == walked and dims is code.matroid._dual_fill(anti)[1]
+        assert dims == walked and dims is code.matroid._dual_fill(anti)
     assert support_census(code, anti, "moebius") == expected
 
 
 def test_packed_census_refuses_a_borrow_or_a_dim_above_k(monkeypatch):
-    from posetcode.distribution import _packed_moebius
+    from posetcode.distribution import _moebius
     from posetcode.errors import SelfCheckError
     from posetcode.matroid import RankProfile
 
     code = LinearCode.from_generator(gf(3), [(1, 0, 1, 2, 0, 1), (0, 1, 1, 1, 2, 0), (0, 0, 0, 1, 1, 1)])
-    dims = bytearray(code.matroid.walked_dims(Poset.antichain(6))[1])
-    assert _packed_moebius(bytes(dims), 6, 3, 3) == support_census(code, Poset.antichain(6), "enumerate")
+    anti = Poset.antichain(6)
+    dims = bytearray(code.matroid.walked_dims(anti)[1])
+    assert _moebius(anti, bytes(dims), 3, 3) == support_census(code, anti, "enumerate")
     # the full set then holds fewer words than a subset of it
     borrow = dims.copy()
     borrow[-1] = 0
     with pytest.raises(SelfCheckError, match="negative count"):
-        _packed_moebius(bytes(borrow), 6, 3, 3)
+        _moebius(anti, bytes(borrow), 3, 3)
     # a dim above k is refused once, where the census reads the table
     above = dims.copy()
     above[5] = 4
-    monkeypatch.setattr(RankProfile, "census_dims", lambda self, poset: (range(64), bytes(above)))
+    monkeypatch.setattr(RankProfile, "census_dims", lambda self, poset: bytes(above))
     with pytest.raises(SelfCheckError, match="dimension 4 > k = 3 at subset 0x5"):
         support_census(code, Poset.antichain(6), "moebius")
+
+
+def grid_census_posets(rng):
+    """Random posets, most of them no union of chains, the v3 file and the
+    posets whose grid is far larger than J(P)."""
+    posets = [random_poset(rng, rng.randint(2, 8)) for _ in range(12)]
+    posets.append(load_poset(DATA / "v3.poset"))
+    posets.append(Poset.from_cover_relations(6, [(i, j) for i in (1, 2, 3) for j in (4, 5, 6)]))  # K3,3
+    posets.append(Poset.from_cover_relations(6, [(1, 2), (1, 3), (4, 5), (4, 6)]))  # two forks
+    return posets
+
+
+@pytest.mark.parametrize("q", PACKING_FIELDS)
+def test_grid_census_matches_the_dict_loop_and_enumeration(q):
+    # tables from C-perp's fill and from the walk, on posets off the chain unions
+    from posetcode.distribution import _moebius
+
+    rng = random.Random(300 + q)
+    for poset in grid_census_posets(rng):
+        n, layout = poset.n, poset.chain_layout()
+        for k in sorted({1, rng.randint(1, n - 1), n - 1, n}):
+            if q**k > 1 << 12:
+                continue
+            code = random_full_rank(rng, q, n, k)
+            expected = support_census(code, poset, "enumerate")
+            walked = code.matroid._walked(poset)
+            assert dict_moebius(*code.matroid.walked_dims(poset), poset, q, k) == expected
+            assert _moebius(poset, walked, k, q) == expected, (poset, q, k)
+            if q ** (n - k) <= layout.size:
+                filled = code.matroid._dual_fill(poset)
+                assert layout.in_mask_order(filled) == code.matroid.walked_dims(poset)
+                assert _moebius(poset, filled, k, q) == expected, (poset, q, k)
+            assert support_census(code, poset, "moebius") == expected
+
+
+def test_grid_census_reads_the_ideals_only(monkeypatch):
+    # a borrow or a dim above k at an ideal is refused, named by the ideal's
+    # mask; a garbage byte where the grid point is no ideal is read by nothing
+    from posetcode.distribution import _moebius
+    from posetcode.errors import SelfCheckError
+    from posetcode.matroid import RankProfile
+
+    rng = random.Random(301)
+    for poset in grid_census_posets(rng)[-3:]:
+        layout = poset.chain_layout()
+        code = random_full_rank(rng, 3, poset.n, 3)
+        expected = support_census(code, poset, "enumerate")
+        dims = code.matroid.census_dims(poset)
+        ideals = [i for i in range(layout.size) if layout.flags[i]]
+        garbage = bytearray(dims)
+        for i in range(layout.size):
+            if not layout.flags[i]:
+                garbage[i] = 0 if i % 2 else 200
+        monkeypatch.setattr(RankProfile, "census_dims", lambda self, p: bytes(garbage))
+        assert support_census(code, poset, "moebius") == expected
+        assert distribution_report(code, poset, "moebius").counts == distribution(code, poset, "enumerate")
+        borrow = bytearray(garbage)
+        borrow[-1] = 0  # the full set then holds fewer words than the ideals below it
+        with pytest.raises(SelfCheckError, match=f"negative count at subset {(1 << poset.n) - 1:#x}$"):
+            _moebius(poset, bytes(borrow), 3, 3)
+        above = bytearray(garbage)
+        above[ideals[1]] = 4
+        monkeypatch.setattr(RankProfile, "census_dims", lambda self, p: bytes(above))
+        with pytest.raises(SelfCheckError, match=f"dimension 4 > k = 3 at subset {layout.ideal(ideals[1]):#x}$"):
+            support_census(code, poset, "moebius")
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("poset_name", ["nrt7", "antichain"])
@@ -211,20 +276,20 @@ def test_census_and_window_refuse_a_poisoned_table(monkeypatch, poset_name):
 
     code = load_code(DATA / "hamming7.code")
     poset = load_poset(DATA / "nrt7.poset") if poset_name == "nrt7" else Poset.antichain(7)
-    ideals, dims = code.matroid.census_dims(poset)
+    dims = code.matroid.census_dims(poset)
     assert distribution(code, poset, "moebius") == distribution(code, poset, "enumerate")
 
     def poison(index, value):
         table = bytearray(dims)
         table[index] = value
-        monkeypatch.setattr(RankProfile, "census_dims", lambda self, p: (ideals, bytes(table)))
+        monkeypatch.setattr(RankProfile, "census_dims", lambda self, p: bytes(table))
 
     # dim 0 at the full set leaves it fewer words than the ideals below it
     poison(-1, 0)
     with pytest.raises(SelfCheckError, match="Moebius census: negative count at subset"):
         distribution(code, poset, "moebius")
     poison(3, 5)
-    above = f"Moebius census: shortened dimension 5 > k = 4 at subset {ideals[3]:#x}$"
+    above = f"Moebius census: shortened dimension 5 > k = 4 at subset {poset.chain_layout().ideal(3):#x}$"
     for read in (lambda: support_census(code, poset, "moebius"), lambda: _closed_form_counts(code, poset, 1)):
         with pytest.raises(SelfCheckError, match=above):
             read()
@@ -373,8 +438,7 @@ def per_ideal_counts(code, poset):
     ideal: the sum over the sets A of maximal elements of I of
     (-1)^|A| q^(dim C^(I - A)), read off the census table."""
     q = code.field.q
-    ideals, dims = code.matroid.census_dims(poset)
-    dim = dict(zip(ideals, dims))
+    dim = dict(zip(*poset.chain_layout().in_mask_order(code.matroid.census_dims(poset))))
     counts = [0] * (poset.n + 1)
     for ideal in poset.ideals():
         top = poset.maximal_elements(ideal)
@@ -405,7 +469,7 @@ def test_closed_form_counts_match_the_per_ideal_loop():
             for k in {1, n, rng.randint(1, n)}:
                 code = random_full_rank(rng, q, n, k)
                 d1 = classify(code, poset).d1
-                ideals, dims = code.matroid.census_dims(poset)
+                ideals, dims = poset.chain_layout().in_mask_order(code.matroid.census_dims(poset))
                 windows.add(sum(dim != max(0, ideal.bit_count() - (n - k)) for ideal, dim in zip(ideals, dims)))
                 assert _closed_form_counts(code, poset, d1) == per_ideal_counts(code, poset), (poset, q, k)
     assert 0 in windows and max(windows) >= 20

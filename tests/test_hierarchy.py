@@ -243,7 +243,7 @@ def test_dual_scan_witness_is_smallest_ideal_of_opposite_poset():
             continue
         poset = random_poset(rng, code.n)
         dual_code, opposite = code.dualize(), poset.dual()
-        ideals, key = _key_table(code, poset)
+        ideals, key = _key_table(code, code.matroid.shortened_dims(poset))
         for s, (w, mask) in enumerate(_dual_minima(ideals, key, code.n, code.k), start=1):
             assert opposite.is_ideal(mask) and mask.bit_count() == w
             assert dual_code.shorten(mask)[0] == s

@@ -319,9 +319,9 @@ def test_dual_zeta_fill_matches_walk_on_every_ideal():
             k = n
         code = full_rank_code(rng, q, n, k)
         anti = Poset.antichain(n)
-        assert code.matroid.shortened_dims(anti)[1] is code.matroid._dual_fill(anti)[1]
-        assert code.matroid._dual_fill(anti)[1] == code.matroid.walked_dims(anti)[1]
-        assert code.matroid.census_dims(anti) == code.matroid.shortened_dims(anti)
+        assert code.matroid.shortened_dims(anti)[1] is code.matroid._dual_fill(anti)
+        assert code.matroid._dual_fill(anti) == code.matroid.walked_dims(anti)[1]
+        assert code.matroid.census_dims(anti) == code.matroid.shortened_dims(anti)[1]
 
 
 def test_zeta_fill_rejects_corrupted_counts(monkeypatch):
@@ -604,7 +604,7 @@ def test_layout_zeta_of_the_census_matches_walk_on_chain_unions():
             if q**k <= 1 << 12:
                 assert layout.in_mask_order(zeta_dims(code, poset)) == walked, (poset, q, k)
             if q ** (n - k) <= 1 << 12:
-                assert code.matroid._dual_fill(poset) == walked, (poset, q, k)
+                assert layout.in_mask_order(code.matroid._dual_fill(poset)) == walked, (poset, q, k)
 
 
 @pytest.mark.parametrize("q", PACKING_FIELDS)
@@ -622,32 +622,39 @@ def test_layout_zeta_over_every_packing_field(q):
                 assert poset.chain_layout().in_mask_order(zeta_dims(code, poset)) == walked, (q, k)
             if q ** (n - k) <= 1 << 12:
                 # k = n leaves C-perp no rows
-                assert code.matroid._dual_fill(poset) == walked, (q, k)
+                assert poset.chain_layout().in_mask_order(code.matroid._dual_fill(poset)) == walked, (q, k)
 
 
-def test_no_layout_no_fill(monkeypatch):
-    # v3 and random posets that are no disjoint union of chains take the walk
+def test_posets_off_the_chain_unions_fill_on_their_grid(monkeypatch):
+    # v3 and random posets that are no disjoint union of chains: C's zeta fill
+    # and C-perp's, read at the ideals, equal the walk, which walks the ideals only
     import posetcode.matroid as matroid
 
-    def refuse(code, poset):
-        raise AssertionError("filled a table without a chain layout")
+    def refuse(*args):
+        raise AssertionError("walked the grid of a poset that is no union of chains")
 
-    monkeypatch.setattr(matroid, "zeta_dims", refuse)
+    monkeypatch.setattr(matroid, "grid_ranks", refuse)
     rng = random.Random(75)
-    v3 = load_poset(Path(__file__).parent / "data" / "v3.poset")
-    assert v3.chain_layout() is None
-    code = full_rank_code(rng, 2, 3, 1)
-    assert code.matroid.shortened_dims(v3) == code.matroid.census_dims(v3) == code.matroid.walked_dims(v3)
-    seen = 0
-    while seen < 10:
+    posets = [load_poset(Path(__file__).parent / "data" / "v3.poset")]
+    while len(posets) < 11:
         n = rng.randint(3, 8)
         relations = [(i, j) for j in range(2, n + 1) for i in range(1, j) if rng.random() < 0.4]
-        poset = Poset.from_cover_relations(n, relations)
-        if poset.chain_layout() is None:
-            seen += 1
-            code = full_rank_code(rng, 2, n, rng.randint(1, n))
-            assert code.matroid.shortened_dims(poset) == code.matroid.walked_dims(poset)
-            assert code.matroid.census_dims(poset) == code.matroid.walked_dims(poset)
+        if (poset := Poset.from_cover_relations(n, relations)).chain_layout().flags is not None:
+            posets.append(poset)
+    for i, poset in enumerate(posets):
+        n, layout = poset.n, poset.chain_layout()
+        q = PACKING_FIELDS[i % len(PACKING_FIELDS)]
+        for k in sorted({1, rng.randint(1, n), n}):
+            if q ** min(k, n - k) > 1 << 12:
+                continue
+            code = full_rank_code(rng, q, n, k)
+            walked = code.matroid.walked_dims(poset)
+            assert list(walked[0]) == list(poset.ideals())
+            if q**k <= 1 << 12:
+                assert layout.in_mask_order(zeta_dims(code, poset)) == walked, (poset, q, k)
+            if q ** (n - k) <= 1 << 12:
+                assert layout.in_mask_order(code.matroid._dual_fill(poset)) == walked, (poset, q, k)
+            assert code.matroid.shortened_dims(poset) == walked
 
 
 def test_layout_zeta_rejects_a_corrupted_census(monkeypatch):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -236,22 +237,27 @@ def test_chain_layout_indexes_every_ideal_once():
         assert digit_sums(layout.lengths) == bytes(layout.ideal(i).bit_count() for i in range(layout.size))
         assert list(layout.in_mask_order(bytes(layout.size))[0]) == list(ideals)
         assert layout.opposite() == poset.dual()
-        # complementing an ideal reverses its index
-        full = (1 << poset.n) - 1
-        assert all(layout.index(full ^ ideal) == layout.size - 1 - layout.index(ideal) for ideal in ideals)
+        # complementing an ideal reverses its index: the complement is an ideal of the opposite poset
+        full, opposite = (1 << poset.n) - 1, layout.opposite().chain_layout()
+        assert all(opposite.index(full ^ ideal) == layout.size - 1 - layout.index(ideal) for ideal in ideals)
 
 
 def test_chain_layout_of_presets_and_of_posets_that_are_no_union_of_chains():
+    # chain unions keep their own chains; every other poset gets a grid with the ideals flagged
     anti = Poset.antichain(10).chain_layout()
-    assert anti.lengths == (1,) * 10 and anti.size == 1 << 10
+    assert anti.lengths == (1,) * 10 and anti.size == 1 << 10 and anti.flags is None
     assert all(anti.index(mask) == mask for mask in range(1 << 10))
     assert Poset.chain(6).chain_layout().lengths == (6,)
+    data = Path(__file__).parent / "data"
+    assert load_poset(data / "nrt4.poset").chain_layout().chains == ((0, 1), (2, 3))
+    assert load_poset(data / "nrt7.poset").chain_layout().chains == ((0, 1, 2), (3, 4, 5), (6,))
     for poset in (
         parse_poset("n 3\n1 < 3\n2 < 3\n"),  # v3: two elements below one
         parse_poset("n 3\n1 < 2\n1 < 3\n"),  # one element below two
         parse_poset("n 4\n1 < 2\n2 < 3\n4 < 3\n"),
     ):
-        assert poset.chain_layout() is None
+        layout = poset.chain_layout()
+        assert layout.lengths in ((2, 1), (1, 2), (3, 1), (1, 3)) and layout.flags.count(0) > 0
     rng = random.Random(72)
     for _ in range(60):
         n = rng.randint(2, 9)
@@ -262,4 +268,38 @@ def test_chain_layout_of_presets_and_of_posets_that_are_no_union_of_chains():
         is_union = all(
             sum(i == e for i, _ in covers) <= 1 and sum(j == e for _, j in covers) <= 1 for e in range(1, n + 1)
         )
-        assert (poset.chain_layout() is not None) == is_union, poset
+        assert (poset.chain_layout().flags is None) == is_union, poset
+
+
+def width(poset):
+    """Largest antichain, by brute force over every subset."""
+    below = poset.below
+    return max(
+        mask.bit_count()
+        for mask in range(1 << poset.n)
+        if all(below[b] & mask == 1 << b for b in range(poset.n) if mask >> b & 1)
+    )
+
+
+def test_chain_layout_of_random_posets_flags_exactly_the_ideals():
+    rng = random.Random(73)
+    for trial in range(80):
+        poset = random_poset(rng, rng.randint(1, 9))
+        layout, n = poset.chain_layout(), poset.n
+        # a minimum chain partition (Dilworth), each chain bottom up
+        assert len(layout.chains) == width(poset)
+        assert sorted(e for chain in layout.chains for e in chain) == list(range(n))
+        for chain in layout.chains:
+            assert all(poset.below[b] >> a & 1 for a, b in zip(chain, chain[1:]))
+        ideals = poset.ideals()
+        flags = layout.flags if layout.flags is not None else b"\1" * layout.size
+        assert flags.count(1) == len(ideals) and all(flags[layout.index(ideal)] for ideal in ideals)
+        assert all(layout.ideal(layout.index(ideal)) == ideal for ideal in ideals)
+        assert list(layout.in_mask_order(bytes(layout.size))[0]) == list(ideals)
+        opposite = layout.opposite()
+        assert opposite == poset.dual()
+        assert opposite.chain_layout().chains == tuple(chain[::-1] for chain in layout.chains)
+        assert opposite.chain_layout().flags == (None if layout.flags is None else layout.flags[::-1])
+        # complementing an ideal reverses its index: the complement is an ideal of the opposite poset
+        full = (1 << n) - 1
+        assert all(opposite.chain_layout().index(full ^ ideal) == layout.size - 1 - layout.index(ideal) for ideal in ideals)
