@@ -11,7 +11,14 @@ enumerate
     byte and closure byte with no Python per word
     (LinearCode.closure_counts: support_batches given the poset and
     lines=True, guarded by the cap on q**k): one word per line, its count
-    taken q - 1 times, but the zero word's once.  Counts that do not sum
+    taken q - 1 times, but the zero word's, the first, once.  Two tallies
+    count them, by a rule on two numbers alone: where the 2**bits compact
+    keys of ChainLayout.key_weights are no more than the 1 + (q^k - 1)/(q - 1)
+    lines, one more translate per closure byte and key byte turns each
+    closure into its key, a list by key counts the keys, and the census
+    is read off by grid index; else a Counter counts the closure masks.
+    distribution and the report read the census as the tally gives it,
+    sizes by grid index from bitset.digit_sums.  Counts that do not sum
     to q**k raise SelfCheckError.  It never lists the ideals of P and
     never reads the rank table, so it is the independent oracle for the
     other method.  The enumerate report classifies off the zeta of this
@@ -84,12 +91,12 @@ from dataclasses import asdict, dataclass
 from itertools import combinations
 from math import comb
 
-from .bitset import mask_from_positions, to_elements, to_fields
+from .bitset import digit_sums, mask_from_positions, to_elements, to_fields
 from .code import MAX_ENUMERATION, LinearCode
 from .errors import SelfCheckError
 from .hierarchy import _key_table, _primal_minima, _profile_ok, _require_compatible, ideal_sizes
 from .matroid import _digit_masks, _zeta
-from .poset import Poset
+from .poset import ChainLayout, Poset
 
 MDS_LABEL = "MDS"
 NMDS_LABEL = "NMDS"
@@ -148,15 +155,29 @@ def _moebius(poset: Poset, dims: bytes, k: int, q: int) -> dict[int, int]:
     return census if size == 1 << layout.n else dict(zip(map(layout.ideal, census), census.values()))
 
 
+def _tally(code: LinearCode, poset: Poset, method: str) -> dict[int, int] | list[int]:
+    """support_census, but the enumerate census as LinearCode.closure_tally
+    takes it: a list by grid index where it is dense."""
+    if method != "enumerate":
+        return support_census(code, poset, method)
+    _require_compatible(code, poset)
+    return code.closure_tally(poset)
+
+
 def distribution(code: LinearCode, poset: Poset, method: str = "enumerate") -> tuple[int, ...]:
     """Weight distribution (A_0, ..., A_n): the support census summed by ideal size."""
-    return _by_size(support_census(code, poset, method), poset.n)
+    return _by_size(_tally(code, poset, method), poset.chain_layout())
 
 
-def _by_size(census: dict[int, int], n: int) -> tuple[int, ...]:
-    counts = [0] * (n + 1)
-    for ideal, count in census.items():
-        counts[ideal.bit_count()] += count
+def _by_size(census: dict[int, int] | list[int], layout: ChainLayout) -> tuple[int, ...]:
+    """The census, a dict by mask or a list by grid index, summed by size."""
+    counts = [0] * (layout.n + 1)
+    if isinstance(census, list):
+        for size, count in zip(digit_sums(layout.lengths), census):
+            counts[size] += count
+    else:
+        for ideal, count in census.items():
+            counts[ideal.bit_count()] += count
     return tuple(counts)
 
 
@@ -391,9 +412,9 @@ def distribution_report(code: LinearCode, poset: Poset, method: str = "enumerate
     table are refused before anything is classified.
     """
     if method != "closed-form":
-        census, layout = support_census(code, poset, method), poset.chain_layout()
+        census, layout = _tally(code, poset, method), poset.chain_layout()
         table = _zeta(layout, census, code.field.q, code.k) if method == "enumerate" else code.matroid.census_dims(poset)
-        return DistributionReport(_by_size(census, poset.n), method, _classify(code, layout.in_mask_order(table)))
+        return DistributionReport(_by_size(census, layout), method, _classify(code, layout.in_mask_order(table)))
     cls_ = classify(code, poset)
     if cls_.label == OTHER_LABEL:
         raise ValueError(

@@ -94,6 +94,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 
 from .bitset import digit_sums, subset_sizes, to_fields
 from .code import MAX_ENUMERATION, TABLE_LIMIT, LinearCode, _PackedWords
@@ -191,17 +192,20 @@ def _digit_masks(lengths: Sequence[int], width: int, value: int) -> Iterator[tup
                 mask <<= width * stride
 
 
-def _zeta(layout: ChainLayout, census: dict[int, int], q: int, k: int) -> bytes:
-    """dim C^I by index over the layout from the census |C & S_I| (module
-    docstring).  Fields are the fewest whole bytes that hold q^k, which no
-    partial sum exceeds, so none carries.  A sum not a power of q raises
-    SelfCheckError."""
+def _zeta(layout: ChainLayout, census: dict[int, int] | list[int], q: int, k: int) -> bytes:
+    """dim C^I by index over the layout from the census |C & S_I|, a dict by
+    mask or a list by index (LinearCode.closure_tally; module docstring).
+    Fields are the fewest whole bytes that hold q^k, which no partial sum
+    exceeds, so none carries.  A sum not a power of q raises SelfCheckError."""
     size, wb = layout.size, ((q**k).bit_length() + 7) // 8
-    counts = bytearray(size * wb)
-    # under the antichain the index is the mask
-    at_index = census.items() if size == 1 << layout.n else zip(map(layout.index, census), census.values())
-    for at, count in at_index:
-        counts[at * wb : (at + 1) * wb] = count.to_bytes(wb, "little")
+    if isinstance(census, list):
+        counts = b"".join(map(int.to_bytes, census, repeat(wb), repeat("little")))
+    else:
+        counts = bytearray(size * wb)
+        # under the antichain the index is the mask
+        at_index = census.items() if size == 1 << layout.n else zip(map(layout.index, census), census.values())
+        for at, count in at_index:
+            counts[at * wb : (at + 1) * wb] = count.to_bytes(wb, "little")
     table = int.from_bytes(counts, "little")
     # each buffer below is |J(P)| fields long: drop it once read, to bound the peak at n = 24
     del counts
@@ -236,7 +240,7 @@ def _zeta(layout: ChainLayout, census: dict[int, int], q: int, k: int) -> bytes:
 def zeta_dims(code, poset: Poset) -> bytes:
     """dim C^I by grid index from the code's enumerate census alone; off the
     ideals, log_q of the words inside S_x (module docstring)."""
-    return _zeta(poset.chain_layout(), code.closure_counts(poset), code.field.q, code.k)
+    return _zeta(poset.chain_layout(), code.closure_tally(poset), code.field.q, code.k)
 
 
 class RankProfile:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import hashlib
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from itertools import compress
+from itertools import accumulate, compress
 from pathlib import Path
 from typing import TypeVar
 
@@ -284,7 +284,7 @@ class ChainLayout:
     reversed, so complementing an ideal reverses its index.
     """
 
-    __slots__ = ("n", "below", "chains", "lengths", "size", "_weight", "_up", "_split", "_low", "_high", "_at_low", "_at_high", "_flags", "_order")
+    __slots__ = ("n", "below", "chains", "lengths", "size", "_weight", "_up", "_split", "_low", "_high", "_at_low", "_at_high", "_flags", "_order", "_keys")
 
     def __init__(self, below: Sequence[int], chains: Iterable[Iterable[int]]) -> None:
         self.n = n = len(below)
@@ -309,6 +309,7 @@ class ChainLayout:
             self._at_low, self._at_high = {s: i for i, s in enumerate(self._low)}, {s: i * strides[c] for i, s in enumerate(self._high)}
         self._flags: bytes | None | tuple = ()
         self._order: tuple[tuple[int, ...], list[int] | None] | None = None
+        self._keys: tuple[int, list[int]] | None = None
 
     def index(self, ideal: int) -> int:
         """The index of S_x, such as an ideal (the last low set is the low chains whole)."""
@@ -321,6 +322,36 @@ class ChainLayout:
         if self.size == 1 << self.n:
             return index
         return self._low[index % self._split] | self._high[index // self._split]
+
+    def key_weights(self) -> tuple[int, list[int]]:
+        """(bits, weights) of compact keys for the sets S_x, read off their masks
+        a byte at a time.  Byte o of a mask meets chain c in a part, and S_x
+        meets the part in its first elements along c, so a count of
+        len(part).bit_length() bits says how many.  The parts take fields in
+        order of byte, then chain, which keeps a byte's fields within 8
+        consecutive bits, and element e weighs 1 << the offset of its part's
+        field.  The key of a set is the sum of its elements' weights, below
+        2**bits: under the antichain the mask.  It is injective on the grid,
+        since digit c of x is the sum of the counts of chain c's parts.
+        Cached on first use."""
+        if self._keys is None:
+            weights, bits = [0] * self.n, 0
+            for o in range(0, self.n, 8):
+                for chain in self.chains:
+                    part = [e for e in chain if o <= e < o + 8]
+                    for e in part:
+                        weights[e] = 1 << bits
+                    bits += len(part).bit_length()
+            self._keys = bits, weights
+        return self._keys
+
+    def grid_keys(self, weights: Sequence[int]) -> list[int]:
+        """The sum of the weights over S_x at every index: additive over the
+        chains, so built like bitset.digit_sums, a chain at a time."""
+        keys = [0]
+        for chain in self.chains:
+            keys = [key + step for step in accumulate((weights[e] for e in chain), initial=0) for key in keys]
+        return keys
 
     def step(self, e: int, field: bytes) -> tuple[int, int]:
         """(stride_c, packed fields) for e the t-th element of chain c: field

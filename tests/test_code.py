@@ -6,6 +6,7 @@ from itertools import product
 
 import pytest
 
+from posetcode.bitset import bits_of
 from posetcode.code import (
     LinearCode,
     format_code,
@@ -179,6 +180,94 @@ def test_line_stream_holds_one_word_per_line():
                 assert multiples + Counter({0: 1}) == expected, (q, n, k)
                 if q == 2:
                     assert lines == list(code.support_batches(poset)), (n, k)
+
+
+def key_bits(layout):
+    """Width of the compact keys from their definition: byte o of a mask meets
+    each chain in a part, which takes len(part).bit_length() bits."""
+    return sum(sum(e // 8 == o for e in chain).bit_length() for o in range(3) for chain in layout.chains)
+
+
+def key_test_posets(rng):
+    """Chains, antichains, NRT shapes, chain unions with shuffled labels and
+    posets that are no union of chains; key widths of one to three bytes."""
+    from test_poset import chain_union
+
+    posets = [Poset.antichain(n) for n in (1, 5, 9)] + [Poset.chain(n) for n in (1, 7, 8, 24)]
+    posets += [chain_union(rng, [5] * 4, False), chain_union(rng, [2] * 12, False), chain_union(rng, [6] * 4)]
+    posets += [chain_union(rng, [rng.randint(1, 6) for _ in range(rng.randint(1, 5))]) for _ in range(8)]
+    return posets + [random_poset(rng, rng.randint(2, 10)) for _ in range(8)]
+
+
+def test_compact_keys_are_injective_on_the_grid():
+    from test_poset import chain_union
+
+    rng = random.Random(29)
+    for poset in key_test_posets(rng):
+        layout = poset.chain_layout()
+        bits, weights = layout.key_weights()
+        assert bits == key_bits(layout), poset
+        keys = layout.grid_keys(weights)
+        assert len(keys) == layout.size and len(set(keys)) == layout.size, poset
+        assert max(keys) < 1 << bits
+        for at in rng.sample(range(layout.size), min(layout.size, 300)):
+            assert keys[at] == sum(weights[e] for e in bits_of(layout.ideal(at))), (poset, at)
+    # NRT 4 x 5 in blocks: byte parts of 5 and 3, of 2, 5 and 1, and of 4 elements
+    assert chain_union(rng, [5] * 4, False).chain_layout().key_weights()[0] == 3 + 2 + 2 + 3 + 1 + 3
+    assert Poset.antichain(9).chain_layout().key_weights() == (9, [1 << e for e in range(9)])
+
+
+def test_key_stream_sums_the_weights_of_each_closure():
+    # every packing field; keys of one, two and three bytes, in records of 2 and 4
+    rng = random.Random(30)
+    posets = key_test_posets(rng)
+    for q in PACKING_FIELDS:
+        k_max = max(k for k in range(1, 9) if q**k <= 5000)
+        for poset in posets[5:10] + rng.sample(posets, 3):
+            code = random_full_rank(rng, q, poset.n, rng.randint(1, min(k_max, poset.n)))
+            weights = poset.chain_layout().key_weights()[1]
+            closures = [s for batch in code.support_batches(poset, lines=True) for s in batch]
+            keys = [key for batch in code._support_batches(poset.below, True, weights) for key in batch]
+            assert keys == [sum(weights[e] for e in bits_of(s)) for s in closures], (q, poset)
+
+
+def test_dense_tally_serves_exactly_where_the_keys_are_no_more_than_the_lines():
+    rng = random.Random(31)
+    # at the switch: 8 keys of a 7-chain against 2^3 binary lines, and 32 keys
+    # of the 5-antichain against 1 + (5^3 - 1)/4 = 32 lines over GF(5)
+    pinned = [(Poset.chain(7), 2, 2, False), (Poset.chain(7), 2, 3, True), (Poset.chain(7), 2, 4, True)]
+    pinned += [(Poset.antichain(5), 5, 2, False), (Poset.antichain(5), 5, 3, True), (Poset.antichain(6), 5, 3, False)]
+    for poset, q, k, dense in pinned:
+        assert isinstance(random_full_rank(rng, q, poset.n, k).closure_tally(poset), list) == dense, (poset, q, k)
+    served = set()
+    for poset in key_test_posets(rng):
+        for q in (2, 3, 4, 5, 7):
+            k = rng.randint(1, min(poset.n, max(k for k in range(1, 13) if q**k <= 5000)))
+            dense = 1 << key_bits(poset.chain_layout()) <= 1 + (q**k - 1) // (q - 1)
+            assert isinstance(random_full_rank(rng, q, poset.n, k).closure_tally(poset), list) == dense, (poset, q, k)
+            served.add(dense)
+    assert served == {False, True}
+
+
+@pytest.mark.parametrize("lane_words, lane_bytes", [(1 << 30, 0), (1, 1 << 30)], ids=["xor", "lanes"])
+def test_each_reader_of_the_low_span_gives_the_stream(monkeypatch, lane_words, lane_bytes):
+    # every span read by one XOR per word, or by translations kept per byte value (_Lane)
+    import posetcode.code as code_module
+
+    monkeypatch.setattr(code_module, "_LANE_WORDS", lane_words)
+    monkeypatch.setattr(code_module, "_LANE_BYTES", lane_bytes)
+    rng = random.Random(32)
+    for q in PACKING_FIELDS:
+        k_max = max(k for k in range(1, 9) if q**k <= 5000)
+        for n, k in ((rng.choice([9, 13, 17, 24]), k_max), (rng.randint(2, 8), 1), (24, min(3, k_max))):
+            code, poset = random_full_rank(rng, q, n, k), random_poset(rng, n)
+            closures = [poset.ideal_closure(support_mask(w)) for w in code.codewords()]
+            assert [s for batch in code.support_batches(poset) for s in batch] == closures, (q, n, k)
+            lines = [s for batch in code.support_batches(poset, lines=True) for s in batch]
+            assert Counter({s: (q - 1) * c for s, c in Counter(lines[1:]).items()}) + Counter({0: 1}) == Counter(closures)
+            weights = poset.chain_layout().key_weights()[1]
+            keys = [key for batch in code._support_batches(poset.below, True, weights) for key in batch]
+            assert keys == [sum(weights[e] for e in bits_of(s)) for s in lines], (q, n, k)
 
 
 def test_support_batches_refuse_a_poset_of_another_length():

@@ -323,23 +323,105 @@ def test_enumerate_census_matches_closures_of_all_codewords():
                 assert support_census(code, poset, "enumerate") == expected, (q, n, k)
 
 
+def counter_census(code, poset):
+    """The enumerate census by a Counter on the closures of the line stream."""
+    q = code.field.q
+    flat = [s for batch in code.support_batches(poset, lines=True) for s in batch]
+    census = Counter({s: (q - 1) * count for s, count in Counter(flat[1:]).items()})
+    census[flat[0]] += 1
+    return dict(census)
+
+
+def dense_census(code, poset):
+    """The enumerate census by a list over the keys of the key stream, read off the grid."""
+    q, layout = code.field.q, poset.chain_layout()
+    bits, weights = layout.key_weights()
+    flat = [key for batch in code._support_batches(poset.below, True, weights) for key in batch]
+    counts = [0] * (1 << bits)
+    for key in flat[1:]:
+        counts[key] += q - 1
+    counts[flat[0]] += 1
+    return {layout.ideal(at): counts[key] for at, key in enumerate(layout.grid_keys(weights)) if counts[key]}
+
+
+@pytest.mark.parametrize("q", PACKING_FIELDS)
+def test_dense_and_counter_tallies_agree_with_moebius(q):
+    # NRT shapes, chain unions with shuffled labels and posets that are no
+    # union of chains, with code sizes on both sides of the rule
+    from test_poset import chain_union
+
+    rng = random.Random(91)
+    posets = [load_poset(DATA / "nrt4.poset"), load_poset(DATA / "nrt7.poset"), chain_union(rng, [5, 5], False)]
+    posets += [chain_union(rng, [rng.randint(1, 4) for _ in range(rng.randint(2, 4))]) for _ in range(3)]
+    posets += [poset for poset in (random_poset(rng, rng.randint(4, 10)) for _ in range(6)) if poset.chain_layout().flags]
+    served = set()
+    for poset in posets:
+        ks = [k for k in range(1, poset.n + 1) if q**k <= max(4096, q * q)]  # k = 2 above GF(64)
+        for k in sorted({ks[0], ks[len(ks) // 2], ks[-1]}):
+            code = random_full_rank(rng, q, poset.n, k)
+            served.add(isinstance(code.closure_tally(poset), list))
+            census = code.closure_counts(poset)
+            assert census == counter_census(code, poset) == dense_census(code, poset), (poset, k)
+            assert census == support_census(fresh(code), poset, "moebius"), (poset, k)
+            report = distribution_report(code, poset, "enumerate")
+            assert report.counts == distribution(fresh(code), poset, "moebius"), (poset, k)
+            assert report.classification == classify(fresh(code), poset), (poset, k)
+    assert served == {False, True}
+
+
+def test_dense_census_refuses_a_corrupted_record(monkeypatch):
+    from posetcode.errors import SelfCheckError
+    from posetcode.matroid import zeta_dims
+
+    rng = random.Random(92)
+    honest = LinearCode._support_batches
+    nrt4, nrt7 = load_poset(DATA / "nrt4.poset"), load_poset(DATA / "nrt7.poset")
+    codes = [(random_full_rank(rng, q, 7, 5), nrt7) for q in (2, 3, 4)] + [(random_full_rank(rng, 3, 4, 4), nrt4)]
+    assert all(isinstance(code.closure_tally(poset), list) for code, poset in codes)
+
+    def moved(self, images, lines, weights=None):
+        # the zero word's closure reported as the full set: no word inside the empty set
+        batches = [list(batch) for batch in honest(self, images, lines, weights)]
+        batches[0][0] = sum(weights)
+        return iter(batches)
+
+    monkeypatch.setattr(LinearCode, "_support_batches", moved)
+    for code, poset in codes:
+        with pytest.raises(SelfCheckError, match="subset 0x0 are not a power of q"):
+            zeta_dims(code, poset)
+        with pytest.raises(SelfCheckError, match="not a power of q"):
+            distribution_report(code, poset, "enumerate")
+
+    # key 3 of nrt4 counts three elements of the chain 1 < 2: off the grid
+    def off(self, images, lines, weights=None):
+        batches = [list(batch) for batch in honest(self, images, lines, weights)]
+        batches[-1][-1] = 3
+        return iter(batches)
+
+    monkeypatch.setattr(LinearCode, "_support_batches", off)
+    with pytest.raises(SelfCheckError, match="not q\\^k = 81"):
+        support_census(codes[-1][0], nrt4, "enumerate")
+
+
 @pytest.mark.parametrize("q", [2, 3, 4])
 @pytest.mark.parametrize("fault", ["drop-first", "drop-last", "repeat"])
 def test_enumerate_census_refuses_a_stream_short_or_long_by_a_batch(monkeypatch, q, fault):
     from posetcode.errors import SelfCheckError
 
     code = random_full_rank(random.Random(58), q, 7, 3)
-    honest = LinearCode.support_batches
+    honest = LinearCode._support_batches
 
-    def faulty(self, poset=None, *, lines=False):
-        batches = list(honest(self, poset, lines=lines))
+    def faulty(self, *args):
+        batches = list(honest(self, *args))
         if fault == "repeat":
             return iter(batches + batches[-1:])
         return iter(batches[1:] if fault == "drop-first" else batches[:-1])
 
-    monkeypatch.setattr(LinearCode, "support_batches", faulty)
-    with pytest.raises(SelfCheckError, match=f"not q\\^k = {q**3}"):
-        support_census(code, Poset.chain(7), "enumerate")
+    # both tallies read this stream: the chain's 8 keys take the dense one, the antichain's 128 the Counter
+    monkeypatch.setattr(LinearCode, "_support_batches", faulty)
+    for poset in (Poset.chain(7), Poset.antichain(7)):
+        with pytest.raises(SelfCheckError, match=f"not q\\^k = {q**3}"):
+            support_census(code, poset, "enumerate")
 
 
 def test_distribution_fixtures():
@@ -626,12 +708,12 @@ def test_enumerate_report_under_a_chain_union_walks_nothing_and_streams_once(mon
     def refuse(*args):
         raise AssertionError("walked the ideals")
 
-    honest = LinearCode.support_batches
+    honest = LinearCode._support_batches
     streams = []
 
-    def counting(self, poset=None, *, lines=False):
+    def counting(self, *args):
         streams.append(self.generator)
-        return honest(self, poset, lines=lines)
+        return honest(self, *args)
 
     rng = random.Random(78)
     nrt = load_poset(DATA / "nrt7.poset")
@@ -640,7 +722,7 @@ def test_enumerate_report_under_a_chain_union_walks_nothing_and_streams_once(mon
     monkeypatch.setattr(matroid, "ideal_ranks", refuse)
     monkeypatch.setattr(matroid, "grid_ranks", refuse)
     monkeypatch.setattr(Poset, "walk_ideals", refuse)
-    monkeypatch.setattr(LinearCode, "support_batches", counting)
+    monkeypatch.setattr(LinearCode, "_support_batches", counting)
     for code, cls_ in zip(codes, expected):
         streams.clear()
         assert distribution_report(code, nrt, "enumerate").classification == cls_

@@ -14,6 +14,10 @@ test takes random codes under the chain.
   extended Hamming and ternary Golay codes are near-MDS as well, with
   (d_1, d_2) = (4, 6) and (6, 8), so both NMDS closed forms must give
   their enumerators.
+* The first-order Reed-Muller code RM(1,4) [16,5,8] has weight hierarchy
+  (8, 12, 14, 15, 16) (Wei, IEEE T-IT 37(5), 1991); its dual is RM(2,4)
+  [16,11,4], whose hierarchy Wei duality then fixes as the rest of
+  1..16 reflected: (4, 6, 7, 8, 10, 11, 12, 13, 14, 15, 16).
 * Reed-Solomon codes, which are MDS: their distribution is the classical
   MDS formula (MacWilliams-Sloane, ch. 11, Thm. 6), written out below.
 
@@ -48,6 +52,7 @@ from posetcode import (
     weight_hierarchy,
 )
 from posetcode.distribution import MDS_LABEL, NMDS_LABEL
+from posetcode.hierarchy import METHOD_BRUTEFORCE
 
 
 def enumerator(n, terms):
@@ -155,6 +160,27 @@ def test_extended_ternary_golay_enumerator():
     assert (c.label, c.d1, c.d2) == (NMDS_LABEL, 6, 8)
     assert nmds_distribution(code, anti) == want
     assert hamming_nmds_distribution(code) == want
+
+
+def reed_muller(order):
+    """Generator of RM(order, 4): the monomials of degree <= order in x1..x4,
+    evaluated at the 16 points of GF(2)^4 (point p has x_i = bit i of p)."""
+    monomials = [()] + [(i,) for i in range(4)] + [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    return [tuple(int(all(p >> i & 1 for i in m)) for p in range(16)) for m in monomials if len(m) <= order]
+
+
+def test_reed_muller_hierarchies():
+    rm1, rm2 = (LinearCode.from_generator(gf(2), reed_muller(r)) for r in (1, 2))
+    anti = Poset.antichain(16)
+    assert (rm1.k, rm2.k) == (5, 11)
+    # orthogonal, with 5 + 11 = 16: RM(2,4) is the dual of RM(1,4)
+    assert all(sum(a * b for a, b in zip(u, v)) % 2 == 0 for u in rm1.generator.rows for v in rm2.generator.rows)
+    want = (8, 12, 14, 15, 16)
+    assert weight_hierarchy(rm1, anti).weights == want
+    assert weight_hierarchy(rm1, anti, METHOD_BRUTEFORCE).weights == want
+    dual_want = (4, 6, 7, 8, 10, 11, 12, 13, 14, 15, 16)
+    assert duality_partition(rm1, anti).dual_weights == dual_want
+    assert weight_hierarchy(rm2, anti).weights == dual_want
 
 
 def reed_solomon(q, n, k):
