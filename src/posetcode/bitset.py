@@ -10,7 +10,10 @@ object, read without a Python loop over the entries: bytes.find and
 rfind name the first or last entry holding a value, and
 bytes.translate maps or deletes values.  to_fields widens such a table
 into little-endian fields of several bytes, one translate per byte
-plane, for packed int arithmetic on all entries at once.
+plane, for packed int arithmetic on all entries at once.  byte_tables
+builds the translate tables that map a byte of a bit string to a byte
+of the OR, or the sum, of images of the bits set in it: the support
+stream's closures and the compact keys of poset.ChainLayout.
 """
 
 from __future__ import annotations
@@ -84,4 +87,23 @@ def to_fields(table: bytes, values: Sequence[int], width: int) -> bytearray:
     out = bytearray(len(table) * width)
     for j in range(width):
         out[j::width] = table.translate(bytes(v >> 8 * j & 255 for v in values).ljust(256, b"\0"))
+    return out
+
+
+def byte_tables(images: Sequence[int], slot: int, stride: int, size: int, sums: bool = False) -> list[list[tuple[int, bytes]]]:
+    """Per slot byte j, (o, T) for each byte o of size it reaches: T[v] is byte o
+    of the OR (with sums, the sum) of the images of the coordinates with a
+    bit set in v at byte j.  Built by doubling: the records v with bit t set,
+    t < 8, are those below 2**t with the image of the coordinate that owns
+    bit t ORed (added) in."""
+    n = len(images)
+    ones = [int.from_bytes((b"\1" + bytes(size - 1)) * (1 << t), "little") for t in range(8)]
+    blank, out = bytes(256), []
+    for j in range(slot):
+        wide = 0
+        for t, bit in enumerate(range(8 * j, 8 * j + 8)):
+            image = images[bit // stride] if bit < n * stride else 0
+            wide |= ((wide + image * ones[t]) if sums else (wide | image * ones[t])) << (8 * size << t)
+        wide = wide.to_bytes(256 * size, "little")
+        out.append([(o, table) for o in range(size) if (table := wide[o::size]) != blank])
     return out

@@ -25,14 +25,7 @@ slot byte, so per slot byte j and closure byte o one bytes.translate of
 the batch's byte lane j maps each word's byte j to byte o of the OR of
 the images (bits, or the poset's downsets) of the coordinates with a bit
 set in it.  The planes, ORed as ints and interleaved into records of
-native ints, are the batch.  A low span of at least _LANE_WORDS words and
-at most _LANE_BYTES bytes, read for at least _LANE_WORDS high words, skips
-the XOR: lane j of a XOR (-b) is the low span's lane j XOR byte j of -b,
-and translating it by a table is translating the low span's lane by the
-table composed with that XOR.  Those translations are made once per
-lane, table and byte value, and kept (_Lane): words over a small field
-repeat few byte values, so the high words share most of them, and a
-batch's plane is the join of its words' pieces.
+native ints, are the batch.
 
 A word and its q - 1 nonzero multiples share a support, so the enumerate
 census reads one word per line: support_batches(poset, lines=True) keeps
@@ -41,18 +34,22 @@ message order, 1 + (q**k - 1)/(q - 1) supports.  A span's monic words
 ending at row i fill its block [q**i, 2 * q**i), so the stream yields one
 batch of the zero word and the low span's monic words, then the low span
 for each monic high word.  For q = 2 that is the full stream, batch for
-batch, and it runs as one.  closure_counts tallies the line stream into
-the census |C & S_I| that the enumerate distribution and the zeta fills
-of the matroid module read, by one of two tallies.  Where the lines
-outnumber a poset's compact keys (ChainLayout.key_weights: per mask byte
-and chain, a count of the chain's elements there) or match them, the
-stream hands out keys instead of closures, one more translate per
-closure byte and key byte turning each closure byte into its fields, the
+batch, and it runs as one.  closure_tally tallies the line stream into
+the census |C & S_I| that the enumerate report and the zeta fills of the
+matroid module read, by one of two tallies, chosen by the line count and
+the layout's key space alone.  Where the lines outnumber the poset's
+compact keys (ChainLayout.key_weights: per mask byte and chain, a count
+of the chain's elements there) or match them, the stream hands out keys
+instead of closures, one more translate per closure byte and key byte
+(ChainLayout.key_tables) turning each closure byte into its fields, the
 planes ORed into records of 2 or 4 bytes, and a list by key counts them:
 the census goes out as a list by grid index (ChainLayout.grid_keys).
 Else a Counter counts the closure masks, and the census is a dict by
-mask.  closure_tally hands the census out as its tally takes it, and
-closure_counts as a dict by mask either way.
+mask.  A grid larger than the line count, its size read off the chain
+lengths of Poset.chain_partition, settles the rule with no layout
+built, as the Counter needs none.  closure_counts, which the
+enumerate support_census reads, gives the census as a dict by mask
+either way.
 
 shorten(J) solves for the messages whose codewords vanish outside J:
 from the identity basis, one kernel step per coordinate c outside J
@@ -73,12 +70,13 @@ from __future__ import annotations
 import sys
 import warnings
 from collections import Counter
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import repeat
+from math import prod
 from operator import lshift, or_
 from pathlib import Path
 
-from .bitset import bits_of
+from .bitset import bits_of, byte_tables
 from .errors import SelfCheckError
 from .field import GF, gf
 from .matrix import Matrix, matrix_times_col, row_times_matrix
@@ -87,12 +85,6 @@ from .poset import Poset
 MAX_ENUMERATION = 1 << 20
 TABLE_LIMIT = 16  # all-subsets tables: shorten_dims and the matroid rank tables
 _GROUP_WORDS = 1024  # words per closures() call of the support stream, at least
-# a low span of the support stream of at least _LANE_WORDS words and at most _LANE_BYTES
-# bytes, read for as many high words, is read off translations kept per byte value
-# (_Lane): at most 256 * 3 * _LANE_BYTES bytes of them
-_LANE_WORDS, _LANE_BYTES = 64, 1 << 13
-# bytes(range(256)) and 256 ones, as ints: (_IDENTITY ^ v * _ONES) is the table of x ^ v
-_IDENTITY, _ONES = int.from_bytes(bytes(range(256)), "little"), int.from_bytes(b"\1" * 256, "little")
 
 
 def support_mask(word: Sequence[int]) -> int:
@@ -170,42 +162,6 @@ class _PackedWords:
                     multiples.append((s := multiples[-1] + multiples[0]) - (((s + carry) & top) >> shift) * p)
                 words += [(s := a + t) - (((s + carry) & top) >> shift) * p for t in multiples for a in words]
         return words
-
-
-def _byte_tables(images: Sequence[int], slot: int, stride: int, size: int, sums: bool = False) -> list[list[tuple[int, bytes]]]:
-    """Per slot byte j, (o, T) for each byte o of size it reaches: T[v] is byte o
-    of the OR (with sums, the sum) of the images of the coordinates with a
-    bit set in v at byte j.  Built by doubling: the records v with bit t set,
-    t < 8, are those below 2**t with the image of the coordinate that owns
-    bit t ORed (added) in."""
-    n = len(images)
-    ones = [int.from_bytes((b"\1" + bytes(size - 1)) * (1 << t), "little") for t in range(8)]
-    blank, out = bytes(256), []
-    for j in range(slot):
-        wide = 0
-        for t, bit in enumerate(range(8 * j, 8 * j + 8)):
-            image = images[bit // stride] if bit < n * stride else 0
-            wide |= ((wide + image * ones[t]) if sums else (wide | image * ones[t])) << (8 * size << t)
-        wide = wide.to_bytes(256 * size, "little")
-        out.append([(o, table) for o in range(size) if (table := wide[o::size]) != blank])
-    return out
-
-
-class _Lane(dict):
-    """One lane of the support stream's low span, each byte XOR v then
-    translated by a table, by v: the lane translated by the table composed
-    with XOR by v, made on first use.  Words of a small field repeat few byte
-    values, so their high words share most of these."""
-
-    __slots__ = ("lane", "table")
-
-    def __init__(self, lane: bytes, table: bytes) -> None:
-        super().__init__()
-        self.lane, self.table = lane, table
-
-    def __missing__(self, v: int) -> bytes:
-        out = self[v] = self.lane.translate((_IDENTITY ^ v * _ONES).to_bytes(256, "little").translate(self.table))
-        return out
 
 
 def poset_weight(poset: Poset, word: Sequence[int]) -> int:
@@ -312,10 +268,9 @@ class LinearCode:
 
     def closure_counts(self, poset: Poset) -> dict[int, int]:
         """|C & S_I| for each ideal I of the poset that holds a codeword, by
-        mask.  closure_tally takes it by a dense list over compact keys
-        where the keys, 2**bits of ChainLayout.key_weights, are no more than
-        the 1 + (q**k - 1)/(q - 1) lines, and read off the grid; else by a
-        Counter on the closure masks (module docstring)."""
+        mask: closure_tally's census, a Counter's on the closure masks, or
+        where the compact keys are no more than the lines a dense list's by
+        key, read off the grid."""
         census = self.closure_tally(poset)
         if isinstance(census, dict):
             return census
@@ -325,14 +280,15 @@ class LinearCode:
     def closure_tally(self, poset: Poset) -> dict[int, int] | list[int]:
         """The census |C & S_I| from the closures of the line stream, each
         counted q - 1 times but the first, the zero word's, once: a list by
-        grid index (poset.ChainLayout) where the keys of
-        ChainLayout.key_weights are no more than the lines, else a dict by
-        mask (module docstring).  Counts that do not sum to q**k raise
-        SelfCheckError."""
-        q, total, layout = self.field.q, self.codeword_count, poset.chain_layout()
+        grid index (poset.ChainLayout) where the 2**bits keys of
+        ChainLayout.key_weights are no more than the 1 + (q**k - 1)/(q - 1)
+        lines, else a dict by mask (module docstring).  Counts that do not
+        sum to q**k raise SelfCheckError."""
+        q, total = self.field.q, self.codeword_count
         lines = 1 + (total - 1) // (q - 1)
-        # there are at least as many keys as grid points, so a larger grid needs no keys
-        if layout.size > lines or 1 << layout.key_weights()[0] > lines:
+        # keys are never fewer than grid points, so a grid larger than the lines settles
+        # the rule off the chain lengths, with no layout built
+        if prod(len(chain) + 1 for chain in poset.chain_partition()) > lines or 1 << poset.chain_layout().key_weights()[0] > lines:
             stream = self.support_batches(poset, lines=True)
             first = next(stream, [])
             census = Counter(first)
@@ -344,9 +300,9 @@ class LinearCode:
                 census[first[0]] -= q - 2
             counted = sum(census.values())
         else:
-            bits, weights = layout.key_weights()
-            stream = self._support_batches(self._images(poset), True, weights)
-            counts, step = [0] * (1 << bits), q - 1
+            layout = poset.chain_layout()
+            stream = self._support_batches(self._images(poset), True, layout.key_tables())
+            counts, step = [0] * (1 << layout.key_weights()[0]), q - 1
             first = next(stream, [])
             for key in first:
                 counts[key] += step
@@ -356,25 +312,24 @@ class LinearCode:
                 for key in batch:
                     counts[key] += step
             # a key off the grid drops out here, and the sum below refuses it
-            census = [counts[key] for key in layout.grid_keys(weights)]
+            census = [counts[key] for key in layout.grid_keys()]
             counted = sum(census)
         if counted != total:
             raise SelfCheckError(f"enumerate census: {counted} words counted, not q^k = {total}")
         return census
 
-    def _support_batches(self, images: Sequence[int], lines: bool, weights: Sequence[int] | None = None) -> Iterator[list[int]]:
+    def _support_batches(self, images: Sequence[int], lines: bool, keys: tuple[int, list] | None = None) -> Iterator[list[int]]:
         F, q, n = self.field, self.field.q, self.n
         packed = _PackedWords(F, n)
         slot, size = (n * packed.stride + 7) // 8, (n + 7) // 8
-        tables = _byte_tables(images, slot, packed.stride, size)
-        if weights is None:
+        tables = byte_tables(images, slot, packed.stride, size)
+        if keys is None:
             width, key_tables = size, None
             limb, kind = (4, "I") if size <= 4 else (8, "Q")
         else:
-            # a closure goes out as its key, the sum of its elements' weights, at most
-            # the full set's: one more translate per closure byte and key byte
-            width = (sum(weights).bit_length() + 7) // 8
-            key_tables = _byte_tables(weights, size, 1, width, sums=True)
+            # a closure goes out as its key, (width, tables) of ChainLayout.key_tables:
+            # one more translate per closure byte and key byte
+            width, key_tables = keys
             limb, kind = (2, "H") if width <= 2 else (4, "I")
         # closures, or keys, go out as records of `limbs` native ints of `limb`
         # bytes: byte o sits at byte o ^ flip of its record, flip reversing
@@ -382,50 +337,21 @@ class LinearCode:
         limbs = -(-width // limb)
         record, flip = limb * limbs, 0 if sys.byteorder == "little" else limb - 1
 
-        def reader(span: bytes, reads: int) -> Callable[[Sequence[int]], list[int]]:
-            """The closure planes, one int per closure byte, of a group of words:
-            for each word b, the span's words XOR b's slot, the words in turn;
-            `reads` words in all."""
-            count = len(span) // slot
-            if count < _LANE_WORDS or reads < _LANE_WORDS or len(span) > _LANE_BYTES:
-                # one XOR of the whole span per word, then a translate per lane
-                words, ones = int.from_bytes(span, "little"), int.from_bytes((b"\1" + bytes(slot - 1)) * count, "little")
-
-                def read(group: Sequence[int]) -> list[int]:
-                    data = b"".join((words ^ b * ones).to_bytes(len(span), "little") if b else span for b in group)
-                    out = [0] * size
-                    for j, reached in enumerate(tables):
-                        lane = data[j::slot]
-                        for o, table in reached:
-                            out[o] |= int.from_bytes(lane.translate(table), "little")
-                    return out
-
-                return read
-            # lane j XOR byte j of b, translated, is a translation of lane j kept per
-            # (table, byte): the group's bytes at j pick the pieces to join
-            parts = [(j, o, _Lane(span[j::slot], table).__getitem__) for j, reached in enumerate(tables) for o, table in reached]
-
-            def read(group: Sequence[int]) -> list[int]:
-                slots = b"".join(b.to_bytes(slot, "little") for b in group)
-                out = [0] * size
-                for j, o, lane in parts:
-                    out[o] |= int.from_bytes(b"".join(map(lane, slots[j::slot])), "little")
-                return out
-
-            return read
-
-        def closures(read: Callable[[Sequence[int]], list[int]], group: Sequence[int], count: int) -> list[int]:
-            bytewise = read(group)
-            count *= len(group)
+        def closures(data: bytes, count: int) -> list[int]:
+            planes = [0] * size
+            for j, reached in enumerate(tables):
+                lane = data[j::slot]
+                for o, table in reached:
+                    planes[o] |= int.from_bytes(lane.translate(table), "little")
             if key_tables is not None:
                 coded = [0] * width
-                for plane, reached in zip(bytewise, key_tables):
+                for plane, reached in zip(planes, key_tables):
                     lane = plane.to_bytes(count, "little")
                     for o, table in reached:
                         coded[o] |= int.from_bytes(lane.translate(table), "little")
-                bytewise = coded
+                planes = coded
             out = bytearray(count * record)
-            for o, plane in enumerate(bytewise):
+            for o, plane in enumerate(planes):
                 out[o ^ flip :: record] = plane.to_bytes(count, "little")
             values = memoryview(out).cast(kind).tolist()
             if limbs == 1:
@@ -442,13 +368,16 @@ class LinearCode:
             # over GF(2) every word is its line, so the full stream's batches are the line batches;
             # span() puts the words whose last nonzero digit is 1, at row i, in [q**i, 2 * q**i)
             first = bytes(slot) + b"".join(low[q**i * slot : 2 * q**i * slot] for i in range(half))
-            yield closures(reader(first, 1), [0], len(first) // slot)
+            yield closures(first, len(first) // slot)
             high = [b for i in range(self.k - half) for b in high[q**i : 2 * q**i]]
-        count, read = len(low) // slot, reader(low, len(high))
+        count = len(low) // slot
+        words = int.from_bytes(low, "little")
+        ones = int.from_bytes((b"\1" + bytes(slot - 1)) * count, "little")
         # a short low span shares one closures() call among several high words
         group = -(-_GROUP_WORDS // count)
         for at in range(0, len(high), group):
-            values = closures(read, high[at : at + group], count)
+            data = b"".join((words ^ b * ones).to_bytes(len(low), "little") for b in high[at : at + group])
+            values = closures(data, len(data) // slot)
             for i in range(0, len(values), count):
                 yield values[i : i + count]
 

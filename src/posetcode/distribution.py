@@ -17,8 +17,11 @@ enumerate
     lines, one more translate per closure byte and key byte turns each
     closure into its key, a list by key counts the keys, and the census
     is read off by grid index; else a Counter counts the closure masks.
-    distribution and the report read the census as the tally gives it,
-    sizes by grid index from bitset.digit_sums.  Counts that do not sum
+    support_census and distribution take the census by mask either way;
+    the enumerate report and the zeta fills (LinearCode.closure_tally)
+    read the dense one by grid index, sizes from bitset.digit_sums.  A
+    grid larger than the line count settles the rule off the chain
+    lengths, with no layout built.  Counts that do not sum
     to q**k raise SelfCheckError.  It never lists the ideals of P and
     never reads the rank table, so it is the independent oracle for the
     other method.  The enumerate report classifies off the zeta of this
@@ -96,7 +99,7 @@ from .code import MAX_ENUMERATION, LinearCode
 from .errors import SelfCheckError
 from .hierarchy import _key_table, _primal_minima, _profile_ok, _require_compatible, ideal_sizes
 from .matroid import _digit_masks, _zeta
-from .poset import ChainLayout, Poset
+from .poset import Poset
 
 MDS_LABEL = "MDS"
 NMDS_LABEL = "NMDS"
@@ -155,29 +158,24 @@ def _moebius(poset: Poset, dims: bytes, k: int, q: int) -> dict[int, int]:
     return census if size == 1 << layout.n else dict(zip(map(layout.ideal, census), census.values()))
 
 
-def _tally(code: LinearCode, poset: Poset, method: str) -> dict[int, int] | list[int]:
-    """support_census, but the enumerate census as LinearCode.closure_tally
-    takes it: a list by grid index where it is dense."""
-    if method != "enumerate":
-        return support_census(code, poset, method)
-    _require_compatible(code, poset)
-    return code.closure_tally(poset)
-
-
 def distribution(code: LinearCode, poset: Poset, method: str = "enumerate") -> tuple[int, ...]:
     """Weight distribution (A_0, ..., A_n): the support census summed by ideal size."""
-    return _by_size(_tally(code, poset, method), poset.chain_layout())
+    return _by_size(support_census(code, poset, method), poset.n)
 
 
-def _by_size(census: dict[int, int] | list[int], layout: ChainLayout) -> tuple[int, ...]:
-    """The census, a dict by mask or a list by grid index, summed by size."""
-    counts = [0] * (layout.n + 1)
-    if isinstance(census, list):
-        for size, count in zip(digit_sums(layout.lengths), census):
-            counts[size] += count
-    else:
-        for ideal, count in census.items():
-            counts[ideal.bit_count()] += count
+def _by_size(census: dict[int, int], n: int) -> tuple[int, ...]:
+    counts = [0] * (n + 1)
+    for ideal, count in census.items():
+        counts[ideal.bit_count()] += count
+    return tuple(counts)
+
+
+def _by_index(census: list[int], lengths: Sequence[int]) -> tuple[int, ...]:
+    """_by_size for a census by grid index (LinearCode.closure_tally), |S_x|
+    the digit sum of x."""
+    counts = [0] * (sum(lengths) + 1)
+    for size, count in zip(digit_sums(lengths), census):
+        counts[size] += count
     return tuple(counts)
 
 
@@ -411,10 +409,15 @@ def distribution_report(code: LinearCode, poset: Poset, method: str = "enumerate
     take the census first, so the enumeration cap and a poisoned census
     table are refused before anything is classified.
     """
+    if method == "enumerate":
+        _require_compatible(code, poset)
+        census, layout = code.closure_tally(poset), poset.chain_layout()
+        table = _zeta(layout, census, code.field.q, code.k)
+        counts = _by_size(census, poset.n) if isinstance(census, dict) else _by_index(census, layout.lengths)
+        return DistributionReport(counts, method, _classify(code, layout.in_mask_order(table)))
     if method != "closed-form":
-        census, layout = _tally(code, poset, method), poset.chain_layout()
-        table = _zeta(layout, census, code.field.q, code.k) if method == "enumerate" else code.matroid.census_dims(poset)
-        return DistributionReport(_by_size(census, layout), method, _classify(code, layout.in_mask_order(table)))
+        census, layout = support_census(code, poset, method), poset.chain_layout()
+        return DistributionReport(_by_size(census, poset.n), method, _classify(code, layout.in_mask_order(code.matroid.census_dims(poset))))
     cls_ = classify(code, poset)
     if cls_.label == OTHER_LABEL:
         raise ValueError(

@@ -34,7 +34,7 @@ from itertools import accumulate, compress
 from pathlib import Path
 from typing import TypeVar
 
-from .bitset import MAX_GROUND, bits_of
+from .bitset import MAX_GROUND, bits_of, byte_tables
 
 T = TypeVar("T")
 
@@ -43,7 +43,7 @@ class Poset:
     """Immutable poset; construct via from_cover_relations, chain, antichain,
     or directly from per-element downset masks."""
 
-    __slots__ = ("n", "below", "_ideals", "_closures", "_layout")
+    __slots__ = ("n", "below", "_ideals", "_closures", "_chains", "_layout")
 
     def __init__(self, n: int, below: Iterable[int]) -> None:
         if not 1 <= n <= MAX_GROUND:
@@ -67,6 +67,7 @@ class Poset:
         self.below = below
         self._ideals: tuple[int, ...] | None = None
         self._closures: tuple[list[int], list[int], list[int]] | None = None
+        self._chains: tuple[tuple[int, ...], ...] | None = None
         self._layout: ChainLayout | None = None
 
     # -- constructors --------------------------------------------------
@@ -188,15 +189,16 @@ class Poset:
                     stack.append((j + 1, mask | (1 << e), extend(state, e)))
             yield mask, state
 
-    def chain_layout(self) -> ChainLayout:
-        """J(P) laid out on a minimum chain partition of P; cached on first use.
+    def chain_partition(self) -> tuple[tuple[int, ...], ...]:
+        """A minimum chain partition of P, bottom-up chains ordered by least
+        element; cached on first use.
 
         A maximum matching of each element to one below it (augmenting
         paths) leaves width(P) elements matched to none below (Fulkerson's
         proof of Dilworth's theorem, 1956), each the bottom of a chain up
         the matching.  On a disjoint union of chains it pairs covers only.
         """
-        if self._layout is None:
+        if self._chains is None:
             below, n = self.below, self.n
             up, down = [-1] * n, [-1] * n
 
@@ -215,7 +217,13 @@ class Poset:
             for chain in chains:
                 while up[chain[-1]] >= 0:
                     chain.append(up[chain[-1]])
-            self._layout = ChainLayout(below, chains)
+            self._chains = tuple(sorted(map(tuple, chains), key=min))
+        return self._chains
+
+    def chain_layout(self) -> ChainLayout:
+        """J(P) laid out on chain_partition(); cached on first use."""
+        if self._layout is None:
+            self._layout = ChainLayout(self.below, self.chain_partition())
         return self._layout
 
     def ideals(self) -> tuple[int, ...]:
@@ -284,7 +292,7 @@ class ChainLayout:
     reversed, so complementing an ideal reverses its index.
     """
 
-    __slots__ = ("n", "below", "chains", "lengths", "size", "_weight", "_up", "_split", "_low", "_high", "_at_low", "_at_high", "_flags", "_order", "_keys")
+    __slots__ = ("n", "below", "chains", "lengths", "size", "_weight", "_up", "_split", "_low", "_high", "_at_low", "_at_high", "_flags", "_order", "_keys", "_grid_keys", "_key_tables")
 
     def __init__(self, below: Sequence[int], chains: Iterable[Iterable[int]]) -> None:
         self.n = n = len(below)
@@ -310,6 +318,8 @@ class ChainLayout:
         self._flags: bytes | None | tuple = ()
         self._order: tuple[tuple[int, ...], list[int] | None] | None = None
         self._keys: tuple[int, list[int]] | None = None
+        self._grid_keys: list[int] | None = None
+        self._key_tables: tuple[int, list[list[tuple[int, bytes]]]] | None = None
 
     def index(self, ideal: int) -> int:
         """The index of S_x, such as an ideal (the last low set is the low chains whole)."""
@@ -345,13 +355,26 @@ class ChainLayout:
             self._keys = bits, weights
         return self._keys
 
-    def grid_keys(self, weights: Sequence[int]) -> list[int]:
-        """The sum of the weights over S_x at every index: additive over the
-        chains, so built like bitset.digit_sums, a chain at a time."""
-        keys = [0]
-        for chain in self.chains:
-            keys = [key + step for step in accumulate((weights[e] for e in chain), initial=0) for key in keys]
-        return keys
+    def grid_keys(self) -> list[int]:
+        """The key of S_x at every index: additive over the chains, so built
+        like bitset.digit_sums, a chain at a time.  Cached on first use."""
+        if self._grid_keys is None:
+            weights, keys = self.key_weights()[1], [0]
+            for chain in self.chains:
+                keys = [key + step for step in accumulate((weights[e] for e in chain), initial=0) for key in keys]
+            self._grid_keys = keys
+        return self._grid_keys
+
+    def key_tables(self) -> tuple[int, list[list[tuple[int, bytes]]]]:
+        """(width, tables): the keys' width in bytes, enough for the full set's,
+        and per mask byte bitset.byte_tables' (o, T), T[v] byte o of the key
+        of the elements set in v there, the sum of their weights.  Cached on
+        first use."""
+        if self._key_tables is None:
+            weights = self.key_weights()[1]
+            width = (sum(weights).bit_length() + 7) // 8
+            self._key_tables = width, byte_tables(weights, (self.n + 7) // 8, 1, width, sums=True)
+        return self._key_tables
 
     def step(self, e: int, field: bytes) -> tuple[int, int]:
         """(stride_c, packed fields) for e the t-th element of chain c: field
@@ -388,7 +411,8 @@ class ChainLayout:
             for e in bits_of(down ^ 1 << f):
                 above[e] |= 1 << f
         opposite = Poset(self.n, above)
-        opposite._layout = ChainLayout(above, (chain[::-1] for chain in self.chains))
+        opposite._chains = tuple(chain[::-1] for chain in self.chains)
+        opposite._layout = ChainLayout(above, opposite._chains)
         opposite._layout._flags = self._flags if self._flags in ((), None) else self._flags[::-1]
         return opposite
 

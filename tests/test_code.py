@@ -207,7 +207,7 @@ def test_compact_keys_are_injective_on_the_grid():
         layout = poset.chain_layout()
         bits, weights = layout.key_weights()
         assert bits == key_bits(layout), poset
-        keys = layout.grid_keys(weights)
+        keys = layout.grid_keys()
         assert len(keys) == layout.size and len(set(keys)) == layout.size, poset
         assert max(keys) < 1 << bits
         for at in rng.sample(range(layout.size), min(layout.size, 300)):
@@ -225,9 +225,10 @@ def test_key_stream_sums_the_weights_of_each_closure():
         k_max = max(k for k in range(1, 9) if q**k <= 5000)
         for poset in posets[5:10] + rng.sample(posets, 3):
             code = random_full_rank(rng, q, poset.n, rng.randint(1, min(k_max, poset.n)))
-            weights = poset.chain_layout().key_weights()[1]
+            layout = poset.chain_layout()
+            weights = layout.key_weights()[1]
             closures = [s for batch in code.support_batches(poset, lines=True) for s in batch]
-            keys = [key for batch in code._support_batches(poset.below, True, weights) for key in batch]
+            keys = [key for batch in code._support_batches(poset.below, True, layout.key_tables()) for key in batch]
             assert keys == [sum(weights[e] for e in bits_of(s)) for s in closures], (q, poset)
 
 
@@ -249,25 +250,19 @@ def test_dense_tally_serves_exactly_where_the_keys_are_no_more_than_the_lines():
     assert served == {False, True}
 
 
-@pytest.mark.parametrize("lane_words, lane_bytes", [(1 << 30, 0), (1, 1 << 30)], ids=["xor", "lanes"])
-def test_each_reader_of_the_low_span_gives_the_stream(monkeypatch, lane_words, lane_bytes):
-    # every span read by one XOR per word, or by translations kept per byte value (_Lane)
-    import posetcode.code as code_module
+def test_a_grid_larger_than_the_lines_builds_no_layout():
+    # the rule reads the grid size off the chain partition: under NRT 12 x 2, 3^12 grid
+    # points against 2^6 lines, and the 24-antichain, the census lays nothing out, and
+    # the Counter's census is the codewords' closures
+    from test_poset import chain_union
 
-    monkeypatch.setattr(code_module, "_LANE_WORDS", lane_words)
-    monkeypatch.setattr(code_module, "_LANE_BYTES", lane_bytes)
-    rng = random.Random(32)
-    for q in PACKING_FIELDS:
-        k_max = max(k for k in range(1, 9) if q**k <= 5000)
-        for n, k in ((rng.choice([9, 13, 17, 24]), k_max), (rng.randint(2, 8), 1), (24, min(3, k_max))):
-            code, poset = random_full_rank(rng, q, n, k), random_poset(rng, n)
-            closures = [poset.ideal_closure(support_mask(w)) for w in code.codewords()]
-            assert [s for batch in code.support_batches(poset) for s in batch] == closures, (q, n, k)
-            lines = [s for batch in code.support_batches(poset, lines=True) for s in batch]
-            assert Counter({s: (q - 1) * c for s, c in Counter(lines[1:]).items()}) + Counter({0: 1}) == Counter(closures)
-            weights = poset.chain_layout().key_weights()[1]
-            keys = [key for batch in code._support_batches(poset.below, True, weights) for key in batch]
-            assert keys == [sum(weights[e] for e in bits_of(s)) for s in lines], (q, n, k)
+    rng = random.Random(33)
+    for poset in (chain_union(rng, [2] * 12), Poset.antichain(24)):
+        code = random_full_rank(rng, 2, 24, 6)
+        assert code.closure_counts(poset) == Counter(poset.ideal_closure(support_mask(w)) for w in code.codewords())
+        assert poset._layout is None
+        # the layout, built later, lies on the same chains
+        assert poset.chain_layout().chains == poset.chain_partition()
 
 
 def test_support_batches_refuse_a_poset_of_another_length():

@@ -335,13 +335,12 @@ def counter_census(code, poset):
 def dense_census(code, poset):
     """The enumerate census by a list over the keys of the key stream, read off the grid."""
     q, layout = code.field.q, poset.chain_layout()
-    bits, weights = layout.key_weights()
-    flat = [key for batch in code._support_batches(poset.below, True, weights) for key in batch]
-    counts = [0] * (1 << bits)
+    flat = [key for batch in code._support_batches(poset.below, True, layout.key_tables()) for key in batch]
+    counts = [0] * (1 << layout.key_weights()[0])
     for key in flat[1:]:
         counts[key] += q - 1
     counts[flat[0]] += 1
-    return {layout.ideal(at): counts[key] for at, key in enumerate(layout.grid_keys(weights)) if counts[key]}
+    return {layout.ideal(at): counts[key] for at, key in enumerate(layout.grid_keys()) if counts[key]}
 
 
 @pytest.mark.parametrize("q", PACKING_FIELDS)
@@ -379,10 +378,12 @@ def test_dense_census_refuses_a_corrupted_record(monkeypatch):
     codes = [(random_full_rank(rng, q, 7, 5), nrt7) for q in (2, 3, 4)] + [(random_full_rank(rng, 3, 4, 4), nrt4)]
     assert all(isinstance(code.closure_tally(poset), list) for code, poset in codes)
 
-    def moved(self, images, lines, weights=None):
+    full = {poset.below: poset.chain_layout().grid_keys()[-1] for _, poset in codes}
+
+    def moved(self, images, lines, keys=None):
         # the zero word's closure reported as the full set: no word inside the empty set
-        batches = [list(batch) for batch in honest(self, images, lines, weights)]
-        batches[0][0] = sum(weights)
+        batches = [list(batch) for batch in honest(self, images, lines, keys)]
+        batches[0][0] = full[images]
         return iter(batches)
 
     monkeypatch.setattr(LinearCode, "_support_batches", moved)
@@ -393,8 +394,8 @@ def test_dense_census_refuses_a_corrupted_record(monkeypatch):
             distribution_report(code, poset, "enumerate")
 
     # key 3 of nrt4 counts three elements of the chain 1 < 2: off the grid
-    def off(self, images, lines, weights=None):
-        batches = [list(batch) for batch in honest(self, images, lines, weights)]
+    def off(self, images, lines, keys=None):
+        batches = [list(batch) for batch in honest(self, images, lines, keys)]
         batches[-1][-1] = 3
         return iter(batches)
 
