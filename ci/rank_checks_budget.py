@@ -4,10 +4,11 @@
 
 For a seeded random full-rank binary [16,8] code and GF(4) [14,7] code it
 fills the rank and dual-rank tables, runs check_rank_axioms and
-check_complement_rank_identity on every subset, and compares the three
-ways of RankProfile.shortened_dim_three_ways on every mask.  Then it runs
-run_selftest(0, 200).  It prints the time of each step and exits 1 if any
-check fails; the time budget is the timeout around it.
+check_complement_rank_identity on every subset, times the null-space
+solver's table (LinearCode.shorten_dims) on its own, and compares the
+three ways of RankProfile.shortened_dim_three_ways on every mask.  Then
+it runs run_selftest(0, 200).  It prints the time of each step and exits
+1 if any check fails; the time budget is the timeout around it.
 
 It uses only the public API, so pointing PYTHONPATH at another checkout's
 src/ times that checkout's checks on the same codes.
@@ -54,6 +55,7 @@ def main() -> int:
         identity = timed(f"{name} complement identity", lambda: check_complement_rank_identity(profile))
         if not identity.passed:
             failed.append(f"{name}: identity fails at mask {identity.witness:#x}")
+        timed(f"{name} null-space solver table", code.shorten_dims)
         triples = timed(
             f"{name} shortened-dimension triple",
             lambda: [profile.shortened_dim_three_ways(mask) for mask in range(1 << n)],

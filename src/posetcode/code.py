@@ -54,7 +54,8 @@ either way.
 shorten(J) solves for the messages whose codewords vanish outside J:
 from the identity basis, one kernel step per coordinate c outside J
 meets the kernel so far with the hyperplane (mG)_c = 0.  shorten_dims
-runs the same step depth first over every subset, one step each.
+runs the same step depth first over every complement whose kernel is
+not yet empty: the kernel only shrinks as the complement grows.
 
 Text format for code files (parse_code / format_code):
 
@@ -424,15 +425,21 @@ class LinearCode:
         return len(rows), tuple(tuple(row[self.k :]) for row in rows)
 
     def shorten_dims(self) -> bytes:
-        """shorten(J)[0] for every subset mask J, from one depth-first walk
-        over the complements S of J, one kernel step per subset.  Entries
-        start at 255, so a subset the walk misses shows as a wrong dimension."""
+        """shorten(J)[0] for every subset mask J, from one depth-first walk over
+        the complements S of J, one kernel step per S, stopping below an empty
+        kernel: it only shrinks as S grows, so entries start at 0, and a subset
+        the walk misses with a nonempty kernel shows as a wrong dimension."""
         if self.n > TABLE_LIMIT:
             raise ValueError(f"all-subsets tables need n <= {TABLE_LIMIT}, got n={self.n}")
-        full = (1 << self.n) - 1
-        dims = bytearray(b"\xff" * (full + 1))
-        for outside, rows in Poset.antichain(self.n).walk_ideals(self._meet_hyperplane, self._kernel_root()):
+        n, full = self.n, (1 << self.n) - 1
+        dims = bytearray(full + 1)
+        stack = [(0, 0, self._kernel_root())]
+        while stack:
+            first, outside, rows = stack.pop()
             dims[full ^ outside] = len(rows)
+            for c in range(first, n):
+                if below := self._meet_hyperplane(rows, c):
+                    stack.append((c + 1, outside | 1 << c, below))
         return bytes(dims)
 
     def dualize(self) -> LinearCode:
@@ -475,11 +482,15 @@ def parse_code(text: str) -> LinearCode:
             except ValueError:
                 raise ValueError(f"line {lineno}: non-integer header field in {raw!r}") from None
             continue
-        for tok in parts:
-            try:
-                entries.append(int(tok))
-            except ValueError:
-                raise ValueError(f"line {lineno}: matrix entry {tok!r} is not an integer") from None
+        try:
+            entries += map(int, parts)
+        except ValueError:
+            # name the first token int() refuses
+            for tok in parts:
+                try:
+                    int(tok)
+                except ValueError:
+                    raise ValueError(f"line {lineno}: matrix entry {tok!r} is not an integer") from None
     if header is None:
         raise ValueError("missing header line 'q <q> n <n> k <k>'")
     assert q is not None and n is not None and k is not None

@@ -90,7 +90,7 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterator, Sequence
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from itertools import combinations
 from math import comb
 
@@ -211,7 +211,7 @@ class Classification:
 
     def as_dict(self) -> dict:
         # fields in declaration order, the witness tuples as lists
-        return {name: list(v) if isinstance(v, tuple) else v for name, v in asdict(self).items()}
+        return {f.name: list(v) if isinstance(v := getattr(self, f.name), tuple) else v for f in fields(self)}
 
 
 def _column_conditions(code: LinearCode) -> bool | None:

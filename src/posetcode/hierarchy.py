@@ -58,7 +58,7 @@ hierarchy of the dualized code under the dual poset.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from itertools import combinations, product
 
 from .bitset import subset_sizes, to_elements
@@ -204,8 +204,9 @@ def _key_table(code: LinearCode, table: tuple[Sequence[int], bytes]) -> tuple[Se
     key = (
         int.from_bytes(dims.translate(scale), "little") + int.from_bytes(ideal_sizes(ideals), "little")
     ).to_bytes(len(dims), "little")
-    # a byte decodes back to its dim exactly when it names a pair
-    decoded = key.translate(bytes(b // (n - k + 1) for b in range(256)))
+    # a byte decodes back to its dim, b // step by runs of step bytes, exactly when it names a pair
+    step = n - k + 1
+    decoded = key.translate(b"".join(bytes([d]) * step for d in range(-(-256 // step)))[:256])
     if decoded != dims:
         i = next(i for i, (got, dim) in enumerate(zip(decoded, dims)) if got != dim)
         raise SelfCheckError(
@@ -344,7 +345,7 @@ class DualityPartition:
 
     def as_dict(self) -> dict:
         # fields in declaration order, every tuple as a list
-        return {name: list(v) if isinstance(v, tuple) else v for name, v in asdict(self).items()}
+        return {f.name: list(v) if isinstance(v := getattr(self, f.name), tuple) else v for f in fields(self)}
 
 
 def duality_partition(code: LinearCode, poset: Poset) -> DualityPartition:

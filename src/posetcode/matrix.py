@@ -6,8 +6,8 @@ zero-column matrices are legal (they arise as parity checks of the full
 space and as column restrictions to the empty set), which is why the
 constructor takes an explicit column count when no rows are given.
 
-The constructor checks every entry, and the vector products check their
-vector once on entry; row reduction and the products themselves then run
+The constructor checks every entry, a row at once, and the vector products
+check their vector once on entry; row reduction and the products then run
 on the field's unchecked row operations.  Matrices derived from a checked
 one (echelon form, column restriction, null-space basis) are built
 without the entry checks.
@@ -16,6 +16,7 @@ without the entry checks.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from itertools import repeat
 
 from .bitset import bits_of
 from .field import GF
@@ -33,8 +34,7 @@ class Matrix:
         for r in rows:
             if len(r) != ncols:
                 raise ValueError(f"row of length {len(r)} in a matrix with {ncols} columns")
-            for a in r:
-                field.check(a)
+            _check_entries(field, r)
         self.field = field
         self.nrows = len(rows)
         self.ncols = ncols
@@ -118,7 +118,7 @@ class Matrix:
             v = [0] * self.ncols
             v[f] = 1
             for i, pc in enumerate(pivots):
-                v[pc] = F.neg(R.rows[i][f])
+                v[pc] = F._neg[R.rows[i][f]]
             out.append(v)
         return Matrix._unchecked(self.field, out, self.ncols)
 
@@ -134,11 +134,17 @@ class Matrix:
         return f"Matrix({self.field!r}, {self.nrows}x{self.ncols})"
 
 
+def _check_entries(field: GF, row: Sequence[int]) -> None:
+    """field.check on every entry, a row at once; one by one only to name a bad entry."""
+    if row and not (all(map(isinstance, row, repeat(int))) and 0 <= min(row) and max(row) < field.q):
+        for a in row:
+            field.check(a)
+
+
 def _check_vector(field: GF, v: Sequence[int], length: int, against: str) -> None:
     if len(v) != length:
         raise ValueError(f"vector of length {len(v)} against {length} {against}")
-    for a in v:
-        field.check(a)
+    _check_entries(field, v)
 
 
 def row_times_matrix(v: Sequence[int], M: Matrix) -> tuple[int, ...]:

@@ -28,14 +28,17 @@ keeps:
              J <= S_x, so the prefix sum over the grid of the enumerate
              census (LinearCode.closure_counts) counts at x the codewords
              whose support closes into S_x: q^(dim C^I) at an ideal I, a
-             power of q everywhere.  zeta_dims places the census in
-             byte-aligned little-endian fields of one int T and runs one
-             packed prefix sum per chain c and digit t = 1..s_c,
+             power of q everywhere.  zeta_dims places the census by byte
+             planes in byte-aligned little-endian fields of one int T and
+             runs one packed prefix sum per chain c and digit t = 1..s_c,
              T += (T & M) << (w * stride_c), where M (_digit_masks)
              selects the w-bit fields whose digit c is t - 1: n steps, no
-             elimination.  C-perp's stream under the opposite poset serves
-             as well as C's: reversing its table complements the index,
-             and dim C^A = |A| - (n - k) + dim C-perp^(complement A).  The
+             elimination.  A field whose top byte names no power is
+             refused; wider fields are also rebuilt from their names and
+             compared, as a lower byte can be wrong.  C-perp's stream under
+             the opposite poset serves as well as C's: reversing its table
+             complements the index, and
+             dim C^A = |A| - (n - k) + dim C-perp^(complement A).  The
              shorter stream serves, C's own on a tie, when it is no longer
              than the grid and within MAX_ENUMERATION;
       walk   every other case: grid_ranks on the parity-check columns
@@ -95,6 +98,7 @@ from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
+from operator import sub
 
 from .bitset import digit_sums, subset_sizes, to_fields
 from .code import MAX_ENUMERATION, TABLE_LIMIT, LinearCode, _PackedWords
@@ -199,13 +203,18 @@ def _zeta(layout: ChainLayout, census: dict[int, int] | list[int], q: int, k: in
     exceeds, so none carries.  A sum not a power of q raises SelfCheckError."""
     size, wb = layout.size, ((q**k).bit_length() + 7) // 8
     if isinstance(census, list):
-        counts = b"".join(map(int.to_bytes, census, repeat(wb), repeat("little")))
+        counts = bytes(census) if wb == 1 else b"".join(map(int.to_bytes, census, repeat(wb), repeat("little")))
     else:
+        # under the antichain the index is the mask; one assignment per entry and byte plane
+        at_index = census.items() if size == 1 << layout.n else list(zip(map(layout.index, census), census.values()))
         counts = bytearray(size * wb)
-        # under the antichain the index is the mask
-        at_index = census.items() if size == 1 << layout.n else zip(map(layout.index, census), census.values())
-        for at, count in at_index:
-            counts[at * wb : (at + 1) * wb] = count.to_bytes(wb, "little")
+        for j in range(wb):
+            plane = counts if wb == 1 else bytearray(size)
+            for at, count in at_index:
+                plane[at] = count >> 8 * j & 255
+            if wb > 1:
+                counts[j::wb] = plane
+        del plane
     table = int.from_bytes(counts, "little")
     # each buffer below is |J(P)| fields long: drop it once read, to bound the peak at n = 24
     del counts
@@ -214,27 +223,27 @@ def _zeta(layout: ChainLayout, census: dict[int, int] | list[int], q: int, k: in
         table += (table & mask) << w * stride
     data = table.to_bytes(size * wb, "little")
     del table, mask
-    # log_q: the top nonzero byte of q^d, with its plane, names d.  One
-    # translate per byte plane, from the top; a lower plane's names fill
-    # in only where no higher plane named one (name d + 1, 0 for none).
-    powers = [0] + [q**d for d in range(k + 1)]
+    # log_q: the top nonzero byte of q^d, with its plane, names d (255 for
+    # none).  One translate per byte plane, from the top; a lower plane's
+    # names fill in only where no higher plane named one.
+    powers = [q**d for d in range(k + 1)]
     for j in reversed(range(wb)):
-        tops = bytearray(256)
-        for name, power in enumerate(powers):
+        logs = bytearray(b"\xff" * 256)
+        for d, power in enumerate(powers):
             if 0 < power >> 8 * j < 256:
-                tops[power >> 8 * j] = name
-        named = data[j::wb].translate(tops)
+                logs[power >> 8 * j] = d
+        named = data[j::wb].translate(logs)
         if j < wb - 1:
-            named = int.from_bytes(named, "little") & int.from_bytes(names.translate(b"\xff" + bytes(255)), "little")
-            named = (named | int.from_bytes(names, "little")).to_bytes(size, "little")
+            named = int.from_bytes(named, "little") | int.from_bytes(names.translate(b"\xff" * 255 + b"\0"), "little")
+            named = (named & int.from_bytes(names, "little")).to_bytes(size, "little")
         names = named
-    # and every field must be exactly the power it names
-    at = names.find(0)
-    if at < 0 and (rebuilt := to_fields(names, powers, wb)) != data:
+    # and every field must be exactly the power it names: find has refused every other one-byte field
+    at = names.find(255)
+    if at < 0 and wb > 1 and (rebuilt := to_fields(names, powers, wb)) != data:
         at = next(i for i in range(size) if rebuilt[i * wb : (i + 1) * wb] != data[i * wb : (i + 1) * wb])
     if at >= 0:
         raise SelfCheckError(f"zeta fill: the codewords inside subset {layout.ideal(at):#x} are not a power of q")
-    return names.translate(b"\xff" + bytes(range(255)))
+    return names
 
 
 def zeta_dims(code, poset: Poset) -> bytes:
@@ -246,13 +255,15 @@ def zeta_dims(code, poset: Poset) -> bytes:
 class RankProfile:
     """Rank tables of one code's columns; see the module docstring."""
 
+    # the columns of G and H, built when a walk first reads them
+    _gen_cols = cached_property(lambda self: _columns(self.code.generator))
+    _par_cols = cached_property(lambda self: _columns(self.code.parity))
+
     def __init__(self, code) -> None:
         self.code = code
         self.n = code.n
         self.k = code.k
         self.full = (1 << code.n) - 1
-        self._gen_cols = _columns(code.generator)
-        self._par_cols = _columns(code.parity)
         self._walks: dict[Poset, bytes] = {}
         self._fills: dict[tuple[Poset, bool], bytes] = {}
 
@@ -315,9 +326,8 @@ class RankProfile:
 
     @cached_property
     def _dual_table(self) -> list[int]:
-        # rank_H(A) = |A| - dim C^A, read off the antichain's shortened dimensions
-        masks, dims = self.shortened_dims(Poset.antichain(self.n))
-        return [mask.bit_count() - dim for mask, dim in zip(masks, dims)]
+        # rank_H(A) = |A| - dim C^A, read off the antichain's shortened dimensions, by mask
+        return list(map(sub, subset_sizes(self.n), self.shortened_dims(Poset.antichain(self.n))[1]))
 
     @cached_property
     def _solver_dims(self) -> bytes:

@@ -471,6 +471,16 @@ def test_parse_code_errors():
         parse_code("q 6 n 2 k 1\n1 0\n")  # 6 is not a prime power
 
 
+def test_parse_code_names_the_first_token_int_refuses_with_its_line():
+    # int() takes "1_0", so the first refused token is "x"
+    with pytest.raises(ValueError) as err:
+        parse_code("q 3 n 3 k 1\n1 1_0 x\n")
+    assert str(err.value) == "line 2: matrix entry 'x' is not an integer"
+    with pytest.raises(ValueError) as err:
+        parse_code("q 2 n 3 k 3\n1 0 0\n\n# a comment\n0 1 0  # x\n0 0.5 z\n")
+    assert str(err.value) == "line 6: matrix entry '0.5' is not an integer"
+
+
 def test_load_code(tmp_path):
     f = tmp_path / "c.code"
     f.write_text("q 3 n 3 k 2\n1 0 2\n0 1 1\n")

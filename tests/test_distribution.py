@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import json
 import random
 from collections import Counter
+from dataclasses import fields
 from math import comb
 from pathlib import Path
 
@@ -24,6 +26,7 @@ from posetcode.distribution import (
     support_census,
 )
 from posetcode.field import gf
+from posetcode.hierarchy import duality_partition
 from posetcode.matrix import Matrix
 from posetcode.poset import Poset, load_poset
 from test_code import PACKING_FIELDS, random_full_rank
@@ -477,6 +480,17 @@ def test_classification_fixtures():
 
     d = c.as_dict()
     assert d["label"] == "other" and d["d2"] is None and d["d2_witness"] is None
+
+
+def test_result_dicts_hold_every_field_in_declaration_order():
+    # a field added later cannot drop out of the JSON
+    for result in (duality_partition(PAIR, Poset.antichain(4)), classify(PAIR, Poset.antichain(4)), classify(REP3, Poset.chain(3))):
+        d = result.as_dict()
+        assert list(d) == [f.name for f in fields(result)]
+        for name, value in d.items():
+            field = getattr(result, name)
+            assert value == (list(field) if isinstance(field, tuple) else field) and not isinstance(value, tuple)
+        assert json.loads(json.dumps(d)) == d
 
 
 def test_mds_distribution_fixtures():

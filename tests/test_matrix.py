@@ -120,3 +120,31 @@ def test_shape_and_field_errors():
         row_times_matrix((1, 0, 1), A)
     with pytest.raises(ValueError):
         matrix_times_col(A, (1,))
+
+
+class _Index:
+    """Usable as an index, but not an int, so not a field element."""
+
+    def __index__(self) -> int:
+        return 1
+
+
+@pytest.mark.parametrize("q", [3, 256])
+def test_rows_are_checked_at_once_and_the_first_bad_entry_named(q):
+    F = gf(q)
+    for bad in (1.0, -1, q, 256, "1", _Index()):
+        message = f"{bad!r} is not an element of GF({q})"
+        # rows before it pass; in its own row it comes before another bad entry
+        for rows in ([(1, 2, 0), (0, bad, 2)], [(0, 1, 2), (2, bad, q + 7)]):
+            with pytest.raises(ValueError) as err:
+                Matrix(F, rows)
+            assert str(err.value) == message
+        with pytest.raises(ValueError) as err:
+            row_times_matrix((1, bad), Matrix(F, [(1, 0), (0, 1)]))
+        assert str(err.value) == message
+
+
+def test_bools_are_elements():
+    M = Matrix(gf(3), [(True, 0, 2), (False, True, 1)])
+    assert M.rows == ((1, 0, 2), (0, 1, 1))
+    assert Matrix(gf(2), [(True, False)]).rank() == 1

@@ -5,10 +5,11 @@ from pathlib import Path
 
 import pytest
 
-from posetcode.code import LinearCode
+from posetcode.code import LinearCode, load_code
+from posetcode.distribution import classify
 from posetcode.errors import SelfCheckError
 from posetcode.field import gf
-from posetcode.hierarchy import weight_hierarchy
+from posetcode.hierarchy import duality_partition, weight_hierarchy
 from posetcode.matrix import Matrix
 from posetcode.poset import Poset, load_poset
 from posetcode.matroid import (
@@ -307,6 +308,19 @@ def test_shortened_dims_takes_zeta_fill_only_where_it_serves(monkeypatch):
     above.matroid.shortened_dims(anti)
     above.matroid.shortened_dims(Poset.chain(6))
     assert len(calls) == 2
+
+
+def test_a_fill_only_call_builds_no_columns():
+    data, anti = Path(__file__).parent / "data", Poset.antichain(14)
+    for call in (duality_partition, classify):
+        code = load_code(data / "rand14.code")
+        call(code, anti)
+        # C's own zeta fill serves a binary [14,7] code under the antichain
+        assert (code.n, code.k, code.field.q) == (14, 7, 2) and code.matroid._fills
+        assert "_gen_cols" not in vars(code.matroid) and "_par_cols" not in vars(code.matroid)
+    code = load_code(data / "rand14.code")
+    code.matroid.walked_dims(anti)
+    assert "_par_cols" in vars(code.matroid) and "_gen_cols" not in vars(code.matroid)
 
 
 def test_dual_zeta_fill_matches_walk_on_every_ideal():

@@ -125,6 +125,34 @@ def test_wrong_solver_entry_fails_the_triple_with_its_mask(monkeypatch):
         assert failure.detail == f"triple ({dim}, {dim}, {dim + 1}) at mask 0x3"
 
 
+def test_a_solver_walk_that_skips_a_nonempty_kernel_fails_the_triple_at_its_mask(monkeypatch):
+    from posetcode.field import gf
+    from posetcode.selftest import _check_rank_structure, _Session
+
+    code = LinearCode.from_generator(gf(3), [(1, 0, 2, 1, 1), (0, 1, 1, 2, 1)])
+    mask = (1 << (code.n - 1)) - 1  # every coordinate but the last
+    dim = code.shorten(mask)[0]
+    honest, skipped = LinearCode._meet_hyperplane, []
+
+    def skipping(self, rows, c):
+        below = honest(self, rows, c)
+        # the first step onto the last coordinate leaves the root for a leaf of the
+        # walk, the complement {n}: dropping its kernel skips that one subset
+        if c == self.n - 1 and not skipped:
+            skipped.append(len(below))
+            return ()
+        return below
+
+    monkeypatch.setattr(LinearCode, "_meet_hyperplane", skipping)
+    report = SelfTestReport(seed=0, trials=1)
+    _check_rank_structure(_Session(report), code)
+    assert skipped == [dim] and dim > 0
+    assert [(f.check, f.detail) for f in report.failures] == [
+        ("shortened-dim-triple", f"triple ({dim}, {dim}, 0) at mask {mask:#x}")
+    ]
+    assert report.counts == {"rank-axioms": 1, "complement-identity": 1}
+
+
 def test_antichain_check_names_the_first_bad_word():
     # handed a chain for the antichain, the check must report the first
     # codeword in stream order whose poset weight is not its Hamming weight
