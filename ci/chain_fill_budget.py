@@ -78,10 +78,10 @@ def main() -> int:
 
     # the oracle: the same scans over the table of the rank walk
     started = time.perf_counter()
-    walked = code.matroid.walked_dims(poset)
-    ideals, key = _key_table(code, walked)
-    primal, dual = _primal_minima(ideals, key, poset.n, K), _dual_minima(ideals, key, poset.n, K)
-    label = _classify(code, walked)
+    layout, walked = poset.chain_layout(), code.matroid.walked_dims(poset)
+    key = _key_table(code, layout, walked)
+    primal, dual = _primal_minima(layout, key, poset.n, K), _dual_minima(layout, key, poset.n, K)
+    label = _classify(code, layout, walked)
     print(f"walk and scan in-process: {time.perf_counter() - started:.2f} s")
 
     problems = []

@@ -10,8 +10,9 @@ every ideal, and with RankProfile.walked_dims of the code H checks,
 which runs the grid walk that stops going up a chain at full rank.
 Every ideal must come once from ideal_ranks, the rank of a fixed sample
 of ideals must equal Matrix.rank of the columns it indexes, and
-walked_dims must equal |I| - rank_H(I) from ideal_ranks byte for byte,
-else the script exits 1.  It prints, per field and poset, the best of
+walked_dims, a table by grid index, must hold |I| - rank_H(I) from
+ideal_ranks at the index of every ideal (ChainLayout.index), else the
+script exits 1.  It prints, per field and poset, the best of
 nine times in ms of each walk (ideal_ranks, then walked_dims) and the
 best of their ratios to a fixed pure-Python loop timed right before and
 after each walk (/ref): a shared host can run the same process at half
@@ -20,7 +21,8 @@ milliseconds do between runs.
 
 It calls only ideal_ranks and walked_dims of the walk machinery, so
 pointing PYTHONPATH at another checkout's src/ times that checkout's
-walks on the same matrices.
+walks on the same matrices (one whose walked_dims returns bytes by grid
+index).
 """
 
 from __future__ import annotations
@@ -91,7 +93,8 @@ def main() -> int:
             # the code whose parity-check rows span those of H; a fresh profile per run
             code = LinearCode.from_generator(gf(q), mat.rows).dualize()
             profiles = iter([RankProfile(code) for _ in range(REPEATS)])
-            (ideals, dims), grid_best, grid_relative = timed(lambda: next(profiles).walked_dims(poset))
+            dims, grid_best, grid_relative = timed(lambda: next(profiles).walked_dims(poset))
+            layout = poset.chain_layout()
             where = f"q={q} NRT {chains}x{length}"
             if len(ranks) != (length + 1) ** chains:
                 print(f"{where}: {len(ranks)} ideals walked", file=sys.stderr)
@@ -101,7 +104,7 @@ def main() -> int:
                 if ranks[ideal] != expected:
                     print(f"{where}: rank {ranks[ideal]} != {expected} at {ideal:#x}", file=sys.stderr)
                     failures += 1
-            if list(ideals) != sorted(ranks) or dims != bytes(ideal.bit_count() - ranks[ideal] for ideal in ideals):
+            if len(dims) != layout.size or any(dims[layout.index(ideal)] != ideal.bit_count() - rank for ideal, rank in ranks.items()):
                 print(f"{where}: walked_dims differs from ideal_ranks", file=sys.stderr)
                 failures += 1
             cells.append(f"{1000 * best:13.2f}{relative:6.2f}{1000 * grid_best:9.2f}{grid_relative:6.2f}")

@@ -7,13 +7,13 @@ output are 1-based.
 
 Tables over a family of subsets keep one byte per subset in a bytes
 object, read without a Python loop over the entries: bytes.find and
-rfind name the first or last entry holding a value, and
-bytes.translate maps or deletes values.  to_fields widens such a table
-into little-endian fields of several bytes, one translate per byte
-plane, for packed int arithmetic on all entries at once.  byte_tables
-builds the translate tables that map a byte of a bit string to a byte
-of the OR, or the sum, of images of the bits set in it: the support
-stream's closures and the compact keys of poset.ChainLayout.
+rfind name the first or last entry holding a value (find_all each in
+turn), and bytes.translate maps or deletes values.  to_fields widens
+such a table into little-endian fields of several bytes, one translate
+per byte plane, for packed int arithmetic on all entries at once.
+byte_tables builds the translate tables that map a byte of a bit string
+to a byte of the OR, or the sum, of images of the bits set in it: the
+support stream's closures and the compact keys of poset.ChainLayout.
 """
 
 from __future__ import annotations
@@ -79,6 +79,14 @@ def digit_sums(lengths: Sequence[int]) -> bytes:
             top = top.translate(_PLUS_ONE)
             sums += top
     return sums
+
+
+def find_all(table: bytes, value: int) -> Iterator[int]:
+    """Every index of the table holding value, ascending, one bytes.find each."""
+    at = table.find(value)
+    while at >= 0:
+        yield at
+        at = table.find(value, at + 1)
 
 
 def to_fields(table: bytes, values: Sequence[int], width: int) -> bytearray:

@@ -70,7 +70,8 @@ disjoint union of chains of lengths s_c, else one walk over J(P)
 counts it), the window W the ideals with g(J) != 0, and
 a_J the number of minimal elements of P - J: J is I less some maximal
 elements of I for exactly C(a_J, r - |J|) ideals I of size r.  W is read
-off RankProfile.census_dims by translate and find.  It is empty for MDS
+off RankProfile.census_dims by index, at the ideals only, by translate
+and find; only its entries are mapped to masks.  It is empty for MDS
 codes, whose table is never read: dim C^J = 0 below size n - k + 1, and
 as d_{r+1} > d_r every d_r sits at the Singleton bound n - k + r.  For
 NMDS codes d_2 = n - k + 2 leaves in W only ideals of size d = n - k
@@ -94,12 +95,12 @@ from dataclasses import dataclass, fields
 from itertools import combinations
 from math import comb
 
-from .bitset import digit_sums, mask_from_positions, to_elements, to_fields
+from .bitset import digit_sums, find_all, mask_from_positions, to_elements, to_fields
 from .code import MAX_ENUMERATION, LinearCode
 from .errors import SelfCheckError
-from .hierarchy import _key_table, _primal_minima, _profile_ok, _require_compatible, ideal_sizes
+from .hierarchy import _key_table, _primal_minima, _profile_ok, _require_compatible
 from .matroid import _digit_masks, _zeta
-from .poset import Poset
+from .poset import ChainLayout, Poset
 
 MDS_LABEL = "MDS"
 NMDS_LABEL = "NMDS"
@@ -120,10 +121,12 @@ def support_census(code: LinearCode, poset: Poset, method: str = "moebius") -> d
 
 def _census_table(code: LinearCode, poset: Poset) -> bytes:
     """RankProfile.census_dims, with SelfCheckError for a dim above k at an ideal."""
-    dims, k = code.matroid.census_dims(poset), code.k
-    ideals, at_ideals = poset.chain_layout().in_mask_order(dims)
-    if (bad := at_ideals.translate(bytes(k + 1).ljust(256, b"\1")).find(1)) >= 0:
-        raise SelfCheckError(f"Moebius census: shortened dimension {at_ideals[bad]} > k = {k} at subset {ideals[bad]:#x}")
+    dims, k, layout = code.matroid.census_dims(poset), code.k, poset.chain_layout()
+    over = dims.translate(bytes(k + 1).ljust(256, b"\1"))
+    if layout.flags is not None:
+        over = (int.from_bytes(over, "little") & int.from_bytes(layout.flags, "little")).to_bytes(layout.size, "little")
+    if (bad := over.find(1)) >= 0:
+        raise SelfCheckError(f"Moebius census: shortened dimension {dims[bad]} > k = {k} at subset {layout.ideal(bad):#x}")
     return dims
 
 
@@ -151,10 +154,7 @@ def _moebius(poset: Poset, dims: bytes, k: int, q: int) -> dict[int, int]:
     # a field is nonzero exactly when subtracting 1 from it keeps its guard bit
     nonzero = ((table - (guards >> w - 1)) & guards).to_bytes(size * wb, "little")[wb - 1 :: wb]
     data = table.to_bytes(size * wb, "little")
-    census, at = {}, nonzero.find(0x80)
-    while at >= 0:
-        census[at] = int.from_bytes(data[at * wb : (at + 1) * wb], "little") - guard
-        at = nonzero.find(0x80, at + 1)
+    census = {at: int.from_bytes(data[at * wb : (at + 1) * wb], "little") - guard for at in find_all(nonzero, 0x80)}
     return census if size == 1 << layout.n else dict(zip(map(layout.ideal, census), census.values()))
 
 
@@ -237,14 +237,14 @@ def _column_conditions(code: LinearCode) -> bool | None:
 def classify(code: LinearCode, poset: Poset) -> Classification:
     """Decide MDS / NMDS / other from d_1 (and d_2 when it exists)."""
     _require_compatible(code, poset)
-    return _classify(code, code.matroid.shortened_dims(poset))
+    return _classify(code, poset.chain_layout(), code.matroid.shortened_dims(poset))
 
 
-def _classify(code: LinearCode, table: tuple[Sequence[int], bytes]) -> Classification:
-    """classify off a table of RankProfile.shortened_dims already in hand."""
+def _classify(code: LinearCode, layout: ChainLayout, dims: bytes) -> Classification:
+    """classify off a table of RankProfile.shortened_dims on the layout already in hand."""
     n, k, q = code.n, code.k, code.field.q
-    ideals, key = _key_table(code, table)
-    minima = _primal_minima(ideals, key, n, k)
+    key = _key_table(code, layout, dims)
+    minima = _primal_minima(layout, key, n, k)
     d1, w1 = minima[0]
     d2, w2 = minima[1] if k >= 2 else (None, None)
     label = OTHER_LABEL
@@ -294,17 +294,17 @@ def _closed_form_counts(code: LinearCode, poset: Poset, d1: int) -> list[int]:
         counts[r] += count * _ideal_term(r, m, n - k, q)
     if d1 > n - k:
         return counts
-    ideals, dims = poset.chain_layout().in_mask_order(_census_table(code, poset))
-    sizes = ideal_sizes(ideals)
+    layout, dims = poset.chain_layout(), _census_table(code, poset)
+    sizes = digit_sums(layout.lengths)
     floor = sizes.translate(bytes(max(0, s - (n - k)) for s in range(256)))
-    # the window: a nonzero byte wherever dim C^J differs from D(|J|)
-    flags = int.from_bytes(dims, "little") ^ int.from_bytes(floor, "little")
-    flags = flags.to_bytes(len(dims), "little").translate(b"\0" + b"\1" * 255)
+    # the window: 1 at every ideal where dim C^J differs from D(|J|)
+    differs = int.from_bytes(dims, "little") ^ int.from_bytes(floor, "little")
+    differs = differs.to_bytes(layout.size, "little").translate(b"\0" + b"\1" * 255)
+    if layout.flags is not None:
+        differs = (int.from_bytes(differs, "little") & int.from_bytes(layout.flags, "little")).to_bytes(layout.size, "little")
     window: Counter[tuple[int, int, int]] = Counter()
-    at = flags.find(1)
-    while at >= 0:
-        window[sizes[at], _minimal_outside(poset, ideals[at]).bit_count(), q ** dims[at] - q ** floor[at]] += 1
-        at = flags.find(1, at + 1)
+    for at in find_all(differs, 1):
+        window[sizes[at], _minimal_outside(poset, layout.ideal(at)).bit_count(), q ** dims[at] - q ** floor[at]] += 1
     for (size, a, g), count in window.items():
         for r in range(size, size + a + 1):
             counts[r] += (-1) ** (r - size) * comb(a, r - size) * g * count
@@ -414,10 +414,10 @@ def distribution_report(code: LinearCode, poset: Poset, method: str = "enumerate
         census, layout = code.closure_tally(poset), poset.chain_layout()
         table = _zeta(layout, census, code.field.q, code.k)
         counts = _by_size(census, poset.n) if isinstance(census, dict) else _by_index(census, layout.lengths)
-        return DistributionReport(counts, method, _classify(code, layout.in_mask_order(table)))
+        return DistributionReport(counts, method, _classify(code, layout, table))
     if method != "closed-form":
         census, layout = support_census(code, poset, method), poset.chain_layout()
-        return DistributionReport(_by_size(census, poset.n), method, _classify(code, layout.in_mask_order(code.matroid.census_dims(poset))))
+        return DistributionReport(_by_size(census, poset.n), method, _classify(code, layout, code.matroid.census_dims(poset)))
     cls_ = classify(code, poset)
     if cls_.label == OTHER_LABEL:
         raise ValueError(

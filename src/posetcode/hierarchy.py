@@ -25,16 +25,19 @@ ideal-scan
         key(I) = (n - k + 1) dim C^I + rank_H(I) = (n - k) dim C^I + |I|.
 
     It is built from the flat table of shortened dimensions
-    (RankProfile.shortened_dims: ascending ideal masks and an aligned
-    bytes object, from a zeta fill or the rank walk) by one translate,
-    one int add and one to_bytes, and read with bytes.find, rfind and
-    translate, with no Python loop over the ideals.  d_r = r + t for the
-    smallest t such that the byte of the pair (r, t) occurs, and
-    key.find gives the first ideal, by mask, that holds it.  The scan
-    asks for dim C^I = r exactly and still gives the definitional
-    minimum over dim C^I >= r: at size d_r no ideal has dim C^I > r,
-    or d_{r+1} <= d_r.  The profile checks of classify delete the
-    allowed pairs with translate and must be left with nothing.
+    (RankProfile.shortened_dims, by index on the grid of P's chain
+    partition, poset.ChainLayout) by one translate, one int add of the
+    sizes |S_x| (bitset.digit_sums) and one to_bytes; off the ideals one
+    OR makes the byte 0xff, which names no pair.  It is read with
+    bytes.find, rfind and translate, with no Python loop over the ideals.
+    d_r = r + t for the smallest t such that the byte of the pair (r, t)
+    occurs, and the witness is the least ideal mask holding it: the
+    first find where index order is mask order (ChainLayout.mask_ordered),
+    else the least over every occurrence.  The scan asks for
+    dim C^I = r exactly and still gives the definitional minimum over
+    dim C^I >= r: at size d_r no ideal has dim C^I > r, or
+    d_{r+1} <= d_r.  The profile checks of classify delete the allowed
+    pairs and 0xff with translate and must be left with nothing.
     Restricting the minimum to ideals is exact: replacing any subset by
     its ideal closure keeps the objective value while the shortened
     dimension can only grow.
@@ -49,22 +52,22 @@ dim C^I = |I| - rank_H(I) = k - rank_G(P - I): the ideals of the
 opposite poset are the complements P - I, and the dual code shortened
 on P - I has dimension n - k - rank_H(I).  So d'_s = k + s - g for the
 largest g such that the byte of the pair (g, n - k - s) occurs, and
-key.rfind gives the largest ideal I holding it, whose complement is
-the smallest ideal of the opposite poset.  The dual code is never
-built; the test suite and the acceptance gate compare d'_s with the
-hierarchy of the dualized code under the dual poset.
+the largest ideal mask I holding it (rfind where index order is mask
+order) has as complement the smallest ideal of the opposite poset.
+The dual code is never built; the test suite and the acceptance gate
+compare d'_s with the hierarchy of the dualized code under the dual
+poset.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from itertools import combinations, product
 
-from .bitset import subset_sizes, to_elements
+from .bitset import digit_sums, find_all, to_elements
 from .code import LinearCode
 from .errors import SelfCheckError
-from .poset import Poset
+from .poset import ChainLayout, Poset
 
 ORACLE_WORD_CAP = 1 << 16
 ORACLE_SUBSPACE_CAP = 1 << 20
@@ -182,67 +185,70 @@ def min_weight_bruteforce(
     return best_weight, tuple(code.codeword(row) for row in best_rows)
 
 
-def ideal_sizes(ideals: Sequence[int]) -> bytes:
-    """Byte table of |I| aligned with the ideals of a shortened-dimension table."""
-    if isinstance(ideals, range):
-        # the antichain: every mask below 2**n, in order
-        return subset_sizes(len(ideals).bit_length() - 1)
-    return bytes(map(int.bit_count, ideals))
-
-
-def _key_table(code: LinearCode, table: tuple[Sequence[int], bytes]) -> tuple[Sequence[int], bytes]:
-    """(ideals, key): the ideals of a table of RankProfile.shortened_dims, in
-    ascending mask order, and key(I) = (n - k + 1) dim C^I + rank_H(I) of
-    each (module docstring).  SelfCheckError where a dim byte names no
-    pair: dim C^I > k, or rank_H(I) outside 0..n-k."""
-    n, k = code.n, code.k
-    ideals, dims = table
+def _key_table(code: LinearCode, layout: ChainLayout, dims: bytes) -> bytes:
+    """key(I) = (n - k + 1) dim C^I + rank_H(I) by index from a table of
+    RankProfile.shortened_dims on the layout, 0xff off the ideals (module
+    docstring).  SelfCheckError where a dim byte at an ideal names no pair:
+    dim C^I > k, or rank_H(I) outside 0..n-k."""
+    n, k, size = code.n, code.k, layout.size
     # No borrow and no carry: the key is (n - k) dim + |I| with dims above k
     # scaled to 0, so no byte of the sum exceeds (n - k) k + n <= 168 for
     # n <= 24, and the add never spills from one ideal into the next.
     scale = bytes((n - k) * d for d in range(k + 1)).ljust(256, b"\0")
-    key = (
-        int.from_bytes(dims.translate(scale), "little") + int.from_bytes(ideal_sizes(ideals), "little")
-    ).to_bytes(len(dims), "little")
-    # a byte decodes back to its dim, b // step by runs of step bytes, exactly when it names a pair
+    key = int.from_bytes(dims.translate(scale), "little") + int.from_bytes(digit_sums(layout.lengths), "little")
+    if layout.flags is not None:
+        # 0xff off the ideals, in the key and in the dims it must decode to
+        off = int.from_bytes(layout.flags.translate(b"\xff" + bytes(255)), "little")
+        key, dims = key | off, (int.from_bytes(dims, "little") | off).to_bytes(size, "little")
+    key = key.to_bytes(size, "little")
+    # a byte decodes back to its dim, b // step by runs of step bytes, exactly when it names a pair; 0xff to itself
     step = n - k + 1
-    decoded = key.translate(b"".join(bytes([d]) * step for d in range(-(-256 // step)))[:256])
+    decoded = key.translate(b"".join(bytes([d]) * step for d in range(-(-256 // step)))[:255] + b"\xff")
     if decoded != dims:
         i = next(i for i, (got, dim) in enumerate(zip(decoded, dims)) if got != dim)
         raise SelfCheckError(
-            f"shortened dimension {dims[i]} at ideal {ideals[i]:#x} is not a pair with "
+            f"shortened dimension {dims[i]} at ideal {layout.ideal(i):#x} is not a pair with "
             f"dim <= k = {k} and 0 <= |I| - dim <= n - k = {n - k}"
         )
-    return ideals, key
+    return key
 
 
-def _primal_minima(ideals: Sequence[int], key: bytes, n: int, k: int) -> list[tuple[int, int]]:
-    """(d_r, witness ideal) for r = 1..k: the first ideal, by mask, holding
-    the pair (r, t) for the smallest t."""
+def _witness(layout: ChainLayout, key: bytes, at: int, pick=min) -> int:
+    """pick (min, or max) of the masks of the ideals whose key is key[at],
+    at the first index holding it (the last, for max): that index's own
+    where index order is mask order, else over every occurrence."""
+    if layout.mask_ordered:
+        return layout.ideal(at)
+    return pick(map(layout.ideal, find_all(key, key[at])))
+
+
+def _primal_minima(layout: ChainLayout, key: bytes, n: int, k: int) -> list[tuple[int, int]]:
+    """(d_r, witness ideal) for r = 1..k: the smallest ideal mask holding the
+    pair (r, t) for the smallest t."""
     step = n - k + 1
     out = []
     for r in range(1, k + 1):
         for t in range(step):
             i = key.find(step * r + t)
             if i >= 0:
-                out.append((r + t, ideals[i]))
+                out.append((r + t, _witness(layout, key, i)))
                 break
         else:
             raise SelfCheckError(f"no ideal has shortened dimension {r} although k={k}")
     return out
 
 
-def _dual_minima(ideals: Sequence[int], key: bytes, n: int, k: int) -> list[tuple[int, int]]:
+def _dual_minima(layout: ChainLayout, key: bytes, n: int, k: int) -> list[tuple[int, int]]:
     """(d'_s, witness ideal of the opposite poset) for s = 1..n-k: the
-    complement of the last ideal, by mask, holding the pair
-    (g, n - k - s) for the largest g."""
+    complement of the largest ideal mask holding the pair (g, n - k - s)
+    for the largest g."""
     step, full = n - k + 1, (1 << n) - 1
     out = []
     for s in range(1, n - k + 1):
         for g in range(k, -1, -1):
             i = key.rfind(step * g + n - k - s)
             if i >= 0:
-                out.append((k + s - g, full ^ ideals[i]))
+                out.append((k + s - g, full ^ _witness(layout, key, i, max)))
                 break
         else:
             raise SelfCheckError(f"no ideal has dual shortened dimension {s} although n-k={n - k}")
@@ -251,13 +257,13 @@ def _dual_minima(ideals: Sequence[int], key: bytes, n: int, k: int) -> list[tupl
 
 def _profile_ok(key: bytes, n: int, k: int, want) -> bool:
     """dim C^J == want(|J|) on every ideal J, skipping sizes where want gives
-    None: the key table holds no byte outside the allowed pairs."""
+    None: the key table holds no byte outside the allowed pairs and 0xff."""
     allowed = bytes(
         (n - k + 1) * dim + size - dim
         for size in range(n + 1)
         for dim in range(max(0, size - n + k), min(k, size) + 1)
         if want(size) in (None, dim)
-    )
+    ) + b"\xff"
     return not key.translate(None, allowed)
 
 
@@ -270,7 +276,8 @@ def min_weight_ideal_scan(code: LinearCode, poset: Poset, r: int) -> tuple[int, 
     _require_compatible(code, poset)
     if not 1 <= r <= code.k:
         raise ValueError(f"subcode dimension {r} outside 1..{code.k}")
-    return _primal_minima(*_key_table(code, code.matroid.shortened_dims(poset)), code.n, code.k)[r - 1]
+    layout = poset.chain_layout()
+    return _primal_minima(layout, _key_table(code, layout, code.matroid.shortened_dims(poset)), code.n, code.k)[r - 1]
 
 
 @dataclass(frozen=True)
@@ -309,7 +316,8 @@ def weight_hierarchy(
     """All k minimum weights, verified against the structural invariants."""
     _require_compatible(code, poset)
     if method == METHOD_IDEAL_SCAN:
-        minima = _primal_minima(*_key_table(code, code.matroid.shortened_dims(poset)), code.n, code.k)
+        layout = poset.chain_layout()
+        minima = _primal_minima(layout, _key_table(code, layout, code.matroid.shortened_dims(poset)), code.n, code.k)
         weights = [w for w, _ in minima]
         witnesses = [to_elements(mask) for _, mask in minima]
     elif method == METHOD_BRUTEFORCE:
@@ -355,10 +363,11 @@ def duality_partition(code: LinearCode, poset: Poset) -> DualityPartition:
         raise ValueError("duality needs a proper subspace: 1 <= k <= n - 1")
     _require_compatible(code, poset)
     n, k = code.n, code.k
-    ideals, key = _key_table(code, code.matroid.shortened_dims(poset))
-    weights = tuple(d for d, _ in _primal_minima(ideals, key, n, k))
+    layout = poset.chain_layout()
+    key = _key_table(code, layout, code.matroid.shortened_dims(poset))
+    weights = tuple(d for d, _ in _primal_minima(layout, key, n, k))
     _check_window(weights, n, k)
-    dual_weights = tuple(d for d, _ in _dual_minima(ideals, key, n, k))
+    dual_weights = tuple(d for d, _ in _dual_minima(layout, key, n, k))
     _check_window(dual_weights, n, n - k)
     first = tuple(sorted(weights))
     second = tuple(sorted(n + 1 - d for d in dual_weights))

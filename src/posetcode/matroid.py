@@ -16,10 +16,10 @@ keeps:
   * per poset P, the shortened dimensions dim C^I = |I| - rank_H(I) on
     every ideal I (G generator, H parity-check matrix), as one bytes
     table by index on the grid of P's chain partition (ChainLayout),
-    meaningless off the ideals.  shortened_dims and walked_dims hand it
-    out in ascending mask order at the ideals only, as (ideals, dims)
-    (ChainLayout.in_mask_order; range(2**n) for the antichain), so scans
-    still find the smallest-mask witness.  This one table gives the
+    meaningless off the ideals: shortened_dims, walked_dims and
+    census_dims all hand it out so, and their readers take (layout, dims),
+    look at the ideals only (ChainLayout.flags) and map an index to its
+    mask where a witness needs one.  This one table gives the
     hierarchies of C under P and of the dual code under the opposite
     poset and the classification.  It has two fills, chosen by the
     instance alone:
@@ -46,7 +46,7 @@ keeps:
              rank written at its index, read off as C-perp's fill with
              n - k - rank_H(I) in place of dim C-perp.
 
-    walked_dims is the walk alone.  census_dims, by index, is C-perp's
+    walked_dims is the walk alone.  census_dims is C-perp's
     fill or the walk, never C's own stream: Moebius inversion of a zeta
     transform of the enumerate counts would give those counts back, and
     the census would stop being an oracle independent of enumeration;
@@ -267,11 +267,6 @@ class RankProfile:
         self._walks: dict[Poset, bytes] = {}
         self._fills: dict[tuple[Poset, bool], bytes] = {}
 
-    def _primal_fill(self, poset: Poset) -> bytes:
-        if (dims := self._fills.get((poset, False))) is None:
-            dims = self._fills[poset, False] = zeta_dims(self.code, poset)
-        return dims
-
     def _dims(self, layout: ChainLayout, slack: bytes) -> bytes:
         # by index, |I| + slack(I) with slack n - k - rank_H(I) = dim C-perp^(complement I) never carries
         # and less n - k is dim C^I, or 255 > k below n - k
@@ -286,26 +281,26 @@ class RankProfile:
             dims = self._fills[poset, True] = self._dims(layout, reversed_dual)
         return dims
 
-    def shortened_dims(self, poset: Poset) -> tuple[Sequence[int], bytes]:
-        """(ideals, dims): the ideals of the poset in ascending mask order and
-        dim C^I = |I| - rank_H(I) of each, by a zeta fill or the walk."""
+    def shortened_dims(self, poset: Poset) -> bytes:
+        """dim C^I = |I| - rank_H(I) by grid index, meaningless off the ideals,
+        by a zeta fill or the walk."""
         # C's own fill serves when its stream is the shorter and no longer than the grid
-        own = self.code.codeword_count <= min(poset.chain_layout().size, MAX_ENUMERATION, self.code.field.q ** (self.n - self.k))
-        return poset.chain_layout().in_mask_order(self._primal_fill(poset) if own else self.census_dims(poset))
+        if self.code.codeword_count > min(poset.chain_layout().size, MAX_ENUMERATION, self.code.field.q ** (self.n - self.k)):
+            return self.census_dims(poset)
+        if (dims := self._fills.get((poset, False))) is None:
+            dims = self._fills[poset, False] = zeta_dims(self.code, poset)
+        return dims
 
     def census_dims(self, poset: Poset) -> bytes:
         """dim C^I by grid index, meaningless off the ideals, by C-perp's zeta
         fill or the walk, never C's own stream: the Moebius census's table."""
         if self.code.field.q ** (self.n - self.k) <= min(poset.chain_layout().size, MAX_ENUMERATION):
             return self._dual_fill(poset)
-        return self._walked(poset)
+        return self.walked_dims(poset)
 
-    def walked_dims(self, poset: Poset) -> tuple[Sequence[int], bytes]:
+    def walked_dims(self, poset: Poset) -> bytes:
         """The table of shortened_dims, always filled by the rank walk on H."""
-        return poset.chain_layout().in_mask_order(self._walked(poset))
-
-    def _walked(self, poset: Poset) -> bytes:
-        # by index: grid_ranks on a disjoint union of chains, else ideal_ranks on the ideals only
+        # grid_ranks on a disjoint union of chains, else ideal_ranks on the ideals only
         if (dims := self._walks.get(poset)) is None:
             layout = poset.chain_layout()
             if layout.flags is None:
@@ -327,7 +322,7 @@ class RankProfile:
     @cached_property
     def _dual_table(self) -> list[int]:
         # rank_H(A) = |A| - dim C^A, read off the antichain's shortened dimensions, by mask
-        return list(map(sub, subset_sizes(self.n), self.shortened_dims(Poset.antichain(self.n))[1]))
+        return list(map(sub, subset_sizes(self.n), self.shortened_dims(Poset.antichain(self.n))))
 
     @cached_property
     def _solver_dims(self) -> bytes:

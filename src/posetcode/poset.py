@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import hashlib
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from itertools import accumulate, compress
+from itertools import accumulate
 from pathlib import Path
 from typing import TypeVar
 
@@ -288,11 +288,13 @@ class ChainLayout:
     b); under the antichain the index is the mask.  An ideal meets each
     chain in a prefix, so it is S_x for one x; flags marks those x, None on
     a disjoint union of chains, where the grid is J(P).  As s + 1 <= 2**s,
-    the grid has at most 2**n points.  opposite() keeps the chains, each
-    reversed, so complementing an ideal reverses its index.
+    the grid has at most 2**n points.  Where the chains, concatenated, run
+    0..n-1 upwards (mask_ordered), index order is mask order.  opposite()
+    keeps the chains, each reversed, so complementing an ideal reverses its
+    index.
     """
 
-    __slots__ = ("n", "below", "chains", "lengths", "size", "_weight", "_up", "_split", "_low", "_high", "_at_low", "_at_high", "_flags", "_order", "_keys", "_grid_keys", "_key_tables")
+    __slots__ = ("n", "below", "chains", "lengths", "size", "_weight", "_up", "_split", "_low", "_high", "_at_low", "_at_high", "_flags", "mask_ordered", "_keys", "_grid_keys", "_key_tables")
 
     def __init__(self, below: Sequence[int], chains: Iterable[Iterable[int]]) -> None:
         self.n = n = len(below)
@@ -316,7 +318,7 @@ class ChainLayout:
             self._split, self._low, self._high = strides[c], _prefix_sets(self.chains[:c], up), _prefix_sets(self.chains[c:], up)
             self._at_low, self._at_high = {s: i for i, s in enumerate(self._low)}, {s: i * strides[c] for i, s in enumerate(self._high)}
         self._flags: bytes | None | tuple = ()
-        self._order: tuple[tuple[int, ...], list[int] | None] | None = None
+        self.mask_ordered = [e for chain in self.chains for e in chain] == list(range(n))
         self._keys: tuple[int, list[int]] | None = None
         self._grid_keys: list[int] | None = None
         self._key_tables: tuple[int, list[list[tuple[int, bytes]]]] | None = None
@@ -415,21 +417,6 @@ class ChainLayout:
         opposite._layout = ChainLayout(above, opposite._chains)
         opposite._layout._flags = self._flags if self._flags in ((), None) else self._flags[::-1]
         return opposite
-
-    def in_mask_order(self, dims: bytes) -> tuple[Sequence[int], bytes]:
-        """(ideals, dims) in ascending mask order from dims by index, at the
-        ideals only; sorted unless each chain takes consecutive bits upwards."""
-        if self.size == 1 << self.n:
-            return range(self.size), dims
-        if self._order is None:
-            kept = range(self.size) if self.flags is None else list(compress(range(self.size), self.flags))
-            low, high, split = self._low, self._high, self._split
-            masks = [low[i % split] | high[i // split] for i in kept]
-            if [e for chain in self.chains for e in chain] != list(range(self.n)):
-                kept, masks = sorted(kept, key=dict(zip(kept, masks)).__getitem__), sorted(masks)
-            self._order = tuple(masks), None if isinstance(kept, range) else kept
-        ideals, order = self._order
-        return ideals, dims if order is None else bytes(map(dims.__getitem__, order))
 
 
 def _prefix_sets(chains: Sequence[Sequence[int]], up: Sequence[int]) -> list[int]:

@@ -24,9 +24,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import compress, islice
 from random import Random
 
+from .bitset import digit_sums
 from .code import LinearCode, format_code, support_mask
 from .distribution import (
     MDS_LABEL,
@@ -138,12 +139,11 @@ def _check_hierarchy(s: _Session, code: LinearCode, poset: Poset) -> None:
         scan.weights == brute.weights,
         f"scan {scan.weights} != oracle {brute.weights}",
     )
-    # the scan reads dim C^I = r exactly; the definition asks for dim C^I >= r
-    ideals, dims = code.matroid.shortened_dims(poset)
-    slack = tuple(
-        min(ideal.bit_count() for ideal, dim in zip(ideals, dims) if dim >= r)
-        for r in range(1, code.k + 1)
-    )
+    # the scan reads dim C^I = r exactly; the definition asks for dim C^I >= r, on the ideals
+    layout = poset.chain_layout()
+    on = layout.flags or b"\1" * layout.size
+    sizes, dims = bytes(compress(digit_sums(layout.lengths), on)), bytes(compress(code.matroid.shortened_dims(poset), on))
+    slack = tuple(min(compress(sizes, dims.translate(bytes(r) + b"\1" * (256 - r)))) for r in range(1, code.k + 1))
     s.expect(
         "hierarchy-exact-slack",
         slack == scan.weights,

@@ -5,7 +5,8 @@ ACCEPTANCE_LINES; the terminal-summary hook prints them in a dedicated
 section so the verdicts are visible even when stdout capture is on.
 
 The poison_first_instance fixture plants a fault for the tests of the
-self-check failure path.
+self-check failure path, and at_ideals reads a table by grid index where
+it means something.
 """
 
 from __future__ import annotations
@@ -15,6 +16,15 @@ import pytest
 from posetcode import selftest
 
 ACCEPTANCE_LINES: list[str] = []
+
+
+def at_ideals(poset, table: bytes) -> dict[int, int]:
+    """A table by grid index (RankProfile.shortened_dims, walked_dims,
+    census_dims, zeta_dims) at the ideals only, {ideal mask: entry} in
+    ascending mask order: its entries off the ideals mean nothing."""
+    layout = poset.chain_layout()
+    assert len(table) == layout.size
+    return {ideal: table[layout.index(ideal)] for ideal in poset.ideals()}
 
 
 @pytest.fixture

@@ -313,17 +313,12 @@ def test_selftest_corrupt_rank_fails_loudly(capsys, poison_first_instance):
 @pytest.mark.parametrize("command", ["hierarchy", "duality", "distribution", "classify"])
 def test_self_check_failure_prints_reproducer(capsys, monkeypatch, command):
     from posetcode.code import load_code, parse_code
-    from posetcode.poset import ChainLayout, load_poset, parse_poset
+    from posetcode.poset import load_poset, parse_poset
 
-    real = ChainLayout.in_mask_order
-
-    def flat(self, dims):
-        # every table is read in mask order; no ideal carries a nonzero
-        # shortened subcode: the scan must fail its self-check
-        ideals, dims = real(self, dims)
-        return ideals, bytes(len(dims))
-
-    monkeypatch.setattr(ChainLayout, "in_mask_order", flat)
+    # every table here is a zeta fill of an enumerate census; with every word
+    # counted in the empty set each ideal holds the whole code, and the key
+    # table's self-check must fail
+    monkeypatch.setattr(LinearCode, "closure_tally", lambda self, poset: {0: self.codeword_count})
     data = Path(__file__).resolve().parent / "data"
     code_path, poset_path = str(data / "hamming7.code"), str(data / "nrt7.poset")
     status, out, err = run_cli(capsys, command, "--code", code_path, "--poset", poset_path)
@@ -337,12 +332,27 @@ def test_self_check_failure_prints_reproducer(capsys, monkeypatch, command):
     assert parse_poset("\n".join(lines[split:])) == load_poset(poset_path)
 
 
+def poison_off_ideals(monkeypatch, source, value):
+    """Patch the RankProfile table source (shortened_dims or census_dims) to
+    hold value at every grid point that is no ideal."""
+    from posetcode.matroid import RankProfile
+
+    real = getattr(RankProfile, source)
+
+    def poisoned(self, poset):
+        flags = poset.chain_layout().flags
+        return bytes(dim if flags is None or flags[i] else value for i, dim in enumerate(real(self, poset)))
+
+    monkeypatch.setattr(RankProfile, source, poisoned)
+
+
 @pytest.mark.parametrize(
-    "index, value",
-    [(-1, 5), (-1, 0), (0, 1)],
-    ids=["dim-above-k", "rank-above-n-k", "rank-negative"],
+    "files, index, value",
+    [(("hamming7", "nrt7"), -1, 5), (("hamming7", "nrt7"), -1, 0), (("hamming7", "nrt7"), 0, 1)]
+    + [(("parity3", "v3"), -1, 3), (("parity3", "v3"), -1, 0), (("parity3", "v3"), 0, 1)],
+    ids=["dim-above-k", "rank-above-n-k", "rank-negative", "dim-above-k-v3", "rank-above-n-k-v3", "rank-negative-v3"],
 )
-def test_key_table_refuses_a_poisoned_dims_byte(capsys, monkeypatch, index, value):
+def test_key_table_refuses_a_poisoned_dims_byte(capsys, monkeypatch, files, index, value):
     from posetcode.code import load_code
     from posetcode.distribution import classify
     from posetcode.errors import SelfCheckError
@@ -350,46 +360,72 @@ def test_key_table_refuses_a_poisoned_dims_byte(capsys, monkeypatch, index, valu
     from posetcode.matroid import RankProfile
     from posetcode.poset import load_poset
 
+    data = Path(__file__).resolve().parent / "data"
+    code_path, poset_path = str(data / f"{files[0]}.code"), str(data / f"{files[1]}.poset")
+    code, poset = load_code(code_path), load_poset(poset_path)
+    entries = (weight_hierarchy, duality_partition, classify)
+    honest = [entry(code, poset) for entry in entries]
+    # v3 has a grid point that is no ideal: whatever it holds, nothing reads it
+    for off in (255, code.k + 1):
+        poison_off_ideals(monkeypatch, "shortened_dims", off)
+        assert [entry(load_code(code_path), poset) for entry in entries] == honest
+        monkeypatch.undo()
     real = RankProfile.shortened_dims
 
     def poisoned(self, poset):
-        # hamming7 is [7,4]: dim 5 > k at the full ideal, dim 0 there leaves rank_H = 7 > n - k,
-        # and dim 1 on the empty ideal makes rank_H = -1
-        ideals, dims = real(self, poset)
-        dims = bytearray(dims)
+        # the last grid point is the full ideal, the first the empty one: hamming7
+        # is [7,4] and parity3 [3,2], so dim k + 1 > k at the full ideal, dim 0
+        # there leaves rank_H = n > n - k, and dim 1 on the empty ideal makes rank_H = -1
+        dims = bytearray(real(self, poset))
         dims[index] = value
-        return ideals, bytes(dims)
+        return bytes(dims)
 
     monkeypatch.setattr(RankProfile, "shortened_dims", poisoned)
-    data = Path(__file__).resolve().parent / "data"
-    code_path, poset_path = str(data / "hamming7.code"), str(data / "nrt7.poset")
-    code, poset = load_code(code_path), load_poset(poset_path)
-    for entry in (weight_hierarchy, duality_partition, classify):
+    for entry in entries:
         with pytest.raises(SelfCheckError, match="is not a pair"):
-            entry(code, poset)
+            entry(load_code(code_path), poset)
     status, out, err = run_cli(capsys, "duality", "--code", code_path, "--poset", poset_path)
     assert status == 2 and out == ""
     assert err.startswith("self-check failed: shortened dimension")
     assert "reproducer:\n" in err and format_code(code) in err
 
 
-@pytest.mark.parametrize("index, value", [(-1, 0), (3, 5)], ids=["borrow", "dim-above-k"])
-def test_moebius_census_refuses_a_poisoned_table(capsys, monkeypatch, index, value):
+@pytest.mark.parametrize(
+    "files, index, value",
+    [(("simplex7", "antichain:7"), -1, 0), (("simplex7", "antichain:7"), 3, 5)]
+    + [(("parity3", "v3"), -1, 0), (("parity3", "v3"), 3, 5)],
+    ids=["borrow", "dim-above-k", "borrow-v3", "dim-above-k-v3"],
+)
+def test_moebius_census_refuses_a_poisoned_table(capsys, monkeypatch, files, index, value):
+    from posetcode.cli import _poset_from_arg
     from posetcode.code import load_code
+    from posetcode.distribution import _closed_form_counts, distribution, support_census
     from posetcode.matroid import RankProfile
 
+    data = Path(__file__).resolve().parent / "data"
+    code_path = str(data / f"{files[0]}.code")
+    poset_path = files[1] if ":" in files[1] else str(data / f"{files[1]}.poset")
+    code, poset = load_code(code_path), _poset_from_arg(poset_path)
+    census, counts = support_census(code, poset, "moebius"), distribution(code, poset, "enumerate")
+    # d1 = 1 makes the closed form read its window off the census table
+    assert _closed_form_counts(code, poset, 1) == list(counts)
+    for off in (255, code.k + 1):
+        poison_off_ideals(monkeypatch, "census_dims", off)
+        fresh = load_code(code_path)
+        assert support_census(fresh, poset, "moebius") == census
+        assert _closed_form_counts(fresh, poset, 1) == list(counts)
+        monkeypatch.undo()
     real = RankProfile.census_dims
 
     def poisoned(self, poset):
-        # simplex7 is [7,3], so classify reads C's own stream and only the census is poisoned;
-        # dim 0 at the full set leaves it fewer words than its subsets
+        # the report takes the census before it classifies; dim 0 at the full set leaves it
+        # fewer words than its subsets, and grid point 3 is an ideal under both posets
         dims = bytearray(real(self, poset))
         dims[index] = value
         return bytes(dims)
 
     monkeypatch.setattr(RankProfile, "census_dims", poisoned)
-    code_path = str(Path(__file__).resolve().parent / "data" / "simplex7.code")
-    status, out, err = run_cli(capsys, "distribution", "--method", "moebius", "--code", code_path, "--poset", "antichain:7")
+    status, out, err = run_cli(capsys, "distribution", "--method", "moebius", "--code", code_path, "--poset", poset_path)
     assert status == 2 and out == ""
     assert err.startswith("self-check failed: Moebius census")
     assert "reproducer:\n" in err and format_code(load_code(code_path)) in err

@@ -29,6 +29,7 @@ from posetcode.field import gf
 from posetcode.hierarchy import duality_partition
 from posetcode.matrix import Matrix
 from posetcode.poset import Poset, load_poset
+from conftest import at_ideals
 from test_code import PACKING_FIELDS, random_full_rank
 
 DATA = Path(__file__).parent / "data"
@@ -128,9 +129,9 @@ def test_moebius_census_never_streams_the_code_itself(monkeypatch):
         classify(tie, anti)
 
 
-def dict_moebius(ideals, dims, poset, q, k):
-    """The census by the Moebius dict loop over a (ideals, dims) table."""
-    census = dict(zip(ideals, (q**d for d in dims)))
+def dict_moebius(dims, poset, q, k):
+    """The census by the Moebius dict loop over a table read at the ideals (at_ideals)."""
+    census = {ideal: q**d for ideal, d in dims.items()}
     for e in reversed(poset.linear_extension()):
         bit = 1 << e
         for ideal in census:
@@ -169,16 +170,16 @@ def test_packed_census_matches_enumeration_from_both_sources(q, n, k, width):
             break
     assert (q**k).bit_length() // 8 + 1 == width
     anti = Poset.antichain(n)
-    ideals, walked = code.matroid.walked_dims(anti)
+    walked = code.matroid.walked_dims(anti)
     if q**k <= 1 << 20:
         expected = support_census(code, anti, "enumerate")
     else:
-        expected = dict_moebius(ideals, walked, anti, q, k)
+        expected = dict_moebius(at_ideals(anti, walked), anti, q, k)
     assert sum(expected.values()) == q**k
     assert _moebius(anti, walked, k, q) == expected
     dims = code.matroid.census_dims(anti)
     if q ** (n - k) <= 1 << n:
-        assert dims == walked and dims is code.matroid._dual_fill(anti)
+        assert at_ideals(anti, dims) == at_ideals(anti, walked) and dims is code.matroid._dual_fill(anti)
     assert support_census(code, anti, "moebius") == expected
 
 
@@ -189,7 +190,7 @@ def test_packed_census_refuses_a_borrow_or_a_dim_above_k(monkeypatch):
 
     code = LinearCode.from_generator(gf(3), [(1, 0, 1, 2, 0, 1), (0, 1, 1, 1, 2, 0), (0, 0, 0, 1, 1, 1)])
     anti = Poset.antichain(6)
-    dims = bytearray(code.matroid.walked_dims(anti)[1])
+    dims = bytearray(code.matroid.walked_dims(anti))
     assert _moebius(anti, bytes(dims), 3, 3) == support_census(code, anti, "enumerate")
     # the full set then holds fewer words than a subset of it
     borrow = dims.copy()
@@ -227,12 +228,12 @@ def test_grid_census_matches_the_dict_loop_and_enumeration(q):
                 continue
             code = random_full_rank(rng, q, n, k)
             expected = support_census(code, poset, "enumerate")
-            walked = code.matroid._walked(poset)
-            assert dict_moebius(*code.matroid.walked_dims(poset), poset, q, k) == expected
+            walked = code.matroid.walked_dims(poset)
+            assert dict_moebius(at_ideals(poset, walked), poset, q, k) == expected
             assert _moebius(poset, walked, k, q) == expected, (poset, q, k)
             if q ** (n - k) <= layout.size:
                 filled = code.matroid._dual_fill(poset)
-                assert layout.in_mask_order(filled) == code.matroid.walked_dims(poset)
+                assert at_ideals(poset, filled) == at_ideals(poset, walked)
                 assert _moebius(poset, filled, k, q) == expected, (poset, q, k)
             assert support_census(code, poset, "moebius") == expected
 
@@ -535,7 +536,7 @@ def per_ideal_counts(code, poset):
     ideal: the sum over the sets A of maximal elements of I of
     (-1)^|A| q^(dim C^(I - A)), read off the census table."""
     q = code.field.q
-    dim = dict(zip(*poset.chain_layout().in_mask_order(code.matroid.census_dims(poset))))
+    dim = at_ideals(poset, code.matroid.census_dims(poset))
     counts = [0] * (poset.n + 1)
     for ideal in poset.ideals():
         top = poset.maximal_elements(ideal)
@@ -566,8 +567,8 @@ def test_closed_form_counts_match_the_per_ideal_loop():
             for k in {1, n, rng.randint(1, n)}:
                 code = random_full_rank(rng, q, n, k)
                 d1 = classify(code, poset).d1
-                ideals, dims = poset.chain_layout().in_mask_order(code.matroid.census_dims(poset))
-                windows.add(sum(dim != max(0, ideal.bit_count() - (n - k)) for ideal, dim in zip(ideals, dims)))
+                dims = at_ideals(poset, code.matroid.census_dims(poset))
+                windows.add(sum(dim != max(0, ideal.bit_count() - (n - k)) for ideal, dim in dims.items()))
                 assert _closed_form_counts(code, poset, d1) == per_ideal_counts(code, poset), (poset, q, k)
     assert 0 in windows and max(windows) >= 20
 

@@ -5,7 +5,9 @@ from itertools import product
 
 import pytest
 
+from posetcode.bitset import to_elements
 from posetcode.code import LinearCode, support_mask
+from posetcode.distribution import classify
 from posetcode.errors import SelfCheckError
 from posetcode.field import gf
 from posetcode.hierarchy import (
@@ -23,6 +25,7 @@ from posetcode.hierarchy import (
 )
 from posetcode.matrix import Matrix
 from posetcode.poset import Poset
+from conftest import at_ideals
 
 
 def random_code(rng, q_choices=(2, 3, 4, 5), n_max=7, k_max=4):
@@ -120,9 +123,9 @@ def test_scan_agrees_with_bruteforce_on_random_instances():
             slow = weight_hierarchy(code, poset, METHOD_BRUTEFORCE)
             assert fast.weights == slow.weights
             # the definitional minimum over the table (dim >= r) returns the same minima
-            ideals, dims = code.matroid.shortened_dims(poset)
+            dims = at_ideals(poset, code.matroid.shortened_dims(poset))
             for r in range(1, code.k + 1):
-                w_exact, mask = min((i.bit_count(), i) for i, dim in zip(ideals, dims) if dim >= r)
+                w_exact, mask = min((i.bit_count(), i) for i, dim in dims.items() if dim >= r)
                 assert w_exact == fast.weights[r - 1]
                 assert poset.is_ideal(mask)
 
@@ -235,6 +238,49 @@ def test_duality_on_random_instances():
         assert sorted(d.first + d.second) == list(range(1, code.n + 1))
 
 
+def least_ideals(code, poset):
+    """(d_r, the smallest mask of that size with dim C^J >= r) for r = 1..k:
+    a scan over sorted(poset.ideals()), dims from the null-space solver."""
+    dims = [(ideal.bit_count(), ideal, code.shorten(ideal)[0]) for ideal in sorted(poset.ideals())]
+    return [min((size, ideal) for size, ideal, dim in dims if dim >= r) for r in range(1, code.k + 1)]
+
+
+def test_witnesses_where_index_order_is_not_mask_order():
+    # V plus isolated points, shuffled chain unions and random posets off the
+    # chain unions: grid index order is not mask order, and every witness is
+    # the smallest minimizing mask, the dual's the complement of the largest
+    from test_matroid import full_rank_code
+    from test_poset import chain_union
+    from test_poset import random_poset as any_poset
+
+    rng = random.Random(48)
+    posets = [Poset.from_cover_relations(n, [(1, 3), (2, 3)]) for n in (4, 6, 8, 10)]
+    posets += [chain_union(rng, [rng.randint(1, 3) for _ in range(rng.randint(2, 4))]) for _ in range(8)]
+    while len(posets) < 20:
+        if (poset := any_poset(rng, rng.randint(3, 9))).chain_layout().flags is not None:
+            posets.append(poset)
+    first_find_misses = 0
+    for i, poset in enumerate(posets):
+        n, layout = poset.n, poset.chain_layout()
+        k = rng.randint(1, n - 1)
+        code = full_rank_code(rng, (2, 3, 4)[i % 3], n, k)
+        primal, dual = least_ideals(code, poset), least_ideals(code.dualize(), poset.dual())
+        h, c = weight_hierarchy(code, poset), classify(code, poset)
+        assert list(zip(h.weights, h.witnesses)) == [(w, to_elements(mask)) for w, mask in primal], poset
+        assert (c.d1, c.d1_witness) == (primal[0][0], to_elements(primal[0][1]))
+        assert k == 1 or (c.d2, c.d2_witness) == (primal[1][0], to_elements(primal[1][1]))
+        key = _key_table(code, layout, code.matroid.shortened_dims(poset))
+        assert _dual_minima(layout, key, n, k) == dual, poset
+        assert duality_partition(code, poset).dual_weights == tuple(w for w, _ in dual)
+        # where the first find (last rfind) in grid order would name another mask
+        step, full = n - k + 1, (1 << n) - 1
+        first_find_misses += sum(layout.ideal(key.find(step * r + w - r)) != mask for r, (w, mask) in enumerate(primal, 1))
+        first_find_misses += sum(
+            full ^ layout.ideal(key.rfind(step * (k + s - w) + n - k - s)) != mask for s, (w, mask) in enumerate(dual, 1)
+        )
+    assert first_find_misses > 0
+
+
 def test_dual_scan_witness_is_smallest_ideal_of_opposite_poset():
     rng = random.Random(47)
     for _ in range(15):
@@ -243,8 +289,9 @@ def test_dual_scan_witness_is_smallest_ideal_of_opposite_poset():
             continue
         poset = random_poset(rng, code.n)
         dual_code, opposite = code.dualize(), poset.dual()
-        ideals, key = _key_table(code, code.matroid.shortened_dims(poset))
-        for s, (w, mask) in enumerate(_dual_minima(ideals, key, code.n, code.k), start=1):
+        layout = poset.chain_layout()
+        key = _key_table(code, layout, code.matroid.shortened_dims(poset))
+        for s, (w, mask) in enumerate(_dual_minima(layout, key, code.n, code.k), start=1):
             assert opposite.is_ideal(mask) and mask.bit_count() == w
             assert dual_code.shorten(mask)[0] == s
             # nothing of the opposite poset that is smaller, or as small with a smaller mask, qualifies

