@@ -42,7 +42,8 @@ compact keys (ChainLayout.key_weights: per mask byte and chain, a count
 of the chain's elements there) or match them, the stream hands out keys
 instead of closures, one more translate per closure byte and key byte
 (ChainLayout.key_tables) turning each closure byte into its fields, the
-planes ORed into records of 2 or 4 bytes, and a list by key counts them:
+planes ORed into records of 2 or 4 bytes, and a list by key counts them
+straight off the record buffer, a whole group of high words a batch:
 the census goes out as a list by grid index (ChainLayout.grid_keys).
 Else a Counter counts the closure masks, and the census is a dict by
 mask.  A grid larger than the line count, its size read off the chain
@@ -102,13 +103,14 @@ class _PackedWords:
 
     Digit j (base p) of coordinate i sits in bit field i*m + j, so
     coordinate i takes the c = m*w bits from bit i*c on and one shift and
-    mask reads it.  Fields are w = p.bit_length() + 1 bits wide, and
-    addition is SWAR mod p on all fields at once: s = a + b, then subtract
-    p from every field whose sum reaches p, found by adding
-    K = 2**(w-1) - p and reading the top bit H of the field.  Digits are
-    below p < 2**(w-1), so a sum is at most 2p - 2 < 2**w and a sum plus K
-    at most p - 2 + 2**(w-1) < 2**w: no field ever carries into the next,
-    for every prime p.
+    mask reads it.  Fields are w = (p - 1).bit_length() + 1 bits wide (2
+    for p = 2, so GF(2**m) words take 2m bits a coordinate), and addition
+    is SWAR mod p on all fields at once: s = a + b, then subtract p from
+    every field whose sum reaches p, found by adding K = 2**(w-1) - p >= 0
+    and reading the top bit H of the field.  Digits are at most p - 1 and
+    p <= 2**(w-1), so a sum is at most 2p - 2 < 2**w and a sum plus K at
+    most p - 2 + 2**(w-1) < 2**w: no field ever carries into the next, and
+    H is set exactly when the sum reaches p, for every prime p.
 
     Digits are canonical, so a coordinate of a + b is zero exactly when
     a and -b agree on all m of its fields, which is when its c bits of
@@ -119,7 +121,7 @@ class _PackedWords:
 
     def __init__(self, field: GF, n: int) -> None:
         p, m = field.p, field.m
-        w = p.bit_length() + 1
+        w = (p - 1).bit_length() + 1
         c = m * w
         ones = sum(1 << (f * w) for f in range(m * n))
         self.field = field
@@ -354,9 +356,10 @@ class LinearCode:
             out = bytearray(count * record)
             for o, plane in enumerate(planes):
                 out[o ^ flip :: record] = plane.to_bytes(count, "little")
-            values = memoryview(out).cast(kind).tolist()
+            values = memoryview(out).cast(kind)
             if limbs == 1:
-                return values
+                # keys fit one limb, and their tally reads them straight off the buffer
+                return values if key_tables is not None else values.tolist()
             joined = values[::limbs]
             for i in range(1, limbs):
                 joined = list(map(or_, joined, map(lshift, values[i::limbs], repeat(64 * i))))
@@ -374,13 +377,15 @@ class LinearCode:
         count = len(low) // slot
         words = int.from_bytes(low, "little")
         ones = int.from_bytes((b"\1" + bytes(slot - 1)) * count, "little")
-        # a short low span shares one closures() call among several high words
-        group = -(-_GROUP_WORDS // count)
+        # a short low span shares one closures() call among several high words; the key
+        # tally counts in any order, so it takes 16 times the words a call, as one batch
+        group = -(-(_GROUP_WORDS if key_tables is None else 16 * _GROUP_WORDS) // count)
+        batch = count if key_tables is None else group * count
         for at in range(0, len(high), group):
             data = b"".join((words ^ b * ones).to_bytes(len(low), "little") for b in high[at : at + group])
             values = closures(data, len(data) // slot)
-            for i in range(0, len(values), count):
-                yield values[i : i + count]
+            for i in range(0, len(values), batch):
+                yield values[i : i + batch]
 
     # -- derived codes -------------------------------------------------------
 

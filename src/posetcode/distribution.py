@@ -91,9 +91,9 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, fields
 from itertools import combinations
 from math import comb
+from typing import NamedTuple
 
 from .bitset import digit_sums, find_all, mask_from_positions, to_elements, to_fields
 from .code import MAX_ENUMERATION, LinearCode
@@ -179,8 +179,7 @@ def _by_index(census: list[int], lengths: Sequence[int]) -> tuple[int, ...]:
     return tuple(counts)
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     """MDS / NMDS / other verdict for one (code, poset) pair.
 
     d1 (and d2 when k >= 2) decide the label.  The three optional flags
@@ -211,7 +210,7 @@ class Classification:
 
     def as_dict(self) -> dict:
         # fields in declaration order, the witness tuples as lists
-        return {f.name: list(v) if isinstance(v := getattr(self, f.name), tuple) else v for f in fields(self)}
+        return {f: list(v) if isinstance(v, tuple) else v for f, v in zip(self._fields, self)}
 
 
 def _column_conditions(code: LinearCode) -> bool | None:
@@ -385,8 +384,7 @@ def hamming_nmds_distribution(code: LinearCode) -> tuple[int, ...]:
     return tuple(counts)
 
 
-@dataclass(frozen=True)
-class DistributionReport:
+class DistributionReport(NamedTuple):
     counts: tuple[int, ...]
     method: str
     classification: Classification

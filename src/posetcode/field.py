@@ -8,10 +8,12 @@ deterministic search (smallest encoding first), which keeps the meaning of
 every int stable across runs and machines.
 
 Every field has one representation: full q x q addition and multiplication
-tables plus negation and inverse vectors, built once at construction
-(addition digit-wise mod p, multiplication through the powers of a
-primitive element).  Fields are interned by make_field, and two GF
-instances compare equal exactly when they have the same order and modulus.
+tables plus negation and inverse vectors, built once at construction and
+a row at a time: addition digit-wise mod p (XOR for p = 2, else the low
+digit's table plus p times the table of the others), multiplication as
+the powers of a primitive element read from log a on.  Fields are
+interned by make_field, and two GF instances compare equal exactly when
+they have the same order and modulus.
 
 Element checks happen where data enters the program.  The public scalar
 operations (add, sub, mul, inv, neg, div, pow) check their arguments.  The
@@ -88,6 +90,21 @@ def _find_modulus(p: int, m: int) -> tuple[int, ...]:
     raise AssertionError("an irreducible polynomial exists for every degree")
 
 
+def _add_table(p: int, m: int) -> list[list[int]]:
+    """Digit-wise sums mod p of every pair of encodings in range(p**m),
+    built a row at a time: XOR for p = 2; for odd p, a = a_0 + p a' sums
+    as the p x p table on the low digits plus p times the GF(p**(m - 1))
+    table on the rest."""
+    q = p**m
+    if p == 2:
+        return [[a ^ b for b in range(q)] for a in range(q)]
+    low = [[(a + b) % p for b in range(p)] for a in range(p)]
+    if m == 1:
+        return low
+    rest = [[p * s for s in row] for row in _add_table(p, m - 1)]
+    return [[s + t for s in high for t in low[a]] for high in rest for a in range(p)]
+
+
 class GF:
     """The finite field GF(p**m) on int-encoded elements.
 
@@ -109,7 +126,7 @@ class GF:
         self.m = m
         self.q = q
         self.modulus = _find_modulus(p, m)
-        self._add = [[self._add_raw(a, b) for b in range(q)] for a in range(q)]
+        self._add = _add_table(p, m)
         self._neg = [row.index(0) for row in self._add]
         # the multiplicative group is cyclic: the powers exp[i] of a
         # primitive element reach every nonzero element, and log inverts them
@@ -123,25 +140,13 @@ class GF:
                 break
         self.generator = gen
         log = {y: i for i, y in enumerate(exp)}
-        self._mul = [[0] * q] + [
-            [0] + [exp[(log[a] + log[b]) % (q - 1)] for b in range(1, q)] for a in range(1, q)
-        ]
+        # row a is exp read from log[a] on, at log[b]: exp twice over needs no modulo
+        exp2, logs = exp + exp, [log[b] for b in range(1, q)]
+        self._mul = [[0] * q] + [[0, *map(exp2[log[a] :].__getitem__, logs)] for a in range(1, q)]
         # _inv[0] is a placeholder; inv() rejects 0 before reading it
         self._inv = [0] + [exp[-log[a] % (q - 1)] for a in range(1, q)]
 
     # -- construction ------------------------------------------------------
-
-    def _add_raw(self, a: int, b: int) -> int:
-        """Digit-wise sum mod p of two encodings."""
-        p = self.p
-        out = 0
-        scale = 1
-        while a or b:
-            out += (a + b) % p * scale
-            a //= p
-            b //= p
-            scale *= p
-        return out
 
     def _mul_raw(self, a: int, b: int) -> int:
         """Polynomial product of two encodings, reduced by the modulus."""

@@ -61,8 +61,8 @@ poset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from itertools import combinations, product
+from typing import NamedTuple
 
 from .bitset import digit_sums, find_all, to_elements
 from .code import LinearCode
@@ -280,8 +280,7 @@ def min_weight_ideal_scan(code: LinearCode, poset: Poset, r: int) -> tuple[int, 
     return _primal_minima(layout, _key_table(code, layout, code.matroid.shortened_dims(poset)), code.n, code.k)[r - 1]
 
 
-@dataclass(frozen=True)
-class WeightHierarchy:
+class WeightHierarchy(NamedTuple):
     """Weights d_1 < ... < d_k with per-r witnesses.
 
     For the ideal-scan method each witness is an ideal given as a 1-based
@@ -336,8 +335,7 @@ def weight_hierarchy(
     )
 
 
-@dataclass(frozen=True)
-class DualityPartition:
+class DualityPartition(NamedTuple):
     """Hierarchy of C under P against the dual code under the opposite poset.
 
     first = {d_r : 1 <= r <= k} and second = {n + 1 - d'_s : 1 <= s <= n-k}
@@ -353,7 +351,7 @@ class DualityPartition:
 
     def as_dict(self) -> dict:
         # fields in declaration order, every tuple as a list
-        return {f.name: list(v) if isinstance(v := getattr(self, f.name), tuple) else v for f in fields(self)}
+        return {f: list(v) if isinstance(v, tuple) else v for f, v in zip(self._fields, self)}
 
 
 def duality_partition(code: LinearCode, poset: Poset) -> DualityPartition:

@@ -95,10 +95,10 @@ is reported as the scalar sweep would: the smallest A, then e, then g.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Sequence
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 from operator import sub
+from typing import NamedTuple
 
 from .bitset import digit_sums, subset_sizes, to_fields
 from .code import MAX_ENUMERATION, TABLE_LIMIT, LinearCode, _PackedWords
@@ -367,8 +367,7 @@ class RankProfile:
         return via_dual, via_complement, self._solver_dims
 
 
-@dataclass(frozen=True)
-class AxiomViolation:
+class AxiomViolation(NamedTuple):
     function: str
     axiom: str
     set_a: int
@@ -379,15 +378,13 @@ class AxiomViolation:
         return f"{self.function} violates {self.axiom} at A={self.set_a:#x}{b}"
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(NamedTuple):
     n: int
     passed: bool
     violation: AxiomViolation | None
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     n: int
     passed: bool
     witness: int | None

@@ -28,7 +28,6 @@ transitively redundant pairs; format_poset writes only cover relations.
 
 from __future__ import annotations
 
-import hashlib
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import accumulate
 from pathlib import Path
@@ -248,25 +247,22 @@ class Poset:
     # -- serialization ----------------------------------------------------
 
     def cover_relations(self) -> tuple[tuple[int, int], ...]:
-        """Covering pairs (i, j), 1-based: i < j with nothing in between."""
+        """Covering pairs (i, j), 1-based: i < j with nothing in between, so
+        the strict down-set of j less the strict down-sets below it."""
+        strict = [down ^ (1 << j) for j, down in enumerate(self.below)]
         out = []
-        for j in range(self.n):
-            strict = self.below[j] ^ (1 << j)
-            for i in bits_of(strict):
-                between = strict & ~self.below[i] & ~(1 << j)
-                direct = True
-                for g in bits_of(between):
-                    if self.below[g] >> i & 1:
-                        direct = False
-                        break
-                if direct:
-                    out.append((i + 1, j + 1))
+        for j, below_j in enumerate(strict):
+            shadow = 0
+            for g in bits_of(below_j):
+                shadow |= strict[g]
+            out.extend((i + 1, j + 1) for i in bits_of(below_j & ~shadow))
         out.sort()
         return tuple(out)
 
     def digest(self) -> str:
         """Short stable identifier of the isomorphism-sensitive labeled poset."""
-        return hashlib.sha256(format_poset(self).encode()).hexdigest()[:12]
+        from hashlib import sha256  # OpenSSL loads at the first digest, not with the package
+        return sha256(format_poset(self).encode()).hexdigest()[:12]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Poset):

@@ -23,9 +23,9 @@ weight must collapse to Hamming weight.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from itertools import compress, islice
 from random import Random
+from typing import NamedTuple
 
 from .bitset import digit_sums
 from .code import LinearCode, format_code, support_mask
@@ -47,22 +47,21 @@ from .matroid import check_complement_rank_identity, check_rank_axioms
 from .poset import Poset, format_poset
 
 
-@dataclass(frozen=True)
-class Failure:
+class Failure(NamedTuple):
     check: str
     detail: str
     reproducer: str
 
 
-@dataclass
 class SelfTestReport:
-    seed: int
-    trials: int
-    counts: dict[str, int] = field(default_factory=dict)
-    failures: list[Failure] = field(default_factory=list)
-    mds_seen: int = 0
-    nmds_seen: int = 0
-    elapsed: float = 0.0
+    def __init__(self, seed: int, trials: int) -> None:
+        self.seed = seed
+        self.trials = trials
+        self.counts: dict[str, int] = {}
+        self.failures: list[Failure] = []
+        self.mds_seen = 0
+        self.nmds_seen = 0
+        self.elapsed = 0.0
 
     @property
     def passed(self) -> bool:
@@ -77,10 +76,7 @@ class SelfTestReport:
             "mds": self.mds_seen,
             "nmds": self.nmds_seen,
             "checks": dict(sorted(self.counts.items())),
-            "failures": [
-                {"check": f.check, "detail": f.detail, "reproducer": f.reproducer}
-                for f in self.failures
-            ],
+            "failures": [f._asdict() for f in self.failures],
         }
 
 

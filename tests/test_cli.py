@@ -455,3 +455,20 @@ def test_selftest_runs_without_numpy():
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_import_loads_neither_dataclasses_nor_hashlib():
+    # every CLI process pays for what the package imports; the result
+    # records are NamedTuples and OpenSSL loads at the first digest
+    script = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import posetcode, posetcode.cli\n"
+        "loaded = [m for m in ('dataclasses', 'inspect', 'ast', 'dis', 'hashlib', '_hashlib') if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+        "print(posetcode.Poset.antichain(4).digest())\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-S", "-c", script, src], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == hashlib.sha256(b"n 4\n").hexdigest()[:12] + "\n"

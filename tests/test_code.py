@@ -298,6 +298,24 @@ def test_packed_span_adds_in_every_field():
         assert packed.span(rows.rows) == [packed.pack(w) for w in combos], q
 
 
+def test_packed_sum_is_digitwise_mod_p_for_every_prime():
+    # the SWAR add of span and the rank walk, on every digit pair: the
+    # narrowest fields with p <= 2**(w-1), none carrying into the next
+    from posetcode.code import _PackedWords
+
+    for p in (p for p in range(2, 256) if all(p % d for d in range(2, p))):
+        packed = _PackedWords(gf(p), p)
+        shift = packed.width - 1
+        assert p <= 1 << shift < 2 * p, p
+        digits = list(range(p))
+        x = packed.pack(digits)
+        for r in range(p):
+            other = digits[r:] + digits[:r]
+            s = x + packed.pack(other)
+            got = s - (((s + packed.carry) & packed.top) >> shift) * p
+            assert got == packed.pack([(a + b) % p for a, b in zip(digits, other)]), (p, r)
+
+
 def test_support_batches_refuse_before_packing(monkeypatch):
     def refuse(field, n):
         raise AssertionError("packed words before checking the cap")

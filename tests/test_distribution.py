@@ -3,7 +3,6 @@ from __future__ import annotations
 import json
 import random
 from collections import Counter
-from dataclasses import fields
 from math import comb
 from pathlib import Path
 
@@ -487,7 +486,12 @@ def test_result_dicts_hold_every_field_in_declaration_order():
     # a field added later cannot drop out of the JSON
     for result in (duality_partition(PAIR, Poset.antichain(4)), classify(PAIR, Poset.antichain(4)), classify(REP3, Poset.chain(3))):
         d = result.as_dict()
-        assert list(d) == [f.name for f in fields(result)]
+        assert list(d) == list(result._fields)
+        # immutable, hashable and equal by value
+        copy = type(result)(*result)
+        assert copy == result and hash(copy) == hash(result)
+        with pytest.raises(AttributeError):
+            setattr(result, result._fields[0], None)
         for name, value in d.items():
             field = getattr(result, name)
             assert value == (list(field) if isinstance(field, tuple) else field) and not isinstance(value, tuple)

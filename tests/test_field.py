@@ -172,7 +172,7 @@ def _digitwise_sum(a, b, p, m):
     return out
 
 
-@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27])
+@pytest.mark.parametrize("q", [2, 4, 7, 8, 9, 16, 25, 27, 49])
 def test_tables_match_polynomial_arithmetic(q):
     F = gf(q)
     for a in range(q):
@@ -182,6 +182,17 @@ def test_tables_match_polynomial_arithmetic(q):
         assert F._add[a][F._neg[a]] == 0
         if a:
             assert F._mul_raw(a, F._inv[a]) == 1
+
+
+def test_addition_tables_are_digitwise_for_every_order():
+    # the tables are built by rows (XOR, or the low digit plus the rest);
+    # every entry against the digit-wise definition
+    for q in range(2, 257):
+        try:
+            F = gf(q)
+        except ValueError:
+            continue
+        assert F._add == [[_digitwise_sum(a, b, F.p, F.m) for b in range(q)] for a in range(q)], q
 
 
 @st.composite

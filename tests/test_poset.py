@@ -131,6 +131,28 @@ def test_from_cover_relations_accepts_redundant_pairs():
     assert p.cover_relations() == ((1, 2), (2, 3))
 
 
+def naive_covers(p):
+    """Covering pairs by definition: i < j and no g with i < g < j."""
+
+    def below(a, b):
+        return a != b and p.below[b] >> a & 1
+
+    return tuple(
+        (i + 1, j + 1)
+        for i in range(p.n)
+        for j in range(p.n)
+        if below(i, j) and not any(below(i, g) and below(g, j) for g in range(p.n))
+    )
+
+
+def test_cover_relations_match_the_definition():
+    rng = random.Random(74)
+    for _ in range(120):
+        poset = random_poset(rng, rng.randint(1, 12))
+        assert poset.cover_relations() == naive_covers(poset), poset.below
+        assert Poset.from_cover_relations(poset.n, poset.cover_relations()) == poset
+
+
 def test_from_cover_relations_errors():
     with pytest.raises(ValueError, match="cycle"):
         Poset.from_cover_relations(3, [(1, 2), (2, 3), (3, 1)])
