@@ -66,8 +66,8 @@ is (-1)^|A| on the sets A of maximal elements of I; invert each part:
 
 with N(r, m) the number of ideals of size r with m maximal elements (the
 coefficients of F_P(x, y) = prod_c (1 + y (x + ... + x^s_c)) under a
-disjoint union of chains of lengths s_c, else one walk over J(P)
-counts it), the window W the ideals with g(J) != 0, and
+disjoint union of chains of lengths s_c, else read off the flags), the
+window W the ideals with g(J) != 0, and
 a_J the number of minimal elements of P - J: J is I less some maximal
 elements of I for exactly C(a_J, r - |J|) ideals I of size r.  W is read
 off RankProfile.census_dims by index, at the ideals only, by translate
@@ -91,7 +91,7 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterator, Sequence
-from itertools import combinations
+from itertools import combinations, compress
 from math import comb
 from typing import NamedTuple
 
@@ -315,13 +315,14 @@ def _ideal_profile(poset: Poset) -> Counter[tuple[int, int]]:
     coefficients of F_P(x, y) = sum_I x^|I| y^m(I).  Under a disjoint union
     of chains an ideal takes a prefix of each chain, and a nonempty one adds
     one maximal element, so F_P is the product over the chains of
-    1 + y (x + ... + x^s).  Other posets take one walk over J(P)."""
+    1 + y (x + ... + x^s).  Elsewhere m(S_x) counts the chains c whose top in
+    S_x leaves an ideal, flagged at the point stride_c before x."""
     layout = poset.chain_layout()
-    if layout.flags is not None:
-        below = poset.below
-        # the walk carries the maximal elements: adding e keeps e and drops what lies below it
-        walk = poset.walk_ideals(lambda top, e: top & ~below[e] | 1 << e, 0)
-        return Counter((ideal.bit_count(), top.bit_count()) for ideal, top in walk)
+    if (flags := layout.flags) is not None:
+        # m(x) a byte per point, one packed step per chain digit: m <= 24, so nothing carries
+        ones = int.from_bytes(flags, "little")
+        tops = sum((ones & mask) << 8 * stride for stride, mask in _digit_masks(layout.lengths, 8, 1))
+        return Counter(zip(compress(digit_sums(layout.lengths), flags), compress(tops.to_bytes(layout.size, "little"), flags)))
     terms = Counter({(0, 0): 1})
     for s in layout.lengths:
         grown: Counter[tuple[int, int]] = Counter()

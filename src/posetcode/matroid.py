@@ -6,12 +6,12 @@ each ideal adds.  Columns and rows are packed words (code._PackedWords):
 one shift and mask reads a column's digits at a row's lead, and one SWAR
 add of a multiple of the row, built the first time some column needs
 it, clears them.  Rank is monotone (R2), so once the basis is full every
-larger ideal has full rank.  grid_ranks walks a disjoint union of chains
-by layout index (one more element of chain c is stride_c on) into a
-bytearray prefilled with the full rank, and stops going up a chain at
-its first full basis: every longer prefix, and all below it in the walk,
-are supersets.  ideal_ranks walks the ideals of any poset.  RankProfile
-keeps:
+larger ideal has full rank.  grid_ranks, the one walk for every poset,
+decides the elements along a linear extension (_walk_steps) and carries
+(mask, grid index, basis), one more element of chain c being stride_c on.
+It writes each rank into a bytearray prefilled with the full rank and
+goes no further from a full basis, as all below it are supersets.
+RankProfile keeps:
 
   * per poset P, the shortened dimensions dim C^I = |I| - rank_H(I) on
     every ideal I (G generator, H parity-check matrix), as one bytes
@@ -41,10 +41,9 @@ keeps:
              dim C^A = |A| - (n - k) + dim C-perp^(complement A).  The
              shorter stream serves, C's own on a tie, when it is no longer
              than the grid and within MAX_ENUMERATION;
-      walk   every other case: grid_ranks on the parity-check columns
-             under a disjoint union of chains, else ideal_ranks, each
-             rank written at its index, read off as C-perp's fill with
-             n - k - rank_H(I) in place of dim C-perp.
+      walk   every other case: grid_ranks on the parity-check columns,
+             read off as C-perp's fill with n - k - rank_H(I) in place of
+             dim C-perp; off the ideals the rank stays full.
 
     walked_dims is the walk alone.  census_dims is C-perp's
     fill or the walk, never C's own stream: Moebius inversion of a zeta
@@ -141,30 +140,59 @@ def _reducer(field: GF, columns: Sequence[Sequence[int]]) -> Callable[[tuple, in
     return extend
 
 
-def ideal_ranks(poset: Poset, field: GF, columns: Sequence[Sequence[int]]) -> Iterator[tuple[int, int]]:
-    """(ideal, rank of the columns it indexes) for every ideal of the poset."""
-    for ideal, basis in poset.walk_ideals(_reducer(field, columns), ()):
-        yield ideal, len(basis)
+def _walk_steps(layout: ChainLayout) -> tuple:
+    """The steps of grid_ranks' walk from the empty ideal, along the order
+    that takes, of the elements whose strict downsets are placed, the first
+    in chain order (the chains one after another on a chain union).  A state
+    that has decided the first f positions may add e at j >= f once e's
+    strict downset lies among them, by the step (need, e, 1 << e, e's stride,
+    the first and the other steps of the state it reaches)."""
+    n, below, weight = layout.n, layout.below, layout._weight
+    strict = [down ^ 1 << e for e, down in enumerate(below)]
+    pending, order, placed = [list(chain[::-1]) for chain in layout.chains], [], 0
+    for _ in range(n):
+        for chain in pending:
+            if chain and not strict[chain[-1]] & ~placed:
+                break
+        order.append(e := chain.pop())
+        placed |= 1 << e
+    # first[j]: the step of position j from a state at j, which holds the element at j - 1 and its
+    # downset; rest[j]: the other steps at j, whose need is the whole strict downset, as in plain
+    first, rest, plain, held = [None] * (n + 1), [()] * (n + 1), None, 0
+    for j in reversed(range(n)):
+        e, after, up, stride = order[j], rest[j + 1], first[j + 1], weight[order[j]]
+        first[j] = (strict[e] & ~below[order[j - 1]] if j else 0, e, bit := 1 << e, stride, up, after)
+        if plain:
+            # a step at j + 1 waits at j unless its need holds e; held, the needs of every step that
+            # waited, tells when none of rest[j + 1] can
+            waiting = after if plain[0] & bit else (plain, *after)
+            rest[j] = tuple([step for step in waiting if not step[0] & bit]) if held & bit else waiting
+            held |= 0 if plain[0] & bit else plain[0]
+        plain = (strict[e], e, bit, stride, up, after)
+    return (first[0], *rest[0])
 
 
 def grid_ranks(layout: ChainLayout, field: GF, columns: Sequence[Sequence[int]]) -> bytearray:
-    """Ranks of the columns on the ideals of a chain union by layout index (module docstring)."""
+    """Ranks of the columns on the ideals by layout index, full off them (module docstring)."""
     full, extend = len(columns[0]), _reducer(field, columns)
     ranks = bytearray(1) + bytes([full]) * (layout.size - 1)
-    chains = [(layout._weight[chain[0]], chain) for chain in layout.chains]
-    last, stack = len(chains) - 1, [(0, 0, ())] if full else []
+    stack = [(0, _walk_steps(layout), 0, ())] if full else []
     while stack:
-        first, at, basis = stack.pop()
-        for c in range(first, last + 1):
-            stride, chain = chains[c]
-            up, i = basis, at
-            for e in chain:
-                up, i = extend(up, e), i + stride
+        mask, steps, at, basis = stack.pop()
+        for step in steps:
+            # on along the order while the next position can follow, as up a chain
+            m, i, up = mask, at, basis
+            while step:
+                need, e, bit, stride, step, rest = step
+                if need and need & ~m:
+                    break
+                up = extend(up, e)
                 if (r := len(up)) == full:
                     break
+                m, i = m | bit, i + stride
                 ranks[i] = r
-                if c < last:
-                    stack.append((c + 1, i, up))
+                if rest:
+                    stack.append((m, rest, i, up))
     return ranks
 
 
@@ -300,15 +328,9 @@ class RankProfile:
 
     def walked_dims(self, poset: Poset) -> bytes:
         """The table of shortened_dims, always filled by the rank walk on H."""
-        # grid_ranks on a disjoint union of chains, else ideal_ranks on the ideals only
         if (dims := self._walks.get(poset)) is None:
             layout = poset.chain_layout()
-            if layout.flags is None:
-                ranks = grid_ranks(layout, self.code.field, self._par_cols)
-            else:
-                ranks = bytearray(layout.size)
-                for ideal, r in ideal_ranks(poset, self.code.field, self._par_cols):
-                    ranks[layout.index(ideal)] = r
+            ranks = grid_ranks(layout, self.code.field, self._par_cols)
             slack = ranks.translate(bytes(range(self.n - self.k, -1, -1)).ljust(256, b"\0"))
             dims = self._walks[poset] = self._dims(layout, slack)
         return dims

@@ -28,21 +28,18 @@ transitively redundant pairs; format_poset writes only cover relations.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from itertools import accumulate
 from pathlib import Path
-from typing import TypeVar
 
-from .bitset import MAX_GROUND, bits_of, byte_tables
-
-T = TypeVar("T")
+from .bitset import MAX_GROUND, bits_of, byte_tables, find_all
 
 
 class Poset:
     """Immutable poset; construct via from_cover_relations, chain, antichain,
     or directly from per-element downset masks."""
 
-    __slots__ = ("n", "below", "_ideals", "_closures", "_chains", "_layout")
+    __slots__ = ("n", "below", "_closures", "_chains", "_layout")
 
     def __init__(self, n: int, below: Iterable[int]) -> None:
         if not 1 <= n <= MAX_GROUND:
@@ -64,7 +61,6 @@ class Poset:
                     raise ValueError(f"antisymmetry violated by elements {i + 1}, {j + 1}")
         self.n = n
         self.below = below
-        self._ideals: tuple[int, ...] | None = None
         self._closures: tuple[list[int], list[int], list[int]] | None = None
         self._chains: tuple[tuple[int, ...], ...] | None = None
         self._layout: ChainLayout | None = None
@@ -160,33 +156,8 @@ class Poset:
         return self.ideal_closure(mask) == mask
 
     def linear_extension(self) -> list[int]:
-        """Elements (0-based) ordered so that i < j in P puts i before j.
-
-        Sorting by downset size does it, since i < j makes below[i] a
-        proper subset of below[j]; ties go by element.
-        """
-        below = self.below
-        return sorted(range(self.n), key=lambda e: (below[e].bit_count(), e))
-
-    def walk_ideals(self, extend: Callable[[T, int], T], root: T) -> Iterator[tuple[int, T]]:
-        """Yield (ideal, state) once for every order ideal, depth first.
-
-        The walk decides elements along linear_extension and descends only
-        into extensions that stay downward closed: O(n * count) work, not a
-        filter over all 2**n subsets.  The empty ideal carries root; any
-        other is its parent plus one element e, with extend(parent state, e).
-        """
-        below = self.below
-        order = self.linear_extension()
-        need = [below[e] ^ (1 << e) for e in order]
-        stack = [(0, 0, root)]
-        while stack:
-            idx, mask, state = stack.pop()
-            for j in range(idx, self.n):
-                if need[j] & ~mask == 0:
-                    e = order[j]
-                    stack.append((j + 1, mask | (1 << e), extend(state, e)))
-            yield mask, state
+        """Elements (0-based) with i before j when i < j in P (_by_downset_size)."""
+        return _by_downset_size(self.below)
 
     def chain_partition(self) -> tuple[tuple[int, ...], ...]:
         """A minimum chain partition of P, bottom-up chains ordered by least
@@ -226,14 +197,11 @@ class Poset:
         return self._layout
 
     def ideals(self) -> tuple[int, ...]:
-        """All order ideals as masks in ascending numeric order.
-
-        The family comes from walk_ideals and is cached on first use.
-        """
-        if self._ideals is None:
-            walk = self.walk_ideals(lambda state, e: None, None)
-            self._ideals = tuple(sorted(mask for mask, _ in walk))
-        return self._ideals
+        """All order ideals as masks in ascending order, read off the chain
+        layout's flags (every grid point on a disjoint union of chains)."""
+        layout = self.chain_layout()
+        at = range(layout.size) if layout.flags is None else find_all(layout.flags, 1)
+        return tuple(sorted(map(layout.ideal, at)))
 
     def maximal_elements(self, ideal: int) -> int:
         """Mask of elements of the ideal with nothing of the ideal above them."""
@@ -395,7 +363,7 @@ class ChainLayout:
             self._flags = None
             if any(self.below[e] & ~self._up[chain[0]] for chain in self.chains for e in chain):
                 flags = 1
-                for e in sorted(range(self.n), key=lambda e: self.below[e].bit_count()):
+                for e in _by_downset_size(self.below):
                     stride, box = self.step(e, b"\1")
                     flags |= (flags & box) << 8 * stride
                 self._flags = flags.to_bytes(self.size, "little")
@@ -413,6 +381,11 @@ class ChainLayout:
         opposite._layout = ChainLayout(above, opposite._chains)
         opposite._layout._flags = self._flags if self._flags in ((), None) else self._flags[::-1]
         return opposite
+
+
+def _by_downset_size(below: Sequence[int]) -> list[int]:
+    """Elements by downset size, ties by element: i < j makes below[i] the smaller."""
+    return sorted(range(len(below)), key=lambda e: below[e].bit_count())
 
 
 def _prefix_sets(chains: Sequence[Sequence[int]], up: Sequence[int]) -> list[int]:

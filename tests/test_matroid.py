@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from posetcode.bitset import bits_of
 from posetcode.code import LinearCode, load_code
 from posetcode.distribution import classify
 from posetcode.errors import SelfCheckError
@@ -18,15 +19,16 @@ from posetcode.matroid import (
     IdentityReport,
     RankProfile,
     _columns,
+    _reducer,
     check_complement_rank_identity,
     check_rank_axioms,
     grid_ranks,
-    ideal_ranks,
     zeta_dims,
 )
 
 from conftest import at_ideals
 from test_code import PACKING_FIELDS
+from test_poset import ideals_by_filter
 
 
 def random_code(rng, n_max=6, length=None):
@@ -91,11 +93,28 @@ def test_rank_matches_direct_elimination():
                 assert dim == ideal.bit_count() - code.parity.column_submatrix(ideal).rank()
 
 
+def unpruned_ranks(poset, field, columns):
+    """{ideal: rank of the columns it indexes} on every ideal, by a walk
+    that never stops at full rank: along poset.linear_extension(), each
+    ideal is its parent plus one element, reduced in by one kernel call."""
+    extend, order = _reducer(field, columns), poset.linear_extension()
+    need = [poset.below[e] ^ 1 << e for e in order]
+    ranks, stack = {}, [(0, 0, ())]
+    while stack:
+        first, ideal, basis = stack.pop()
+        assert ideal not in ranks
+        ranks[ideal] = len(basis)
+        for j in range(first, poset.n):
+            if not need[j] & ~ideal:
+                stack.append((j + 1, ideal | 1 << order[j], extend(basis, order[j])))
+    return ranks
+
+
 @pytest.mark.parametrize("q", PACKING_FIELDS)
 def test_packed_walk_matches_column_rank(q):
-    # every ideal once, its rank that of a direct elimination on the columns
-    # it indexes, under random posets, the antichain and the NRT files; k = n
-    # leaves H no rows and n - k = 1 one
+    # at every ideal the walk's rank, and the unpruned walk's, are those of a
+    # direct elimination on the columns it indexes, under random posets, the
+    # antichain and the NRT files; k = n leaves H no rows and n - k = 1 one
     rng = random.Random(q)
     data = Path(__file__).parent / "data"
     for poset in (
@@ -104,14 +123,15 @@ def test_packed_walk_matches_column_rank(q):
         Poset.antichain(6),
         Poset.from_cover_relations(7, [(i, j) for j in range(2, 8) for i in range(1, j) if rng.random() < 0.3]),
     ):
-        n = poset.n
+        n, layout = poset.n, poset.chain_layout()
         for k in sorted({n, n - 1, rng.randint(1, n - 1)}):
             code = full_rank_code(rng, q, n, k)
             for mat in (code.parity, code.generator):
-                walk = list(ideal_ranks(poset, code.field, _columns(mat)))
-                assert sorted(ideal for ideal, _ in walk) == list(poset.ideals())
-                for ideal, rank in walk:
-                    assert rank == mat.column_submatrix(ideal).rank(), (q, n, k, ideal)
+                grid = grid_ranks(layout, code.field, _columns(mat))
+                walk = unpruned_ranks(poset, code.field, _columns(mat))
+                assert sorted(walk) == list(ideals_by_filter(poset))
+                for ideal, rank in walk.items():
+                    assert rank == grid[layout.index(ideal)] == mat.column_submatrix(ideal).rank(), (q, n, k, ideal)
 
 
 def nrt(chains, length):
@@ -121,8 +141,8 @@ def nrt(chains, length):
 
 @pytest.mark.parametrize("q", PACKING_FIELDS)
 def test_grid_walk_matches_the_unpruned_walk_and_column_rank(q):
-    # the pruned grid table, by layout index, against ideal_ranks, which
-    # yields every ideal, and a direct elimination; k = n leaves H no rows,
+    # the pruned grid table, by layout index, against unpruned_ranks, which
+    # reaches every ideal, and a direct elimination; k = n leaves H no rows,
     # so every ideal is full rank, and n - k = 1 gives H one
     from test_poset import chain_union
 
@@ -142,7 +162,7 @@ def test_grid_walk_matches_the_unpruned_walk_and_column_rank(q):
             code = full_rank_code(rng, q, n, k)
             for mat in (code.generator, code.parity):
                 grid = grid_ranks(layout, code.field, _columns(mat))
-                walked = dict(ideal_ranks(poset, code.field, _columns(mat)))
+                walked = unpruned_ranks(poset, code.field, _columns(mat))
                 assert len(grid) == len(walked) == layout.size
                 for index, rank in enumerate(grid):
                     ideal = layout.ideal(index)
@@ -190,7 +210,7 @@ def test_grid_walk_stops_at_full_rank(monkeypatch):
     cases = [(nrt(4, 5), full_rank_code(rng, 3, 20, 10))]  # 592 of its 1 296 ideals have full rank
     cases += [(Poset.antichain(8), full_rank_code(rng, q, 8, k)) for q, k in ((2, 4), (5, 2), (4, 7), (3, 8))]
     cases += [(nrt(3, 4), full_rank_code(rng, 9, 12, 6)), (Poset.chain(7), full_rank_code(rng, 2, 7, 3))]
-    expected = [dict(ideal_ranks(poset, code.field, _columns(code.parity))) for poset, code in cases]
+    expected = [unpruned_ranks(poset, code.field, _columns(code.parity)) for poset, code in cases]
     calls = counting_reducer(monkeypatch)
     for (poset, code), ranks in zip(cases, expected):
         layout, full = poset.chain_layout(), code.n - code.k
@@ -199,6 +219,47 @@ def test_grid_walk_stops_at_full_rank(monkeypatch):
         assert list(grid_ranks(layout, code.field, _columns(code.parity))) == by_index
         assert len(calls) == sum(by_index[walk_parent(layout, i)] < full for i in range(1, layout.size))
         assert len(calls) < layout.size - 1, (poset, code.k)
+
+
+def walk_order(poset):
+    """The walk's order: among the elements whose strict downsets are
+    placed, the first in chain order (each chain bottom up, the chains as
+    the layout orders them)."""
+    chains, order, placed = [list(chain) for chain in poset.chain_layout().chains], [], 0
+    while len(order) < poset.n:
+        chain = next(chain for chain in chains if chain and poset.below[chain[0]] & ~placed == 1 << chain[0])
+        order.append(chain.pop(0))
+        placed |= 1 << order[-1]
+    return order
+
+
+def test_walk_off_the_chain_unions_stops_at_full_rank(monkeypatch):
+    # forks, V plus isolated points and random posets that are no disjoint
+    # union of chains: walked_dims reduces a column exactly where the ideal
+    # it extends, the ideal less its last element in the walk's order, is
+    # below full rank, fewer than the |J(P)| - 1 reductions of a walk over
+    # every ideal, and never against a full basis; the table holds
+    # |I| - rank_H(I) at every ideal
+    rng = random.Random(94)
+    forks5 = Poset.from_cover_relations(15, [(3 * i + 1, 3 * i + b) for i in range(5) for b in (2, 3)])
+    cases = [(forks5, full_rank_code(rng, 2, 15, 10)), (forks5, full_rank_code(rng, 4, 15, 12))]
+    cases.append((Poset.from_cover_relations(12, [(1, 3), (2, 3)]), full_rank_code(rng, 3, 12, 8)))
+    while len(cases) < 12:
+        n = rng.randint(5, 10)
+        poset = Poset.from_cover_relations(n, [(i, j) for j in range(2, n + 1) for i in range(1, j) if rng.random() < 0.3])
+        if poset.chain_layout().flags is not None:
+            cases.append((poset, full_rank_code(rng, PACKING_FIELDS[len(cases) % len(PACKING_FIELDS)], n, rng.randint(n // 2, n - 1))))
+    expected = [unpruned_ranks(poset, code.field, _columns(code.parity)) for poset, code in cases]
+    calls = counting_reducer(monkeypatch)
+    for (poset, code), ranks in zip(cases, expected):
+        assert sorted(ranks) == list(ideals_by_filter(poset))
+        position = {e: j for j, e in enumerate(walk_order(poset))}
+        parents = [ideal ^ 1 << max(bits_of(ideal), key=position.get) for ideal in ranks if ideal]
+        calls.clear()
+        dims = at_ideals(poset, RankProfile(code).walked_dims(poset))
+        assert dims == {ideal: ideal.bit_count() - rank for ideal, rank in ranks.items()}
+        assert len(calls) == sum(ranks[parent] < code.n - code.k for parent in parents), poset
+        assert len(calls) < len(ranks) - 1, (poset, code.k)
 
 
 def test_reducer_returns_a_full_basis_at_once():
@@ -634,15 +695,9 @@ def test_layout_zeta_over_every_packing_field(q):
                 assert at_ideals(poset, code.matroid._dual_fill(poset)) == walked, (q, k)
 
 
-def test_posets_off_the_chain_unions_fill_on_their_grid(monkeypatch):
+def test_posets_off_the_chain_unions_fill_on_their_grid():
     # v3 and random posets that are no disjoint union of chains: C's zeta fill
-    # and C-perp's, read at the ideals, equal the walk, which walks the ideals only
-    import posetcode.matroid as matroid
-
-    def refuse(*args):
-        raise AssertionError("walked the grid of a poset that is no union of chains")
-
-    monkeypatch.setattr(matroid, "grid_ranks", refuse)
+    # and C-perp's, read at the ideals, equal the walk, which visits the ideals only
     rng = random.Random(75)
     posets = [load_poset(Path(__file__).parent / "data" / "v3.poset")]
     while len(posets) < 11:

@@ -252,8 +252,8 @@ def test_chain_layout_indexes_every_ideal_once():
         assert [min(chain) for chain in layout.chains] == sorted(min(chain) for chain in layout.chains)
         for chain in layout.chains:
             assert all(poset.below[b] & ~poset.below[a] == 1 << b for a, b in zip(chain, chain[1:]))
-        ideals = poset.ideals()
-        assert layout.size == len(ideals)
+        ideals = ideals_by_filter(poset)
+        assert poset.ideals() == ideals and layout.size == len(ideals)
         assert sorted(map(layout.index, ideals)) == list(range(layout.size))
         assert all(layout.ideal(layout.index(ideal)) == ideal for ideal in ideals)
         assert digit_sums(layout.lengths) == bytes(layout.ideal(i).bit_count() for i in range(layout.size))
@@ -315,7 +315,8 @@ def test_chain_layout_of_random_posets_flags_exactly_the_ideals():
         assert sorted(e for chain in layout.chains for e in chain) == list(range(n))
         for chain in layout.chains:
             assert all(poset.below[b] >> a & 1 for a, b in zip(chain, chain[1:]))
-        ideals = poset.ideals()
+        ideals = ideals_by_filter(poset)
+        assert poset.ideals() == ideals
         flags = layout.flags if layout.flags is not None else b"\1" * layout.size
         assert flags.count(1) == len(ideals) and all(flags[layout.index(ideal)] for ideal in ideals)
         assert all(layout.ideal(layout.index(ideal)) == ideal for ideal in ideals)
