@@ -35,22 +35,20 @@ ending at row i fill its block [q**i, 2 * q**i), so the stream yields one
 batch of the zero word and the low span's monic words, then the low span
 for each monic high word.  For q = 2 that is the full stream, batch for
 batch, and it runs as one.  closure_tally tallies the line stream into
-the census |C & S_I| that the enumerate report and the zeta fills of the
-matroid module read, by one of two tallies, chosen by the line count and
-the layout's key space alone.  Where the lines outnumber the poset's
-compact keys (ChainLayout.key_weights: per mask byte and chain, a count
-of the chain's elements there) or match them, the stream hands out keys
-instead of closures, one more translate per closure byte and key byte
-(ChainLayout.key_tables) turning each closure byte into its fields, the
-planes ORed into records of 2 or 4 bytes, and a list by key counts them
-straight off the record buffer, a whole group of high words a batch:
-the census goes out as a list by grid index (ChainLayout.grid_keys).
-Else a Counter counts the closure masks, and the census is a dict by
-mask.  A grid larger than the line count, its size read off the chain
-lengths of Poset.chain_partition, settles the rule with no layout
-built, as the Counter needs none.  closure_counts, which the
-enumerate support_census reads, gives the census as a dict by mask
-either way.
+the census |C & S_I|, a dict of its nonzero counts by grid index of the
+poset's ChainLayout (under the antichain the mask), which the enumerate
+support_census, distribution and report and the zeta fills of the
+matroid module read.  One of two tallies counts, chosen by the line
+count and the layout's key space alone.  Where the lines outnumber the
+poset's compact keys (ChainLayout.key_weights: per mask byte and chain,
+a count of the chain's elements there) or match them, the stream hands
+out keys instead of closures, one more translate per closure byte and
+key byte (ChainLayout.key_tables) turning each closure byte into its
+fields, the planes ORed into records of 2 or 4 bytes, and a list by key
+counts them straight off the record buffer, a whole group of high words
+a batch: the census is read off it by grid index
+(ChainLayout.grid_keys).  Else a Counter counts the closure masks, and
+ChainLayout.index maps them to the grid.
 
 shorten(J) solves for the messages whose codewords vanish outside J:
 from the identity basis, one kernel step per coordinate c outside J
@@ -74,7 +72,6 @@ import warnings
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import repeat
-from math import prod
 from operator import lshift, or_
 from pathlib import Path
 
@@ -269,29 +266,17 @@ class LinearCode:
         self.require_enumerable()
         return [1 << i for i in range(self.n)] if poset is None else poset.below
 
-    def closure_counts(self, poset: Poset) -> dict[int, int]:
-        """|C & S_I| for each ideal I of the poset that holds a codeword, by
-        mask: closure_tally's census, a Counter's on the closure masks, or
-        where the compact keys are no more than the lines a dense list's by
-        key, read off the grid."""
-        census = self.closure_tally(poset)
-        if isinstance(census, dict):
-            return census
-        layout = poset.chain_layout()
-        return {layout.ideal(at): count for at, count in enumerate(census) if count}
-
-    def closure_tally(self, poset: Poset) -> dict[int, int] | list[int]:
-        """The census |C & S_I| from the closures of the line stream, each
-        counted q - 1 times but the first, the zero word's, once: a list by
-        grid index (poset.ChainLayout) where the 2**bits keys of
-        ChainLayout.key_weights are no more than the 1 + (q**k - 1)/(q - 1)
-        lines, else a dict by mask (module docstring).  Counts that do not
-        sum to q**k raise SelfCheckError."""
-        q, total = self.field.q, self.codeword_count
+    def closure_tally(self, poset: Poset) -> dict[int, int]:
+        """The census |C & S_I| by grid index of poset.chain_layout(), its
+        nonzero counts only, from the closures of the line stream, each
+        counted q - 1 times but the first, the zero word's, once: by a dense
+        list over the keys where the 2**bits keys of ChainLayout.key_weights
+        are no more than the 1 + (q**k - 1)/(q - 1) lines, else by a Counter
+        on the closure masks (module docstring).  Counts that do not sum to
+        q**k raise SelfCheckError."""
+        q, total, layout = self.field.q, self.codeword_count, poset.chain_layout()
         lines = 1 + (total - 1) // (q - 1)
-        # keys are never fewer than grid points, so a grid larger than the lines settles
-        # the rule off the chain lengths, with no layout built
-        if prod(len(chain) + 1 for chain in poset.chain_partition()) > lines or 1 << poset.chain_layout().key_weights()[0] > lines:
+        if 1 << layout.key_weights()[0] > lines:
             stream = self.support_batches(poset, lines=True)
             first = next(stream, [])
             census = Counter(first)
@@ -301,9 +286,9 @@ class LinearCode:
                 # every other line stands for its q - 1 nonzero multiples, which share its support
                 census = {ideal: count * (q - 1) for ideal, count in census.items()}
                 census[first[0]] -= q - 2
-            counted = sum(census.values())
+            if layout.size != 1 << poset.n:
+                census = dict(zip(map(layout.index, census), census.values()))
         else:
-            layout = poset.chain_layout()
             stream = self._support_batches(self._images(poset), True, layout.key_tables())
             counts, step = [0] * (1 << layout.key_weights()[0]), q - 1
             first = next(stream, [])
@@ -315,9 +300,8 @@ class LinearCode:
                 for key in batch:
                     counts[key] += step
             # a key off the grid drops out here, and the sum below refuses it
-            census = [counts[key] for key in layout.grid_keys()]
-            counted = sum(census)
-        if counted != total:
+            census = {at: count for at, key in enumerate(layout.grid_keys()) if (count := counts[key])}
+        if (counted := sum(census.values())) != total:
             raise SelfCheckError(f"enumerate census: {counted} words counted, not q^k = {total}")
         return census
 

@@ -2,26 +2,26 @@
 
 For an ideal I of the poset P, let S_I be the set of words whose support
 has ideal closure exactly I.  The support census maps each ideal I to
-|C & S_I|, and every count in this module is read off it.  Two ways to
-take the census:
+|C & S_I|, and every count in this module is read off it.  Both ways to
+take it give the same shape, a dict of the nonzero counts by grid index
+of poset.chain_layout() (under the antichain the index is the mask), and
+_census serves support_census, distribution and distribution_report
+alike; only support_census maps the indices to ideal masks.  The two
+ways:
 
 enumerate
     Count the support closures of the codewords, which the stream reads
     off the packed words a batch at a time, one bytes.translate per slot
     byte and closure byte with no Python per word
-    (LinearCode.closure_counts: support_batches given the poset and
+    (LinearCode.closure_tally: support_batches given the poset and
     lines=True, guarded by the cap on q**k): one word per line, its count
     taken q - 1 times, but the zero word's, the first, once.  Two tallies
     count them, by a rule on two numbers alone: where the 2**bits compact
     keys of ChainLayout.key_weights are no more than the 1 + (q^k - 1)/(q - 1)
     lines, one more translate per closure byte and key byte turns each
     closure into its key, a list by key counts the keys, and the census
-    is read off by grid index; else a Counter counts the closure masks.
-    support_census and distribution take the census by mask either way;
-    the enumerate report and the zeta fills (LinearCode.closure_tally)
-    read the dense one by grid index, sizes from bitset.digit_sums.  A
-    grid larger than the line count settles the rule off the chain
-    lengths, with no layout built.  Counts that do not sum
+    is read off by grid index; else a Counter counts the closure masks,
+    and ChainLayout.index maps them to the grid.  Counts that do not sum
     to q**k raise SelfCheckError.  It never lists the ideals of P and
     never reads the rank table, so it is the independent oracle for the
     other method.  The enumerate report classifies off the zeta of this
@@ -53,7 +53,8 @@ moebius
     ideal, read once for both, or a cleared guard raises SelfCheckError.
 
 The weight distribution (A_0, ..., A_n) with A_r = |{u in C : wt_P(u) = r}|
-sums the census over the ideals of each size.
+sums the census over the ideals of each size, |S_x| read off the grid
+index (bitset.digit_sums).
 
 A code is MDS for P when d_1 = n - k + 1, and near-MDS (NMDS) when
 d_1 = n - k and d_2 = n - k + 2 (k >= 2).  One closed form gives both.
@@ -90,7 +91,7 @@ none of them is ever used as its own oracle.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from itertools import combinations, compress
 from math import comb
 from typing import NamedTuple
@@ -110,10 +111,16 @@ _COLUMN_CONDITION_CAP = 1 << 16
 
 
 def support_census(code: LinearCode, poset: Poset, method: str = "moebius") -> dict[int, int]:
-    """Map each ideal I with C & S_I nonempty to |C & S_I|; see the module docstring."""
+    """Map each ideal I with C & S_I nonempty to |C & S_I|, by mask; see the module docstring."""
+    census, layout = _census(code, poset, method), poset.chain_layout()
+    return census if layout.size == 1 << layout.n else dict(zip(map(layout.ideal, census), census.values()))
+
+
+def _census(code: LinearCode, poset: Poset, method: str) -> dict[int, int]:
+    """The census by grid index of poset.chain_layout(), by the method."""
     _require_compatible(code, poset)
     if method == "enumerate":
-        return code.closure_counts(poset)
+        return code.closure_tally(poset)
     if method != "moebius":
         raise ValueError(f"unknown method {method!r}")
     return _moebius(poset, _census_table(code, poset), code.k, code.field.q)
@@ -131,7 +138,7 @@ def _census_table(code: LinearCode, poset: Poset) -> bytes:
 
 
 def _moebius(poset: Poset, dims: bytes, k: int, q: int) -> dict[int, int]:
-    """The census from a census table by grid index, each dim at an ideal at
+    """The census by grid index from a census table, each dim at an ideal at
     most k, by packed int steps with a guard bit per field (module docstring)."""
     layout = poset.chain_layout()
     size, wb = layout.size, (q**k).bit_length() // 8 + 1
@@ -154,28 +161,19 @@ def _moebius(poset: Poset, dims: bytes, k: int, q: int) -> dict[int, int]:
     # a field is nonzero exactly when subtracting 1 from it keeps its guard bit
     nonzero = ((table - (guards >> w - 1)) & guards).to_bytes(size * wb, "little")[wb - 1 :: wb]
     data = table.to_bytes(size * wb, "little")
-    census = {at: int.from_bytes(data[at * wb : (at + 1) * wb], "little") - guard for at in find_all(nonzero, 0x80)}
-    return census if size == 1 << layout.n else dict(zip(map(layout.ideal, census), census.values()))
+    return {at: int.from_bytes(data[at * wb : (at + 1) * wb], "little") - guard for at in find_all(nonzero, 0x80)}
 
 
 def distribution(code: LinearCode, poset: Poset, method: str = "enumerate") -> tuple[int, ...]:
     """Weight distribution (A_0, ..., A_n): the support census summed by ideal size."""
-    return _by_size(support_census(code, poset, method), poset.n)
+    return _by_size(_census(code, poset, method), poset.chain_layout())
 
 
-def _by_size(census: dict[int, int], n: int) -> tuple[int, ...]:
-    counts = [0] * (n + 1)
-    for ideal, count in census.items():
-        counts[ideal.bit_count()] += count
-    return tuple(counts)
-
-
-def _by_index(census: list[int], lengths: Sequence[int]) -> tuple[int, ...]:
-    """_by_size for a census by grid index (LinearCode.closure_tally), |S_x|
-    the digit sum of x."""
-    counts = [0] * (sum(lengths) + 1)
-    for size, count in zip(digit_sums(lengths), census):
-        counts[size] += count
+def _by_size(census: dict[int, int], layout: ChainLayout) -> tuple[int, ...]:
+    """A census by grid index summed by size, |S_x| the digit sum of x."""
+    counts, sizes = [0] * (layout.n + 1), digit_sums(layout.lengths)
+    for at, count in census.items():
+        counts[sizes[at]] += count
     return tuple(counts)
 
 
@@ -403,20 +401,16 @@ class DistributionReport(NamedTuple):
 def distribution_report(code: LinearCode, poset: Poset, method: str = "enumerate") -> DistributionReport:
     """Distribution plus classification; closed-form dispatches on the label.
 
-    enumerate and moebius classify off the table their counts come from:
-    the zeta of the enumerate census, and the census table itself.  Both
-    take the census first, so the enumeration cap and a poisoned census
-    table are refused before anything is classified.
+    enumerate and moebius take the census by grid index as distribution
+    does (_census) and classify off the table their counts come from: the
+    zeta of the enumerate census, and the census table itself.  Both take
+    the census first, so the enumeration cap and a poisoned census table
+    are refused before anything is classified.
     """
-    if method == "enumerate":
-        _require_compatible(code, poset)
-        census, layout = code.closure_tally(poset), poset.chain_layout()
-        table = _zeta(layout, census, code.field.q, code.k)
-        counts = _by_size(census, poset.n) if isinstance(census, dict) else _by_index(census, layout.lengths)
-        return DistributionReport(counts, method, _classify(code, layout, table))
     if method != "closed-form":
-        census, layout = support_census(code, poset, method), poset.chain_layout()
-        return DistributionReport(_by_size(census, poset.n), method, _classify(code, layout, code.matroid.census_dims(poset)))
+        census, layout = _census(code, poset, method), poset.chain_layout()
+        table = _zeta(layout, census, code.field.q, code.k) if method == "enumerate" else code.matroid.census_dims(poset)
+        return DistributionReport(_by_size(census, layout), method, _classify(code, layout, table))
     cls_ = classify(code, poset)
     if cls_.label == OTHER_LABEL:
         raise ValueError(

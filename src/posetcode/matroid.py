@@ -26,7 +26,7 @@ RankProfile keeps:
 
       zeta   an ideal J sits at grid point x or below exactly when
              J <= S_x, so the prefix sum over the grid of the enumerate
-             census (LinearCode.closure_counts) counts at x the codewords
+             census (LinearCode.closure_tally) counts at x the codewords
              whose support closes into S_x: q^(dim C^I) at an ideal I, a
              power of q everywhere.  zeta_dims places the census by byte
              planes in byte-aligned little-endian fields of one int T and
@@ -95,7 +95,6 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Sequence
 from functools import cached_property
-from itertools import repeat
 from operator import sub
 from typing import NamedTuple
 
@@ -224,25 +223,20 @@ def _digit_masks(lengths: Sequence[int], width: int, value: int) -> Iterator[tup
                 mask <<= width * stride
 
 
-def _zeta(layout: ChainLayout, census: dict[int, int] | list[int], q: int, k: int) -> bytes:
-    """dim C^I by index over the layout from the census |C & S_I|, a dict by
-    mask or a list by index (LinearCode.closure_tally; module docstring).
-    Fields are the fewest whole bytes that hold q^k, which no partial sum
-    exceeds, so none carries.  A sum not a power of q raises SelfCheckError."""
+def _zeta(layout: ChainLayout, census: dict[int, int], q: int, k: int) -> bytes:
+    """dim C^I by index over the layout from the census |C & S_I| by index
+    (LinearCode.closure_tally; module docstring).  Fields are the fewest
+    whole bytes that hold q^k, which no partial sum exceeds, so none
+    carries.  A sum not a power of q raises SelfCheckError."""
     size, wb = layout.size, ((q**k).bit_length() + 7) // 8
-    if isinstance(census, list):
-        counts = bytes(census) if wb == 1 else b"".join(map(int.to_bytes, census, repeat(wb), repeat("little")))
-    else:
-        # under the antichain the index is the mask; one assignment per entry and byte plane
-        at_index = census.items() if size == 1 << layout.n else list(zip(map(layout.index, census), census.values()))
-        counts = bytearray(size * wb)
-        for j in range(wb):
-            plane = counts if wb == 1 else bytearray(size)
-            for at, count in at_index:
-                plane[at] = count >> 8 * j & 255
-            if wb > 1:
-                counts[j::wb] = plane
-        del plane
+    counts = bytearray(size * wb)
+    for j in range(wb):
+        plane = counts if wb == 1 else bytearray(size)
+        for at, count in census.items():
+            plane[at] = count >> 8 * j & 255
+        if wb > 1:
+            counts[j::wb] = plane
+    del plane
     table = int.from_bytes(counts, "little")
     # each buffer below is |J(P)| fields long: drop it once read, to bound the peak at n = 24
     del counts

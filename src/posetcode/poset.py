@@ -39,7 +39,7 @@ class Poset:
     """Immutable poset; construct via from_cover_relations, chain, antichain,
     or directly from per-element downset masks."""
 
-    __slots__ = ("n", "below", "_closures", "_chains", "_layout")
+    __slots__ = ("n", "below", "_closures", "_layout")
 
     def __init__(self, n: int, below: Iterable[int]) -> None:
         if not 1 <= n <= MAX_GROUND:
@@ -62,7 +62,6 @@ class Poset:
         self.n = n
         self.below = below
         self._closures: tuple[list[int], list[int], list[int]] | None = None
-        self._chains: tuple[tuple[int, ...], ...] | None = None
         self._layout: ChainLayout | None = None
 
     # -- constructors --------------------------------------------------
@@ -159,16 +158,18 @@ class Poset:
         """Elements (0-based) with i before j when i < j in P (_by_downset_size)."""
         return _by_downset_size(self.below)
 
-    def chain_partition(self) -> tuple[tuple[int, ...], ...]:
-        """A minimum chain partition of P, bottom-up chains ordered by least
-        element; cached on first use.
+    def chain_layout(self) -> ChainLayout:
+        """J(P) laid out on a minimum chain partition of P, its bottom-up
+        chains ordered by least element; cached on first use, as the one
+        record of the partition that the census, the rank tables and the
+        ideals read.
 
         A maximum matching of each element to one below it (augmenting
         paths) leaves width(P) elements matched to none below (Fulkerson's
         proof of Dilworth's theorem, 1956), each the bottom of a chain up
         the matching.  On a disjoint union of chains it pairs covers only.
         """
-        if self._chains is None:
+        if self._layout is None:
             below, n = self.below, self.n
             up, down = [-1] * n, [-1] * n
 
@@ -187,13 +188,7 @@ class Poset:
             for chain in chains:
                 while up[chain[-1]] >= 0:
                     chain.append(up[chain[-1]])
-            self._chains = tuple(sorted(map(tuple, chains), key=min))
-        return self._chains
-
-    def chain_layout(self) -> ChainLayout:
-        """J(P) laid out on chain_partition(); cached on first use."""
-        if self._layout is None:
-            self._layout = ChainLayout(self.below, self.chain_partition())
+            self._layout = ChainLayout(below, chains)
         return self._layout
 
     def ideals(self) -> tuple[int, ...]:
@@ -377,8 +372,7 @@ class ChainLayout:
             for e in bits_of(down ^ 1 << f):
                 above[e] |= 1 << f
         opposite = Poset(self.n, above)
-        opposite._chains = tuple(chain[::-1] for chain in self.chains)
-        opposite._layout = ChainLayout(above, opposite._chains)
+        opposite._layout = ChainLayout(above, (chain[::-1] for chain in self.chains))
         opposite._layout._flags = self._flags if self._flags in ((), None) else self._flags[::-1]
         return opposite
 

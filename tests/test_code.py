@@ -232,37 +232,51 @@ def test_key_stream_sums_the_weights_of_each_closure():
             assert keys == [sum(weights[e] for e in bits_of(s)) for s in closures], (q, poset)
 
 
-def test_dense_tally_serves_exactly_where_the_keys_are_no_more_than_the_lines():
+def spied_tally(monkeypatch, code, poset):
+    """(closure_tally's census, whether the dense tally served), told by the keys
+    it hands the stream: the dense tally passes layout.key_tables(), the Counter none."""
+    honest, passed = LinearCode._support_batches, []
+
+    def spy(self, images, lines, keys=None):
+        passed.append(keys)
+        return honest(self, images, lines, keys)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(LinearCode, "_support_batches", spy)
+        census = code.closure_tally(poset)
+    assert len(passed) == 1 and passed[0] in (None, poset.chain_layout().key_tables())
+    return census, passed[0] is not None
+
+
+def test_dense_tally_serves_exactly_where_the_keys_are_no_more_than_the_lines(monkeypatch):
     rng = random.Random(31)
     # at the switch: 8 keys of a 7-chain against 2^3 binary lines, and 32 keys
     # of the 5-antichain against 1 + (5^3 - 1)/4 = 32 lines over GF(5)
     pinned = [(Poset.chain(7), 2, 2, False), (Poset.chain(7), 2, 3, True), (Poset.chain(7), 2, 4, True)]
     pinned += [(Poset.antichain(5), 5, 2, False), (Poset.antichain(5), 5, 3, True), (Poset.antichain(6), 5, 3, False)]
     for poset, q, k, dense in pinned:
-        assert isinstance(random_full_rank(rng, q, poset.n, k).closure_tally(poset), list) == dense, (poset, q, k)
+        assert spied_tally(monkeypatch, random_full_rank(rng, q, poset.n, k), poset)[1] == dense, (poset, q, k)
     served = set()
     for poset in key_test_posets(rng):
         for q in (2, 3, 4, 5, 7):
             k = rng.randint(1, min(poset.n, max(k for k in range(1, 13) if q**k <= 5000)))
             dense = 1 << key_bits(poset.chain_layout()) <= 1 + (q**k - 1) // (q - 1)
-            assert isinstance(random_full_rank(rng, q, poset.n, k).closure_tally(poset), list) == dense, (poset, q, k)
+            assert spied_tally(monkeypatch, random_full_rank(rng, q, poset.n, k), poset)[1] == dense, (poset, q, k)
             served.add(dense)
     assert served == {False, True}
 
 
-def test_a_grid_larger_than_the_lines_builds_no_layout():
-    # the rule reads the grid size off the chain partition: under NRT 12 x 2, 3^12 grid
-    # points against 2^6 lines, and the 24-antichain, the census lays nothing out, and
-    # the Counter's census is the codewords' closures
+def test_a_grid_larger_than_the_lines_takes_the_counter(monkeypatch):
+    # under NRT 12 x 2, 3^12 grid points against 2^6 lines, and the 24-antichain,
+    # the Counter counts, and its census is the codewords' closures by grid index
     from test_poset import chain_union
 
     rng = random.Random(33)
     for poset in (chain_union(rng, [2] * 12), Poset.antichain(24)):
-        code = random_full_rank(rng, 2, 24, 6)
-        assert code.closure_counts(poset) == Counter(poset.ideal_closure(support_mask(w)) for w in code.codewords())
-        assert poset._layout is None
-        # the layout, built later, lies on the same chains
-        assert poset.chain_layout().chains == poset.chain_partition()
+        code, layout = random_full_rank(rng, 2, 24, 6), poset.chain_layout()
+        census, dense = spied_tally(monkeypatch, code, poset)
+        assert not dense
+        assert census == Counter(layout.index(poset.ideal_closure(support_mask(w))) for w in code.codewords())
 
 
 def test_support_batches_refuse_a_poset_of_another_length():

@@ -29,7 +29,7 @@ from posetcode.hierarchy import duality_partition
 from posetcode.matrix import Matrix
 from posetcode.poset import Poset, load_poset
 from conftest import at_ideals
-from test_code import PACKING_FIELDS, random_full_rank
+from test_code import PACKING_FIELDS, random_full_rank, spied_tally
 
 DATA = Path(__file__).parent / "data"
 
@@ -214,6 +214,11 @@ def grid_census_posets(rng):
     return posets
 
 
+def by_mask(layout, census):
+    """A census by grid index as a census by ideal mask."""
+    return {layout.ideal(at): count for at, count in census.items()}
+
+
 @pytest.mark.parametrize("q", PACKING_FIELDS)
 def test_grid_census_matches_the_dict_loop_and_enumeration(q):
     # tables from C-perp's fill and from the walk, on posets off the chain unions
@@ -229,11 +234,11 @@ def test_grid_census_matches_the_dict_loop_and_enumeration(q):
             expected = support_census(code, poset, "enumerate")
             walked = code.matroid.walked_dims(poset)
             assert dict_moebius(at_ideals(poset, walked), poset, q, k) == expected
-            assert _moebius(poset, walked, k, q) == expected, (poset, q, k)
+            assert by_mask(layout, _moebius(poset, walked, k, q)) == expected, (poset, q, k)
             if q ** (n - k) <= layout.size:
                 filled = code.matroid._dual_fill(poset)
                 assert at_ideals(poset, filled) == at_ideals(poset, walked)
-                assert _moebius(poset, filled, k, q) == expected, (poset, q, k)
+                assert by_mask(layout, _moebius(poset, filled, k, q)) == expected, (poset, q, k)
             assert support_census(code, poset, "moebius") == expected
 
 
@@ -327,27 +332,27 @@ def test_enumerate_census_matches_closures_of_all_codewords():
 
 
 def counter_census(code, poset):
-    """The enumerate census by a Counter on the closures of the line stream."""
-    q = code.field.q
-    flat = [s for batch in code.support_batches(poset, lines=True) for s in batch]
-    census = Counter({s: (q - 1) * count for s, count in Counter(flat[1:]).items()})
+    """The enumerate census by grid index, by a Counter on the closures of the line stream."""
+    q, layout = code.field.q, poset.chain_layout()
+    flat = [layout.index(s) for batch in code.support_batches(poset, lines=True) for s in batch]
+    census = Counter({at: (q - 1) * count for at, count in Counter(flat[1:]).items()})
     census[flat[0]] += 1
     return dict(census)
 
 
 def dense_census(code, poset):
-    """The enumerate census by a list over the keys of the key stream, read off the grid."""
+    """The enumerate census by grid index, by a list over the keys of the key stream."""
     q, layout = code.field.q, poset.chain_layout()
     flat = [key for batch in code._support_batches(poset.below, True, layout.key_tables()) for key in batch]
     counts = [0] * (1 << layout.key_weights()[0])
     for key in flat[1:]:
         counts[key] += q - 1
     counts[flat[0]] += 1
-    return {layout.ideal(at): counts[key] for at, key in enumerate(layout.grid_keys()) if counts[key]}
+    return {at: counts[key] for at, key in enumerate(layout.grid_keys()) if counts[key]}
 
 
 @pytest.mark.parametrize("q", PACKING_FIELDS)
-def test_dense_and_counter_tallies_agree_with_moebius(q):
+def test_dense_and_counter_tallies_agree_with_moebius(monkeypatch, q):
     # NRT shapes, chain unions with shuffled labels and posets that are no
     # union of chains, with code sizes on both sides of the rule
     from test_poset import chain_union
@@ -361,13 +366,39 @@ def test_dense_and_counter_tallies_agree_with_moebius(q):
         ks = [k for k in range(1, poset.n + 1) if q**k <= max(4096, q * q)]  # k = 2 above GF(64)
         for k in sorted({ks[0], ks[len(ks) // 2], ks[-1]}):
             code = random_full_rank(rng, q, poset.n, k)
-            served.add(isinstance(code.closure_tally(poset), list))
-            census = code.closure_counts(poset)
+            census, dense = spied_tally(monkeypatch, code, poset)
+            served.add(dense)
             assert census == counter_census(code, poset) == dense_census(code, poset), (poset, k)
-            assert census == support_census(fresh(code), poset, "moebius"), (poset, k)
+            assert by_mask(poset.chain_layout(), census) == support_census(fresh(code), poset, "moebius"), (poset, k)
             report = distribution_report(code, poset, "enumerate")
             assert report.counts == distribution(fresh(code), poset, "moebius"), (poset, k)
             assert report.classification == classify(fresh(code), poset), (poset, k)
+    assert served == {False, True}
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
+def test_closure_tally_is_the_census_by_grid_index(monkeypatch, q):
+    # the antichain, NRT shapes, chain unions with shuffled labels and posets
+    # that are no union of chains, with code sizes on both sides of the rule;
+    # the oracle closes each tuple word and indexes its closure on the grid
+    from test_poset import chain_union
+
+    rng = random.Random(93 + q)
+    posets = [Poset.antichain(rng.randint(4, 8)), load_poset(DATA / "nrt4.poset"), load_poset(DATA / "nrt7.poset")]
+    posets += [chain_union(rng, [rng.randint(1, 4) for _ in range(rng.randint(2, 4))]) for _ in range(2)]
+    posets += [poset for poset in (random_poset(rng, rng.randint(4, 9)) for _ in range(6)) if poset.chain_layout().flags]
+    served = set()
+    for poset in posets:
+        layout = poset.chain_layout()
+        ks = [k for k in range(1, poset.n + 1) if q**k <= 4096]
+        for k in sorted({ks[0], ks[len(ks) // 2], ks[-1]}):
+            code = random_full_rank(rng, q, poset.n, k)
+            census, dense = spied_tally(monkeypatch, code, poset)
+            served.add(dense)
+            expected = Counter(layout.index(poset.ideal_closure(support_mask(w))) for w in code.codewords())
+            assert census == expected, (poset, q, k)
+            for method in ("enumerate", "moebius"):
+                assert distribution(fresh(code), poset, method) == distribution_report(fresh(code), poset, method).counts, (poset, q, k, method)
     assert served == {False, True}
 
 
@@ -379,7 +410,7 @@ def test_dense_census_refuses_a_corrupted_record(monkeypatch):
     honest = LinearCode._support_batches
     nrt4, nrt7 = load_poset(DATA / "nrt4.poset"), load_poset(DATA / "nrt7.poset")
     codes = [(random_full_rank(rng, q, 7, 5), nrt7) for q in (2, 3, 4)] + [(random_full_rank(rng, 3, 4, 4), nrt4)]
-    assert all(isinstance(code.closure_tally(poset), list) for code, poset in codes)
+    assert all(spied_tally(monkeypatch, code, poset)[1] for code, poset in codes)
 
     full = {poset.below: poset.chain_layout().grid_keys()[-1] for _, poset in codes}
 
