@@ -114,7 +114,7 @@ class _PackedWords:
     a XOR (-b) are all zero: LinearCode.support_batches reads supports so.
     """
 
-    __slots__ = ("field", "width", "stride", "top", "carry", "spread", "element")
+    __slots__ = ("field", "width", "stride", "top", "carry", "spread", "element", "shifts")
 
     def __init__(self, field: GF, n: int) -> None:
         p, m = field.p, field.m
@@ -131,10 +131,10 @@ class _PackedWords:
         for a in range(1, field.q):
             self.spread.append(a % p | self.spread[a // p] << w)
         self.element = {s: a for a, s in enumerate(self.spread)}
+        self.shifts = range(0, n * c, c)
 
     def pack(self, word: Sequence[int]) -> int:
-        spread, c = self.spread, self.stride
-        return sum(spread[a] << (i * c) for i, a in enumerate(word))
+        return sum(map(lshift, map(self.spread.__getitem__, word), self.shifts))
 
     def times(self, scalar: int, word: int) -> int:
         """scalar * word: double and add for prime q, else one coordinate at a time."""

@@ -28,7 +28,8 @@ transitively redundant pairs; format_poset writes only cover relations.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
+from functools import cache
 from itertools import accumulate
 from pathlib import Path
 
@@ -39,7 +40,7 @@ class Poset:
     """Immutable poset; construct via from_cover_relations, chain, antichain,
     or directly from per-element downset masks."""
 
-    __slots__ = ("n", "below", "_closures", "_layout")
+    __slots__ = ("n", "below", "_closures", "_layout", "_digest")
 
     def __init__(self, n: int, below: Iterable[int]) -> None:
         if not 1 <= n <= MAX_GROUND:
@@ -63,6 +64,7 @@ class Poset:
         self.below = below
         self._closures: tuple[list[int], list[int], list[int]] | None = None
         self._layout: ChainLayout | None = None
+        self._digest: str | None = None
 
     # -- constructors --------------------------------------------------
 
@@ -223,9 +225,12 @@ class Poset:
         return tuple(out)
 
     def digest(self) -> str:
-        """Short stable identifier of the isomorphism-sensitive labeled poset."""
-        from hashlib import sha256  # OpenSSL loads at the first digest, not with the package
-        return sha256(format_poset(self).encode()).hexdigest()[:12]
+        """Short stable identifier of the isomorphism-sensitive labeled poset:
+        the first 12 hex digits of the SHA-256 of format_poset (_sha256),
+        cached on first use."""
+        if self._digest is None:
+            self._digest = _sha256()(format_poset(self).encode()).hexdigest()[:12]
+        return self._digest
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Poset):
@@ -375,6 +380,22 @@ class ChainLayout:
         opposite._layout = ChainLayout(above, (chain[::-1] for chain in self.chains))
         opposite._layout._flags = self._flags if self._flags in ((), None) else self._flags[::-1]
         return opposite
+
+
+@cache
+def _sha256() -> Callable:
+    """sha256 from CPython's built-in module, _sha2 from 3.12 and _sha256
+    before, as random.py takes _sha512: hashlib loads OpenSSL, so it serves
+    only where neither is built.  Imported at the first digest, once: a
+    refused import costs about 50 us."""
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256
 
 
 def _by_downset_size(below: Sequence[int]) -> list[int]:

@@ -457,18 +457,34 @@ def test_selftest_runs_without_numpy():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_import_loads_neither_dataclasses_nor_hashlib():
+def test_import_loads_neither_dataclasses_nor_hashlib(pair_file):
     # every CLI process pays for what the package imports; the result
-    # records are NamedTuples and OpenSSL loads at the first digest
+    # records are NamedTuples, and the poset tag comes from CPython's
+    # built-in SHA-256 where it is built, so no subcommand loads hashlib
+    # and its OpenSSL
     script = (
-        "import sys\n"
+        "import contextlib, io, json, sys\n"
         "sys.path.insert(0, sys.argv[1])\n"
         "import posetcode, posetcode.cli\n"
         "loaded = [m for m in ('dataclasses', 'inspect', 'ast', 'dis', 'hashlib', '_hashlib') if m in sys.modules]\n"
         "assert not loaded, loaded\n"
         "print(posetcode.Poset.antichain(4).digest())\n"
+        "hierarchy = ['hierarchy', '--code', sys.argv[2], '--poset', 'antichain:4', '--json']\n"
+        "for argv in (hierarchy, ['selftest', '--seed', '0', '--trials', '1', '--json']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "        assert posetcode.cli.main(argv) == 0, argv\n"
+        "    if argv is hierarchy:\n"
+        "        print(json.loads(out.getvalue())['poset'])\n"
+        "loaded = [m for m in ('hashlib', '_hashlib') if m in sys.modules]\n"
+        "def built(name):\n"
+        "    try:\n"
+        "        __import__(name)\n"
+        "    except ImportError:\n"
+        "        return False\n"
+        "    return True\n"
+        "assert not (loaded and (built('_sha2') or built('_sha256'))), loaded\n"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
-    proc = subprocess.run([sys.executable, "-S", "-c", script, src], capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-S", "-c", script, src, pair_file], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == hashlib.sha256(b"n 4\n").hexdigest()[:12] + "\n"
+    assert proc.stdout == 2 * (hashlib.sha256(b"n 4\n").hexdigest()[:12] + "\n")

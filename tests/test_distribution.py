@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from posetcode.code import LinearCode, support_mask
+from posetcode.code import LinearCode, poset_weight, support_mask
 from posetcode.distribution import (
     MDS_LABEL,
     NMDS_LABEL,
@@ -482,6 +482,38 @@ def test_distribution_methods_agree_and_sum():
             assert a == b
             assert sum(a) == code.codeword_count
             assert a[0] == 1
+
+
+def test_distribution_sums_by_size_off_the_table_and_by_bit_count():
+    # the antichain sizes its census by int.bit_count, every other poset off the
+    # grid's digit_sums table; either way each codeword's poset weight decides
+    rng = random.Random(53)
+    for poset in grid_census_posets(rng) + [Poset.antichain(7), Poset.chain(7)]:
+        code = random_full_rank(rng, rng.choice([2, 3, 4]), poset.n, rng.randint(1, min(poset.n, 5)))
+        expected = [0] * (poset.n + 1)
+        for word in code.codewords():
+            expected[poset_weight(poset, word)] += 1
+        assert distribution(code, poset, "enumerate") == tuple(expected), poset
+
+
+def test_sparse_census_builds_no_grid_table(monkeypatch):
+    # the Golay code's 4 096 words on the 2**24 points of the antichain
+    from importlib import import_module
+
+    dist = import_module("posetcode.distribution")
+
+    g = [1, 0, 1, 0, 1, 1, 1, 0, 0, 0, 1, 1]
+    rows = [[0] * i + g + [0] * (11 - i) for i in range(12)]
+    golay = LinearCode.from_generator(gf(2), [row + [sum(row) % 2] for row in rows])
+
+    def refuse(lengths):
+        raise AssertionError("built the grid's digit sums")
+
+    monkeypatch.setattr(dist, "digit_sums", refuse)
+    expected = [0] * 25
+    for weight, count in ((0, 1), (8, 759), (12, 2576), (16, 759), (24, 1)):
+        expected[weight] = count
+    assert distribution(golay, Poset.antichain(24), "enumerate") == tuple(expected)
 
 
 def test_classification_fixtures():

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import hashlib
 import random
+import sys
+from functools import cache
 from itertools import combinations
 from pathlib import Path
 
 import pytest
 
+import posetcode.poset as poset_module
 from posetcode.bitset import digit_sums, mask_from_positions, to_elements
 from posetcode.poset import Poset, format_poset, load_poset, parse_poset
 
@@ -220,6 +224,26 @@ def test_digest_stable_and_distinguishes():
     assert a == Poset.chain(3).digest()
     assert len(a) == 12
     assert a != Poset.antichain(3).digest()
+
+
+@pytest.mark.parametrize("blocked", [(), ("_sha2",), ("_sha2", "_sha256")])
+def test_digest_is_the_sha256_of_the_poset_text_along_every_import(monkeypatch, blocked):
+    # a None in sys.modules refuses the import: the first pass takes the built-in
+    # module (_sha2 from 3.12, _sha256 before), the last hashlib; a fresh cache
+    # for the test imports again
+    for name in blocked:
+        monkeypatch.setitem(sys.modules, name, None)
+    monkeypatch.setattr(poset_module, "_sha256", cache(poset_module._sha256.__wrapped__))
+    honest, calls = hashlib.sha256, []
+    monkeypatch.setattr(hashlib, "sha256", lambda data: calls.append(data) or honest(data))
+    rng = random.Random(31)
+    presets = [make(n) for make in (Poset.chain, Poset.antichain) for n in (1, 4, 24)]
+    for p in presets + [random_poset(rng, rng.randint(1, 16)) for _ in range(20)]:
+        digest = p.digest()
+        assert digest == honest(format_poset(p).encode()).hexdigest()[:12], format_poset(p)
+        assert p.digest() is digest
+    if "_sha256" in blocked:
+        assert len(calls) == len(presets) + 20
 
 
 def test_bitset_element_round_trip():
