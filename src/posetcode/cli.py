@@ -176,43 +176,20 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_code_poset(p: argparse.ArgumentParser) -> None:
+    # the instance subcommands: name, help, handler and --method choices, the first the default
+    for name, about, run, methods in (
+        ("hierarchy", "generalized minimum poset weights d_1..d_k", cmd_hierarchy, [METHOD_IDEAL_SCAN, METHOD_BRUTEFORCE]),
+        ("duality", "hierarchy of the code and its dual; partition check", cmd_duality, []),
+        ("distribution", "poset weight distribution A_0..A_n", cmd_distribution, ["enumerate", "moebius", "closed-form"]),
+        ("classify", "MDS / NMDS / other with d_1 and d_2", cmd_classify, []),
+    ):
+        p = sub.add_parser(name, help=about)
         p.add_argument("--code", required=True, help="code file (q/n/k header plus generator rows)")
-        p.add_argument(
-            "--poset",
-            required=True,
-            help="poset file, or preset chain:<n> / antichain:<n>",
-        )
-
-    p = sub.add_parser("hierarchy", help="generalized minimum poset weights d_1..d_k")
-    add_code_poset(p)
-    p.add_argument(
-        "--method",
-        choices=[METHOD_IDEAL_SCAN, METHOD_BRUTEFORCE],
-        default=METHOD_IDEAL_SCAN,
-    )
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_on_instance(cmd_hierarchy))
-
-    p = sub.add_parser("duality", help="hierarchy of the code and its dual; partition check")
-    add_code_poset(p)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_on_instance(cmd_duality))
-
-    p = sub.add_parser("distribution", help="poset weight distribution A_0..A_n")
-    add_code_poset(p)
-    p.add_argument(
-        "--method",
-        choices=["enumerate", "moebius", "closed-form"],
-        default="enumerate",
-    )
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_on_instance(cmd_distribution))
-
-    p = sub.add_parser("classify", help="MDS / NMDS / other with d_1 and d_2")
-    add_code_poset(p)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_on_instance(cmd_classify))
+        p.add_argument("--poset", required=True, help="poset file, or preset chain:<n> / antichain:<n>")
+        if methods:
+            p.add_argument("--method", choices=methods, default=methods[0])
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(handler=_on_instance(run))
 
     p = sub.add_parser("rank", help="rank, dual rank, and shortened dimension of a coordinate set")
     p.add_argument("--code", required=True, help="code file")

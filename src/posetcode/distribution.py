@@ -43,10 +43,10 @@ moebius
     enumerate counts would hand those counts back, and the census would
     stop being an oracle for enumeration.  The q^(dim C^I) sit in fields
     of one int T, each with a guard bit G above q^k.  One packed step per
-    element e, last of a linear extension first, undoes e:
+    element e, last of the layout's linear extension first, undoes e:
     T -= (T & M_e) << (w * stride_c), M_e the fields from which adding e
-    gives an ideal (ChainLayout.step): on a disjoint union of chains a
-    digit mask of _digit_masks, each chain's from its top digit down.
+    gives an ideal (ChainLayout.ideal_steps with down: on a disjoint union
+    of chains a digit mask, each chain's from its top digit down).
     Off the ideals the fields start at 0, so no step moves anything
     from or to them.  A count that would go negative borrows the guard
     bit of its own field and never the next field.  A dim above k at an
@@ -102,8 +102,8 @@ from .bitset import digit_sums, find_all, mask_from_positions, to_elements, to_f
 from .code import MAX_ENUMERATION, LinearCode
 from .errors import SelfCheckError
 from .hierarchy import _key_table, _primal_minima, _profile_ok, _require_compatible
-from .matroid import _digit_masks, _zeta
-from .poset import ChainLayout, Poset
+from .matroid import _zeta
+from .poset import ChainLayout, Poset, digit_masks
 
 MDS_LABEL = "MDS"
 NMDS_LABEL = "NMDS"
@@ -147,15 +147,10 @@ def _moebius(poset: Poset, dims: bytes, k: int, q: int) -> dict[int, int]:
     w, guard = 8 * wb, 1 << 8 * wb - 1
     guards = int.from_bytes(guard.to_bytes(wb, "little") * size, "little")
     table = int.from_bytes(to_fields(dims, [q**d | guard for d in range(k + 1)], wb), "little")
-    if layout.flags is None:
-        # each chain's digit masks, from the last chain down and its top digit down
-        masks = _digit_masks(layout.lengths, w, guard - 1)
-        steps = (step for s in reversed(layout.lengths) for step in reversed([next(masks) for _ in range(s)]))
-    else:
+    if layout.flags is not None:
         # count 0 off the ideals, so no step moves anything from there
         table = table & int.from_bytes(to_fields(layout.flags, [0, guard - 1], wb), "little") | guards
-        steps = (layout.step(e, (guard - 1).to_bytes(wb, "little")) for e in reversed(poset.linear_extension()))
-    for stride, low in steps:
+    for stride, low in layout.ideal_steps(w, guard - 1, down=True):
         table -= (table & low) << w * stride
         if table & guards != guards:
             lost = guards & ~table
@@ -189,17 +184,19 @@ class Classification(NamedTuple):
     """MDS / NMDS / other verdict for one (code, poset) pair.
 
     d1 (and d2 when k >= 2) decide the label.  The three optional flags
-    record whether the structural facts implied by the label hold on this
-    instance; they are reported, not enforced:
+    are reported, not enforced; the first two record whether structural
+    facts implied by the label hold on this instance:
 
       * dimension_profile_ok: shortened dimension dim C^J matches
         the closed-form step profile on every ideal J (skipping the one
         unconstrained size).
       * dual_rank_profile_ok (NMDS): dual_rank(J) = |J| below size n - k
         and = n - k above it, on ideals.
-      * column_conditions_ok (NMDS): the all-subsets independence pattern
-        of parity columns at sizes n-k-1, n-k, n-k+1; None when the
-        subset census is too large.
+      * column_conditions_ok (NMDS): the code's Hamming NMDS test,
+        d_H(C) = n - k and d_H(C-perp) = k, read off the independence of
+        the parity columns at sizes n-k-1, n-k, n-k+1: implied by the
+        label under the antichain only.  None when the subset census is
+        too large.
     """
 
     label: str
@@ -327,7 +324,7 @@ def _ideal_profile(poset: Poset) -> Counter[tuple[int, int]]:
     if (flags := layout.flags) is not None:
         # m(x) a byte per point, one packed step per chain digit: m <= 24, so nothing carries
         ones = int.from_bytes(flags, "little")
-        tops = sum((ones & mask) << 8 * stride for stride, mask in _digit_masks(layout.lengths, 8, 1))
+        tops = sum((ones & mask) << 8 * stride for stride, mask in digit_masks(layout.lengths, 8, 1))
         return Counter(zip(compress(digit_sums(layout.lengths), flags), compress(tops.to_bytes(layout.size, "little"), flags)))
     terms = Counter({(0, 0): 1})
     for s in layout.lengths:

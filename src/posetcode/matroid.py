@@ -7,8 +7,9 @@ one shift and mask reads a column's digits at a row's lead, and one SWAR
 add of a multiple of the row, built the first time some column needs
 it, clears them.  Rank is monotone (R2), so once the basis is full every
 larger ideal has full rank.  grid_ranks, the one walk for every poset,
-decides the elements along a linear extension (_walk_steps) and carries
-(mask, grid index, basis), one more element of chain c being stride_c on.
+decides the elements along ChainLayout.linear_extension() (_walk_steps)
+and carries (mask, grid index, basis), one more element of chain c being
+stride_c on.
 It writes each rank into a bytearray prefilled with the full rank and
 goes no further from a full basis, as all below it are supersets.
 RankProfile keeps:
@@ -31,7 +32,7 @@ RankProfile keeps:
              power of q everywhere.  zeta_dims places the census by byte
              planes in byte-aligned little-endian fields of one int T and
              runs one packed prefix sum per chain c and digit t = 1..s_c,
-             T += (T & M) << (w * stride_c), where M (_digit_masks)
+             T += (T & M) << (w * stride_c), where M (poset.digit_masks)
              selects the w-bit fields whose digit c is t - 1: n steps, no
              elimination.  A field whose top byte names no power is
              refused; wider fields are also rebuilt from their names and
@@ -93,7 +94,7 @@ is reported as the scalar sweep would: the smallest A, then e, then g.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Sequence
 from functools import cached_property
 from operator import sub
 from typing import NamedTuple
@@ -103,7 +104,7 @@ from .code import MAX_ENUMERATION, TABLE_LIMIT, LinearCode, _PackedWords
 from .errors import SelfCheckError
 from .field import GF
 from .matrix import Matrix
-from .poset import ChainLayout, Poset
+from .poset import ChainLayout, Poset, digit_masks
 
 
 def _columns(mat: Matrix) -> list[tuple[int, ...]]:
@@ -140,21 +141,14 @@ def _reducer(field: GF, columns: Sequence[Sequence[int]]) -> Callable[[tuple, in
 
 
 def _walk_steps(layout: ChainLayout) -> tuple:
-    """The steps of grid_ranks' walk from the empty ideal, along the order
-    that takes, of the elements whose strict downsets are placed, the first
-    in chain order (the chains one after another on a chain union).  A state
-    that has decided the first f positions may add e at j >= f once e's
-    strict downset lies among them, by the step (need, e, 1 << e, e's stride,
-    the first and the other steps of the state it reaches)."""
-    n, below, weight = layout.n, layout.below, layout._weight
+    """The steps of grid_ranks' walk from the empty ideal, along
+    layout.linear_extension() (the chains one after another on a chain
+    union).  A state that has decided the first f positions may add e at
+    j >= f once e's strict downset lies among them, by the step (need, e,
+    1 << e, e's stride, the first and the other steps of the state it
+    reaches)."""
+    n, below, weight, order = layout.n, layout.below, layout._weight, layout.linear_extension()
     strict = [down ^ 1 << e for e, down in enumerate(below)]
-    pending, order, placed = [list(chain[::-1]) for chain in layout.chains], [], 0
-    for _ in range(n):
-        for chain in pending:
-            if chain and not strict[chain[-1]] & ~placed:
-                break
-        order.append(e := chain.pop())
-        placed |= 1 << e
     # first[j]: the step of position j from a state at j, which holds the element at j - 1 and its
     # downset; rest[j]: the other steps at j, whose need is the whole strict downset, as in plain
     first, rest, plain, held = [None] * (n + 1), [()] * (n + 1), None, 0
@@ -195,34 +189,6 @@ def grid_ranks(layout: ChainLayout, field: GF, columns: Sequence[Sequence[int]])
     return ranks
 
 
-def _digit_masks(lengths: Sequence[int], width: int, value: int) -> Iterator[tuple[int, int]]:
-    """(stride_c, mask) for each chain c from the last down and each digit t =
-    1..s_c up: mask holds value in each width-bit field of the product of
-    chains whose digit c is t - 1, which stride_c fields on have digit t.
-    The digit-0 mask of chain c follows from chain c + 1's by one XOR when
-    chain c + 1 has length 1 (every chain of the antichain): its fields are
-    those of chain c + 1's digit 0 at most stride_c fields past a multiple
-    of stride_(c+1)."""
-    strides = [1]
-    for s in lengths:
-        strides.append(strides[-1] * (s + 1))
-    field, size, zero = value.to_bytes(width // 8, "little"), strides[-1], 0
-    for c in reversed(range(len(lengths))):
-        stride, s = strides[c], lengths[c]
-        if zero and lengths[c + 1] == 1:
-            zero ^= zero << (width * stride)
-        else:
-            # stride fields of value per period, the zero fields between them; no buffer outlives the int
-            periods = [field * stride] * (size // strides[c + 1])
-            zero = int.from_bytes(bytes(len(field) * stride * s).join(periods), "little")
-            del periods
-        mask = zero
-        for t in range(1, s + 1):
-            yield stride, mask
-            if t < s:
-                mask <<= width * stride
-
-
 def _zeta(layout: ChainLayout, census: dict[int, int], q: int, k: int) -> bytes:
     """dim C^I by index over the layout from the census |C & S_I| by index
     (LinearCode.closure_tally; module docstring).  Fields are the fewest
@@ -241,7 +207,7 @@ def _zeta(layout: ChainLayout, census: dict[int, int], q: int, k: int) -> bytes:
     # each buffer below is |J(P)| fields long: drop it once read, to bound the peak at n = 24
     del counts
     w = 8 * wb
-    for stride, mask in _digit_masks(layout.lengths, w, (1 << w) - 1):
+    for stride, mask in digit_masks(layout.lengths, w, (1 << w) - 1):
         table += (table & mask) << w * stride
     data = table.to_bytes(size * wb, "little")
     del table, mask
@@ -422,7 +388,7 @@ def _axiom_violation(name: str, t: list[int], n: int) -> AxiomViolation | None:
     larger and subtracts the other side: every field stays in 0..255, so
     none borrows from the next, and a field whose guard bit clears breaks
     the inequality.  low_e keeps the guards of the fields A that lack e:
-    the digit masks of the antichain's product of chains (_digit_masks).
+    the digit masks of the antichain's product of chains (poset.digit_masks).
     """
     if not (0 <= min(t) and max(t) <= n):
         a = next(a for a, value in enumerate(t) if not 0 <= value <= a.bit_count())
@@ -431,7 +397,7 @@ def _axiom_violation(name: str, t: list[int], n: int) -> AxiomViolation | None:
     guards = int.from_bytes(b"\x80" * len(t), "little")
     if over := guards & ~(int.from_bytes(subset_sizes(n), "little") + guards - table):
         return AxiomViolation(name, "R1", _lowest_field(over), None)
-    low = [mask for _, mask in _digit_masks((1,) * n, 8, 0x80)][::-1]
+    low = [mask for _, mask in digit_masks((1,) * n, 8, 0x80)][::-1]
     up = [table >> (8 << e) for e in range(n)]
     r2 = [(_lowest_field(v), e) for e in range(n) if (v := low[e] & ~(up[e] + guards - table))]
     if r2:

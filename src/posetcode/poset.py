@@ -28,7 +28,7 @@ transitively redundant pairs; format_poset writes only cover relations.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import cache
 from itertools import accumulate
 from pathlib import Path
@@ -79,15 +79,12 @@ class Poset:
             raise ValueError(f"ground set size {n} outside 1..{MAX_GROUND}")
         succs: list[list[int]] = [[] for _ in range(n)]
         indeg = [0] * n
-        seen = set()
+        # a repeated pair adds to succs and indeg alike, so the queue still releases each element once
         for i, j in relations:
             if not (1 <= i <= n and 1 <= j <= n):
                 raise ValueError(f"relation {i} < {j} out of range 1..{n}")
             if i == j:
                 raise ValueError(f"relation {i} < {j} is reflexive")
-            if (i, j) in seen:
-                continue
-            seen.add((i, j))
             succs[i - 1].append(j - 1)
             indeg[j - 1] += 1
         order = [v for v in range(n) if indeg[v] == 0]
@@ -157,8 +154,8 @@ class Poset:
         return self.ideal_closure(mask) == mask
 
     def linear_extension(self) -> list[int]:
-        """Elements (0-based) with i before j when i < j in P (_by_downset_size)."""
-        return _by_downset_size(self.below)
+        """Elements (0-based) with i before j when i < j in P (ChainLayout.linear_extension)."""
+        return self.chain_layout().linear_extension()
 
     def chain_layout(self) -> ChainLayout:
         """J(P) laid out on a minimum chain partition of P, its bottom-up
@@ -253,9 +250,10 @@ class ChainLayout:
     chain in a prefix, so it is S_x for one x; flags marks those x, None on
     a disjoint union of chains, where the grid is J(P).  As s + 1 <= 2**s,
     the grid has at most 2**n points.  Where the chains, concatenated, run
-    0..n-1 upwards (mask_ordered), index order is mask order.  opposite()
-    keeps the chains, each reversed, so complementing an ideal reverses its
-    index.
+    0..n-1 upwards (mask_ordered), index order is mask order.  The layout
+    owns the packed steps over J(P): ideal_steps, one per element along
+    linear_extension(), the order of every pass and walk.  opposite() keeps
+    the chains, each reversed, so complementing an ideal reverses its index.
     """
 
     __slots__ = ("n", "below", "chains", "lengths", "size", "_weight", "_up", "_split", "_low", "_high", "_at_low", "_at_high", "_flags", "mask_ordered", "_keys", "_grid_keys", "_key_tables")
@@ -279,9 +277,11 @@ class ChainLayout:
         # under the antichain, where the index is the mask, no table is needed
         if self.size != 1 << n:
             c = next(c for c, stride in enumerate(strides) if stride * stride >= self.size)
-            self._split, self._low, self._high = strides[c], _prefix_sets(self.chains[:c], up), _prefix_sets(self.chains[c:], up)
+            bits = [1 << e for e in range(n)]
+            self._split, self._low, self._high = strides[c], _grid_sums(self.chains[:c], bits), _grid_sums(self.chains[c:], bits)
             self._at_low, self._at_high = {s: i for i, s in enumerate(self._low)}, {s: i * strides[c] for i, s in enumerate(self._high)}
-        self._flags: bytes | None | tuple = ()
+        # None on a disjoint union of chains, with nothing below an element off its chain; else () until read
+        self._flags: bytes | None | tuple = () if any(below[e] & ~up[chain[0]] for chain in self.chains for e in chain) else None
         self.mask_ordered = [e for chain in self.chains for e in chain] == list(range(n))
         self._keys: tuple[int, list[int]] | None = None
         self._grid_keys: list[int] | None = None
@@ -322,13 +322,9 @@ class ChainLayout:
         return self._keys
 
     def grid_keys(self) -> list[int]:
-        """The key of S_x at every index: additive over the chains, so built
-        like bitset.digit_sums, a chain at a time.  Cached on first use."""
+        """The key of S_x at every index (_grid_sums).  Cached on first use."""
         if self._grid_keys is None:
-            weights, keys = self.key_weights()[1], [0]
-            for chain in self.chains:
-                keys = [key + step for step in accumulate((weights[e] for e in chain), initial=0) for key in keys]
-            self._grid_keys = keys
+            self._grid_keys = _grid_sums(self.chains, self.key_weights()[1])
         return self._grid_keys
 
     def key_tables(self) -> tuple[int, list[list[tuple[int, bytes]]]]:
@@ -342,31 +338,54 @@ class ChainLayout:
             self._key_tables = width, byte_tables(weights, (self.n + 7) // 8, 1, width, sums=True)
         return self._key_tables
 
-    def step(self, e: int, field: bytes) -> tuple[int, int]:
-        """(stride_c, packed fields) for e the t-th element of chain c: field
-        at the x with x_c = t - 1 whose S_x holds everything below e, where
-        adding e moves x on by stride_c, and zero fields elsewhere."""
-        out, low, high = field, self.below[e] ^ 1 << e, (1 << self.n) - 1 ^ self._up[e]
-        for chain in self.chains:
-            mask = self._up[chain[0]]
-            lo, hi = (low & mask).bit_count(), (high & mask).bit_count()
-            zero = bytes(len(out))
-            out = b"".join((zero * lo, out * (hi - lo + 1), zero * (len(chain) - hi)))
-        return self._weight[e], int.from_bytes(out, "little")
+    def linear_extension(self) -> list[int]:
+        """The elements, each after everything below it: of those whose strict
+        downsets are placed, the first in chain order, so on a disjoint union
+        of chains the chains one after another, each bottom up."""
+        pending, order, placed = [list(chain[::-1]) for chain in self.chains], [], 0
+        for _ in range(self.n):
+            chain = next(chain for chain in pending if chain and self.below[chain[-1]] & ~placed == 1 << chain[-1])
+            order.append(e := chain.pop())
+            placed |= 1 << e
+        return order
+
+    def ideal_steps(self, width: int, value: int, down: bool = False) -> Iterator[tuple[int, int]]:
+        """(stride_c, mask) per element e, the t-th of chain c, along
+        linear_extension() or, when down, in reverse: mask holds value in the
+        width-bit fields at the x with x_c = t - 1 whose S_x holds all below
+        e.  An ideal less its last element along the order is an ideal, so
+        one pass of packed steps reaches every ideal.  On a disjoint union of
+        chains, whose steps commute across chains, the digit masks, each
+        chain's from its top digit when down; elsewhere each element's box."""
+        if self._flags is None:
+            # digit_masks runs each chain up, from the last chain
+            masks = digit_masks(self.lengths, width, value)
+            for s in reversed(self.lengths):
+                steps = [next(masks) for _ in range(s)]
+                yield from reversed(steps) if down else steps
+            return
+        field, order = value.to_bytes(width // 8, "little"), self.linear_extension()
+        for e in reversed(order) if down else order:
+            out, low, high = field, self.below[e] ^ 1 << e, (1 << self.n) - 1 ^ self._up[e]
+            for chain in self.chains:
+                mask = self._up[chain[0]]
+                lo, hi = (low & mask).bit_count(), (high & mask).bit_count()
+                zero = bytes(len(out))
+                out = b"".join((zero * lo, out * (hi - lo + 1), zero * (len(chain) - hi)))
+            box = int.from_bytes(out, "little")
+            # the join's buffers go before the yield, which would keep them beside the box
+            del out, zero
+            yield self._weight[e], box
 
     @property
     def flags(self) -> bytes | None:
-        """A byte per grid point, 1 where S_x is an ideal, else 0; None on a
-        disjoint union of chains.  Added along a linear extension, an ideal's
-        elements pass through ideals only: one pass of steps flags them all."""
+        """A byte per grid point, 1 where S_x is an ideal, else 0, by one pass
+        of ideal_steps; None on a disjoint union of chains."""
         if self._flags == ():
-            self._flags = None
-            if any(self.below[e] & ~self._up[chain[0]] for chain in self.chains for e in chain):
-                flags = 1
-                for e in _by_downset_size(self.below):
-                    stride, box = self.step(e, b"\1")
-                    flags |= (flags & box) << 8 * stride
-                self._flags = flags.to_bytes(self.size, "little")
+            flags = 1
+            for stride, box in self.ideal_steps(8, 1):
+                flags |= (flags & box) << 8 * stride
+            self._flags = flags.to_bytes(self.size, "little")
         return self._flags
 
     def opposite(self) -> Poset:
@@ -378,8 +397,47 @@ class ChainLayout:
                 above[e] |= 1 << f
         opposite = Poset(self.n, above)
         opposite._layout = ChainLayout(above, (chain[::-1] for chain in self.chains))
-        opposite._layout._flags = self._flags if self._flags in ((), None) else self._flags[::-1]
+        if self._flags:
+            opposite._layout._flags = self._flags[::-1]
         return opposite
+
+
+def _grid_sums(chains: Sequence[Sequence[int]], weights: Sequence[int]) -> list[int]:
+    """The sum of weights[e] over S_x at every point x of the grid of the
+    chains, by index, a chain at a time like bitset.digit_sums: with weights
+    1 << e, S_x itself."""
+    sums = [0]
+    for chain in chains:
+        sums = [s + step for step in accumulate((weights[e] for e in chain), initial=0) for s in sums]
+    return sums
+
+
+def digit_masks(lengths: Sequence[int], width: int, value: int) -> Iterator[tuple[int, int]]:
+    """(stride_c, mask) for each chain c from the last down and each digit t =
+    1..s_c up: mask holds value in each width-bit field of the product of
+    chains whose digit c is t - 1, which stride_c fields on have digit t.
+    The digit-0 mask of chain c follows from chain c + 1's by one XOR when
+    chain c + 1 has length 1 (every chain of the antichain): its fields are
+    those of chain c + 1's digit 0 at most stride_c fields past a multiple
+    of stride_(c+1)."""
+    strides = [1]
+    for s in lengths:
+        strides.append(strides[-1] * (s + 1))
+    field, size, zero = value.to_bytes(width // 8, "little"), strides[-1], 0
+    for c in reversed(range(len(lengths))):
+        stride, s = strides[c], lengths[c]
+        if zero and lengths[c + 1] == 1:
+            zero ^= zero << (width * stride)
+        else:
+            # stride fields of value per period, the zero fields between them; no buffer outlives the int
+            periods = [field * stride] * (size // strides[c + 1])
+            zero = int.from_bytes(bytes(len(field) * stride * s).join(periods), "little")
+            del periods
+        mask = zero
+        for t in range(1, s + 1):
+            yield stride, mask
+            if t < s:
+                mask <<= width * stride
 
 
 @cache
@@ -396,19 +454,6 @@ def _sha256() -> Callable:
         except ImportError:
             from hashlib import sha256
     return sha256
-
-
-def _by_downset_size(below: Sequence[int]) -> list[int]:
-    """Elements by downset size, ties by element: i < j makes below[i] the smaller."""
-    return sorted(range(len(below)), key=lambda e: below[e].bit_count())
-
-
-def _prefix_sets(chains: Sequence[Sequence[int]], up: Sequence[int]) -> list[int]:
-    """S_x at every point of the grid of the chains, by index; up as in ChainLayout."""
-    sets = [0]
-    for chain in chains:
-        sets = [s | up[chain[0]] ^ top for top in [*map(up.__getitem__, chain), 0] for s in sets]
-    return sets
 
 
 def parse_poset(text: str) -> Poset:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import os
@@ -251,6 +252,31 @@ def test_usage_and_help_exit_codes(capsys):
     capsys.readouterr()
     assert main(["hierarchy", "--code", "x", "--poset", "y", "--method", "guess"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    ("name", "methods"),
+    [
+        ("hierarchy", ["ideal-scan", "bruteforce"]),
+        ("duality", None),
+        ("distribution", ["enumerate", "moebius", "closed-form"]),
+        ("classify", None),
+    ],
+)
+def test_instance_subcommands_take_code_poset_method_and_json(capsys, name, methods):
+    # --code and --poset required, the --method choices with the first the default, and --json
+    parser = _build_parser()
+    args = parser.parse_args([name, "--code", "c", "--poset", "p"])
+    assert (args.code, args.poset, args.json) == ("c", "p", False)
+    assert parser.parse_args([name, "--code", "c", "--poset", "p", "--json"]).json
+    assert main([name, "--code", "c"]) == 1 and main([name, "--poset", "p"]) == 1
+    capsys.readouterr()
+    subparser = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices[name]
+    method = next((a for a in subparser._actions if a.dest == "method"), None)
+    if methods is None:
+        assert method is None and not hasattr(args, "method")
+    else:
+        assert (method.choices, method.default, args.method) == (methods, methods[0], methods[0])
 
 
 def test_main_calls_in_one_process_match_fresh_ones(capsys, pair_file):

@@ -5,13 +5,15 @@ import random
 import sys
 from functools import cache
 from itertools import combinations
+from math import prod
 from pathlib import Path
+from types import GeneratorType
 
 import pytest
 
 import posetcode.poset as poset_module
-from posetcode.bitset import digit_sums, mask_from_positions, to_elements
-from posetcode.poset import Poset, format_poset, load_poset, parse_poset
+from posetcode.bitset import bits_of, digit_sums, mask_from_positions, to_elements
+from posetcode.poset import Poset, _grid_sums, digit_masks, format_poset, load_poset, parse_poset
 
 
 def random_poset(rng, n):
@@ -129,10 +131,20 @@ def test_dual_swaps_chain_direction():
 
 
 def test_from_cover_relations_accepts_redundant_pairs():
-    # 1<2<3 plus the implied 1<3
+    # 1<2<3 plus the implied 1<3, and repeated pairs
     p = Poset.from_cover_relations(3, [(1, 2), (2, 3), (1, 3)])
     assert p == Poset.chain(3)
     assert p.cover_relations() == ((1, 2), (2, 3))
+    assert Poset.from_cover_relations(3, [(1, 2), (2, 3), (1, 2), (1, 3), (2, 3), (1, 2)]) == p
+    with pytest.raises(ValueError, match="cycle"):
+        Poset.from_cover_relations(3, [(1, 2), (1, 2), (2, 3), (3, 1)])
+    rng = random.Random(75)
+    for _ in range(150):
+        poset = random_poset(rng, rng.randint(1, 10))
+        covers = list(poset.cover_relations())
+        relations = covers + rng.choices(covers, k=4) if covers else []
+        rng.shuffle(relations)
+        assert Poset.from_cover_relations(poset.n, relations) == poset, relations
 
 
 def naive_covers(p):
@@ -352,3 +364,136 @@ def test_chain_layout_of_random_posets_flags_exactly_the_ideals():
         # complementing an ideal reverses its index: the complement is an ideal of the opposite poset
         full = (1 << n) - 1
         assert all(opposite.chain_layout().index(full ^ ideal) == layout.size - 1 - layout.index(ideal) for ideal in ideals)
+
+
+def grid_points(lengths):
+    """The digits x of every grid point, by index: chain 0's digit runs fastest."""
+    points = [()]
+    for s in lengths:
+        points = [x + (d,) for d in range(s + 1) for x in points]
+    return points
+
+
+def prefix_set(layout, x):
+    """S_x by definition: the first x_c elements of each chain c."""
+    return sum(1 << e for chain, d in zip(layout.chains, x) for e in chain[:d])
+
+
+def fields(mask, width, size):
+    """The width-bit fields of a packed mask, none past the grid."""
+    assert mask >> width * size == 0
+    return [mask >> width * i & (1 << width) - 1 for i in range(size)]
+
+
+def strides_of(lengths):
+    return [prod(s + 1 for s in lengths[:c]) for c in range(len(lengths))]
+
+
+def dict_digit_masks(lengths, value):
+    """digit_masks by a dict loop: chains from the last, digits t = 1..s_c up,
+    value at every point whose digit c is t - 1."""
+    points, strides = grid_points(lengths), strides_of(lengths)
+    return [
+        (strides[c], [value if x[c] == t - 1 else 0 for x in points])
+        for c in reversed(range(len(lengths)))
+        for t in range(1, lengths[c] + 1)
+    ]
+
+
+def dict_ideal_steps(layout, value, down):
+    """ideal_steps by a dict loop: for e the t-th of chain c, value at every x
+    with x_c = t - 1 whose S_x holds everything below e.  On a chain union
+    the chains from the last, each up (down when down); elsewhere along
+    linear_extension(), reversed when down."""
+    if layout.flags is None:
+        order = [e for chain in reversed(layout.chains) for e in (chain[::-1] if down else chain)]
+    else:
+        order = layout.linear_extension()[:: -1 if down else 1]
+    points, strides = grid_points(layout.lengths), strides_of(layout.lengths)
+    where = {e: (c, chain.index(e)) for c, chain in enumerate(layout.chains) for e in chain}
+    steps = []
+    for e in order:
+        c, t = where[e]
+        strict = layout.below[e] ^ 1 << e
+        steps.append((strides[c], [value if x[c] == t and not strict & ~prefix_set(layout, x) else 0 for x in points]))
+    return steps
+
+
+def step_posets():
+    """Chain unions (antichain, one chain, NRT shapes, shuffled unions), then
+    posets that are none (v3, K3,3, two forks, random posets)."""
+    rng, data = random.Random(76), Path(__file__).parent / "data"
+    unions = [Poset.antichain(6), Poset.chain(5), load_poset(data / "nrt4.poset"), load_poset(data / "nrt7.poset")]
+    unions += [chain_union(rng, [rng.randint(1, 3) for _ in range(rng.randint(1, 4))]) for _ in range(6)]
+    others = [
+        load_poset(data / "v3.poset"),
+        Poset.from_cover_relations(6, [(i, j) for i in range(1, 4) for j in range(4, 7)]),
+        parse_poset("n 6\n1 < 2\n1 < 3\n4 < 5\n4 < 6\n"),
+    ]
+    others += [random_poset(rng, rng.randint(4, 8)) for _ in range(12)]
+    return unions, others
+
+
+def test_digit_masks_and_ideal_steps_match_the_dict_loop():
+    unions, others = step_posets()
+    assert all(p.chain_layout().flags is None for p in unions)
+    assert sum(p.chain_layout().flags is not None for p in others) >= 10
+    for poset in unions + others:
+        layout = poset.chain_layout()
+        for width, value in ((8, 1), (16, 0x7FFF)):
+            expected = dict_digit_masks(layout.lengths, value)
+            got = [(stride, fields(mask, width, layout.size)) for stride, mask in digit_masks(layout.lengths, width, value)]
+            assert got == expected, layout.lengths
+            for down in (False, True):
+                steps = layout.ideal_steps(width, value, down=down)
+                got = [(stride, fields(mask, width, layout.size)) for stride, mask in steps]
+                assert got == dict_ideal_steps(layout, value, down), (poset, down)
+
+
+def test_linear_extension_puts_each_element_after_everything_below_it():
+    unions, others = step_posets()
+    rng = random.Random(77)
+    for poset in unions + others + [random_poset(rng, rng.randint(1, 12)) for _ in range(60)]:
+        layout = poset.chain_layout()
+        order = layout.linear_extension()
+        assert sorted(order) == list(range(poset.n)) and poset.linear_extension() == order
+        position = {e: j for j, e in enumerate(order)}
+        assert all(position[i] < position[e] for e in order for i in bits_of(poset.below[e] ^ 1 << e)), poset
+        if layout.flags is None:
+            # the chains one after another, each bottom up
+            assert order == [e for chain in layout.chains for e in chain]
+
+
+def test_grid_sums_are_the_sets_and_their_keys():
+    unions, others = step_posets()
+    for poset in unions + others:
+        layout = poset.chain_layout()
+        sets = [prefix_set(layout, x) for x in grid_points(layout.lengths)]
+        assert _grid_sums(layout.chains, [1 << e for e in range(poset.n)]) == sets
+        assert [layout.ideal(i) for i in range(layout.size)] == sets
+        weights = layout.key_weights()[1]
+        keys = [sum(weights[e] for e in bits_of(s)) for s in sets]
+        assert _grid_sums(layout.chains, weights) == keys == layout.grid_keys()
+
+
+def frames_of(gen):
+    """The frames of a suspended generator and of every generator it holds."""
+    frames, todo = [], [gen]
+    while todo:
+        g = todo.pop()
+        if g is not None and g.gi_frame is not None:
+            frames.append(g.gi_frame)
+            todo += [v for v in g.gi_frame.f_locals.values() if isinstance(v, GeneratorType)]
+            todo.append(g.gi_yieldfrom if isinstance(g.gi_yieldfrom, GeneratorType) else None)
+    return frames
+
+
+@pytest.mark.parametrize("down", [False, True])
+def test_suspended_ideal_steps_hold_no_buffer_past_one_field(down):
+    # a step's join buffers are as long as the grid: the generator drops them before it yields
+    unions, others = step_posets()
+    for poset in unions + others:
+        gen = poset.chain_layout().ideal_steps(16, 0x7FFF, down=down)
+        for _ in gen:
+            held = [len(v) for frame in frames_of(gen) for v in frame.f_locals.values() if isinstance(v, (bytes, bytearray))]
+            assert max(held, default=0) <= 2, (poset, held)
