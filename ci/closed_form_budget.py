@@ -3,7 +3,11 @@
 Runs `posetcode distribution --method closed-form --poset antichain:22
 --json` in a child process on two [22,18] codes over GF(23), checks the
 counts against answers computed here without the package, and prints the
-wall time and peak RSS of each child.
+wall time and peak RSS of each child.  Then runs `posetcode classify
+--json` on the NMDS code under antichain:22 and under NRT 11 x 2 (eleven
+chains 2j - 1 < 2j, a poset file written here), where it must read label
+NMDS and column_conditions_ok true: the Hamming NMDS test, which off the
+antichain reads the antichain's own table.
 
 * MDS: the Reed-Solomon code [22,18,5] (generator rows x^i for
   x = 1..22, i = 0..17), against the textbook MDS weight distribution
@@ -23,8 +27,8 @@ wall time and peak RSS of each child.
       A_{n-k+s} = C(n, k-s) sum_{j=0}^{s-1} (-1)^j C(n-k+s, j) (q^(s-j) - 1)
                 + (-1)^s C(k, s) A_{n-k}.
 
-Exits 1 on a wrong count, a failed run or a peak RSS above 128 MiB in
-either case; the time budget is the timeout around it.  Run from the
+Exits 1 on a wrong count or verdict, a failed run or a peak RSS above
+128 MiB in any case; the time budget is the timeout around it.  Run from the
 repository root:
 
     PYTHONPATH=src timeout 60 python ci/closed_form_budget.py
@@ -118,37 +122,68 @@ def nmds_weights(rows: list[list[int]]) -> list[int]:
     return counts
 
 
-def run_case(name: str, rows: list[list[int]], want: list[int], tmp: Path) -> bool:
-    path = tmp / f"{name}.code"
-    path.write_text(code_text(rows))
-    out, err = tmp / f"{name}.out", tmp / f"{name}.err"
-    argv = ["distribution", "--method", "closed-form", "--code", str(path), "--poset", f"antichain:{N}", "--json"]
+def nrt_text() -> str:
+    """NRT 11 x 2 in the poset file format: chains 2j - 1 < 2j."""
+    return f"n {N}\n" + "".join(f"{j} < {j + 1}\n" for j in range(1, N, 2))
+
+
+def run(name: str, argv: list[str]) -> dict | None:
+    """One posetcode call in a child process: its JSON output, or None after
+    a failed run or a peak RSS above budget.  Prints its time and peak RSS."""
     started = time.perf_counter()
-    with out.open("w") as stdout, err.open("w") as stderr:
+    with tempfile.TemporaryFile("w+") as stdout, tempfile.TemporaryFile("w+") as stderr:
         child = subprocess.Popen([sys.executable, "-m", "posetcode.cli", *argv], stdout=stdout, stderr=stderr)
         # wait4 gives this child's own peak RSS, not the largest over every child so far
         _, status, usage = os.wait4(child.pid, 0)
-    elapsed = time.perf_counter() - started
+        elapsed = time.perf_counter() - started
+        stdout.seek(0)
+        stderr.seek(0)
+        output, errors = stdout.read(), stderr.read()
     peak_mib = usage.ru_maxrss / 1024
-    print(f"{name} closed form: {elapsed:.1f} s, peak RSS {peak_mib:.0f} MiB")
+    print(f"{name}: {elapsed:.1f} s, peak RSS {peak_mib:.0f} MiB")
     if os.waitstatus_to_exitcode(status) != 0:
-        print(err.read_text(), file=sys.stderr)
-        return False
-    counts = json.loads(out.read_text())["counts"]
-    if counts != want:
-        print(f"{name}: counts {counts} != weight distribution {want}", file=sys.stderr)
-        return False
+        print(errors, file=sys.stderr)
+        return None
     if peak_mib > PEAK_MIB:
         print(f"{name}: peak RSS {peak_mib:.0f} MiB is above the {PEAK_MIB} MiB budget", file=sys.stderr)
+        return None
+    return json.loads(output)
+
+
+def closed_form_ok(name: str, code: Path, want: list[int]) -> bool:
+    argv = ["distribution", "--method", "closed-form", "--code", str(code), "--poset", f"antichain:{N}", "--json"]
+    if (result := run(f"{name} closed form", argv)) is None:
+        return False
+    if result["counts"] != want:
+        print(f"{name}: counts {result['counts']} != weight distribution {want}", file=sys.stderr)
+        return False
+    return True
+
+
+def classify_ok(name: str, code: Path, poset: str) -> bool:
+    if (result := run(f"NMDS classify under {name}", ["classify", "--code", str(code), "--poset", poset, "--json"])) is None:
+        return False
+    verdict = result["label"], result["column_conditions_ok"]
+    if verdict != ("NMDS", True):
+        print(f"{name}: label and column_conditions_ok {verdict} != ('NMDS', True)", file=sys.stderr)
         return False
     return True
 
 
 def main() -> int:
     elliptic = elliptic_rows()
-    cases = [("MDS", reed_solomon_rows(), mds_weights(N, K, Q)), ("NMDS", elliptic, nmds_weights(elliptic))]
-    with tempfile.TemporaryDirectory() as tmp:
-        passed = [run_case(name, rows, want, Path(tmp)) for name, rows, want in cases]
+    with tempfile.TemporaryDirectory() as tmp_name:
+        tmp = Path(tmp_name)
+        mds, nmds, nrt = tmp / "MDS.code", tmp / "NMDS.code", tmp / "nrt.poset"
+        mds.write_text(code_text(reed_solomon_rows()))
+        nmds.write_text(code_text(elliptic))
+        nrt.write_text(nrt_text())
+        passed = [
+            closed_form_ok("MDS", mds, mds_weights(N, K, Q)),
+            closed_form_ok("NMDS", nmds, nmds_weights(elliptic)),
+            classify_ok(f"antichain:{N}", nmds, f"antichain:{N}"),
+            classify_ok("NRT 11x2", nmds, str(nrt)),
+        ]
     return 0 if all(passed) else 1
 
 

@@ -34,15 +34,6 @@ def bits_of(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def mask_from_positions(positions: Iterable[int]) -> int:
-    out = 0
-    for p in positions:
-        if p < 0:
-            raise ValueError(f"negative bit position {p}")
-        out |= 1 << p
-    return out
-
-
 def to_elements(mask: int) -> tuple[int, ...]:
     """1-based elements of a subset mask, ascending."""
     return tuple(b + 1 for b in bits_of(mask))

@@ -93,23 +93,20 @@ none of them is ever used as its own oracle.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterator
-from itertools import combinations, compress
+from itertools import compress
 from math import comb
 from typing import NamedTuple
 
-from .bitset import digit_sums, find_all, mask_from_positions, to_elements, to_fields
+from .bitset import digit_sums, find_all, to_elements, to_fields
 from .code import MAX_ENUMERATION, LinearCode
 from .errors import SelfCheckError
-from .hierarchy import _key_table, _primal_minima, _profile_ok, _require_compatible
+from .hierarchy import _dual_minima, _key_table, _primal_minima, _profile_ok, _require_compatible
 from .matroid import _zeta
 from .poset import ChainLayout, Poset, digit_masks
 
 MDS_LABEL = "MDS"
 NMDS_LABEL = "NMDS"
 OTHER_LABEL = "other"
-
-_COLUMN_CONDITION_CAP = 1 << 16
 
 
 def support_census(code: LinearCode, poset: Poset, method: str = "moebius") -> dict[int, int]:
@@ -193,10 +190,11 @@ class Classification(NamedTuple):
       * dual_rank_profile_ok (NMDS): dual_rank(J) = |J| below size n - k
         and = n - k above it, on ideals.
       * column_conditions_ok (NMDS): the code's Hamming NMDS test,
-        d_H(C) = n - k and d_H(C-perp) = k, read off the independence of
-        the parity columns at sizes n-k-1, n-k, n-k+1: implied by the
-        label under the antichain only.  None when the subset census is
-        too large.
+        d_H(C) = n - k and d_H(C-perp) = k, the first weights of the
+        primal and dual scans over the antichain's key table: the table
+        classify already reads under the antichain, else the antichain's
+        own from RankProfile.shortened_dims.  Implied by the label under
+        the antichain only.
     """
 
     label: str
@@ -216,24 +214,16 @@ class Classification(NamedTuple):
         return {f: list(v) if isinstance(v, tuple) else v for f, v in zip(self._fields, self)}
 
 
-def _column_conditions(code: LinearCode) -> bool | None:
+def _column_conditions(code: LinearCode, layout: ChainLayout, key: bytes) -> bool:
+    """The Hamming NMDS test d_H(C) = n - k and d_H(C-perp) = k: the first
+    weight of each scan over the antichain's key table, the one in hand
+    under the antichain, else filled (and cached) by RankProfile."""
     n, k = code.n, code.k
-    sizes = [n - k - 1, n - k, n - k + 1]
-    if any(s < 0 or s > n for s in sizes):
-        return None
-    if sum(comb(n, s) for s in sizes) > _COLUMN_CONDITION_CAP:
-        return None
-
-    def ranks(size: int) -> Iterator[int]:
-        # one elimination per subset, at any n; the caller stops at the first decisive one
-        for c in combinations(range(n), size):
-            yield code.parity.column_submatrix(mask_from_positions(c)).rank()
-
-    return (
-        all(r == n - k - 1 for r in ranks(n - k - 1))
-        and any(r < n - k for r in ranks(n - k))
-        and all(r == n - k for r in ranks(n - k + 1))
-    )
+    if layout.size != 1 << n:
+        anti = Poset.antichain(n)
+        layout = anti.chain_layout()
+        key = _key_table(code, layout, code.matroid.shortened_dims(anti))
+    return _primal_minima(layout, key, n, k)[0][0] == n - k and _dual_minima(layout, key, n, k)[0][0] == k
 
 
 def classify(code: LinearCode, poset: Poset) -> Classification:
@@ -264,7 +254,7 @@ def _classify(code: LinearCode, layout: ChainLayout, dims: bytes) -> Classificat
         # dual_rank(J) = |J| - dim C^J is |J| below size n - k and n - k above it
         boundary = n - k
         dual_rank_ok = _profile_ok(key, n, k, lambda size: None if size == boundary else size - min(size, boundary))
-        column_ok = _column_conditions(code)
+        column_ok = _column_conditions(code, layout, key)
     return Classification(
         label=label,
         n=n,

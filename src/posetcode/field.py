@@ -151,23 +151,15 @@ class GF:
     def _mul_raw(self, a: int, b: int) -> int:
         """Polynomial product of two encodings, reduced by the modulus."""
         p, m = self.p, self.m
-        fa = _digits(a, p, m)
         fb = _digits(b, p, m)
         prod = [0] * (2 * m - 1)
-        for i, ca in enumerate(fa):
+        for i, ca in enumerate(_digits(a, p, m)):
             if ca:
                 for j, cb in enumerate(fb):
                     prod[i + j] = (prod[i + j] + ca * cb) % p
-        mod = self.modulus
-        for i in range(len(prod) - 1, m - 1, -1):
-            c = prod[i]
-            if c:
-                prod[i] = 0
-                for j in range(m):
-                    prod[i - m + j] = (prod[i - m + j] - c * mod[j]) % p
         out = 0
-        for i in range(m - 1, -1, -1):
-            out = out * p + prod[i]
+        for c in reversed(_poly_rem(prod, list(self.modulus), p)):
+            out = out * p + c
         return out
 
     # -- element ops -------------------------------------------------------

@@ -153,10 +153,6 @@ class Poset:
     def is_ideal(self, mask: int) -> bool:
         return self.ideal_closure(mask) == mask
 
-    def linear_extension(self) -> list[int]:
-        """Elements (0-based) with i before j when i < j in P (ChainLayout.linear_extension)."""
-        return self.chain_layout().linear_extension()
-
     def chain_layout(self) -> ChainLayout:
         """J(P) laid out on a minimum chain partition of P, its bottom-up
         chains ordered by least element; cached on first use, as the one

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import random
 from collections import Counter
+from itertools import combinations
 from math import comb
 from pathlib import Path
 
@@ -131,7 +132,7 @@ def test_moebius_census_never_streams_the_code_itself(monkeypatch):
 def dict_moebius(dims, poset, q, k):
     """The census by the Moebius dict loop over a table read at the ideals (at_ideals)."""
     census = {ideal: q**d for ideal, d in dims.items()}
-    for e in reversed(poset.linear_extension()):
+    for e in reversed(poset.chain_layout().linear_extension()):
         bit = 1 << e
         for ideal in census:
             if ideal & bit and ideal ^ bit in census:
@@ -543,6 +544,55 @@ def test_classification_fixtures():
 
     d = c.as_dict()
     assert d["label"] == "other" and d["d2"] is None and d["d2_witness"] is None
+
+
+def per_subset_column_conditions(code):
+    """The Hamming NMDS test by one elimination per column subset of H: every
+    n-k-1 columns independent, some n-k dependent, every n-k+1 of rank n-k."""
+    n, k = code.n, code.k
+
+    def ranks(size):
+        for chosen in combinations(range(n), size):
+            yield code.parity.column_submatrix(sum(1 << c for c in chosen)).rank()
+
+    return (
+        all(r == n - k - 1 for r in ranks(n - k - 1))
+        and any(r < n - k for r in ranks(n - k))
+        and all(r == n - k for r in ranks(n - k + 1))
+    )
+
+
+def test_column_conditions_match_the_per_subset_eliminations():
+    from posetcode.selftest import random_instance
+
+    seen = Counter()
+    for seed in range(400):
+        code, poset = random_instance(random.Random(seed))
+        for p in (poset, Poset.antichain(code.n)):
+            c = classify(fresh(code), p)
+            if c.label != NMDS_LABEL:
+                assert c.column_conditions_ok is None
+                continue
+            assert c.column_conditions_ok is per_subset_column_conditions(code), (seed, p)
+            seen[c.column_conditions_ok] += 1
+    assert seen[True] and seen[False], seen
+
+
+def test_classify_runs_no_elimination(monkeypatch):
+    from posetcode.code import load_code
+
+    def refuse(self):
+        raise AssertionError("Matrix.rank called")
+
+    fixtures = [(PAIR, "nrt4.poset"), (load_code(DATA / "hamming7.code"), "nrt7.poset"), (load_code(DATA / "simplex7.code"), "nrt7.poset")]
+    monkeypatch.setattr(Matrix, "rank", refuse)
+    labels = Counter()
+    for code, nrt in fixtures:
+        for poset in (Poset.antichain(code.n), Poset.chain(code.n), load_poset(DATA / nrt)):
+            c = classify(fresh(code), poset)
+            assert (c.column_conditions_ok is None) == (c.label != NMDS_LABEL)
+            labels[c.label] += 1
+    assert labels[NMDS_LABEL] == 8
 
 
 def test_result_dicts_hold_every_field_in_declaration_order():

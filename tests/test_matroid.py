@@ -95,9 +95,9 @@ def test_rank_matches_direct_elimination():
 
 def unpruned_ranks(poset, field, columns):
     """{ideal: rank of the columns it indexes} on every ideal, by a walk
-    that never stops at full rank: along poset.linear_extension(), each
+    that never stops at full rank: along the layout's linear extension, each
     ideal is its parent plus one element, reduced in by one kernel call."""
-    extend, order = _reducer(field, columns), poset.linear_extension()
+    extend, order = _reducer(field, columns), poset.chain_layout().linear_extension()
     need = [poset.below[e] ^ 1 << e for e in order]
     ranks, stack = {}, [(0, 0, ())]
     while stack:
