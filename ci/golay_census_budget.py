@@ -7,7 +7,13 @@ its counts against the Golay enumerator
     1 + 759 z^8 + 2576 z^12 + 759 z^16 + z^24,
 
 and prints the wall time and the child's peak RSS.  Exits 1 on a wrong
-count or a failed run.  Run from the repository root:
+count, a failed run, or a peak above PEAK_BUDGET_MIB = 256 MiB.  The
+census peaks at about 243 MiB under Python 3.11 and 240 MiB under 3.10
+(2-CPU box, 5.5-7.5 s): its 2-byte fields over the 2**24 grid points are
+32 MiB an int, and the bound leaves less than half of one more such
+buffer, so a grid-sized table kept across the passes (a cached sizes
+table, or a step buffer that outlives its pass) fails it.  The wall
+time is bounded by the caller's timeout.  Run from the repository root:
 
     PYTHONPATH=src timeout 120 python ci/golay_census_budget.py
 """
@@ -23,6 +29,7 @@ import time
 from pathlib import Path
 
 EXPECTED = {0: 1, 8: 759, 12: 2576, 16: 759, 24: 1}
+PEAK_BUDGET_MIB = 256
 
 
 def golay_code_text() -> str:
@@ -51,6 +58,9 @@ def main() -> int:
     want = [EXPECTED.get(r, 0) for r in range(25)]
     if counts != want:
         print(f"counts {counts} != Golay enumerator {want}", file=sys.stderr)
+        return 1
+    if peak_mib > PEAK_BUDGET_MIB:
+        print(f"peak RSS {peak_mib:.0f} MiB > budget {PEAK_BUDGET_MIB} MiB", file=sys.stderr)
         return 1
     return 0
 

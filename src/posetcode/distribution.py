@@ -25,7 +25,7 @@ enumerate
     to q**k raise SelfCheckError.  It never lists the ideals of P and
     never reads the rank table, so it is the independent oracle for the
     other method.  The enumerate report classifies off the zeta of this
-    census (matroid._zeta), so it walks nothing and streams C once; the
+    census (matroid.log_zeta), so it walks nothing and streams C once; the
     census itself still reads no rank table, and the tests check the
     report's label against classify.
 
@@ -41,16 +41,10 @@ moebius
     serves, else the rank walk, never C's own stream; the moebius report
     classifies off that same table.  Inverting a zeta transform of C's
     enumerate counts would hand those counts back, and the census would
-    stop being an oracle for enumeration.  The q^(dim C^I) sit in fields
-    of one int T, each with a guard bit G above q^k.  One packed step per
-    element e, last of the layout's linear extension first, undoes e:
-    T -= (T & M_e) << (w * stride_c), M_e the fields from which adding e
-    gives an ideal (ChainLayout.ideal_steps with down: on a disjoint union
-    of chains a digit mask, each chain's from its top digit down).
-    Off the ideals the fields start at 0, so no step moves anything
-    from or to them.  A count that would go negative borrows the guard
-    bit of its own field and never the next field.  A dim above k at an
-    ideal, read once for both, or a cleared guard raises SelfCheckError.
+    stop being an oracle for enumeration.  ChainLayout.moebius inverts
+    the q^(dim C^I), each in a field under a guard bit above q^k, by one
+    packed step per element.  A dim above k at an ideal, read once for
+    both, or a count that would go negative raises SelfCheckError.
 
 The weight distribution (A_0, ..., A_n) with A_r = |{u in C : wt_P(u) = r}|
 sums the census over the ideals of each size, |S_x| read off the grid
@@ -97,12 +91,12 @@ from itertools import compress
 from math import comb
 from typing import NamedTuple
 
-from .bitset import digit_sums, find_all, to_elements, to_fields
+from .bitset import digit_sums, find_all, to_elements
 from .code import MAX_ENUMERATION, LinearCode
 from .errors import SelfCheckError
 from .hierarchy import _dual_minima, _key_table, _primal_minima, _profile_ok, _require_compatible
-from .matroid import _zeta
-from .poset import ChainLayout, Poset, digit_masks
+from .matroid import log_zeta
+from .poset import ChainLayout, Poset
 
 MDS_LABEL = "MDS"
 NMDS_LABEL = "NMDS"
@@ -138,24 +132,10 @@ def _census_table(code: LinearCode, poset: Poset) -> bytes:
 
 def _moebius(poset: Poset, dims: bytes, k: int, q: int) -> dict[int, int]:
     """The census by grid index from a census table, each dim at an ideal at
-    most k, by packed int steps with a guard bit per field (module docstring)."""
-    layout = poset.chain_layout()
-    size, wb = layout.size, (q**k).bit_length() // 8 + 1
-    w, guard = 8 * wb, 1 << 8 * wb - 1
-    guards = int.from_bytes(guard.to_bytes(wb, "little") * size, "little")
-    table = int.from_bytes(to_fields(dims, [q**d | guard for d in range(k + 1)], wb), "little")
-    if layout.flags is not None:
-        # count 0 off the ideals, so no step moves anything from there
-        table = table & int.from_bytes(to_fields(layout.flags, [0, guard - 1], wb), "little") | guards
-    for stride, low in layout.ideal_steps(w, guard - 1, down=True):
-        table -= (table & low) << w * stride
-        if table & guards != guards:
-            lost = guards & ~table
-            raise SelfCheckError(f"Moebius census: negative count at subset {layout.ideal(((lost & -lost).bit_length() - 1) // w):#x}")
-    # a field is nonzero exactly when subtracting 1 from it keeps its guard bit
-    nonzero = ((table - (guards >> w - 1)) & guards).to_bytes(size * wb, "little")[wb - 1 :: wb]
-    data = table.to_bytes(size * wb, "little")
-    return {at: int.from_bytes(data[at * wb : (at + 1) * wb], "little") - guard for at in find_all(nonzero, 0x80)}
+    most k: ChainLayout.moebius of q^d under a guard bit above q^k."""
+    wb = (q**k).bit_length() // 8 + 1
+    guard = 1 << 8 * wb - 1
+    return poset.chain_layout().moebius(dims, [q**d | guard for d in range(k + 1)], wb)
 
 
 def distribution(code: LinearCode, poset: Poset, method: str = "enumerate") -> tuple[int, ...]:
@@ -308,14 +288,11 @@ def _ideal_profile(poset: Poset) -> Counter[tuple[int, int]]:
     coefficients of F_P(x, y) = sum_I x^|I| y^m(I).  Under a disjoint union
     of chains an ideal takes a prefix of each chain, and a nonempty one adds
     one maximal element, so F_P is the product over the chains of
-    1 + y (x + ... + x^s).  Elsewhere m(S_x) counts the chains c whose top in
-    S_x leaves an ideal, flagged at the point stride_c before x."""
+    1 + y (x + ... + x^s).  Elsewhere ChainLayout.maximal_counts counts them."""
     layout = poset.chain_layout()
     if (flags := layout.flags) is not None:
-        # m(x) a byte per point, one packed step per chain digit: m <= 24, so nothing carries
-        ones = int.from_bytes(flags, "little")
-        tops = sum((ones & mask) << 8 * stride for stride, mask in digit_masks(layout.lengths, 8, 1))
-        return Counter(zip(compress(digit_sums(layout.lengths), flags), compress(tops.to_bytes(layout.size, "little"), flags)))
+        tops = layout.maximal_counts()
+        return Counter(zip(compress(digit_sums(layout.lengths), flags), compress(tops, flags)))
     terms = Counter({(0, 0): 1})
     for s in layout.lengths:
         grown: Counter[tuple[int, int]] = Counter()
@@ -404,7 +381,7 @@ def distribution_report(code: LinearCode, poset: Poset, method: str = "enumerate
     """
     if method != "closed-form":
         census, layout = _census(code, poset, method), poset.chain_layout()
-        table = _zeta(layout, census, code.field.q, code.k) if method == "enumerate" else code.matroid.census_dims(poset)
+        table = log_zeta(layout, census, code.field.q, code.k) if method == "enumerate" else code.matroid.census_dims(poset)
         return DistributionReport(_by_size(census, layout), method, _classify(code, layout, table))
     cls_ = classify(code, poset)
     if cls_.label == OTHER_LABEL:

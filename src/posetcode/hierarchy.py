@@ -106,18 +106,6 @@ def _echelon_rows(k: int, pivots: tuple[int, ...], q: int) -> list[list[tuple[in
     return out
 
 
-def reduced_echelon_rows(k: int, r: int, q: int):
-    """Yield each r x k reduced-echelon matrix over GF(q) once, as row tuples.
-
-    Pivot column combinations are emitted in lexicographic order; for each,
-    the rows run through _echelon_rows in odometer order, the last row
-    fastest.  Every r-dimensional subspace of GF(q)^k has exactly one such
-    matrix as its canonical basis.
-    """
-    for pivots in combinations(range(k), r):
-        yield from product(*_echelon_rows(k, pivots, q))
-
-
 def _message_supports(code: LinearCode) -> list[int]:
     """Support mask of the codeword of every message, indexed by encoding:
     the batches of the support stream come in message order."""
@@ -148,7 +136,7 @@ def min_weight_bruteforce(
     """Definitional minimum over all r-dimensional subcodes.
 
     Returns the weight and a witness basis (codewords of the first
-    minimizing subspace in the order of reduced_echelon_rows).  Caps:
+    minimizing subspace, pivots in lexicographic order, then _echelon_rows).  Caps:
     q**k <= 2**16 messages and at most 2**20 subspaces.  weight_hierarchy
     checks the inputs and the caps for every r once and passes the
     message supports as _supports; the checks here run only without them.

@@ -29,17 +29,13 @@ RankProfile keeps:
              J <= S_x, so the prefix sum over the grid of the enumerate
              census (LinearCode.closure_tally) counts at x the codewords
              whose support closes into S_x: q^(dim C^I) at an ideal I, a
-             power of q everywhere.  zeta_dims places the census by byte
-             planes in byte-aligned little-endian fields of one int T and
-             runs one packed prefix sum per chain c and digit t = 1..s_c,
-             T += (T & M) << (w * stride_c), where M (poset.digit_masks)
-             selects the w-bit fields whose digit c is t - 1: n steps, no
-             elimination.  A field whose top byte names no power is
-             refused; wider fields are also rebuilt from their names and
-             compared, as a lower byte can be wrong.  C-perp's stream under
-             the opposite poset serves as well as C's: reversing its table
-             complements the index, and
-             dim C^A = |A| - (n - k) + dim C-perp^(complement A).  The
+             power of q everywhere.  zeta_dims takes it by ChainLayout.zeta,
+             no elimination, and log_zeta reads log_q off each field.  A
+             field whose top byte names no power is refused; wider fields
+             are also rebuilt from their names and compared, as a lower
+             byte can be wrong.  C-perp's stream under the opposite poset
+             serves as well as C's: reversing its table complements the
+             index, and dim C^A = |A| - (n - k) + dim C-perp^(complement A).  The
              shorter stream serves, C's own on a tie, when it is no longer
              than the grid and within MAX_ENUMERATION;
       walk   every other case: grid_ranks on the parity-check columns,
@@ -189,28 +185,12 @@ def grid_ranks(layout: ChainLayout, field: GF, columns: Sequence[Sequence[int]])
     return ranks
 
 
-def _zeta(layout: ChainLayout, census: dict[int, int], q: int, k: int) -> bytes:
-    """dim C^I by index over the layout from the census |C & S_I| by index
-    (LinearCode.closure_tally; module docstring).  Fields are the fewest
-    whole bytes that hold q^k, which no partial sum exceeds, so none
-    carries.  A sum not a power of q raises SelfCheckError."""
+def log_zeta(layout: ChainLayout, census: dict[int, int], q: int, k: int) -> bytes:
+    """dim C^I by index from the census |C & S_I| by index (module docstring):
+    log_q of its ChainLayout.zeta in the fewest whole bytes that hold q^k.
+    A sum not a power of q raises SelfCheckError."""
     size, wb = layout.size, ((q**k).bit_length() + 7) // 8
-    counts = bytearray(size * wb)
-    for j in range(wb):
-        plane = counts if wb == 1 else bytearray(size)
-        for at, count in census.items():
-            plane[at] = count >> 8 * j & 255
-        if wb > 1:
-            counts[j::wb] = plane
-    del plane
-    table = int.from_bytes(counts, "little")
-    # each buffer below is |J(P)| fields long: drop it once read, to bound the peak at n = 24
-    del counts
-    w = 8 * wb
-    for stride, mask in digit_masks(layout.lengths, w, (1 << w) - 1):
-        table += (table & mask) << w * stride
-    data = table.to_bytes(size * wb, "little")
-    del table, mask
+    data = layout.zeta(census, wb)
     # log_q: the top nonzero byte of q^d, with its plane, names d (255 for
     # none).  One translate per byte plane, from the top; a lower plane's
     # names fill in only where no higher plane named one.
@@ -237,7 +217,7 @@ def _zeta(layout: ChainLayout, census: dict[int, int], q: int, k: int) -> bytes:
 def zeta_dims(code, poset: Poset) -> bytes:
     """dim C^I by grid index from the code's enumerate census alone; off the
     ideals, log_q of the words inside S_x (module docstring)."""
-    return _zeta(poset.chain_layout(), code.closure_tally(poset), code.field.q, code.k)
+    return log_zeta(poset.chain_layout(), code.closure_tally(poset), code.field.q, code.k)
 
 
 class RankProfile:

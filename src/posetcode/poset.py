@@ -33,7 +33,8 @@ from functools import cache
 from itertools import accumulate
 from pathlib import Path
 
-from .bitset import MAX_GROUND, bits_of, byte_tables, find_all
+from .bitset import MAX_GROUND, bits_of, byte_tables, find_all, to_fields
+from .errors import SelfCheckError
 
 
 class Poset:
@@ -247,9 +248,9 @@ class ChainLayout:
     a disjoint union of chains, where the grid is J(P).  As s + 1 <= 2**s,
     the grid has at most 2**n points.  Where the chains, concatenated, run
     0..n-1 upwards (mask_ordered), index order is mask order.  The layout
-    owns the packed steps over J(P): ideal_steps, one per element along
-    linear_extension(), the order of every pass and walk.  opposite() keeps
-    the chains, each reversed, so complementing an ideal reverses its index.
+    runs every packed pass over the grid (zeta, moebius, flags, maximal_counts)
+    and owns its steps.  opposite() keeps the chains, each reversed, so
+    complementing an ideal reverses its index.
     """
 
     __slots__ = ("n", "below", "chains", "lengths", "size", "_weight", "_up", "_split", "_low", "_high", "_at_low", "_at_high", "_flags", "mask_ordered", "_keys", "_grid_keys", "_key_tables")
@@ -383,6 +384,58 @@ class ChainLayout:
                 flags |= (flags & box) << 8 * stride
             self._flags = flags.to_bytes(self.size, "little")
         return self._flags
+
+    def maximal_counts(self) -> bytes:
+        """A byte per grid point, at an ideal S_x its number of maximal elements:
+        the chains c whose top in S_x leaves an ideal, flagged (or on a chain
+        union, a point) stride_c before x.  One packed step per chain digit."""
+        ones = int.from_bytes(self.flags or b"\1" * self.size, "little")
+        tops = sum((ones & mask) << 8 * stride for stride, mask in digit_masks(self.lengths, 8, 1))
+        return tops.to_bytes(self.size, "little")
+
+    def zeta(self, census: dict[int, int], wb: int) -> bytes:
+        """The prefix sum over the grid of a census by index in wb-byte fields,
+        which no sum may overflow: field x sums the counts at every y <= x.  One
+        packed step T += (T & M) << (w * stride_c) per chain c and digit t,
+        M (digit_masks) the fields whose digit c is t - 1."""
+        size, w = self.size, 8 * wb
+        counts = bytearray(size * wb)
+        for j in range(wb):
+            plane = counts if wb == 1 else bytearray(size)
+            for at, count in census.items():
+                plane[at] = count >> 8 * j & 255
+            if wb > 1:
+                counts[j::wb] = plane
+        del plane
+        table = int.from_bytes(counts, "little")
+        # each buffer below is |J(P)| fields long: drop it once read, to bound the peak at n = 24
+        del counts
+        for stride, mask in digit_masks(self.lengths, w, (1 << w) - 1):
+            table += (table & mask) << w * stride
+        del mask
+        return table.to_bytes(size * wb, "little")
+
+    def moebius(self, table: bytes, values: Sequence[int], wb: int) -> dict[int, int]:
+        """The nonzero counts by index of the Moebius inversion over J(P) of
+        values[table[x]], each a count under the guard bit G, the top of a
+        wb-byte field; off the ideals a field is G, so no step moves anything.
+        Per element e, last of linear_extension() first, T -= (T & M_e) <<
+        (w * stride_c), M_e the fields from which adding e gives an ideal
+        (ideal_steps).  A negative count clears its own G: SelfCheckError."""
+        size, w, guard = self.size, 8 * wb, 1 << 8 * wb - 1
+        guards = int.from_bytes(guard.to_bytes(wb, "little") * size, "little")
+        packed = int.from_bytes(to_fields(table, values, wb), "little")
+        if self.flags is not None:
+            packed = packed & int.from_bytes(to_fields(self.flags, [0, guard - 1], wb), "little") | guards
+        for stride, low in self.ideal_steps(w, guard - 1, down=True):
+            packed -= (packed & low) << w * stride
+            if packed & guards != guards:
+                lost = guards & ~packed
+                raise SelfCheckError(f"Moebius census: negative count at subset {self.ideal(((lost & -lost).bit_length() - 1) // w):#x}")
+        # a field is nonzero exactly when subtracting 1 from it keeps its guard bit
+        nonzero = ((packed - (guards >> w - 1)) & guards).to_bytes(size * wb, "little")[wb - 1 :: wb]
+        data = packed.to_bytes(size * wb, "little")
+        return {at: int.from_bytes(data[at * wb : (at + 1) * wb], "little") - guard for at in find_all(nonzero, 0x80)}
 
     def opposite(self) -> Poset:
         """The opposite poset, laid out on the same chains, each reversed, and

@@ -29,15 +29,11 @@ from posetcode.distribution import (
     support_census,
 )
 from posetcode.field import gf
-from posetcode.hierarchy import (
-    METHOD_BRUTEFORCE,
-    duality_partition,
-    reduced_echelon_rows,
-    weight_hierarchy,
-)
+from posetcode.hierarchy import METHOD_BRUTEFORCE, duality_partition, weight_hierarchy
 from posetcode.matroid import check_complement_rank_identity, check_rank_axioms
 from posetcode.poset import Poset
 from posetcode.selftest import random_instance, run_selftest
+from test_hierarchy import reduced_echelon_rows
 
 ACCEPTANCE_SEED = 20260819
 INSTANCE_COUNT = 200

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -15,17 +15,26 @@ from posetcode.hierarchy import (
     METHOD_IDEAL_SCAN,
     WeightHierarchy,
     _dual_minima,
+    _echelon_rows,
     _key_table,
     duality_partition,
     gaussian_binomial,
     min_weight_bruteforce,
     min_weight_ideal_scan,
-    reduced_echelon_rows,
     weight_hierarchy,
 )
 from posetcode.matrix import Matrix
 from posetcode.poset import Poset
 from conftest import at_ideals
+
+
+def reduced_echelon_rows(k, r, q):
+    """Each r x k reduced-echelon matrix over GF(q) once, as row tuples: pivot
+    columns in lexicographic order, then _echelon_rows' rows in odometer
+    order, the last row fastest.  Every r-dimensional subspace of GF(q)^k
+    has exactly one such matrix as its canonical basis."""
+    for pivots in combinations(range(k), r):
+        yield from product(*_echelon_rows(k, pivots, q))
 
 
 def random_code(rng, q_choices=(2, 3, 4, 5), n_max=7, k_max=4):

@@ -13,6 +13,7 @@ import pytest
 
 import posetcode.poset as poset_module
 from posetcode.bitset import bits_of, digit_sums, from_elements, to_elements
+from posetcode.errors import SelfCheckError
 from posetcode.poset import Poset, _grid_sums, digit_masks, format_poset, load_poset, parse_poset
 
 
@@ -448,6 +449,65 @@ def test_digit_masks_and_ideal_steps_match_the_dict_loop():
                 steps = layout.ideal_steps(width, value, down=down)
                 got = [(stride, fields(mask, width, layout.size)) for stride, mask in steps]
                 assert got == dict_ideal_steps(layout, value, down), (poset, down)
+
+
+def pass_posets():
+    """The antichain, a chain, NRT 3x4 and a shuffled 3 + 2 + 1 union, then
+    step_posets' posets that are no union of chains (V, K3,3, two forks,
+    random posets)."""
+    rng = random.Random(78)
+    unions = [Poset.antichain(6), Poset.chain(5), chain_union(rng, [4, 4, 4], shuffle=False), chain_union(rng, [3, 2, 1])]
+    return unions, step_posets()[1]
+
+
+def dict_zeta(lengths, census):
+    """The prefix sum of a census by index over the grid, by a dict loop: at
+    x, the counts at every y <= x, digit by digit."""
+    points = grid_points(lengths)
+    return [sum(count for at, count in census.items() if all(a <= b for a, b in zip(points[at], x))) for x in points]
+
+
+def pass_censuses(seed, ideals_only):
+    """(layout, wb, census) on pass_posets(), fields of 1-3 bytes: counts at
+    up to 12 grid points, or ideals, none of whose sums reaches the top bit
+    of a field, the guard of moebius."""
+    rng = random.Random(seed)
+    unions, others = pass_posets()
+    assert all(p.chain_layout().flags is None for p in unions)
+    assert sum(p.chain_layout().flags is not None for p in others) >= 10
+    for poset in unions + others:
+        layout = poset.chain_layout()
+        points = list(map(layout.index, poset.ideals())) if ideals_only else range(layout.size)
+        for wb in (1, 2, 3):
+            top = ((1 << 8 * wb - 1) - 1) // 12
+            yield layout, wb, {at: rng.randint(1, top) for at in rng.sample(points, min(len(points), 12))}
+
+
+def test_zeta_matches_the_dict_loop():
+    for layout, wb, census in pass_censuses(79, ideals_only=False):
+        data = layout.zeta(census, wb)
+        assert [int.from_bytes(data[i * wb : (i + 1) * wb], "little") for i in range(layout.size)] == dict_zeta(layout.lengths, census)
+
+
+def test_moebius_undoes_the_dict_zeta():
+    # field x starts at values[x]: the zeta of a census at the ideals, under the guard bit
+    for layout, wb, census in pass_censuses(80, ideals_only=True):
+        size, guard = layout.size, 1 << 8 * wb - 1
+        assert size <= 256
+        values = [total | guard for total in dict_zeta(layout.lengths, census)]
+        assert layout.moebius(bytes(range(size)), values, wb) == census, (layout.chains, wb)
+        values[size - 1] = guard  # the full set holds no word, fewer than the ideals below it
+        with pytest.raises(SelfCheckError, match="negative count"):
+            layout.moebius(bytes(range(size)), values, wb)
+
+
+def test_maximal_counts_match_the_maximal_elements():
+    for posets in pass_posets():
+        for poset in posets:
+            layout, ideals = poset.chain_layout(), poset.ideals()
+            counts = layout.maximal_counts()
+            assert len(counts) == layout.size
+            assert [counts[layout.index(i)] for i in ideals] == [poset.maximal_elements(i).bit_count() for i in ideals], poset
 
 
 def test_linear_extension_puts_each_element_after_everything_below_it():
