@@ -13,16 +13,14 @@ enumerate census and the best of five enumerate census times in ms and
 the best of their ratios to a fixed pure-Python loop timed right before
 and after each census (/ref), as ci/walk_fields.py does.
 
-The tally is dense (a list by compact key) where the 2^14 keys of this
-poset are no more than the 1 + (q^k - 1)/(q - 1) lines, else a Counter on
-the closure masks: dense for q = 3, 4, 5 and 7.  A field served by the
-other tally makes the script exit 1 as well.  The keys give each byte of
-a closure mask a field per chain part in it, len(part).bit_length() bits
-wide: parts of 5 and 3 elements, of 2, 5 and 1, and of 4, 14 bits.
+The tally is dense (a list over the grid) where the 6^4 = 1 296 grid
+points of this poset are no more than the 1 + (q^k - 1)/(q - 1) lines,
+else a Counter on the grid indexes: dense for q = 3, 4, 5, 7, 8, 9 and
+16.  A field served by the other tally makes the script exit 1 as well.
 
 It times only support_census; the tally column tells the tallies apart
-by the keys LinearCode.closure_tally hands the stream: the dense tally
-passes the layout's key tables, the Counter none.
+by a spy on the Counter of posetcode.code, which only the Counter tally
+builds: both hand the stream the layout's index tables.
 """
 
 from __future__ import annotations
@@ -31,6 +29,7 @@ import random
 import sys
 import time
 
+import posetcode.code
 from posetcode.code import LinearCode
 from posetcode.distribution import support_census
 from posetcode.field import gf
@@ -39,24 +38,24 @@ from walk_fields import full_rank, nrt_poset, reference
 FIELDS = (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 243, 251, 256)
 CHAINS, LENGTH = 4, 5
 N = CHAINS * LENGTH
-KEY_BITS = 3 + 2 + 2 + 3 + 1 + 3
+GRID = (LENGTH + 1) ** CHAINS
 REPEATS = 5
 
 
 def served_tally(code: LinearCode, poset) -> str:
-    """Which tally takes the census, seen by the keys it hands LinearCode._support_batches."""
-    honest, passed = LinearCode._support_batches, []
+    """Which tally takes the census, seen by whether it builds a Counter."""
+    honest, built = posetcode.code.Counter, []
 
-    def spy(self, images, lines, keys=None):
-        passed.append(keys)
-        return honest(self, images, lines, keys)
+    def spy(*args):
+        built.append(args)
+        return honest(*args)
 
-    LinearCode._support_batches = spy
+    posetcode.code.Counter = spy
     try:
         code.closure_tally(poset)
     finally:
-        LinearCode._support_batches = honest
-    return "counter" if passed == [None] else "dense"
+        posetcode.code.Counter = honest
+    return "counter" if built else "dense"
 
 
 def main() -> int:
@@ -78,7 +77,7 @@ def main() -> int:
             print(f"q={q} [{N},{k}]: enumerate and moebius censuses differ", file=sys.stderr)
             failures += 1
         tally = served_tally(code, poset)
-        if tally != ("dense" if 1 << KEY_BITS <= 1 + (q**k - 1) // (q - 1) else "counter"):
+        if tally != ("dense" if GRID <= 1 + (q**k - 1) // (q - 1) else "counter"):
             print(f"q={q} [{N},{k}]: the {tally} tally served against the rule", file=sys.stderr)
             failures += 1
         print(f"{q:>4}{k:>4}{tally:>8}{1000 * best:12.2f}{relative:8.2f}", flush=True)

@@ -13,7 +13,7 @@ such a table into little-endian fields of several bytes, one translate
 per byte plane, for packed int arithmetic on all entries at once.
 byte_tables builds the translate tables that map a byte of a bit string
 to a byte of the OR, or the sum, of images of the bits set in it: the
-support stream's closures and the compact keys of poset.ChainLayout.
+support stream's closures and their grid indexes (poset.ChainLayout).
 """
 
 from __future__ import annotations

@@ -36,19 +36,16 @@ batch of the zero word and the low span's monic words, then the low span
 for each monic high word.  For q = 2 that is the full stream, batch for
 batch, and it runs as one.  closure_tally tallies the line stream into
 the census |C & S_I|, a dict of its nonzero counts by grid index of the
-poset's ChainLayout (under the antichain the mask), which the enumerate
-support_census, distribution and report and the zeta fills of the
-matroid module read.  One of two tallies counts, chosen by the line
-count and the layout's key space alone.  Where the lines outnumber the
-poset's compact keys (ChainLayout.key_weights: per mask byte and chain,
-a count of the chain's elements there) or match them, the stream hands
-out keys instead of closures, one more translate per closure byte and
-key byte (ChainLayout.key_tables) turning each closure byte into its
-fields, the planes ORed into records of 2 or 4 bytes, and a list by key
-counts them straight off the record buffer, a whole group of high words
-a batch: the census is read off it by grid index
-(ChainLayout.grid_keys).  Else a Counter counts the closure masks, and
-ChainLayout.index maps them to the grid.
+poset's ChainLayout, which the enumerate support_census, distribution
+and report and the zeta fills of the matroid module read.  For it the
+stream hands out grid indexes, not closures: an index is the sum of
+its elements' strides, so one more translate per closure byte and index
+byte (ChainLayout.index_tables) gives that byte's part of each index,
+and the parts, laid into records of 2 or 4 bytes, add up as one int per
+closure byte, a whole group of high words a batch.  Under the antichain
+the index is the closure mask.  A Counter counts the indexes where the
+grid has more points than the stream has lines, else a list over the
+grid counts them straight off the record buffer.
 
 shorten(J) solves for the messages whose codewords vanish outside J:
 from the identity basis, one kernel step per coordinate c outside J
@@ -71,7 +68,7 @@ import sys
 import warnings
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import repeat
+from itertools import chain, repeat
 from operator import lshift, or_
 from pathlib import Path
 
@@ -268,57 +265,50 @@ class LinearCode:
 
     def closure_tally(self, poset: Poset) -> dict[int, int]:
         """The census |C & S_I| by grid index of poset.chain_layout(), its
-        nonzero counts only, from the closures of the line stream, each
-        counted q - 1 times but the first, the zero word's, once: by a dense
-        list over the keys where the 2**bits keys of ChainLayout.key_weights
-        are no more than the 1 + (q**k - 1)/(q - 1) lines, else by a Counter
-        on the closure masks (module docstring).  Counts that do not sum to
-        q**k raise SelfCheckError."""
+        nonzero counts only, from the line stream's grid indexes (under the
+        antichain its closure masks), each counted q - 1 times but the first,
+        the zero word's, once: by a Counter where the grid has more points
+        than the stream has lines, else by a list over the grid (module
+        docstring).  Counts that do not sum to q**k raise SelfCheckError."""
         q, total, layout = self.field.q, self.codeword_count, poset.chain_layout()
-        lines = 1 + (total - 1) // (q - 1)
-        if 1 << layout.key_weights()[0] > lines:
-            stream = self.support_batches(poset, lines=True)
-            first = next(stream, [])
-            census = Counter(first)
+        stream = self._support_batches(self._images(poset), True, None if layout.size == 1 << poset.n else layout.index_tables())
+        first = next(stream, [])
+        if layout.size > 1 + (total - 1) // (q - 1):
+            counts = Counter(first)
             for batch in stream:
-                census.update(batch)
-            if q > 2 and first:
-                # every other line stands for its q - 1 nonzero multiples, which share its support
-                census = {ideal: count * (q - 1) for ideal, count in census.items()}
-                census[first[0]] -= q - 2
-            if layout.size != 1 << poset.n:
-                census = dict(zip(map(layout.index, census), census.values()))
+                counts.update(batch)
+            tally = counts.items()
         else:
-            stream = self._support_batches(self._images(poset), True, layout.key_tables())
-            counts, step = [0] * (1 << layout.key_weights()[0]), q - 1
-            first = next(stream, [])
-            for key in first:
-                counts[key] += step
-            if first:
-                counts[first[0]] -= step - 1
-            for batch in stream:
-                for key in batch:
-                    counts[key] += step
-            # a key off the grid drops out here, and the sum below refuses it
-            census = {at: count for at, key in enumerate(layout.grid_keys()) if (count := counts[key])}
+            counts = [0] * layout.size
+            for batch in chain((first,), stream):
+                try:
+                    for at in batch:
+                        counts[at] += 1
+                except IndexError:
+                    raise SelfCheckError(f"enumerate census: index {at} off the grid of {layout.size} points") from None
+            tally = enumerate(counts)
+        # a line stands for its q - 1 nonzero multiples, which share its support; the first, the zero word, for itself
+        census = {at: count * (q - 1) for at, count in tally if count}
+        if first:
+            census[first[0]] -= q - 2
         if (counted := sum(census.values())) != total:
             raise SelfCheckError(f"enumerate census: {counted} words counted, not q^k = {total}")
         return census
 
-    def _support_batches(self, images: Sequence[int], lines: bool, keys: tuple[int, list] | None = None) -> Iterator[list[int]]:
+    def _support_batches(self, images: Sequence[int], lines: bool, index: tuple[int, list] | None = None) -> Iterator[list[int]]:
         F, q, n = self.field, self.field.q, self.n
         packed = _PackedWords(F, n)
         slot, size = (n * packed.stride + 7) // 8, (n + 7) // 8
         tables = byte_tables(images, slot, packed.stride, size)
-        if keys is None:
-            width, key_tables = size, None
+        if index is None:
+            width = size
             limb, kind = (4, "I") if size <= 4 else (8, "Q")
         else:
-            # a closure goes out as its key, (width, tables) of ChainLayout.key_tables:
-            # one more translate per closure byte and key byte
-            width, key_tables = keys
+            # a closure goes out as its grid index, (width, tables) of ChainLayout.index_tables:
+            # one more translate per closure byte and index byte
+            width, index_tables = index
             limb, kind = (2, "H") if width <= 2 else (4, "I")
-        # closures, or keys, go out as records of `limbs` native ints of `limb`
+        # closures, or indexes, go out as records of `limbs` native ints of `limb`
         # bytes: byte o sits at byte o ^ flip of its record, flip reversing
         # each limb's bytes on a big-endian host
         limbs = -(-width // limb)
@@ -330,20 +320,23 @@ class LinearCode:
                 lane = data[j::slot]
                 for o, table in reached:
                     planes[o] |= int.from_bytes(lane.translate(table), "little")
-            if key_tables is not None:
-                coded = [0] * width
-                for plane, reached in zip(planes, key_tables):
-                    lane = plane.to_bytes(count, "little")
+            if index is not None:
+                # each closure byte's parts of the indexes, laid into one-limb records, add up as
+                # native ints: no index reaches 2**(8 * width), so no carry leaves a record
+                indexes = 0
+                for plane, reached in zip(planes, index_tables):
+                    lane, out = plane.to_bytes(count, "little"), bytearray(count * record)
                     for o, table in reached:
-                        coded[o] |= int.from_bytes(lane.translate(table), "little")
-                planes = coded
+                        out[o ^ flip :: record] = lane.translate(table)
+                    indexes += int.from_bytes(out, sys.byteorder)
+                # the tallies read them straight off the buffer
+                return memoryview(indexes.to_bytes(count * record, sys.byteorder)).cast(kind)
             out = bytearray(count * record)
             for o, plane in enumerate(planes):
                 out[o ^ flip :: record] = plane.to_bytes(count, "little")
             values = memoryview(out).cast(kind)
             if limbs == 1:
-                # keys fit one limb, and their tally reads them straight off the buffer
-                return values if key_tables is not None else values.tolist()
+                return values.tolist()
             joined = values[::limbs]
             for i in range(1, limbs):
                 joined = list(map(or_, joined, map(lshift, values[i::limbs], repeat(64 * i))))
@@ -361,10 +354,10 @@ class LinearCode:
         count = len(low) // slot
         words = int.from_bytes(low, "little")
         ones = int.from_bytes((b"\1" + bytes(slot - 1)) * count, "little")
-        # a short low span shares one closures() call among several high words; the key
-        # tally counts in any order, so it takes 16 times the words a call, as one batch
-        group = -(-(_GROUP_WORDS if key_tables is None else 16 * _GROUP_WORDS) // count)
-        batch = count if key_tables is None else group * count
+        # a short low span shares one closures() call among several high words; the index
+        # stream is tallied in any order, so it takes 16 times the words a call, as one batch
+        group = -(-(_GROUP_WORDS if index is None else 16 * _GROUP_WORDS) // count)
+        batch = count if index is None else group * count
         for at in range(0, len(high), group):
             data = b"".join((words ^ b * ones).to_bytes(len(low), "little") for b in high[at : at + group])
             values = closures(data, len(data) // slot)

@@ -15,16 +15,15 @@ enumerate
     byte and closure byte with no Python per word
     (LinearCode.closure_tally: support_batches given the poset and
     lines=True, guarded by the cap on q**k): one word per line, its count
-    taken q - 1 times, but the zero word's, the first, once.  Two tallies
-    count them, by a rule on two numbers alone: where the 2**bits compact
-    keys of ChainLayout.key_weights are no more than the 1 + (q^k - 1)/(q - 1)
-    lines, one more translate per closure byte and key byte turns each
-    closure into its key, a list by key counts the keys, and the census
-    is read off by grid index; else a Counter counts the closure masks,
-    and ChainLayout.index maps them to the grid.  Counts that do not sum
-    to q**k raise SelfCheckError.  It never lists the ideals of P and
-    never reads the rank table, so it is the independent oracle for the
-    other method.  The enumerate report classifies off the zeta of this
+    taken q - 1 times, but the zero word's, the first, once.  The stream
+    hands out each closure's grid index, one more translate per closure
+    byte and index byte (ChainLayout.index_tables; under the antichain
+    the index is the mask), and a rule on two numbers alone picks the
+    tally: a Counter where the grid has more points than the
+    1 + (q^k - 1)/(q - 1) lines, else a list over the grid.  Counts that
+    do not sum to q**k raise SelfCheckError.  It never lists the ideals
+    of P and never reads the rank table, so it is the independent oracle
+    for the other method.  The enumerate report classifies off the zeta of this
     census (matroid.log_zeta), so it walks nothing and streams C once; the
     census itself still reads no rank table, and the tests check the
     report's label against classify.

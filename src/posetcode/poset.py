@@ -253,7 +253,7 @@ class ChainLayout:
     complementing an ideal reverses its index.
     """
 
-    __slots__ = ("n", "below", "chains", "lengths", "size", "_weight", "_up", "_split", "_low", "_high", "_at_low", "_at_high", "_flags", "mask_ordered", "_keys", "_grid_keys", "_key_tables")
+    __slots__ = ("n", "below", "chains", "lengths", "size", "_weight", "_up", "_split", "_low", "_high", "_flags", "mask_ordered", "_index_tables")
 
     def __init__(self, below: Sequence[int], chains: Iterable[Iterable[int]]) -> None:
         self.n = n = len(below)
@@ -276,19 +276,17 @@ class ChainLayout:
             c = next(c for c, stride in enumerate(strides) if stride * stride >= self.size)
             bits = [1 << e for e in range(n)]
             self._split, self._low, self._high = strides[c], _grid_sums(self.chains[:c], bits), _grid_sums(self.chains[c:], bits)
-            self._at_low, self._at_high = {s: i for i, s in enumerate(self._low)}, {s: i * strides[c] for i, s in enumerate(self._high)}
         # None on a disjoint union of chains, with nothing below an element off its chain; else () until read
         self._flags: bytes | None | tuple = () if any(below[e] & ~up[chain[0]] for chain in self.chains for e in chain) else None
         self.mask_ordered = [e for chain in self.chains for e in chain] == list(range(n))
-        self._keys: tuple[int, list[int]] | None = None
-        self._grid_keys: list[int] | None = None
-        self._key_tables: tuple[int, list[list[tuple[int, bytes]]]] | None = None
+        self._index_tables: tuple[int, list[list[tuple[int, bytes]]]] | None = None
 
     def index(self, ideal: int) -> int:
-        """The index of S_x, such as an ideal (the last low set is the low chains whole)."""
-        if self.size == 1 << self.n:
-            return ideal
-        return self._at_low[ideal & self._low[-1]] + self._at_high[ideal & ~self._low[-1]]
+        """The index of S_x, such as an ideal: the sum of its elements' strides.
+        A set that is no S_x raises ValueError."""
+        if 0 <= ideal < 1 << self.n and self.ideal(at := sum(map(self._weight.__getitem__, bits_of(ideal)))) == ideal:
+            return at
+        raise ValueError(f"subset {ideal:#x} is no S_x of the chain layout")
 
     def ideal(self, index: int) -> int:
         """S_x at an index: digit c is the prefix of chain c it takes."""
@@ -296,44 +294,15 @@ class ChainLayout:
             return index
         return self._low[index % self._split] | self._high[index // self._split]
 
-    def key_weights(self) -> tuple[int, list[int]]:
-        """(bits, weights) of compact keys for the sets S_x, read off their masks
-        a byte at a time.  Byte o of a mask meets chain c in a part, and S_x
-        meets the part in its first elements along c, so a count of
-        len(part).bit_length() bits says how many.  The parts take fields in
-        order of byte, then chain, which keeps a byte's fields within 8
-        consecutive bits, and element e weighs 1 << the offset of its part's
-        field.  The key of a set is the sum of its elements' weights, below
-        2**bits: under the antichain the mask.  It is injective on the grid,
-        since digit c of x is the sum of the counts of chain c's parts.
-        Cached on first use."""
-        if self._keys is None:
-            weights, bits = [0] * self.n, 0
-            for o in range(0, self.n, 8):
-                for chain in self.chains:
-                    part = [e for e in chain if o <= e < o + 8]
-                    for e in part:
-                        weights[e] = 1 << bits
-                    bits += len(part).bit_length()
-            self._keys = bits, weights
-        return self._keys
-
-    def grid_keys(self) -> list[int]:
-        """The key of S_x at every index (_grid_sums).  Cached on first use."""
-        if self._grid_keys is None:
-            self._grid_keys = _grid_sums(self.chains, self.key_weights()[1])
-        return self._grid_keys
-
-    def key_tables(self) -> tuple[int, list[list[tuple[int, bytes]]]]:
-        """(width, tables): the keys' width in bytes, enough for the full set's,
-        and per mask byte bitset.byte_tables' (o, T), T[v] byte o of the key
-        of the elements set in v there, the sum of their weights.  Cached on
-        first use."""
-        if self._key_tables is None:
-            weights = self.key_weights()[1]
-            width = (sum(weights).bit_length() + 7) // 8
-            self._key_tables = width, byte_tables(weights, (self.n + 7) // 8, 1, width, sums=True)
-        return self._key_tables
+    def index_tables(self) -> tuple[int, list[list[tuple[int, bytes]]]]:
+        """(width, tables): the indexes' width in bytes, and per mask byte
+        bitset.byte_tables' (o, T), T[v] byte o of the index part of the
+        elements set in v there, the sum of their strides.  The parts of
+        S_x's bytes add up to its index.  Cached on first use."""
+        if self._index_tables is None:
+            width = ((self.size - 1).bit_length() + 7) // 8
+            self._index_tables = width, byte_tables(self._weight, (self.n + 7) // 8, 1, width, sums=True)
+        return self._index_tables
 
     def linear_extension(self) -> list[int]:
         """The elements, each after everything below it: of those whose strict

@@ -259,7 +259,8 @@ def run_selftest(seed: int, trials: int) -> SelfTestReport:
         _check_hierarchy(s, code, poset)
         _check_rank_structure(s, code)
         _check_counts(s, code, poset)
-        for p, anti in ((poset, False), (Poset.antichain(code.n), True)):
+        antichain = Poset.antichain(code.n)
+        for p, anti in ((poset, False), (antichain, True)):
             label = _check_classification(s, code, p, anti)
             if label in (MDS_LABEL, NMDS_LABEL):
                 key = (code.field.q, code.generator.rows, p.below, label)
@@ -269,6 +270,6 @@ def run_selftest(seed: int, trials: int) -> SelfTestReport:
                         report.mds_seen += 1
                     else:
                         report.nmds_seen += 1
-        _check_antichain_weights(s, code, Poset.antichain(code.n))
+        _check_antichain_weights(s, code, antichain)
     report.elapsed = time.perf_counter() - started
     return report

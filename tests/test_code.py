@@ -182,85 +182,86 @@ def test_line_stream_holds_one_word_per_line():
                     assert lines == list(code.support_batches(poset)), (n, k)
 
 
-def key_bits(layout):
-    """Width of the compact keys from their definition: byte o of a mask meets
-    each chain in a part, which takes len(part).bit_length() bits."""
-    return sum(sum(e // 8 == o for e in chain).bit_length() for o in range(3) for chain in layout.chains)
+def element_strides(layout):
+    """Each element's stride from the definition: chain c's elements weigh the
+    product of s_b + 1 over the chains b before it."""
+    strides, stride = {}, 1
+    for chain in layout.chains:
+        strides.update((e, stride) for e in chain)
+        stride *= len(chain) + 1
+    return strides
 
 
-def key_test_posets(rng):
-    """Chains, antichains, NRT shapes, chain unions with shuffled labels and
-    posets that are no union of chains; key widths of one to three bytes."""
+def index_test_posets(rng):
+    """Index widths of one, two and three bytes (a 7-chain, NRT 4 x 5 in blocks,
+    V + 14 with its 98 304 grid points), the antichain, where the index is the
+    mask, shuffled chain unions and posets that are no union of chains."""
     from test_poset import chain_union
 
-    posets = [Poset.antichain(n) for n in (1, 5, 9)] + [Poset.chain(n) for n in (1, 7, 8, 24)]
-    posets += [chain_union(rng, [5] * 4, False), chain_union(rng, [2] * 12, False), chain_union(rng, [6] * 4)]
-    posets += [chain_union(rng, [rng.randint(1, 6) for _ in range(rng.randint(1, 5))]) for _ in range(8)]
-    return posets + [random_poset(rng, rng.randint(2, 10)) for _ in range(8)]
+    posets = [Poset.chain(7), chain_union(rng, [5] * 4, False), Poset.from_cover_relations(17, [(1, 3), (2, 3)])]
+    posets += [Poset.antichain(9), Poset.chain(1), chain_union(rng, [2] * 12, False), chain_union(rng, [6] * 4)]
+    posets += [chain_union(rng, [rng.randint(1, 6) for _ in range(rng.randint(1, 5))]) for _ in range(6)]
+    return posets + [random_poset(rng, rng.randint(2, 10)) for _ in range(6)]
 
 
-def test_compact_keys_are_injective_on_the_grid():
-    from test_poset import chain_union
-
-    rng = random.Random(29)
-    for poset in key_test_posets(rng):
-        layout = poset.chain_layout()
-        bits, weights = layout.key_weights()
-        assert bits == key_bits(layout), poset
-        keys = layout.grid_keys()
-        assert len(keys) == layout.size and len(set(keys)) == layout.size, poset
-        assert max(keys) < 1 << bits
-        for at in rng.sample(range(layout.size), min(layout.size, 300)):
-            assert keys[at] == sum(weights[e] for e in bits_of(layout.ideal(at))), (poset, at)
-    # NRT 4 x 5 in blocks: byte parts of 5 and 3, of 2, 5 and 1, and of 4 elements
-    assert chain_union(rng, [5] * 4, False).chain_layout().key_weights()[0] == 3 + 2 + 2 + 3 + 1 + 3
-    assert Poset.antichain(9).chain_layout().key_weights() == (9, [1 << e for e in range(9)])
-
-
-def test_key_stream_sums_the_weights_of_each_closure():
-    # every packing field; keys of one, two and three bytes, in records of 2 and 4
+def test_index_stream_sums_the_strides_of_each_closure():
+    # every packing field; indexes of one, two and three bytes, in records of 2 and 4
     rng = random.Random(30)
-    posets = key_test_posets(rng)
+    posets = index_test_posets(rng)
+    assert [poset.chain_layout().index_tables()[0] for poset in posets[:3]] == [1, 2, 3]
+    assert posets[2].chain_layout().size == 98304 and posets[2].chain_layout().flags
     for q in PACKING_FIELDS:
         k_max = max(k for k in range(1, 9) if q**k <= 5000)
-        for poset in posets[5:10] + rng.sample(posets, 3):
+        for poset in posets[:4] + rng.sample(posets[4:], 3):
             code = random_full_rank(rng, q, poset.n, rng.randint(1, min(k_max, poset.n)))
-            layout = poset.chain_layout()
-            weights = layout.key_weights()[1]
+            layout, strides = poset.chain_layout(), element_strides(poset.chain_layout())
             closures = [s for batch in code.support_batches(poset, lines=True) for s in batch]
-            keys = [key for batch in code._support_batches(poset.below, True, layout.key_tables()) for key in batch]
-            assert keys == [sum(weights[e] for e in bits_of(s)) for s in closures], (q, poset)
+            supports = [s for batch in code.support_batches(lines=True) for s in batch]
+            indexes = [at for batch in code._support_batches(poset.below, True, layout.index_tables()) for at in batch]
+            assert indexes == [sum(strides[e] for e in bits_of(s)) for s in closures], (q, poset)
+            assert indexes == [layout.index(poset.ideal_closure(s)) for s in supports], (q, poset)
 
 
 def spied_tally(monkeypatch, code, poset):
-    """(closure_tally's census, whether the dense tally served), told by the keys
-    it hands the stream: the dense tally passes layout.key_tables(), the Counter none."""
-    honest, passed = LinearCode._support_batches, []
+    """(closure_tally's census, whether the list tally served), told by a spy
+    on posetcode.code's Counter, which only the other tally builds.  The census
+    makes one stream call, handing it the index tables off the antichain."""
+    import posetcode.code
 
-    def spy(self, images, lines, keys=None):
-        passed.append(keys)
-        return honest(self, images, lines, keys)
+    honest, streams, counters = LinearCode._support_batches, [], []
 
+    def stream(self, images, lines, index=None):
+        streams.append(index)
+        return honest(self, images, lines, index)
+
+    class Spy(Counter):
+        def __init__(self, *args):
+            counters.append(self)
+            super().__init__(*args)
+
+    layout = poset.chain_layout()
     with monkeypatch.context() as patch:
-        patch.setattr(LinearCode, "_support_batches", spy)
+        patch.setattr(LinearCode, "_support_batches", stream)
+        patch.setattr(posetcode.code, "Counter", Spy)
         census = code.closure_tally(poset)
-    assert len(passed) == 1 and passed[0] in (None, poset.chain_layout().key_tables())
-    return census, passed[0] is not None
+    assert streams == [None if layout.size == 1 << poset.n else layout.index_tables()] and len(counters) <= 1
+    return census, not counters
 
 
-def test_dense_tally_serves_exactly_where_the_keys_are_no_more_than_the_lines(monkeypatch):
+def test_dense_tally_serves_exactly_where_the_grid_is_no_larger_than_the_lines(monkeypatch):
     rng = random.Random(31)
-    # at the switch: 8 keys of a 7-chain against 2^3 binary lines, and 32 keys
-    # of the 5-antichain against 1 + (5^3 - 1)/4 = 32 lines over GF(5)
-    pinned = [(Poset.chain(7), 2, 2, False), (Poset.chain(7), 2, 3, True), (Poset.chain(7), 2, 4, True)]
+    # at the switch: the 8 grid points of a 7-chain against 2^3 binary lines, and
+    # the 32 of the 5-antichain against 1 + (5^3 - 1)/4 = 32 lines over GF(5);
+    # one line fewer or one point more takes the Counter
+    pinned = [(Poset.chain(7), 2, 2, False), (Poset.chain(7), 2, 3, True), (Poset.chain(8), 2, 3, False), (Poset.chain(7), 2, 4, True)]
     pinned += [(Poset.antichain(5), 5, 2, False), (Poset.antichain(5), 5, 3, True), (Poset.antichain(6), 5, 3, False)]
     for poset, q, k, dense in pinned:
         assert spied_tally(monkeypatch, random_full_rank(rng, q, poset.n, k), poset)[1] == dense, (poset, q, k)
     served = set()
-    for poset in key_test_posets(rng):
+    for poset in index_test_posets(rng):
         for q in (2, 3, 4, 5, 7):
             k = rng.randint(1, min(poset.n, max(k for k in range(1, 13) if q**k <= 5000)))
-            dense = 1 << key_bits(poset.chain_layout()) <= 1 + (q**k - 1) // (q - 1)
+            dense = poset.chain_layout().size <= 1 + (q**k - 1) // (q - 1)
             assert spied_tally(monkeypatch, random_full_rank(rng, q, poset.n, k), poset)[1] == dense, (poset, q, k)
             served.add(dense)
     assert served == {False, True}

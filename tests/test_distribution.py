@@ -107,16 +107,16 @@ def test_moebius_census_never_streams_the_code_itself(monkeypatch):
     other = Poset.from_cover_relations(8, [(1, 2), (2, 5), (3, 5), (6, 8)])
     on_other = [support_census(code, other, "enumerate") for code in codes]
     own = {code.generator for code in codes}
-    honest = LinearCode.support_batches
+    honest = LinearCode._support_batches
     streamed = []
 
-    def guarded(self, poset=None, *, lines=False):
+    def guarded(self, *args):
         if self.generator in own:
             raise AssertionError("streamed the code's own words")
         streamed.append(self.generator)
-        return honest(self, poset, lines=lines)
+        return honest(self, *args)
 
-    monkeypatch.setattr(LinearCode, "support_batches", guarded)
+    monkeypatch.setattr(LinearCode, "_support_batches", guarded)
     for code, census, chain_census, other_census in zip(codes, expected, on_chain, on_other):
         assert support_census(code, anti, "moebius") == census
         assert streamed[-1] == code.parity  # the census read C-perp's stream
@@ -342,14 +342,14 @@ def counter_census(code, poset):
 
 
 def dense_census(code, poset):
-    """The enumerate census by grid index, by a list over the keys of the key stream."""
+    """The enumerate census by grid index, by a list over the grid on the index stream."""
     q, layout = code.field.q, poset.chain_layout()
-    flat = [key for batch in code._support_batches(poset.below, True, layout.key_tables()) for key in batch]
-    counts = [0] * (1 << layout.key_weights()[0])
-    for key in flat[1:]:
-        counts[key] += q - 1
+    flat = [at for batch in code._support_batches(poset.below, True, layout.index_tables()) for at in batch]
+    counts = [0] * layout.size
+    for at in flat[1:]:
+        counts[at] += q - 1
     counts[flat[0]] += 1
-    return {at: counts[key] for at, key in enumerate(layout.grid_keys()) if counts[key]}
+    return {at: count for at, count in enumerate(counts) if count}
 
 
 @pytest.mark.parametrize("q", PACKING_FIELDS)
@@ -413,11 +413,11 @@ def test_dense_census_refuses_a_corrupted_record(monkeypatch):
     codes = [(random_full_rank(rng, q, 7, 5), nrt7) for q in (2, 3, 4)] + [(random_full_rank(rng, 3, 4, 4), nrt4)]
     assert all(spied_tally(monkeypatch, code, poset)[1] for code, poset in codes)
 
-    full = {poset.below: poset.chain_layout().grid_keys()[-1] for _, poset in codes}
+    full = {poset.below: poset.chain_layout().size - 1 for _, poset in codes}
 
-    def moved(self, images, lines, keys=None):
+    def moved(self, images, lines, index=None):
         # the zero word's closure reported as the full set: no word inside the empty set
-        batches = [list(batch) for batch in honest(self, images, lines, keys)]
+        batches = [list(batch) for batch in honest(self, images, lines, index)]
         batches[0][0] = full[images]
         return iter(batches)
 
@@ -428,14 +428,14 @@ def test_dense_census_refuses_a_corrupted_record(monkeypatch):
         with pytest.raises(SelfCheckError, match="not a power of q"):
             distribution_report(code, poset, "enumerate")
 
-    # key 3 of nrt4 counts three elements of the chain 1 < 2: off the grid
-    def off(self, images, lines, keys=None):
-        batches = [list(batch) for batch in honest(self, images, lines, keys)]
-        batches[-1][-1] = 3
+    # index 9 of nrt4 lies past its 3 x 3 grid
+    def off(self, images, lines, index=None):
+        batches = [list(batch) for batch in honest(self, images, lines, index)]
+        batches[-1][-1] = 9
         return iter(batches)
 
     monkeypatch.setattr(LinearCode, "_support_batches", off)
-    with pytest.raises(SelfCheckError, match="not q\\^k = 81"):
+    with pytest.raises(SelfCheckError, match="index 9 off the grid of 9 points"):
         support_census(codes[-1][0], nrt4, "enumerate")
 
 
@@ -453,7 +453,7 @@ def test_enumerate_census_refuses_a_stream_short_or_long_by_a_batch(monkeypatch,
             return iter(batches + batches[-1:])
         return iter(batches[1:] if fault == "drop-first" else batches[:-1])
 
-    # both tallies read this stream: the chain's 8 keys take the dense one, the antichain's 128 the Counter
+    # both tallies read this stream: the chain's 8 grid points take the dense one, the antichain's 128 the Counter
     monkeypatch.setattr(LinearCode, "_support_batches", faulty)
     for poset in (Poset.chain(7), Poset.antichain(7)):
         with pytest.raises(SelfCheckError, match=f"not q\\^k = {q**3}"):

@@ -396,24 +396,25 @@ def test_dual_zeta_fill_matches_walk_on_every_ideal():
 
 
 def test_zeta_fill_rejects_corrupted_counts(monkeypatch):
+    # under the antichain the census stream hands out closure masks, which are the grid indexes
     code = full_rank_code(random.Random(40), 3, 5, 2)
-    honest = LinearCode.support_batches
+    honest = LinearCode._support_batches
 
-    def moved(self, poset=None, *, lines=False):
+    def moved(self, *args):
         # the zero word's support reported as the full set: no word inside the empty set
-        batches = [list(batch) for batch in honest(self, poset, lines=lines)]
+        batches = [list(batch) for batch in honest(self, *args)]
         batches[0][0] = (1 << self.n) - 1
         return iter(batches)
 
-    monkeypatch.setattr(LinearCode, "support_batches", moved)
+    monkeypatch.setattr(LinearCode, "_support_batches", moved)
     with pytest.raises(SelfCheckError, match="not a power of q"):
         zeta_dims(code, Poset.antichain(code.n))
 
-    def extra(self, poset=None, *, lines=False):
-        yield from honest(self, poset, lines=lines)
+    def extra(self, *args):
+        yield from honest(self, *args)
         yield [0]
 
-    monkeypatch.setattr(LinearCode, "support_batches", extra)
+    monkeypatch.setattr(LinearCode, "_support_batches", extra)
     with pytest.raises(SelfCheckError, match="not q\\^k"):
         zeta_dims(code, Poset.antichain(code.n))
 
@@ -423,13 +424,13 @@ def test_zeta_fill_rejects_corrupted_counts(monkeypatch):
     wide = full_rank_code(random.Random(42), 3, 12, 7)
     full = (1 << 12) - 1
 
-    def shifted(self, poset=None, *, lines=False):
-        batches = [list(batch) for batch in honest(self, poset, lines=lines)]
+    def shifted(self, *args):
+        batches = [list(batch) for batch in honest(self, *args)]
         b, i = next((b, i) for b, batch in enumerate(batches) for i, s in enumerate(batch) if s == full)
         batches[b][i] = full ^ 1
         return iter(batches)
 
-    monkeypatch.setattr(LinearCode, "support_batches", shifted)
+    monkeypatch.setattr(LinearCode, "_support_batches", shifted)
     with pytest.raises(SelfCheckError, match="subset 0xffe are not a power of q"):
         zeta_dims(wide, Poset.antichain(12))
 
@@ -725,16 +726,16 @@ def test_layout_zeta_rejects_a_corrupted_census(monkeypatch):
     # field is named by its ideal's mask
     poset = Poset.from_cover_relations(5, [(3, 1), (1, 5), (4, 2)])
     code = full_rank_code(random.Random(76), 3, 5, 2)
-    honest = LinearCode.support_batches
+    honest, layout = LinearCode._support_batches, poset.chain_layout()
     full = (1 << 5) - 1
 
-    def moved(self, poset=None, *, lines=False):
+    def moved(self, *args):
         # a full-weight line reported one element short: the ideal {1, 2, 3, 4} gains 2 words
-        batches = [list(batch) for batch in honest(self, poset, lines=lines)]
-        b, i = next((b, i) for b, batch in enumerate(batches) for i, s in enumerate(batch) if s == full)
-        batches[b][i] = full ^ 1 << 4
+        batches = [list(batch) for batch in honest(self, *args)]
+        b, i = next((b, i) for b, batch in enumerate(batches) for i, at in enumerate(batch) if at == layout.index(full))
+        batches[b][i] = layout.index(full ^ 1 << 4)
         return iter(batches)
 
-    monkeypatch.setattr(LinearCode, "support_batches", moved)
+    monkeypatch.setattr(LinearCode, "_support_batches", moved)
     with pytest.raises(SelfCheckError, match="subset 0xf are not a power of q"):
         zeta_dims(code, poset)

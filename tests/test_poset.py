@@ -524,16 +524,34 @@ def test_linear_extension_puts_each_element_after_everything_below_it():
             assert order == [e for chain in layout.chains for e in chain]
 
 
-def test_grid_sums_are_the_sets_and_their_keys():
+def test_grid_sums_are_the_sets_and_their_indexes():
+    from test_code import element_strides
+
     unions, others = step_posets()
     for poset in unions + others:
         layout = poset.chain_layout()
         sets = [prefix_set(layout, x) for x in grid_points(layout.lengths)]
         assert _grid_sums(layout.chains, [1 << e for e in range(poset.n)]) == sets
         assert [layout.ideal(i) for i in range(layout.size)] == sets
-        weights = layout.key_weights()[1]
-        keys = [sum(weights[e] for e in bits_of(s)) for s in sets]
-        assert _grid_sums(layout.chains, weights) == keys == layout.grid_keys()
+        strides = element_strides(layout)
+        assert _grid_sums(layout.chains, [strides[e] for e in range(poset.n)]) == list(range(layout.size))
+        assert [layout.index(s) for s in sets] == list(range(layout.size))
+
+
+def test_index_refuses_a_set_that_is_no_prefix_set():
+    # element 3 of the 3-chain without 1 and 2; a bit past the 3-antichain; under
+    # V (1 < 3, 2 < 3, chains 1 < 3 and 2) the set {1, 3} is an S_x, {3} none
+    with pytest.raises(ValueError, match="subset 0x4 is no S_x"):
+        Poset.chain(3).chain_layout().index(0b100)
+    with pytest.raises(ValueError, match="subset 0x20 is no S_x"):
+        Poset.antichain(3).chain_layout().index(1 << 5)
+    with pytest.raises(ValueError, match="subset -0x1 is no S_x"):
+        Poset.antichain(3).chain_layout().index(-1)
+    v = Poset.from_cover_relations(3, [(1, 3), (2, 3)]).chain_layout()
+    assert v.chains == ((0, 2), (1,)) and v.index(0b101) == 2
+    for mask in (0b100, 0b110):
+        with pytest.raises(ValueError, match=f"subset {mask:#x} is no S_x"):
+            v.index(mask)
 
 
 def frames_of(gen):
