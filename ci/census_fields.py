@@ -18,9 +18,18 @@ points of this poset are no more than the 1 + (q^k - 1)/(q - 1) lines,
 else a Counter on the grid indexes: dense for q = 3, 4, 5, 7, 8, 9 and
 16.  A field served by the other tally makes the script exit 1 as well.
 
+The stream column names the stream path: per value, where every slot
+byte of the monic high words (the negated codewords of the monic messages
+with no low digit, packed as the stream packs them) takes at most a
+quarter as many values as there are such words, else per word: per value
+for q = 3 and 4 on these codes.  A field whose stream takes the other
+path, or q = 3 off the per-value path, makes the script exit 1 as well.
+
 It times only support_census; the tally column tells the tallies apart
 by a spy on the Counter of posetcode.code, which only the Counter tally
-builds: both hand the stream the layout's index tables.
+builds (both hand the stream the layout's index tables), and the stream
+column the paths by a spy on posetcode.code._lane_pieces, which only the
+per-value path calls.
 """
 
 from __future__ import annotations
@@ -28,9 +37,10 @@ from __future__ import annotations
 import random
 import sys
 import time
+from itertools import product
 
 import posetcode.code
-from posetcode.code import LinearCode
+from posetcode.code import LinearCode, _PackedWords
 from posetcode.distribution import support_census
 from posetcode.field import gf
 from walk_fields import full_rank, nrt_poset, reference
@@ -42,27 +52,45 @@ GRID = (LENGTH + 1) ** CHAINS
 REPEATS = 5
 
 
-def served_tally(code: LinearCode, poset) -> str:
-    """Which tally takes the census, seen by whether it builds a Counter."""
-    honest, built = posetcode.code.Counter, []
+def served(code: LinearCode, poset) -> tuple[str, str]:
+    """Which tally and which stream path take the census, seen by whether it
+    builds a Counter and whether it cuts per-value pieces."""
+    honest, pieces = (posetcode.code.Counter, posetcode.code._lane_pieces), ([], [])
 
-    def spy(*args):
-        built.append(args)
-        return honest(*args)
+    def spy(record, call):
+        def spied(*args):
+            record.append(args)
+            return call(*args)
 
-    posetcode.code.Counter = spy
+        return spied
+
+    posetcode.code.Counter, posetcode.code._lane_pieces = map(spy, pieces, honest)
     try:
         code.closure_tally(poset)
     finally:
-        posetcode.code.Counter = honest
-    return "counter" if built else "dense"
+        posetcode.code.Counter, posetcode.code._lane_pieces = honest
+    return "counter" if pieces[0] else "dense", "value" if pieces[1] else "word"
+
+
+def rule_path(code: LinearCode) -> str:
+    """The stream path the rule picks, from the monic high words' slot bytes."""
+    F, k, half = code.field, code.k, (code.k + 1) // 2
+    packed = _PackedWords(F, N)
+    slot = (N * packed.stride + 7) // 8
+    high = []
+    for i in range(k - half):
+        for rest in product(range(F.q), repeat=i):
+            word = code.codeword((0,) * half + rest + (1,) + (0,) * (k - half - i - 1))
+            high.append(packed.pack([F.neg(a) for a in word]).to_bytes(slot, "little"))
+    values = max(len({word[j] for word in high}) for j in range(slot))
+    return "value" if high and 4 * values <= len(high) else "word"
 
 
 def main() -> int:
     rng = random.Random(2011)
     poset = nrt_poset(CHAINS, LENGTH)
     failures = 0
-    print(f"{'q':>4}{'k':>4}{'tally':>8}{'census ms':>12}{'/ref':>8}")
+    print(f"{'q':>4}{'k':>4}{'tally':>8}{'stream':>8}{'census ms':>12}{'/ref':>8}")
     for q in FIELDS:
         k = max(k for k in range(1, 11) if q**k <= 1 << 17)
         code = LinearCode.from_generator(gf(q), full_rank(rng, q, k, N).rows)
@@ -76,11 +104,14 @@ def main() -> int:
         if census != support_census(code, poset, "moebius"):
             print(f"q={q} [{N},{k}]: enumerate and moebius censuses differ", file=sys.stderr)
             failures += 1
-        tally = served_tally(code, poset)
+        tally, stream = served(code, poset)
         if tally != ("dense" if GRID <= 1 + (q**k - 1) // (q - 1) else "counter"):
             print(f"q={q} [{N},{k}]: the {tally} tally served against the rule", file=sys.stderr)
             failures += 1
-        print(f"{q:>4}{k:>4}{tally:>8}{1000 * best:12.2f}{relative:8.2f}", flush=True)
+        if stream != rule_path(code) or (q == 3 and stream != "value"):
+            print(f"q={q} [{N},{k}]: the per-{stream} stream served against the rule", file=sys.stderr)
+            failures += 1
+        print(f"{q:>4}{k:>4}{tally:>8}{stream:>8}{1000 * best:12.2f}{relative:8.2f}", flush=True)
     return 1 if failures else 0
 
 

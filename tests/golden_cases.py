@@ -44,6 +44,12 @@ SCAN_CASES = (
     ("rand14-antichain-classify", ["classify", "--json"]),
     ("rand14-antichain-duality-text", ["duality"]),
 )
+# the codeword stream at the size of the enumerate-nrt-q3 benchmark: a seeded
+# ternary [20,10] code under the NRT 4 x 5 poset file, 1 + (3^10 - 1)/2 lines
+ENUMERATE_CASES = (
+    ("rand20q3-nrt4x5-distribution", ["distribution", "--json"]),
+    ("rand20q3-nrt4x5-hierarchy", ["hierarchy", "--json"]),
+)
 
 
 def cases() -> list[tuple[str, list[str]]]:
@@ -59,6 +65,8 @@ def cases() -> list[tuple[str, list[str]]]:
                 out.append((name, argv + list(command[1:]) + ["--json"]))
     for name, (command, *flags) in SCAN_CASES:
         out.append((name, [command, "--code", str(DATA / "rand14.code"), "--poset", "antichain:14", *flags]))
+    for name, (command, *flags) in ENUMERATE_CASES:
+        out.append((name, [command, "--code", str(DATA / "rand20q3.code"), "--poset", str(DATA / "nrt4x5.poset"), *flags]))
     return out
 
 

@@ -280,6 +280,85 @@ def test_a_grid_larger_than_the_lines_takes_the_counter(monkeypatch):
         assert census == Counter(layout.index(poset.ideal_closure(support_mask(w))) for w in code.codewords())
 
 
+def monic(code):
+    """Whether each message, in order, is the zero word or monic: its last nonzero
+    digit (the leading one) is 1, as support_batches(lines=True) keeps them."""
+    q, out = code.field.q, []
+    for m in range(code.codeword_count):
+        while m >= q:
+            m //= q
+        out.append(m < 2)
+    return out
+
+
+def spied_stream(monkeypatch, code, images, lines, index=None):
+    """(batches, values per lane of every _lane_pieces call): the call list is empty
+    where the stream XORed the low span per high word."""
+    import posetcode.code
+
+    honest, calls = posetcode.code._lane_pieces, []
+
+    def spy(lane, values, reached):
+        calls.append(values)
+        return honest(lane, values, reached)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(posetcode.code, "_lane_pieces", spy)
+        batches = [list(batch) for batch in code._support_batches(images, lines, index)]
+    return batches, calls
+
+
+def stream_test_codes(rng):
+    """(code, path) over every packing field, on both sides of the per-value rule:
+    True where it must translate per value, False per word, None either way."""
+    codes = []
+    for q in PACKING_FIELDS:
+        k_max = max(k for k in range(1, 13) if q**k <= 4096)
+        codes += [(random_full_rank(rng, q, rng.choice([9, 13, 20]), k_max), None), (random_full_rank(rng, q, rng.randint(2, 9), 1), None)]
+    # a slot byte holds 4 binary coordinates, so at most 16 values: binary k = 12 has 64 high
+    # words, k = 10 only 32, and 16 values where its high rows hold e_1 .. e_4 on the first
+    # byte; a ternary [20,10] code takes at most 27 values a byte against 121 monic high
+    # words (243 in all); GF(256) and GF(243) take a full high span for k = 2, one monic word
+    codes += [(random_full_rank(rng, 2, 20, 12), True), (random_full_rank(rng, 3, 20, 10), True)]
+    codes += [(random_full_rank(rng, 256, 2, 2), None), (random_full_rank(rng, 243, 2, 2), None)]
+
+    def full_rank_with(shapes):
+        while True:
+            rows = [prefix + [rng.randrange(2) for _ in range(n - len(prefix))] for prefix, n in shapes]
+            if Matrix(gf(2), rows).rank() == len(rows):
+                return LinearCode.from_generator(gf(2), rows)
+
+    units = [[int(i == j) for j in range(4)] for i in range(4)]
+    codes.append((full_rank_with([([], 16)] * 5 + [(unit, 16) for unit in units] + [([], 16)]), False))
+    # the high rows vanish on the first 8 coordinates: the high words take one value in two bytes
+    codes.append((full_rank_with([([], 16)] * 7 + [([0] * 8, 16)] * 7), True))
+    return codes
+
+
+def test_both_stream_paths_match_the_tuple_stream(monkeypatch):
+    # masks, closures and grid indexes, with and without lines, against the supports of
+    # codewords(); a spy on _lane_pieces tells the paths apart.  k = 1 leaves no high word or one
+    rng = random.Random(37)
+    posets = index_test_posets(rng)
+    paths, single = set(), False
+    for code, path in stream_test_codes(rng):
+        n, poset = code.n, rng.choice([p for p in posets if p.n == code.n] or [random_poset(rng, code.n)])
+        layout, keep = poset.chain_layout(), monic(code)
+        supports = [support_mask(w) for w in code.codewords()]
+        closures = list(map(poset.ideal_closure, supports))
+        for images, expected in (([1 << i for i in range(n)], supports), (poset.below, closures)):
+            for lines in (False, True):
+                batches, calls = spied_stream(monkeypatch, code, images, lines)
+                assert [s for batch in batches for s in batch] == [s for s, kept in zip(expected, keep) if kept or not lines], (code, lines)
+                paths.add(bool(calls))
+                single |= any(len(values) == 1 for values in calls)
+                assert path is None or bool(calls) == path, (code, lines)
+        batches, calls = spied_stream(monkeypatch, code, poset.below, True, layout.index_tables())
+        assert [at for batch in batches for at in batch] == [layout.index(s) for s, kept in zip(closures, keep) if kept], (code, poset)
+        assert path is None or bool(calls) == path, code
+    assert paths == {False, True} and single
+
+
 def test_support_batches_refuse_a_poset_of_another_length():
     code = LinearCode.from_generator(gf(3), [(1, 2, 0, 1)])
     with pytest.raises(ValueError, match="poset size 5 != code length 4"):

@@ -439,6 +439,27 @@ def test_dense_census_refuses_a_corrupted_record(monkeypatch):
         support_census(codes[-1][0], nrt4, "enumerate")
 
 
+def test_counter_census_refuses_an_index_off_the_grid(monkeypatch):
+    # a binary [7,2] code streams 4 lines against the 8 grid points of a 7-chain, so the
+    # Counter counts; an index moved past the grid keeps the sum at q^k, yet is refused
+    from posetcode.errors import SelfCheckError
+
+    code, poset = random_full_rank(random.Random(94), 2, 7, 2), Poset.chain(7)
+    assert not spied_tally(monkeypatch, code, poset)[1]
+    honest = LinearCode._support_batches
+
+    def off(self, images, lines, index=None):
+        batches = [list(batch) for batch in honest(self, images, lines, index)]
+        batches[-1][-1] = 8
+        return iter(batches)
+
+    monkeypatch.setattr(LinearCode, "_support_batches", off)
+    with pytest.raises(SelfCheckError, match="index 8 off the grid of 8 points"):
+        code.closure_tally(poset)
+    with pytest.raises(SelfCheckError, match="index 8 off the grid of 8 points"):
+        support_census(code, poset, "enumerate")
+
+
 @pytest.mark.parametrize("q", [2, 3, 4])
 @pytest.mark.parametrize("fault", ["drop-first", "drop-last", "repeat"])
 def test_enumerate_census_refuses_a_stream_short_or_long_by_a_batch(monkeypatch, q, fault):
