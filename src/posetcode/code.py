@@ -400,11 +400,10 @@ class LinearCode:
         # byte j of a XOR (-b) reads byte j of a and of -b alone: where the high words take at
         # most a quarter as many values in every byte as there are high words, the pieces of
         # the low span's lane j, one per value, are joined in high-word order (module docstring)
-        keys = []
-        if len(high) >= 8:  # two high words differ in some byte, so fewer than 8 never pass
+        # (two high words differ in some byte, so fewer than 8 never pass)
+        if len(high) >= 8 and all(4 * len(set(map((255 << 8 * j).__and__, high))) <= len(high) for j in range(slot)):
             lanes = b"".join(map(int.to_bytes, high, repeat(slot), repeat("little")))
             keys = [lanes[j::slot] for j in range(slot)]
-        if keys and all(4 * len(set(key)) <= len(high) for key in keys):
             pieces = [_lane_pieces(low[j::slot], set(key), reached) for j, (key, reached) in enumerate(zip(keys, tables))]
 
             def planes_at(at: int) -> list[int]:
