@@ -20,7 +20,7 @@ else a Counter on the grid indexes: dense for q = 3, 4, 5, 7, 8, 9 and
 
 The stream column names the stream path: per value, where every slot
 byte of the monic high words (the negated codewords of the monic messages
-with no low digit, packed as the stream packs them) takes at most a
+with no low digit, packed as the stream packs them) takes fewer than a
 quarter as many values as there are such words, else per word: per value
 for q = 3 and 4 on these codes.  A field whose stream takes the other
 path, or q = 3 off the per-value path, makes the script exit 1 as well.
@@ -83,7 +83,7 @@ def rule_path(code: LinearCode) -> str:
             word = code.codeword((0,) * half + rest + (1,) + (0,) * (k - half - i - 1))
             high.append(packed.pack([F.neg(a) for a in word]).to_bytes(slot, "little"))
     values = max(len({word[j] for word in high}) for j in range(slot))
-    return "value" if high and 4 * values <= len(high) else "word"
+    return "value" if high and 4 * values < len(high) else "word"
 
 
 def main() -> int:

@@ -30,18 +30,18 @@ native ints, are the batch.
 Byte j of a XOR (-b) reads byte j of a and of -b alone, and many high
 words take few values in a byte: a ternary [20,10] code's 121 monic high
 words at most 27, any binary code's at most 16.  So where every slot byte
-of the high words takes at most a quarter as many values as there are
+of the high words takes fewer than a quarter as many values as there are
 high words, the stream translates the low span's lane j once per value c
 the high words take there (lane XOR c, then each closure table:
 _lane_pieces) and builds a group's planes by joining those pieces in
 high-word order, with no XOR or translate per high word; elsewhere the
 XOR per high word serves.  The rule is where the pieces stop paying for
 their per-value calls, measured per path on a 2-CPU box under Python
-3.11.7 (best of runs, line stream): a ternary [20,10] code under NRT 4x5
-(at most 27 values against 121 words) 1.84 -> 1.32 ms, binary [20,14]
-(16 against 128) 0.89 -> 0.72 ms; at a quarter, binary [20,12] (16
-against 64) 0.31 ms either way; above it, binary [16,10] (16 against
-32) 0.14 -> 0.17 ms and GF(5) [10,6] (25 against 31) 0.41 -> 0.47 ms.
+3.11.7 (line stream, per word -> per value): a ternary [20,10] code under
+NRT 4x5 (at most 27 values against 121 words) 1.84 -> 1.32 ms, binary
+[20,14] (16 against 128) 0.89 -> 0.72 ms; at a quarter, binary [20,12]
+(16 against 64) 1-5 % slower; above it, binary [16,10] (16 against 32)
+0.14 -> 0.17 ms and GF(5) [10,6] (25 against 31) 0.41 -> 0.47 ms.
 The pieces hold sum_j (values at byte j) * q**ceil(k/2) bytes per
 reached closure table, under 0.1 MiB for the ternary code.
 
@@ -397,11 +397,11 @@ class LinearCode:
         # stream is tallied in any order, so it takes 16 times the words a call, as one batch
         group = -(-(_GROUP_WORDS if index is None else 16 * _GROUP_WORDS) // count)
         batch = count if index is None else group * count
-        # byte j of a XOR (-b) reads byte j of a and of -b alone: where the high words take at
-        # most a quarter as many values in every byte as there are high words, the pieces of
-        # the low span's lane j, one per value, are joined in high-word order (module docstring)
-        # (two high words differ in some byte, so fewer than 8 never pass)
-        if len(high) >= 8 and all(4 * len(set(map((255 << 8 * j).__and__, high))) <= len(high) for j in range(slot)):
+        # byte j of a XOR (-b) reads byte j of a and of -b alone: where the high words take
+        # fewer than a quarter as many values in every byte as there are high words, the pieces
+        # of the low span's lane j, one per value, are joined in high-word order (module
+        # docstring); two high words differ in some byte, so 8 or fewer never pass
+        if len(high) > 8 and all(4 * len(set(map((255 << 8 * j).__and__, high))) < len(high) for j in range(slot)):
             lanes = b"".join(map(int.to_bytes, high, repeat(slot), repeat("little")))
             keys = [lanes[j::slot] for j in range(slot)]
             pieces = [_lane_pieces(low[j::slot], set(key), reached) for j, (key, reached) in enumerate(zip(keys, tables))]

@@ -315,23 +315,23 @@ def stream_test_codes(rng):
     for q in PACKING_FIELDS:
         k_max = max(k for k in range(1, 13) if q**k <= 4096)
         codes += [(random_full_rank(rng, q, rng.choice([9, 13, 20]), k_max), None), (random_full_rank(rng, q, rng.randint(2, 9), 1), None)]
-    # a slot byte holds 4 binary coordinates, so at most 16 values: binary k = 12 has 64 high
-    # words, k = 10 only 32, and 16 values where its high rows hold e_1 .. e_4 on the first
-    # byte; a ternary [20,10] code takes at most 27 values a byte against 121 monic high
-    # words (243 in all); GF(256) and GF(243) take a full high span for k = 2, one monic word
-    codes += [(random_full_rank(rng, 2, 20, 12), True), (random_full_rank(rng, 3, 20, 10), True)]
-    codes += [(random_full_rank(rng, 256, 2, 2), None), (random_full_rank(rng, 243, 2, 2), None)]
+    # a ternary [20,10] code takes at most 27 values a byte against 121 monic high words (243
+    # in all); GF(256) and GF(243) take a full high span for k = 2, one monic word
+    codes += [(random_full_rank(rng, 3, 20, 10), True), (random_full_rank(rng, 256, 2, 2), None), (random_full_rank(rng, 243, 2, 2), None)]
 
-    def full_rank_with(shapes):
+    def full_rank_with(n, prefixes):
         while True:
-            rows = [prefix + [rng.randrange(2) for _ in range(n - len(prefix))] for prefix, n in shapes]
+            rows = [prefix + [rng.randrange(2) for _ in range(n - len(prefix))] for prefix in prefixes]
             if Matrix(gf(2), rows).rank() == len(rows):
                 return LinearCode.from_generator(gf(2), rows)
 
+    # a slot byte holds 4 binary coordinates: high rows holding e_1 .. e_4 on the first byte
+    # give it all 16 values, against 32 high words for k = 10 and 64, a quarter, for k = 12
     units = [[int(i == j) for j in range(4)] for i in range(4)]
-    codes.append((full_rank_with([([], 16)] * 5 + [(unit, 16) for unit in units] + [([], 16)]), False))
-    # the high rows vanish on the first 8 coordinates: the high words take one value in two bytes
-    codes.append((full_rank_with([([], 16)] * 7 + [([0] * 8, 16)] * 7), True))
+    codes.append((full_rank_with(16, [[]] * 5 + units + [[]]), False))
+    codes.append((full_rank_with(20, [[]] * 6 + units + [[]] * 2), False))
+    # 128 high words vanish on the first 8 coordinates: one value in two bytes, at most 16 in the others
+    codes.append((full_rank_with(16, [[]] * 7 + [[0] * 8] * 7), True))
     return codes
 
 
