@@ -401,10 +401,13 @@ class LinearCode:
         # fewer than a quarter as many values in every byte as there are high words, the pieces
         # of the low span's lane j, one per value, are joined in high-word order (module
         # docstring); two high words differ in some byte, so 8 or fewer never pass
-        if len(high) > 8 and all(4 * len(set(map((255 << 8 * j).__and__, high))) < len(high) for j in range(slot)):
+        keys = taken = []
+        if len(high) > 8:
             lanes = b"".join(map(int.to_bytes, high, repeat(slot), repeat("little")))
             keys = [lanes[j::slot] for j in range(slot)]
-            pieces = [_lane_pieces(low[j::slot], set(key), reached) for j, (key, reached) in enumerate(zip(keys, tables))]
+            taken = [set(key) for key in keys]
+        if taken and all(4 * len(values) < len(high) for values in taken):
+            pieces = [_lane_pieces(low[j::slot], values, reached) for j, (values, reached) in enumerate(zip(taken, tables))]
 
             def planes_at(at: int) -> list[int]:
                 planes = [0] * size
